@@ -67,7 +67,7 @@ int FixedPops(Op op) {
     case Op::kCheckcast:
     case Op::kInstanceof:
     case Op::kDup:
-      return op == Op::kDup ? 1 : 1;
+      return 1;
     case Op::kIaload:
     case Op::kLaload:
     case Op::kAaload:

@@ -1,7 +1,8 @@
 // Net operand-stack effect of a decoded instruction. For field accesses and
 // invokes the effect depends on the referenced descriptor, so the constant pool
-// is required. Shared by the assembler's max_stack computation and the
-// verifier's phase-3 dataflow.
+// is required. Shared by MethodBuilder's and MethodEditor's max_stack
+// computation and by the tier-1 compiler's stack-depth analysis and blob
+// validator (src/runtime/tiered.cc).
 #ifndef SRC_BYTECODE_STACK_EFFECT_H_
 #define SRC_BYTECODE_STACK_EFFECT_H_
 
@@ -13,8 +14,7 @@ namespace dvm {
 
 Result<int> StackDelta(const Instr& instr, const ConstantPool& pool);
 
-// Slots popped by the instruction (before its pushes). Used by the verifier to
-// check for stack underflow precisely.
+// Slots popped by the instruction (before its pushes).
 Result<int> StackPops(const Instr& instr, const ConstantPool& pool);
 
 }  // namespace dvm

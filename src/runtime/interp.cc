@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/bytecode/descriptor.h"
+#include "src/runtime/opsem.h"
 #include "src/runtime/profile.h"
 #include "src/runtime/tiered.h"
 #include "src/support/interner.h"
@@ -23,6 +24,14 @@ namespace {
 Error HostErr(const std::string& message) { return Error{ErrorCode::kRuntimeError, message}; }
 
 }  // namespace
+
+Status Interpreter::Raise(const opsem::Fault& fault) {
+  if (fault.host()) {
+    return HostErr(fault.Message());
+  }
+  machine_.ThrowGuest(fault.exception_class, fault.Message());
+  return Status::Ok();
+}
 
 const char* InterpreterDispatchMode() {
 #if DVM_INTERP_COMPUTED_GOTO
@@ -775,26 +784,12 @@ Status Interpreter::Step() {
       DVM_RETURN_IF_ERROR(underflow_guard(2));
       int32_t index = pop().AsInt();
       Value array_ref = pop();
-      if (array_ref.IsNullRef()) {
-        machine_.ThrowGuest("java/lang/NullPointerException", "array load on null");
-        break;
+      Value v;
+      opsem::Fault fault = opsem::ArrayLoad(machine_.heap(), instr.op, array_ref, index, &v);
+      if (!fault.ok()) {
+        return Raise(fault);
       }
-      HeapObject* array = machine_.heap().Get(array_ref.AsRef());
-      if (array == nullptr) {
-        return HostErr("dangling array reference");
-      }
-      if (index < 0 || index >= array->ArrayLength()) {
-        machine_.ThrowGuest("java/lang/ArrayIndexOutOfBoundsException",
-                            std::to_string(index));
-        break;
-      }
-      if (instr.op == Op::kIaload) {
-        DVM_RETURN_IF_ERROR(push(Value::Int(array->ints[static_cast<size_t>(index)])));
-      } else if (instr.op == Op::kLaload) {
-        DVM_RETURN_IF_ERROR(push(Value::Long(array->longs[static_cast<size_t>(index)])));
-      } else {
-        DVM_RETURN_IF_ERROR(push(Value::Ref(array->refs[static_cast<size_t>(index)])));
-      }
+      DVM_RETURN_IF_ERROR(push(v));
       break;
     }
     case Op::kIastore:
@@ -804,25 +799,9 @@ Status Interpreter::Step() {
       Value value = pop();
       int32_t index = pop().AsInt();
       Value array_ref = pop();
-      if (array_ref.IsNullRef()) {
-        machine_.ThrowGuest("java/lang/NullPointerException", "array store on null");
-        break;
-      }
-      HeapObject* array = machine_.heap().Get(array_ref.AsRef());
-      if (array == nullptr) {
-        return HostErr("dangling array reference");
-      }
-      if (index < 0 || index >= array->ArrayLength()) {
-        machine_.ThrowGuest("java/lang/ArrayIndexOutOfBoundsException",
-                            std::to_string(index));
-        break;
-      }
-      if (instr.op == Op::kIastore) {
-        array->ints[static_cast<size_t>(index)] = value.AsInt();
-      } else if (instr.op == Op::kLastore) {
-        array->longs[static_cast<size_t>(index)] = value.AsLong();
-      } else {
-        array->refs[static_cast<size_t>(index)] = value.AsRef();
+      opsem::Fault fault = opsem::ArrayStore(machine_.heap(), instr.op, array_ref, index, value);
+      if (!fault.ok()) {
+        return Raise(fault);
       }
       break;
     }
@@ -861,39 +840,7 @@ Status Interpreter::Step() {
       DVM_RETURN_IF_ERROR(underflow_guard(2));
       int32_t b = pop().AsInt();
       int32_t a = pop().AsInt();
-      int32_t r = 0;
-      switch (instr.op) {
-        case Op::kIadd:
-          r = static_cast<int32_t>(static_cast<uint32_t>(a) + static_cast<uint32_t>(b));
-          break;
-        case Op::kIsub:
-          r = static_cast<int32_t>(static_cast<uint32_t>(a) - static_cast<uint32_t>(b));
-          break;
-        case Op::kImul:
-          r = static_cast<int32_t>(static_cast<uint32_t>(a) * static_cast<uint32_t>(b));
-          break;
-        case Op::kIand:
-          r = a & b;
-          break;
-        case Op::kIor:
-          r = a | b;
-          break;
-        case Op::kIxor:
-          r = a ^ b;
-          break;
-        case Op::kIshl:
-          r = static_cast<int32_t>(static_cast<uint32_t>(a) << (b & 31));
-          break;
-        case Op::kIshr:
-          r = a >> (b & 31);
-          break;
-        case Op::kIushr:
-          r = static_cast<int32_t>(static_cast<uint32_t>(a) >> (b & 31));
-          break;
-        default:
-          break;
-      }
-      DVM_RETURN_IF_ERROR(push(Value::Int(r)));
+      DVM_RETURN_IF_ERROR(push(Value::Int(opsem::IntAlu(instr.op, a, b))));
       break;
     }
     case Op::kIdiv:
@@ -901,23 +848,21 @@ Status Interpreter::Step() {
       DVM_RETURN_IF_ERROR(underflow_guard(2));
       int32_t b = pop().AsInt();
       int32_t a = pop().AsInt();
-      if (b == 0) {
-        machine_.ThrowGuest("java/lang/ArithmeticException", "/ by zero");
-        break;
+      int32_t r = 0;
+      opsem::Fault fault = opsem::IntDivRem(instr.op, a, b, &r);
+      if (!fault.ok()) {
+        return Raise(fault);
       }
-      int64_t wide = instr.op == Op::kIdiv ? static_cast<int64_t>(a) / b
-                                           : static_cast<int64_t>(a) % b;
-      DVM_RETURN_IF_ERROR(push(Value::Int(static_cast<int32_t>(wide))));
+      DVM_RETURN_IF_ERROR(push(Value::Int(r)));
       break;
     }
     case Op::kLadd:
     case Op::kLsub:
     case Op::kLmul: {
       DVM_RETURN_IF_ERROR(underflow_guard(2));
-      uint64_t b = static_cast<uint64_t>(pop().AsLong());
-      uint64_t a = static_cast<uint64_t>(pop().AsLong());
-      uint64_t r = instr.op == Op::kLadd ? a + b : instr.op == Op::kLsub ? a - b : a * b;
-      DVM_RETURN_IF_ERROR(push(Value::Long(static_cast<int64_t>(r))));
+      int64_t b = pop().AsLong();
+      int64_t a = pop().AsLong();
+      DVM_RETURN_IF_ERROR(push(Value::Long(opsem::LongAlu(instr.op, a, b))));
       break;
     }
     case Op::kLdiv:
@@ -925,54 +870,45 @@ Status Interpreter::Step() {
       DVM_RETURN_IF_ERROR(underflow_guard(2));
       int64_t b = pop().AsLong();
       int64_t a = pop().AsLong();
-      if (b == 0) {
-        machine_.ThrowGuest("java/lang/ArithmeticException", "/ by zero");
-        break;
+      int64_t r = 0;
+      opsem::Fault fault = opsem::LongDivRem(instr.op, a, b, &r);
+      if (!fault.ok()) {
+        return Raise(fault);
       }
-      // INT64_MIN / -1 overflows (hardware trap on x86); the JVM defines it as
-      // INT64_MIN with remainder 0, and there is no wider type to widen into.
-      if (a == INT64_MIN && b == -1) {
-        DVM_RETURN_IF_ERROR(push(Value::Long(instr.op == Op::kLdiv ? INT64_MIN : 0)));
-        break;
-      }
-      DVM_RETURN_IF_ERROR(push(Value::Long(instr.op == Op::kLdiv ? a / b : a % b)));
+      DVM_RETURN_IF_ERROR(push(Value::Long(r)));
       break;
     }
     case Op::kIneg: {
       DVM_RETURN_IF_ERROR(underflow_guard(1));
-      int32_t a = pop().AsInt();
-      DVM_RETURN_IF_ERROR(push(Value::Int(static_cast<int32_t>(-static_cast<uint32_t>(a)))));
+      DVM_RETURN_IF_ERROR(push(Value::Int(opsem::IntNeg(pop().AsInt()))));
       break;
     }
     case Op::kLneg: {
       DVM_RETURN_IF_ERROR(underflow_guard(1));
-      int64_t a = pop().AsLong();
-      DVM_RETURN_IF_ERROR(push(Value::Long(static_cast<int64_t>(-static_cast<uint64_t>(a)))));
+      DVM_RETURN_IF_ERROR(push(Value::Long(opsem::LongNeg(pop().AsLong()))));
       break;
     }
     case Op::kIinc: {
       DVM_RETURN_IF_ERROR(local_guard(instr.a));
       Value& local = locals[static_cast<size_t>(instr.a)];
-      // Unsigned add: iinc at INT32_MAX wraps per JVM semantics, not UB.
-      local = Value::Int(static_cast<int32_t>(static_cast<uint32_t>(local.AsInt()) +
-                                              static_cast<uint32_t>(instr.b)));
+      local = Value::Int(opsem::IntInc(local.AsInt(), instr.b));
       break;
     }
     case Op::kI2l: {
       DVM_RETURN_IF_ERROR(underflow_guard(1));
-      DVM_RETURN_IF_ERROR(push(Value::Long(pop().AsInt())));
+      DVM_RETURN_IF_ERROR(push(Value::Long(opsem::I2l(pop().AsInt()))));
       break;
     }
     case Op::kL2i: {
       DVM_RETURN_IF_ERROR(underflow_guard(1));
-      DVM_RETURN_IF_ERROR(push(Value::Int(static_cast<int32_t>(pop().AsLong()))));
+      DVM_RETURN_IF_ERROR(push(Value::Int(opsem::L2i(pop().AsLong()))));
       break;
     }
     case Op::kLcmp: {
       DVM_RETURN_IF_ERROR(underflow_guard(2));
       int64_t b = pop().AsLong();
       int64_t a = pop().AsLong();
-      DVM_RETURN_IF_ERROR(push(Value::Int(a < b ? -1 : a > b ? 1 : 0)));
+      DVM_RETURN_IF_ERROR(push(Value::Int(opsem::Lcmp(a, b))));
       break;
     }
     case Op::kIfeq:
@@ -982,31 +918,7 @@ Status Interpreter::Step() {
     case Op::kIfgt:
     case Op::kIfle: {
       DVM_RETURN_IF_ERROR(underflow_guard(1));
-      int32_t v = pop().AsInt();
-      bool taken = false;
-      switch (instr.op) {
-        case Op::kIfeq:
-          taken = v == 0;
-          break;
-        case Op::kIfne:
-          taken = v != 0;
-          break;
-        case Op::kIflt:
-          taken = v < 0;
-          break;
-        case Op::kIfge:
-          taken = v >= 0;
-          break;
-        case Op::kIfgt:
-          taken = v > 0;
-          break;
-        case Op::kIfle:
-          taken = v <= 0;
-          break;
-        default:
-          break;
-      }
-      if (taken) {
+      if (opsem::IntCond(instr.op, pop().AsInt())) {
         uint32_t target = static_cast<uint32_t>(instr.a);
         if (target < f.pc) {
           ProfileBackedge(f.prepared);
@@ -1024,30 +936,7 @@ Status Interpreter::Step() {
       DVM_RETURN_IF_ERROR(underflow_guard(2));
       int32_t b = pop().AsInt();
       int32_t a = pop().AsInt();
-      bool taken = false;
-      switch (instr.op) {
-        case Op::kIfIcmpeq:
-          taken = a == b;
-          break;
-        case Op::kIfIcmpne:
-          taken = a != b;
-          break;
-        case Op::kIfIcmplt:
-          taken = a < b;
-          break;
-        case Op::kIfIcmpge:
-          taken = a >= b;
-          break;
-        case Op::kIfIcmpgt:
-          taken = a > b;
-          break;
-        case Op::kIfIcmple:
-          taken = a <= b;
-          break;
-        default:
-          break;
-      }
-      if (taken) {
+      if (opsem::IntCmpCond(instr.op, a, b)) {
         uint32_t target = static_cast<uint32_t>(instr.a);
         if (target < f.pc) {
           ProfileBackedge(f.prepared);
@@ -1061,8 +950,7 @@ Status Interpreter::Step() {
       DVM_RETURN_IF_ERROR(underflow_guard(2));
       ObjRef b = pop().AsRef();
       ObjRef a = pop().AsRef();
-      bool taken = instr.op == Op::kIfAcmpeq ? a == b : a != b;
-      if (taken) {
+      if (opsem::RefCmpCond(instr.op, a, b)) {
         uint32_t target = static_cast<uint32_t>(instr.a);
         if (target < f.pc) {
           ProfileBackedge(f.prepared);
@@ -1074,8 +962,7 @@ Status Interpreter::Step() {
     case Op::kIfnull:
     case Op::kIfnonnull: {
       DVM_RETURN_IF_ERROR(underflow_guard(1));
-      bool is_null = pop().IsNullRef();
-      if ((instr.op == Op::kIfnull) == is_null) {
+      if (opsem::NullCond(instr.op, pop())) {
         uint32_t target = static_cast<uint32_t>(instr.a);
         if (target < f.pc) {
           ProfileBackedge(f.prepared);
@@ -1223,16 +1110,12 @@ Status Interpreter::Step() {
     }
     case Op::kArraylength: {
       DVM_RETURN_IF_ERROR(underflow_guard(1));
-      Value arr_ref = pop();
-      if (arr_ref.IsNullRef()) {
-        machine_.ThrowGuest("java/lang/NullPointerException", "arraylength on null");
-        break;
+      int32_t length = 0;
+      opsem::Fault fault = opsem::ArrayLength(machine_.heap(), pop(), &length);
+      if (!fault.ok()) {
+        return Raise(fault);
       }
-      const HeapObject* arr = machine_.heap().Get(arr_ref.AsRef());
-      if (arr == nullptr || arr->ArrayLength() < 0) {
-        return HostErr("arraylength on non-array");
-      }
-      DVM_RETURN_IF_ERROR(push(Value::Int(arr->ArrayLength())));
+      DVM_RETURN_IF_ERROR(push(Value::Int(length)));
       break;
     }
     case Op::kAthrow: {
@@ -1502,6 +1385,11 @@ Status Interpreter::QuickInvokeSlow(Op op, uint32_t site_ix) {
     machine_.ThrowGuest((cls_), (msg_));  \
     return Status::Ok();                  \
   } while (0)
+#define QFAULT(fault_)  \
+  do {                  \
+    QSYNC();            \
+    return Raise(fault_); \
+  } while (0)
 #define QNEED(n)                                                              \
   do {                                                                        \
     if (sp - floor < static_cast<ptrdiff_t>(n))                               \
@@ -1682,23 +1570,11 @@ Status Interpreter::RunQuick() {
     QNEED(2);
     int32_t index = (--sp)->AsInt();
     Value array_ref = *--sp;
-    if (array_ref.IsNullRef()) {
-      QTHROW("java/lang/NullPointerException", "array load on null");
+    opsem::Fault fault = opsem::ArrayLoad(machine_.heap(), inst.op, array_ref, index, sp);
+    if (!fault.ok()) {
+      QFAULT(fault);
     }
-    HeapObject* array = machine_.heap().Get(array_ref.AsRef());
-    if (array == nullptr) {
-      QHOST("dangling array reference");
-    }
-    if (index < 0 || index >= array->ArrayLength()) {
-      QTHROW("java/lang/ArrayIndexOutOfBoundsException", std::to_string(index));
-    }
-    if (inst.op == Op::kIaload) {
-      *sp++ = Value::Int(array->ints[static_cast<size_t>(index)]);
-    } else if (inst.op == Op::kLaload) {
-      *sp++ = Value::Long(array->longs[static_cast<size_t>(index)]);
-    } else {
-      *sp++ = Value::Ref(array->refs[static_cast<size_t>(index)]);
-    }
+    sp++;
   } NEXT();
 
   OP(kIastore) OP(kLastore) OP(kAastore) {
@@ -1706,22 +1582,9 @@ Status Interpreter::RunQuick() {
     Value value = *--sp;
     int32_t index = (--sp)->AsInt();
     Value array_ref = *--sp;
-    if (array_ref.IsNullRef()) {
-      QTHROW("java/lang/NullPointerException", "array store on null");
-    }
-    HeapObject* array = machine_.heap().Get(array_ref.AsRef());
-    if (array == nullptr) {
-      QHOST("dangling array reference");
-    }
-    if (index < 0 || index >= array->ArrayLength()) {
-      QTHROW("java/lang/ArrayIndexOutOfBoundsException", std::to_string(index));
-    }
-    if (inst.op == Op::kIastore) {
-      array->ints[static_cast<size_t>(index)] = value.AsInt();
-    } else if (inst.op == Op::kLastore) {
-      array->longs[static_cast<size_t>(index)] = value.AsLong();
-    } else {
-      array->refs[static_cast<size_t>(index)] = value.AsRef();
+    opsem::Fault fault = opsem::ArrayStore(machine_.heap(), inst.op, array_ref, index, value);
+    if (!fault.ok()) {
+      QFAULT(fault);
     }
   } NEXT();
 
@@ -1757,139 +1620,76 @@ Status Interpreter::RunQuick() {
     QNEED(2);
     int32_t b = (--sp)->AsInt();
     int32_t a = (--sp)->AsInt();
-    int32_t r = 0;
-    switch (inst.op) {
-      case Op::kIadd:
-        r = static_cast<int32_t>(static_cast<uint32_t>(a) + static_cast<uint32_t>(b));
-        break;
-      case Op::kIsub:
-        r = static_cast<int32_t>(static_cast<uint32_t>(a) - static_cast<uint32_t>(b));
-        break;
-      case Op::kImul:
-        r = static_cast<int32_t>(static_cast<uint32_t>(a) * static_cast<uint32_t>(b));
-        break;
-      case Op::kIand:
-        r = a & b;
-        break;
-      case Op::kIor:
-        r = a | b;
-        break;
-      case Op::kIxor:
-        r = a ^ b;
-        break;
-      case Op::kIshl:
-        r = static_cast<int32_t>(static_cast<uint32_t>(a) << (b & 31));
-        break;
-      case Op::kIshr:
-        r = a >> (b & 31);
-        break;
-      case Op::kIushr:
-        r = static_cast<int32_t>(static_cast<uint32_t>(a) >> (b & 31));
-        break;
-      default:
-        break;
-    }
-    *sp++ = Value::Int(r);
+    *sp++ = Value::Int(opsem::IntAlu(inst.op, a, b));
   } NEXT();
 
   OP(kIdiv) OP(kIrem) {
     QNEED(2);
     int32_t b = (--sp)->AsInt();
     int32_t a = (--sp)->AsInt();
-    if (b == 0) {
-      QTHROW("java/lang/ArithmeticException", "/ by zero");
+    int32_t r = 0;
+    opsem::Fault fault = opsem::IntDivRem(inst.op, a, b, &r);
+    if (!fault.ok()) {
+      QFAULT(fault);
     }
-    int64_t wide = inst.op == Op::kIdiv ? static_cast<int64_t>(a) / b
-                                        : static_cast<int64_t>(a) % b;
-    *sp++ = Value::Int(static_cast<int32_t>(wide));
+    *sp++ = Value::Int(r);
   } NEXT();
 
   OP(kLadd) OP(kLsub) OP(kLmul) {
     QNEED(2);
-    uint64_t b = static_cast<uint64_t>((--sp)->AsLong());
-    uint64_t a = static_cast<uint64_t>((--sp)->AsLong());
-    uint64_t r = inst.op == Op::kLadd ? a + b : inst.op == Op::kLsub ? a - b : a * b;
-    *sp++ = Value::Long(static_cast<int64_t>(r));
+    int64_t b = (--sp)->AsLong();
+    int64_t a = (--sp)->AsLong();
+    *sp++ = Value::Long(opsem::LongAlu(inst.op, a, b));
   } NEXT();
 
   OP(kLdiv) OP(kLrem) {
     QNEED(2);
     int64_t b = (--sp)->AsLong();
     int64_t a = (--sp)->AsLong();
-    if (b == 0) {
-      QTHROW("java/lang/ArithmeticException", "/ by zero");
+    int64_t r = 0;
+    opsem::Fault fault = opsem::LongDivRem(inst.op, a, b, &r);
+    if (!fault.ok()) {
+      QFAULT(fault);
     }
-    // INT64_MIN / -1 overflows (hardware trap on x86); the JVM defines it as
-    // INT64_MIN with remainder 0, and there is no wider type to widen into.
-    if (a == INT64_MIN && b == -1) {
-      *sp++ = Value::Long(inst.op == Op::kLdiv ? INT64_MIN : 0);
-    } else {
-      *sp++ = Value::Long(inst.op == Op::kLdiv ? a / b : a % b);
-    }
+    *sp++ = Value::Long(r);
   } NEXT();
 
   OP(kIneg) {
     QNEED(1);
-    sp[-1] = Value::Int(static_cast<int32_t>(-static_cast<uint32_t>(sp[-1].AsInt())));
+    sp[-1] = Value::Int(opsem::IntNeg(sp[-1].AsInt()));
   } NEXT();
 
   OP(kLneg) {
     QNEED(1);
-    sp[-1] = Value::Long(static_cast<int64_t>(-static_cast<uint64_t>(sp[-1].AsLong())));
+    sp[-1] = Value::Long(opsem::LongNeg(sp[-1].AsLong()));
   } NEXT();
 
   OP(kIinc) {
     QLOCAL(inst.a);
     Value& local = locals[static_cast<size_t>(inst.a)];
-    // Unsigned add: iinc at INT32_MAX wraps per JVM semantics, not UB.
-    local = Value::Int(static_cast<int32_t>(static_cast<uint32_t>(local.AsInt()) +
-                                            static_cast<uint32_t>(inst.b)));
+    local = Value::Int(opsem::IntInc(local.AsInt(), inst.b));
   } NEXT();
 
   OP(kI2l) {
     QNEED(1);
-    sp[-1] = Value::Long(sp[-1].AsInt());
+    sp[-1] = Value::Long(opsem::I2l(sp[-1].AsInt()));
   } NEXT();
 
   OP(kL2i) {
     QNEED(1);
-    sp[-1] = Value::Int(static_cast<int32_t>(sp[-1].AsLong()));
+    sp[-1] = Value::Int(opsem::L2i(sp[-1].AsLong()));
   } NEXT();
 
   OP(kLcmp) {
     QNEED(2);
     int64_t b = (--sp)->AsLong();
     int64_t a = (--sp)->AsLong();
-    *sp++ = Value::Int(a < b ? -1 : a > b ? 1 : 0);
+    *sp++ = Value::Int(opsem::Lcmp(a, b));
   } NEXT();
 
   OP(kIfeq) OP(kIfne) OP(kIflt) OP(kIfge) OP(kIfgt) OP(kIfle) {
     QNEED(1);
-    int32_t v = (--sp)->AsInt();
-    bool taken = false;
-    switch (inst.op) {
-      case Op::kIfeq:
-        taken = v == 0;
-        break;
-      case Op::kIfne:
-        taken = v != 0;
-        break;
-      case Op::kIflt:
-        taken = v < 0;
-        break;
-      case Op::kIfge:
-        taken = v >= 0;
-        break;
-      case Op::kIfgt:
-        taken = v > 0;
-        break;
-      case Op::kIfle:
-        taken = v <= 0;
-        break;
-      default:
-        break;
-    }
-    if (taken) {
+    if (opsem::IntCond(inst.op, (--sp)->AsInt())) {
       QBRANCH(static_cast<uint32_t>(inst.a));
     }
   } NEXT();
@@ -1899,30 +1699,7 @@ Status Interpreter::RunQuick() {
     QNEED(2);
     int32_t b = (--sp)->AsInt();
     int32_t a = (--sp)->AsInt();
-    bool taken = false;
-    switch (inst.op) {
-      case Op::kIfIcmpeq:
-        taken = a == b;
-        break;
-      case Op::kIfIcmpne:
-        taken = a != b;
-        break;
-      case Op::kIfIcmplt:
-        taken = a < b;
-        break;
-      case Op::kIfIcmpge:
-        taken = a >= b;
-        break;
-      case Op::kIfIcmpgt:
-        taken = a > b;
-        break;
-      case Op::kIfIcmple:
-        taken = a <= b;
-        break;
-      default:
-        break;
-    }
-    if (taken) {
+    if (opsem::IntCmpCond(inst.op, a, b)) {
       QBRANCH(static_cast<uint32_t>(inst.a));
     }
   } NEXT();
@@ -1931,16 +1708,14 @@ Status Interpreter::RunQuick() {
     QNEED(2);
     ObjRef b = (--sp)->AsRef();
     ObjRef a = (--sp)->AsRef();
-    bool taken = inst.op == Op::kIfAcmpeq ? a == b : a != b;
-    if (taken) {
+    if (opsem::RefCmpCond(inst.op, a, b)) {
       QBRANCH(static_cast<uint32_t>(inst.a));
     }
   } NEXT();
 
   OP(kIfnull) OP(kIfnonnull) {
     QNEED(1);
-    bool is_null = (--sp)->IsNullRef();
-    if ((inst.op == Op::kIfnull) == is_null) {
+    if (opsem::NullCond(inst.op, *--sp)) {
       QBRANCH(static_cast<uint32_t>(inst.a));
     }
   } NEXT();
@@ -2271,14 +2046,12 @@ Status Interpreter::RunQuick() {
   OP(kArraylength) {
     QNEED(1);
     Value arr_ref = *--sp;
-    if (arr_ref.IsNullRef()) {
-      QTHROW("java/lang/NullPointerException", "arraylength on null");
+    int32_t length = 0;
+    opsem::Fault fault = opsem::ArrayLength(machine_.heap(), arr_ref, &length);
+    if (!fault.ok()) {
+      QFAULT(fault);
     }
-    const HeapObject* arr = machine_.heap().Get(arr_ref.AsRef());
-    if (arr == nullptr || arr->ArrayLength() < 0) {
-      QHOST("arraylength on non-array");
-    }
-    *sp++ = Value::Int(arr->ArrayLength());
+    *sp++ = Value::Int(length);
   } NEXT();
 
   OP(kAthrow) {
@@ -2401,6 +2174,7 @@ L_unhandled:
 #undef QSYNC
 #undef QHOST
 #undef QTHROW
+#undef QFAULT
 #undef QNEED
 #undef QROOM
 #undef QLOCAL

@@ -24,6 +24,10 @@
 
 namespace dvm {
 
+namespace opsem {
+struct Fault;
+}  // namespace opsem
+
 // "threaded" when compiled with computed-goto dispatch, "switch" otherwise.
 const char* InterpreterDispatchMode();
 
@@ -85,6 +89,11 @@ class Interpreter {
   // Ensures <clinit> has run (first active use). Guest failures surface as a
   // pending exception; the return value is a host-level status.
   Status EnsureInitialized(RuntimeClass* cls);
+
+  // Raises an opsem fault for all three engines: a guest exception is left
+  // pending for Loop to dispatch, a host fault is the returned error. Kept
+  // out of line so the engines' hot loops carry only the call.
+  Status Raise(const opsem::Fault& fault);
 
   // Reference engine: executes one instruction of the top frame. Guest
   // exceptions are signalled through machine_.ThrowGuest; host errors abort.

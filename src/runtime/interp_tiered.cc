@@ -16,6 +16,7 @@
 
 #include "src/bytecode/descriptor.h"
 #include "src/runtime/interp.h"
+#include "src/runtime/opsem.h"
 #include "src/runtime/tiered.h"
 #include "src/support/interner.h"
 
@@ -37,71 +38,6 @@ Error HostErr(const std::string& message) { return Error{ErrorCode::kRuntimeErro
 // megamorphic: the monomorphic inline cache is thrashing, so the containing
 // method's compiled code (built around direct-call sites) is retired for good.
 constexpr uint64_t kMegamorphicTransitions = 4;
-
-// Mirrors the quickened engine's int-ALU arithmetic exactly (unsigned wrap on
-// add/sub/mul/shl, masked shift counts).
-inline int32_t IntAlu(Op sub, int32_t a, int32_t b) {
-  switch (sub) {
-    case Op::kIadd:
-      return static_cast<int32_t>(static_cast<uint32_t>(a) + static_cast<uint32_t>(b));
-    case Op::kIsub:
-      return static_cast<int32_t>(static_cast<uint32_t>(a) - static_cast<uint32_t>(b));
-    case Op::kImul:
-      return static_cast<int32_t>(static_cast<uint32_t>(a) * static_cast<uint32_t>(b));
-    case Op::kIand:
-      return a & b;
-    case Op::kIor:
-      return a | b;
-    case Op::kIxor:
-      return a ^ b;
-    case Op::kIshl:
-      return static_cast<int32_t>(static_cast<uint32_t>(a) << (b & 31));
-    case Op::kIshr:
-      return a >> (b & 31);
-    case Op::kIushr:
-      return static_cast<int32_t>(static_cast<uint32_t>(a) >> (b & 31));
-    default:
-      return 0;
-  }
-}
-
-inline bool IntCond(Op sub, int32_t v) {
-  switch (sub) {
-    case Op::kIfeq:
-      return v == 0;
-    case Op::kIfne:
-      return v != 0;
-    case Op::kIflt:
-      return v < 0;
-    case Op::kIfge:
-      return v >= 0;
-    case Op::kIfgt:
-      return v > 0;
-    case Op::kIfle:
-      return v <= 0;
-    default:
-      return false;
-  }
-}
-
-inline bool IntCmpCond(Op sub, int32_t a, int32_t b) {
-  switch (sub) {
-    case Op::kIfIcmpeq:
-      return a == b;
-    case Op::kIfIcmpne:
-      return a != b;
-    case Op::kIfIcmplt:
-      return a < b;
-    case Op::kIfIcmpge:
-      return a >= b;
-    case Op::kIfIcmpgt:
-      return a > b;
-    case Op::kIfIcmple:
-      return a <= b;
-    default:
-      return false;
-  }
-}
 
 }  // namespace
 
@@ -227,6 +163,18 @@ bool Interpreter::MaybeOsr(ExecFrame& frame) {
     CSYNC_AT(bc_);                                  \
     f->compiled_active = false;                     \
     return HostErr(msg_);                           \
+  } while (0)
+
+// An opsem fault from a checked op: a host error, or a guest throw that
+// deopts like CTHROW.
+#define CFAULT(bc_, fault_)                         \
+  do {                                              \
+    CSYNC_AT(bc_);                                  \
+    f->compiled_active = false;                     \
+    if (!(fault_).host()) {                         \
+      counters.tier_deopts++;                       \
+    }                                               \
+    return Raise(fault_);                           \
   } while (0)
 
 Status Interpreter::RunCompiled() {
@@ -356,8 +304,7 @@ enter:
 
       TOP(kIinc) {
         Value& local = locals[static_cast<size_t>(in->a)];
-        local = Value::Int(static_cast<int32_t>(static_cast<uint32_t>(local.AsInt()) +
-                                                static_cast<uint32_t>(in->b)));
+        local = Value::Int(opsem::IntInc(local.AsInt(), in->b));
         TNEXT();
       }
 
@@ -386,65 +333,62 @@ enter:
       TOP(kIAlu) {
         int32_t b = (--sp)->AsInt();
         int32_t a = (--sp)->AsInt();
-        *sp++ = Value::Int(IntAlu(static_cast<Op>(in->sub), a, b));
+        *sp++ = Value::Int(opsem::IntAlu(static_cast<Op>(in->sub), a, b));
         TNEXT();
       }
 
       TOP(kLAlu) {
-        uint64_t b = static_cast<uint64_t>((--sp)->AsLong());
-        uint64_t a = static_cast<uint64_t>((--sp)->AsLong());
-        Op sub = static_cast<Op>(in->sub);
-        uint64_t r = sub == Op::kLadd ? a + b : sub == Op::kLsub ? a - b : a * b;
-        *sp++ = Value::Long(static_cast<int64_t>(r));
+        int64_t b = (--sp)->AsLong();
+        int64_t a = (--sp)->AsLong();
+        *sp++ = Value::Long(opsem::LongAlu(static_cast<Op>(in->sub), a, b));
         TNEXT();
       }
 
       TOP(kIneg)
-        sp[-1] = Value::Int(static_cast<int32_t>(-static_cast<uint32_t>(sp[-1].AsInt())));
+        sp[-1] = Value::Int(opsem::IntNeg(sp[-1].AsInt()));
         TNEXT();
 
       TOP(kLneg)
-        sp[-1] =
-            Value::Long(static_cast<int64_t>(-static_cast<uint64_t>(sp[-1].AsLong())));
+        sp[-1] = Value::Long(opsem::LongNeg(sp[-1].AsLong()));
         TNEXT();
 
       TOP(kI2l)
-        sp[-1] = Value::Long(sp[-1].AsInt());
+        sp[-1] = Value::Long(opsem::I2l(sp[-1].AsInt()));
         TNEXT();
 
       TOP(kL2i)
-        sp[-1] = Value::Int(static_cast<int32_t>(sp[-1].AsLong()));
+        sp[-1] = Value::Int(opsem::L2i(sp[-1].AsLong()));
         TNEXT();
 
       TOP(kLcmp) {
         int64_t b = (--sp)->AsLong();
         int64_t a = (--sp)->AsLong();
-        *sp++ = Value::Int(a < b ? -1 : a > b ? 1 : 0);
+        *sp++ = Value::Int(opsem::Lcmp(a, b));
         TNEXT();
       }
 
       // Fused load/op[/store] superinstructions: one dispatch instead of 3-4.
       TOP(kAluLL)
-        *sp++ = Value::Int(IntAlu(static_cast<Op>(in->sub),
+        *sp++ = Value::Int(opsem::IntAlu(static_cast<Op>(in->sub),
                                   locals[static_cast<size_t>(in->a)].AsInt(),
                                   locals[static_cast<size_t>(in->b)].AsInt()));
         TNEXT();
 
       TOP(kAluLC)
-        *sp++ = Value::Int(IntAlu(static_cast<Op>(in->sub),
+        *sp++ = Value::Int(opsem::IntAlu(static_cast<Op>(in->sub),
                                   locals[static_cast<size_t>(in->a)].AsInt(), in->b));
         TNEXT();
 
       TOP(kAluLLS)
         locals[static_cast<size_t>(in->c)] =
-            Value::Int(IntAlu(static_cast<Op>(in->sub),
+            Value::Int(opsem::IntAlu(static_cast<Op>(in->sub),
                               locals[static_cast<size_t>(in->a)].AsInt(),
                               locals[static_cast<size_t>(in->b)].AsInt()));
         TNEXT();
 
       TOP(kAluLCS)
         locals[static_cast<size_t>(in->c)] =
-            Value::Int(IntAlu(static_cast<Op>(in->sub),
+            Value::Int(opsem::IntAlu(static_cast<Op>(in->sub),
                               locals[static_cast<size_t>(in->a)].AsInt(), in->b));
         TNEXT();
 
@@ -457,7 +401,7 @@ enter:
 
       TOP(kBrI) {
         int32_t v = (--sp)->AsInt();
-        if (IntCond(static_cast<Op>(in->sub), v)) {
+        if (opsem::IntCond(static_cast<Op>(in->sub), v)) {
           if (in->flags & kTierFlagBackward) {
             ProfileBackedge(f->prepared);
           }
@@ -470,7 +414,7 @@ enter:
       TOP(kBrII) {
         int32_t b = (--sp)->AsInt();
         int32_t a = (--sp)->AsInt();
-        if (IntCmpCond(static_cast<Op>(in->sub), a, b)) {
+        if (opsem::IntCmpCond(static_cast<Op>(in->sub), a, b)) {
           if (in->flags & kTierFlagBackward) {
             ProfileBackedge(f->prepared);
           }
@@ -484,12 +428,11 @@ enter:
         Op sub = static_cast<Op>(in->sub);
         bool taken;
         if (sub == Op::kIfnull || sub == Op::kIfnonnull) {
-          bool is_null = (--sp)->IsNullRef();
-          taken = (sub == Op::kIfnull) == is_null;
+          taken = opsem::NullCond(sub, *--sp);
         } else {
           ObjRef b = (--sp)->AsRef();
           ObjRef a = (--sp)->AsRef();
-          taken = sub == Op::kIfAcmpeq ? a == b : a != b;
+          taken = opsem::RefCmpCond(sub, a, b);
         }
         if (taken) {
           if (in->flags & kTierFlagBackward) {
@@ -503,7 +446,7 @@ enter:
 
       // Fused compare-and-branch over locals: the hot loop-bound pattern.
       TOP(kBrLL)
-        if (IntCmpCond(static_cast<Op>(in->sub),
+        if (opsem::IntCmpCond(static_cast<Op>(in->sub),
                        locals[static_cast<size_t>(in->a)].AsInt(),
                        locals[static_cast<size_t>(in->b)].AsInt())) {
           if (in->flags & kTierFlagBackward) {
@@ -515,7 +458,7 @@ enter:
         TNEXT();
 
       TOP(kBrLC)
-        if (IntCmpCond(static_cast<Op>(in->sub),
+        if (opsem::IntCmpCond(static_cast<Op>(in->sub),
                        locals[static_cast<size_t>(in->a)].AsInt(), in->b)) {
           if (in->flags & kTierFlagBackward) {
             ProfileBackedge(f->prepared);
@@ -527,51 +470,36 @@ enter:
 
       TOP(kDivRem) {
         Op sub = static_cast<Op>(in->sub);
+        opsem::Fault fault;
         if (sub == Op::kIdiv || sub == Op::kIrem) {
           int32_t b = (--sp)->AsInt();
           int32_t a = (--sp)->AsInt();
-          if (b == 0) {
-            CTHROW(in->bc, "java/lang/ArithmeticException", "/ by zero");
-          }
-          int64_t wide = sub == Op::kIdiv ? static_cast<int64_t>(a) / b
-                                          : static_cast<int64_t>(a) % b;
-          *sp++ = Value::Int(static_cast<int32_t>(wide));
+          int32_t r = 0;
+          fault = opsem::IntDivRem(sub, a, b, &r);
+          *sp = Value::Int(r);
         } else {
           int64_t b = (--sp)->AsLong();
           int64_t a = (--sp)->AsLong();
-          if (b == 0) {
-            CTHROW(in->bc, "java/lang/ArithmeticException", "/ by zero");
-          }
-          if (a == INT64_MIN && b == -1) {
-            *sp++ = Value::Long(sub == Op::kLdiv ? INT64_MIN : 0);
-          } else {
-            *sp++ = Value::Long(sub == Op::kLdiv ? a / b : a % b);
-          }
+          int64_t r = 0;
+          fault = opsem::LongDivRem(sub, a, b, &r);
+          *sp = Value::Long(r);
         }
+        if (!fault.ok()) {
+          CFAULT(in->bc, fault);
+        }
+        sp++;
         TNEXT();
       }
 
       TOP(kArrLoad) {
         int32_t index = (--sp)->AsInt();
         Value array_ref = *--sp;
-        if (array_ref.IsNullRef()) {
-          CTHROW(in->bc, "java/lang/NullPointerException", "array load on null");
+        opsem::Fault fault =
+            opsem::ArrayLoad(machine_.heap(), static_cast<Op>(in->sub), array_ref, index, sp);
+        if (!fault.ok()) {
+          CFAULT(in->bc, fault);
         }
-        HeapObject* array = machine_.heap().Get(array_ref.AsRef());
-        if (array == nullptr) {
-          CHOST(in->bc, "dangling array reference");
-        }
-        if (index < 0 || index >= array->ArrayLength()) {
-          CTHROW(in->bc, "java/lang/ArrayIndexOutOfBoundsException", std::to_string(index));
-        }
-        Op sub = static_cast<Op>(in->sub);
-        if (sub == Op::kIaload) {
-          *sp++ = Value::Int(array->ints[static_cast<size_t>(index)]);
-        } else if (sub == Op::kLaload) {
-          *sp++ = Value::Long(array->longs[static_cast<size_t>(index)]);
-        } else {
-          *sp++ = Value::Ref(array->refs[static_cast<size_t>(index)]);
-        }
+        sp++;
         TNEXT();
       }
 
@@ -579,37 +507,22 @@ enter:
         Value value = *--sp;
         int32_t index = (--sp)->AsInt();
         Value array_ref = *--sp;
-        if (array_ref.IsNullRef()) {
-          CTHROW(in->bc, "java/lang/NullPointerException", "array store on null");
-        }
-        HeapObject* array = machine_.heap().Get(array_ref.AsRef());
-        if (array == nullptr) {
-          CHOST(in->bc, "dangling array reference");
-        }
-        if (index < 0 || index >= array->ArrayLength()) {
-          CTHROW(in->bc, "java/lang/ArrayIndexOutOfBoundsException", std::to_string(index));
-        }
-        Op sub = static_cast<Op>(in->sub);
-        if (sub == Op::kIastore) {
-          array->ints[static_cast<size_t>(index)] = value.AsInt();
-        } else if (sub == Op::kLastore) {
-          array->longs[static_cast<size_t>(index)] = value.AsLong();
-        } else {
-          array->refs[static_cast<size_t>(index)] = value.AsRef();
+        opsem::Fault fault =
+            opsem::ArrayStore(machine_.heap(), static_cast<Op>(in->sub), array_ref, index, value);
+        if (!fault.ok()) {
+          CFAULT(in->bc, fault);
         }
         TNEXT();
       }
 
       TOP(kArrLen) {
         Value arr_ref = *--sp;
-        if (arr_ref.IsNullRef()) {
-          CTHROW(in->bc, "java/lang/NullPointerException", "arraylength on null");
+        int32_t length = 0;
+        opsem::Fault fault = opsem::ArrayLength(machine_.heap(), arr_ref, &length);
+        if (!fault.ok()) {
+          CFAULT(in->bc, fault);
         }
-        const HeapObject* arr = machine_.heap().Get(arr_ref.AsRef());
-        if (arr == nullptr || arr->ArrayLength() < 0) {
-          CHOST(in->bc, "arraylength on non-array");
-        }
-        *sp++ = Value::Int(arr->ArrayLength());
+        *sp++ = Value::Int(length);
         TNEXT();
       }
 
@@ -982,5 +895,6 @@ enter:
 #undef CDEOPT_AT_HEAD
 #undef CTHROW
 #undef CHOST
+#undef CFAULT
 
 }  // namespace dvm

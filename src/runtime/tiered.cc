@@ -5,6 +5,7 @@
 
 #include "src/bytecode/descriptor.h"
 #include "src/bytecode/opcodes.h"
+#include "src/bytecode/stack_effect.h"
 
 namespace dvm {
 
@@ -79,165 +80,52 @@ bool IntConstValue(const Instr& instr, const ConstantPool& pool, int32_t* out) {
   }
 }
 
-struct StackEffect {
-  int pops = 0;
-  int pushes = 0;
-};
-
-// Compile-time stack effect of a *supported* source instruction. Returns false
-// for anything outside the tier-1 subset.
-bool SourceEffect(const Instr& instr, const ConstantPool& pool, StackEffect* eff) {
-  Op op = NormalizeQuickOp(instr.op);
-  switch (op) {
-    case Op::kNop:
-      *eff = {0, 0};
-      return true;
-    case Op::kAconstNull:
-    case Op::kIconst0:
-    case Op::kIconst1:
-    case Op::kBipush:
-    case Op::kSipush:
-      *eff = {0, 1};
-      return true;
+// The tier-1 subset: source ops BaselineCompile translates. Default-deny —
+// athrow, checkcast/instanceof, monitors and anything unknown stay
+// interpreted.
+bool InTierSubset(const Instr& instr, const ConstantPool& pool) {
+  switch (NormalizeQuickOp(instr.op)) {
     case Op::kLdc: {
-      uint16_t ix = static_cast<uint16_t>(instr.a);
       // Strings allocate + intern; keep those sites on the interpreter.
-      if (!pool.HasTag(ix, CpTag::kInteger) && !pool.HasTag(ix, CpTag::kLong)) {
-        return false;
-      }
-      *eff = {0, 1};
-      return true;
+      uint16_t ix = static_cast<uint16_t>(instr.a);
+      return pool.HasTag(ix, CpTag::kInteger) || pool.HasTag(ix, CpTag::kLong);
     }
-    case Op::kIload:
-    case Op::kLload:
-    case Op::kAload:
-      *eff = {0, 1};
-      return true;
-    case Op::kIstore:
-    case Op::kLstore:
-    case Op::kAstore:
-      *eff = {1, 0};
-      return true;
-    case Op::kIaload:
-    case Op::kLaload:
-    case Op::kAaload:
-      *eff = {2, 1};
-      return true;
-    case Op::kIastore:
-    case Op::kLastore:
-    case Op::kAastore:
-      *eff = {3, 0};
-      return true;
-    case Op::kPop:
-      *eff = {1, 0};
-      return true;
-    case Op::kDup:
-      *eff = {1, 2};
-      return true;
-    case Op::kDupX1:
-      *eff = {2, 3};
-      return true;
-    case Op::kSwap:
-      *eff = {2, 2};
-      return true;
-    case Op::kIadd:
-    case Op::kIsub:
-    case Op::kImul:
-    case Op::kIdiv:
-    case Op::kIrem:
-    case Op::kIand:
-    case Op::kIor:
-    case Op::kIxor:
-    case Op::kIshl:
-    case Op::kIshr:
-    case Op::kIushr:
-    case Op::kLadd:
-    case Op::kLsub:
-    case Op::kLmul:
-    case Op::kLdiv:
-    case Op::kLrem:
-    case Op::kLcmp:
-      *eff = {2, 1};
-      return true;
-    case Op::kIneg:
-    case Op::kLneg:
-    case Op::kI2l:
-    case Op::kL2i:
-      *eff = {1, 1};
-      return true;
-    case Op::kIinc:
-      *eff = {0, 0};
-      return true;
-    case Op::kGoto:
-      *eff = {0, 0};
-      return true;
-    case Op::kIfeq:
-    case Op::kIfne:
-    case Op::kIflt:
-    case Op::kIfge:
-    case Op::kIfgt:
-    case Op::kIfle:
-    case Op::kIfnull:
-    case Op::kIfnonnull:
-      *eff = {1, 0};
-      return true;
-    case Op::kIfIcmpeq:
-    case Op::kIfIcmpne:
-    case Op::kIfIcmplt:
-    case Op::kIfIcmpge:
-    case Op::kIfIcmpgt:
-    case Op::kIfIcmple:
-    case Op::kIfAcmpeq:
-    case Op::kIfAcmpne:
-      *eff = {2, 0};
-      return true;
-    case Op::kIreturn:
-    case Op::kLreturn:
-    case Op::kAreturn:
-      *eff = {1, 0};
-      return true;
-    case Op::kReturn:
-      *eff = {0, 0};
-      return true;
-    case Op::kGetstatic:
-      *eff = {0, 1};
-      return true;
-    case Op::kPutstatic:
-      *eff = {1, 0};
-      return true;
-    case Op::kGetfield:
-      *eff = {1, 1};
-      return true;
-    case Op::kPutfield:
-      *eff = {2, 0};
-      return true;
-    case Op::kInvokevirtual:
-    case Op::kInvokespecial:
-    case Op::kInvokestatic: {
-      auto ref = pool.MethodRefAt(static_cast<uint16_t>(instr.a));
-      if (!ref.ok()) {
-        return false;
-      }
-      auto sig = ParseMethodDescriptor(ref->descriptor);
-      if (!sig.ok()) {
-        return false;
-      }
-      int argc = sig->ArgSlots() + (op == Op::kInvokestatic ? 0 : 1);
-      *eff = {argc, sig->ReturnsVoid() ? 0 : 1};
-      return true;
-    }
-    case Op::kNew:
-      *eff = {0, 1};
-      return true;
-    case Op::kNewarray:
-    case Op::kAnewarray:
-    case Op::kArraylength:
-      *eff = {1, 1};
+    case Op::kNop: case Op::kAconstNull: case Op::kIconst0: case Op::kIconst1:
+    case Op::kBipush: case Op::kSipush: case Op::kIload: case Op::kLload: case Op::kAload:
+    case Op::kIstore: case Op::kLstore: case Op::kAstore: case Op::kIaload: case Op::kLaload:
+    case Op::kAaload: case Op::kIastore: case Op::kLastore: case Op::kAastore: case Op::kPop:
+    case Op::kDup: case Op::kDupX1: case Op::kSwap: case Op::kIadd: case Op::kIsub:
+    case Op::kImul: case Op::kIdiv: case Op::kIrem: case Op::kIand: case Op::kIor:
+    case Op::kIxor: case Op::kIshl: case Op::kIshr: case Op::kIushr: case Op::kLadd:
+    case Op::kLsub: case Op::kLmul: case Op::kLdiv: case Op::kLrem: case Op::kLcmp:
+    case Op::kIneg: case Op::kLneg: case Op::kI2l: case Op::kL2i: case Op::kIinc:
+    case Op::kGoto: case Op::kIfeq: case Op::kIfne: case Op::kIflt: case Op::kIfge:
+    case Op::kIfgt: case Op::kIfle: case Op::kIfnull: case Op::kIfnonnull:
+    case Op::kIfIcmpeq: case Op::kIfIcmpne: case Op::kIfIcmplt: case Op::kIfIcmpge:
+    case Op::kIfIcmpgt: case Op::kIfIcmple: case Op::kIfAcmpeq: case Op::kIfAcmpne:
+    case Op::kIreturn: case Op::kLreturn: case Op::kAreturn: case Op::kReturn:
+    case Op::kGetstatic: case Op::kPutstatic: case Op::kGetfield: case Op::kPutfield:
+    case Op::kInvokevirtual: case Op::kInvokespecial: case Op::kInvokestatic: case Op::kNew:
+    case Op::kNewarray: case Op::kAnewarray: case Op::kArraylength:
       return true;
     default:
-      // athrow, checkcast/instanceof, monitors, unknown: stay interpreted.
       return false;
   }
+}
+
+// Operand-stack pops and pushes of a source instruction (quick forms count
+// as their base op), from the shared table in src/bytecode/stack_effect.cc.
+bool SourceEffect(const Instr& instr, const ConstantPool& pool, int* pops, int* pushes) {
+  Instr raw = instr;
+  raw.op = NormalizeQuickOp(instr.op);
+  Result<int> p = StackPops(raw, pool);
+  Result<int> d = StackDelta(raw, pool);
+  if (!p.ok() || !d.ok()) {
+    return false;
+  }
+  *pops = *p;
+  *pushes = *p + *d;
+  return true;
 }
 
 bool IsCheckedOp(Op op) {
@@ -419,14 +307,15 @@ std::unique_ptr<TieredMethod> BaselineCompile(const std::vector<Instr>& code,
     uint32_t i = worklist.back();
     worklist.pop_back();
     int d = depth[i];
-    StackEffect eff;
-    if (!SourceEffect(code[i], pool, &eff)) {
+    int pops = 0;
+    int pushes = 0;
+    if (!InTierSubset(code[i], pool) || !SourceEffect(code[i], pool, &pops, &pushes)) {
       return nullptr;
     }
-    if (d < eff.pops || d - eff.pops + eff.pushes > static_cast<int>(max_stack)) {
+    if (d < pops || d - pops + pushes > static_cast<int>(max_stack)) {
       return nullptr;  // interpreter would host-error; keep it there
     }
-    int out = d - eff.pops + eff.pushes;
+    int out = d - pops + pushes;
     Op raw = NormalizeQuickOp(code[i].op);
     auto flow = [&](uint32_t succ) -> bool {
       if (succ >= n) {
@@ -674,12 +563,9 @@ std::unique_ptr<TieredMethod> BaselineCompile(const std::vector<Instr>& code,
           case Op::kInvokevirtual:
           case Op::kInvokespecial:
           case Op::kInvokestatic: {
-            StackEffect eff;
-            if (!SourceEffect(in, pool, &eff)) return nullptr;
+            if (!SourceEffect(in, pool, &out.a, &out.b)) return nullptr;
             out.op = TOp::kInvoke;
             out.sub = static_cast<uint8_t>(raw);
-            out.a = eff.pops;
-            out.b = eff.pushes;
             break;
           }
           case Op::kNew:
@@ -1014,9 +900,10 @@ Status ValidateTieredMethod(const TieredMethod& t, const std::vector<Instr>& cod
         if (site != static_cast<Op>(in.sub) || !IsInvoke(site)) {
           return fail("tiered blob: invoke site mismatch");
         }
-        StackEffect eff;
-        if (!SourceEffect(code[in.bc], pool, &eff) || eff.pops != in.a ||
-            eff.pushes != in.b) {
+        int pops = 0;
+        int pushes = 0;
+        if (!SourceEffect(code[in.bc], pool, &pops, &pushes) || pops != in.a ||
+            pushes != in.b) {
           return fail("tiered blob: invoke arity mismatch");
         }
         break;
@@ -1044,85 +931,57 @@ Status ValidateTieredMethod(const TieredMethod& t, const std::vector<Instr>& cod
     }
   }
 
-  // Stack-depth abstract interpretation over the compiled form.
-  auto effect = [&](const CInstr& in, StackEffect* eff) {
+  // Stack-depth abstract interpretation over the compiled form. A compiled
+  // instruction has the stack effect of the source op it stands for; fused
+  // forms take their operands from locals, and an invoke carries the arity
+  // checked above.
+  auto effect = [&](const CInstr& in, int* pops, int* pushes) {
+    Instr source;
     switch (in.op) {
-      case TOp::kNop:
-      case TOp::kIinc:
-      case TOp::kAluLLS:
-      case TOp::kAluLCS:
-      case TOp::kGoto:
-      case TOp::kBrLL:
-      case TOp::kBrLC:
-        *eff = {0, 0};
-        break;
-      case TOp::kConstI:
-      case TOp::kConstL:
-      case TOp::kConstNull:
-      case TOp::kLoad:
       case TOp::kAluLL:
       case TOp::kAluLC:
-        *eff = {0, 1};
-        break;
-      case TOp::kStore:
-      case TOp::kPop:
-      case TOp::kBrI:
-        *eff = {1, 0};
-        break;
-      case TOp::kDup:
-        *eff = {1, 2};
-        break;
-      case TOp::kDupX1:
-        *eff = {2, 3};
-        break;
-      case TOp::kSwap:
-        *eff = {2, 2};
-        break;
-      case TOp::kIAlu:
-      case TOp::kLAlu:
-      case TOp::kLcmp:
-      case TOp::kDivRem:
-        *eff = {2, 1};
-        break;
-      case TOp::kIneg:
-      case TOp::kLneg:
-      case TOp::kI2l:
-      case TOp::kL2i:
-      case TOp::kArrLen:
-      case TOp::kNewArray:
-      case TOp::kANewArray:
-        *eff = {1, 1};
-        break;
-      case TOp::kBrII:
-      case TOp::kBrA:
-        *eff = {in.op == TOp::kBrA && (static_cast<Op>(in.sub) == Op::kIfnull ||
-                                       static_cast<Op>(in.sub) == Op::kIfnonnull)
-                    ? 1
-                    : 2,
-                0};
-        break;
-      case TOp::kArrLoad:
-        *eff = {2, 1};
-        break;
-      case TOp::kArrStore:
-        *eff = {3, 0};
-        break;
-      case TOp::kField: {
-        Op site = static_cast<Op>(in.sub);
-        *eff = {site == Op::kPutfield ? 2 : (site == Op::kGetstatic ? 0 : 1),
-                (site == Op::kGetstatic || site == Op::kGetfield) ? 1 : 0};
-        break;
-      }
+        *pops = 0;
+        *pushes = 1;
+        return true;
+      case TOp::kAluLLS:
+      case TOp::kAluLCS:
+      case TOp::kBrLL:
+      case TOp::kBrLC:
+        *pops = 0;
+        *pushes = 0;
+        return true;
       case TOp::kInvoke:
-        *eff = {in.a, in.b};
-        break;
-      case TOp::kNew:
-        *eff = {0, 1};
-        break;
-      case TOp::kRet:
-        *eff = {static_cast<Op>(in.sub) == Op::kReturn ? 0 : 1, 0};
+        *pops = in.a;
+        *pushes = in.b;
+        return true;
+      case TOp::kConstI: source.op = Op::kIconst0; break;
+      case TOp::kConstL: source.op = Op::kLdc; break;
+      case TOp::kConstNull: source.op = Op::kAconstNull; break;
+      case TOp::kLoad: source.op = Op::kIload; break;
+      case TOp::kStore: source.op = Op::kIstore; break;
+      case TOp::kNop: source.op = Op::kNop; break;
+      case TOp::kIinc: source.op = Op::kIinc; break;
+      case TOp::kPop: source.op = Op::kPop; break;
+      case TOp::kDup: source.op = Op::kDup; break;
+      case TOp::kDupX1: source.op = Op::kDupX1; break;
+      case TOp::kSwap: source.op = Op::kSwap; break;
+      case TOp::kIneg: source.op = Op::kIneg; break;
+      case TOp::kLneg: source.op = Op::kLneg; break;
+      case TOp::kI2l: source.op = Op::kI2l; break;
+      case TOp::kL2i: source.op = Op::kL2i; break;
+      case TOp::kLcmp: source.op = Op::kLcmp; break;
+      case TOp::kGoto: source.op = Op::kGoto; break;
+      case TOp::kArrLen: source.op = Op::kArraylength; break;
+      case TOp::kNew: source.op = Op::kNew; break;
+      case TOp::kNewArray: source.op = Op::kNewarray; break;
+      case TOp::kANewArray: source.op = Op::kAnewarray; break;
+      default:
+        // kIAlu kLAlu kBrI kBrII kBrA kDivRem kArrLoad kArrStore kField
+        // kRet: the sub-op, validated above, is the source op.
+        source.op = static_cast<Op>(in.sub);
         break;
     }
+    return SourceEffect(source, pool, pops, pushes);
   };
 
   std::vector<int> depth(n, -1);
@@ -1132,13 +991,14 @@ Status ValidateTieredMethod(const TieredMethod& t, const std::vector<Instr>& cod
     uint32_t k = worklist.back();
     worklist.pop_back();
     const CInstr& in = t.code[k];
-    StackEffect eff;
-    effect(in, &eff);
+    int pops = 0;
+    int pushes = 0;
     int d = depth[k];
-    if (d < eff.pops || d - eff.pops + eff.pushes > static_cast<int>(max_stack)) {
+    if (!effect(in, &pops, &pushes) || d < pops ||
+        d - pops + pushes > static_cast<int>(max_stack)) {
       return fail("tiered blob: stack depth out of bounds");
     }
-    int out = d - eff.pops + eff.pushes;
+    int out = d - pops + pushes;
     auto flow = [&](size_t succ) -> bool {
       if (succ >= n) {
         return false;

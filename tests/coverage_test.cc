@@ -2,6 +2,10 @@
 // OS resources, cache/signature/provider edges, and audit batching.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "src/bytecode/builder.h"
 #include "src/bytecode/disasm.h"
 #include "src/bytecode/serializer.h"
@@ -15,29 +19,75 @@
 namespace dvm {
 namespace {
 
+// The three execution engines: reference, quickened, and tier-1 compiling
+// every method on its first call.
+std::vector<std::pair<std::string, MachineConfig>> EdgeEngines() {
+  MachineConfig reference;
+  reference.quicken = false;
+  MachineConfig tiered;
+  tiered.tier_invocation_threshold = 1;
+  tiered.tier_osr_threshold = 1;
+  return {{"reference", reference}, {"quickened", MachineConfig{}}, {"tier-1", tiered}};
+}
+
+// Every edge case runs on all three engines, which must agree exactly.
 class InterpEdgeTest : public ::testing::Test {
  protected:
   InterpEdgeTest() { InstallSystemLibrary(provider_); }
 
-  // Builds a single static method `f` with the given body and runs it.
-  CallOutcome Run(const std::string& desc,
-                  const std::function<void(MethodBuilder&)>& body,
-                  std::vector<Value> args) {
+  // Builds a single static method `f` with the given body, runs it on every
+  // engine and returns the common outcome or host error.
+  Result<CallOutcome> RunAll(const std::string& desc,
+                             const std::function<void(MethodBuilder&)>& body,
+                             const std::vector<Value>& args) {
     ClassBuilder cb("edge/C" + std::to_string(counter_++), "java/lang/Object");
     MethodBuilder& m = cb.AddMethod(AccessFlags::kStatic | AccessFlags::kPublic, "f", desc);
     body(m);
     auto built = cb.Build();
     EXPECT_TRUE(built.ok()) << (built.ok() ? "" : built.error().ToString());
+    if (!built.ok()) {
+      return built.error();
+    }
     std::string name = built->name();
     provider_.AddClassFile(built.value());
-    Machine machine({}, &provider_);
-    auto out = machine.CallStatic(name, "f", desc, std::move(args));
+    std::optional<Result<CallOutcome>> first;
+    for (const auto& [engine, config] : EdgeEngines()) {
+      Machine machine(config, &provider_);
+      auto out = machine.CallStatic(name, "f", desc, args);
+      if (engine == "tier-1") {
+        tier_compiles_ = machine.counters().tier_compiles;
+      }
+      if (!first.has_value()) {
+        first = out;
+        continue;
+      }
+      EXPECT_EQ(out.ok(), first->ok()) << engine;
+      if (out.ok() != first->ok()) {
+        continue;
+      }
+      if (!out.ok()) {
+        EXPECT_EQ(out.error().message, first->error().message) << engine;
+        continue;
+      }
+      EXPECT_EQ(out->value, (*first)->value) << engine;
+      EXPECT_EQ(out->threw, (*first)->threw) << engine;
+      EXPECT_EQ(out->exception_class, (*first)->exception_class) << engine;
+      EXPECT_EQ(out->exception_message, (*first)->exception_message) << engine;
+    }
+    return *first;
+  }
+
+  CallOutcome Run(const std::string& desc,
+                  const std::function<void(MethodBuilder&)>& body,
+                  std::vector<Value> args) {
+    auto out = RunAll(desc, body, args);
     EXPECT_TRUE(out.ok()) << (out.ok() ? "" : out.error().ToString());
     return out.ok() ? out.value() : CallOutcome{};
   }
 
   MapClassProvider provider_;
   int counter_ = 0;
+  uint64_t tier_compiles_ = 0;  // from the last RunAll's tier-1 engine
 };
 
 TEST_F(InterpEdgeTest, ShiftSemanticsMatchJvm) {
@@ -123,12 +173,26 @@ TEST_F(InterpEdgeTest, LongDivisionByZeroThrows) {
   EXPECT_EQ(out.exception_class, "java/lang/ArithmeticException");
 }
 
+// MIN / -1 overflows in C++ (and traps on x86); the JVM wraps the quotient
+// to MIN and defines the remainder as 0.
 TEST_F(InterpEdgeTest, IntMinDivMinusOneWraps) {
-  auto out = Run("(II)I", [](MethodBuilder& m) {
-    m.LoadLocal("I", 0).LoadLocal("I", 1).Emit(Op::kIdiv).Emit(Op::kIreturn);
-  }, {Value::Int(INT32_MIN), Value::Int(-1)});
+  auto int_op = [&](Op op) {
+    return Run("(II)I", [op](MethodBuilder& m) {
+      m.LoadLocal("I", 0).LoadLocal("I", 1).Emit(op).Emit(Op::kIreturn);
+    }, {Value::Int(INT32_MIN), Value::Int(-1)});
+  };
+  auto long_op = [&](Op op) {
+    return Run("(JJ)J", [op](MethodBuilder& m) {
+      m.LoadLocal("J", 0).LoadLocal("J", 1).Emit(op).Emit(Op::kLreturn);
+    }, {Value::Long(INT64_MIN), Value::Long(-1)});
+  };
+  auto out = int_op(Op::kIdiv);
   EXPECT_FALSE(out.threw);
   EXPECT_EQ(out.value.AsInt(), INT32_MIN);
+  EXPECT_GE(tier_compiles_, 1u);  // the tier-1 engine ran it, not the interpreter
+  EXPECT_EQ(int_op(Op::kIrem).value.AsInt(), 0);
+  EXPECT_EQ(long_op(Op::kLdiv).value.AsLong(), INT64_MIN);
+  EXPECT_EQ(long_op(Op::kLrem).value.AsLong(), 0);
 }
 
 TEST_F(InterpEdgeTest, NegativeArraySizeThrows) {
@@ -158,6 +222,83 @@ TEST_F(InterpEdgeTest, RefArraysHoldObjects) {
     m.InvokeVirtual("java/lang/String", "length", "()I").Emit(Op::kIreturn);
   }, {});
   EXPECT_EQ(out.value.AsInt(), 3);
+}
+
+// Tier-1 fuses `iload; <int const>; <int alu>[; istore]` into kAluLC/kAluLCS
+// with the constant as an immediate; its shift count must still be masked.
+TEST_F(InterpEdgeTest, FusedAluImmediateShiftCounts) {
+  struct Case {
+    Op op;
+    int32_t count;
+    int32_t want;  // -7 (0xFFFFFFF9) shifted by count & 31
+  };
+  const Case cases[] = {
+      {Op::kIshl, 32, -7},  {Op::kIshl, 33, -14}, {Op::kIshl, -1, INT32_MIN},
+      {Op::kIshr, 32, -7},  {Op::kIshr, 33, -4},  {Op::kIshr, -1, -1},
+      {Op::kIushr, 32, -7}, {Op::kIushr, 33, 0x7FFFFFFC}, {Op::kIushr, -1, 1},
+  };
+  for (const Case& c : cases) {
+    auto fused = Run("(I)I", [&c](MethodBuilder& m) {  // kAluLC
+      m.LoadLocal("I", 0).PushInt(c.count).Emit(c.op).Emit(Op::kIreturn);
+    }, {Value::Int(-7)});
+    EXPECT_EQ(fused.value.AsInt(), c.want) << GetOpInfo(c.op)->name << " " << c.count;
+    EXPECT_GE(tier_compiles_, 1u);
+    auto stored = Run("(I)I", [&c](MethodBuilder& m) {  // kAluLCS
+      m.LoadLocal("I", 0).PushInt(c.count).Emit(c.op).StoreLocal("I", 1);
+      m.LoadLocal("I", 1).Emit(Op::kIreturn);
+    }, {Value::Int(-7)});
+    EXPECT_EQ(stored.value.AsInt(), c.want) << GetOpInfo(c.op)->name << " " << c.count;
+    EXPECT_GE(tier_compiles_, 1u);
+  }
+}
+
+// Tier-1 fuses `iload; <int const>; if_icmp<cond>` into kBrLC; INT32_MIN
+// comes from the constant pool (ldc), the edge of the compare.
+TEST_F(InterpEdgeTest, FusedBranchAgainstIntMin) {
+  auto taken = [&](Op cond, int32_t x) {
+    auto out = Run("(I)I", [cond](MethodBuilder& m) {
+      Label yes = m.NewLabel();
+      m.LoadLocal("I", 0).PushInt(INT32_MIN).Branch(cond, yes);
+      m.PushInt(0).Emit(Op::kIreturn);
+      m.Bind(yes).PushInt(1).Emit(Op::kIreturn);
+    }, {Value::Int(x)});
+    EXPECT_GE(tier_compiles_, 1u);
+    return out.value.AsInt() == 1;
+  };
+  EXPECT_TRUE(taken(Op::kIfIcmpeq, INT32_MIN));
+  EXPECT_FALSE(taken(Op::kIfIcmpeq, INT32_MAX));
+  EXPECT_FALSE(taken(Op::kIfIcmpgt, INT32_MIN));
+  EXPECT_TRUE(taken(Op::kIfIcmpgt, INT32_MIN + 1));
+  EXPECT_TRUE(taken(Op::kIfIcmpge, INT32_MIN));
+  EXPECT_FALSE(taken(Op::kIfIcmplt, INT32_MIN));
+  EXPECT_TRUE(taken(Op::kIfIcmple, INT32_MIN));
+  EXPECT_TRUE(taken(Op::kIfIcmpne, -1));
+}
+
+// Without load-time verification (the Machine default) guest code can access
+// an array with the wrong element kind. Every engine must report a host error
+// instead of reading the wrong backing store (a host crash before).
+TEST_F(InterpEdgeTest, ArrayElementKindMismatchIsAHostError) {
+  auto run = [&](ArrayKind kind, Op access) {
+    return RunAll("()V", [kind, access](MethodBuilder& m) {
+      m.PushInt(1000).Emit(Op::kNewarray, static_cast<int>(kind)).PushInt(999);
+      if (access == Op::kIastore) {
+        m.PushInt(7).Emit(access);
+      } else {
+        m.Emit(access).Emit(Op::kPop);
+      }
+      m.Emit(Op::kReturn);
+    }, {});
+  };
+  for (auto [kind, access] : {std::pair{ArrayKind::kLong, Op::kIaload},
+                              std::pair{ArrayKind::kInt, Op::kLaload},
+                              std::pair{ArrayKind::kInt, Op::kAaload},
+                              std::pair{ArrayKind::kLong, Op::kIastore}}) {
+    auto out = run(kind, access);
+    ASSERT_FALSE(out.ok()) << GetOpInfo(access)->name;
+    EXPECT_EQ(out.error().message, "array element kind mismatch");
+    EXPECT_GE(tier_compiles_, 1u);
+  }
 }
 
 // --- runtime machinery -----------------------------------------------------------

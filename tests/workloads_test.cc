@@ -48,6 +48,11 @@ struct Fig5Case {
   uint64_t size_kb;  // Figure 5 wire size
 };
 
+// Without a printer gtest names each case by the raw struct bytes, which hold
+// ASLR-dependent pointers and padding, so the listed test names would change
+// from run to run.
+void PrintTo(const Fig5Case& c, std::ostream* os) { *os << c.name; }
+
 class Fig5AppTest : public ::testing::TestWithParam<Fig5Case> {};
 
 TEST_P(Fig5AppTest, MatchesFigure5ShapeAndRuns) {
