@@ -1,11 +1,9 @@
 // Interpreter microbenchmarks: host wall-clock cost per executed bytecode for
 // the quickened/threaded engine vs. the reference switch interpreter
-// (DESIGN.md §11), and — with --tier — the tier-1 baseline-compiled engine
-// (DESIGN.md §16) on top of both. Five dispatch-heavy kernels isolate the
-// costs the quickening overhaul attacks: raw dispatch (tight int loop),
+// (DESIGN.md §11). Five dispatch-heavy kernels isolate the costs the
+// quickening overhaul attacks: raw dispatch (two tight int loops),
 // invokevirtual resolution + frame setup (virtual-call chain), field access
-// resolution (get/put churn), exception-table unwinding, and a long loop
-// sized to tier up mid-run at a backedge (on-stack replacement).
+// resolution (get/put churn) and exception-table unwinding.
 //
 // Unlike the figure benchmarks, this one measures REAL nanoseconds, not the
 // virtual clock — the virtual clock is engine-invariant by design.
@@ -14,13 +12,8 @@
 //   --json [path]   also write machine-readable results (default
 //                   BENCH_interp.json in the working directory)
 //   --no-quicken    only run the reference engine
-//   --tier          also measure the tiered engine (quickened + baseline
-//                   compiler at the default hotness thresholds)
 //   --check         exit 1 unless the quickened engine beats the reference
-//                   engine on the dispatch and throw kernels; with --tier,
-//                   additionally requires the tiered engine to beat the
-//                   pure-quickened engine on int_loop and fig5_jlex and the
-//                   tierup_loop kernel to demonstrate at least one OSR entry
+//                   engine on the dispatch and throw kernels
 //   --profile [prefix]  run the kernels once with the virtual-clock sampling
 //                   profiler attached and write byte-deterministic artifacts:
 //                   <prefix>.collapsed (flamegraph folded stacks) and
@@ -51,9 +44,6 @@ constexpr int kLoopIterations = 300'000;
 constexpr int kCallIterations = 100'000;
 constexpr int kFieldIterations = 150'000;
 constexpr int kThrowIterations = 30'000;
-// Sized so a cold run crosses the default OSR threshold (10'000 backedges)
-// mid-loop: the first execution starts interpreted and enters compiled code
-// at a loop backedge rather than at method entry.
 constexpr int kTierupIterations = 60'000;
 
 // s = 0; for (i = 0; i < n; i++) s += i ^ (s << 1); return s — pure stack
@@ -130,10 +120,9 @@ void AddThrowCatch(ClassBuilder& cb) {
   m.AddHandler(start, end, handler, "java/lang/RuntimeException");
 }
 
-// s = 0; for (i = 0; i < n; i++) s = (s + i) ^ (i << 1) — the same shape as
-// intLoop, but its point is the cold run: with the default thresholds the
-// backedge counter crosses tier_osr_threshold mid-loop and the frame is
-// replaced on-stack, so the bulk of even the FIRST execution runs compiled.
+// s = 0; for (i = 0; i < n; i++) s = (s + i) ^ (i << 1) — a shorter loop of
+// intLoop's shape. Its name dates from the removed tier-1 engine (DESIGN.md
+// §16); it stays so the --profile artifacts keep their kernel set.
 void AddTierUpLoop(ClassBuilder& cb) {
   MethodBuilder& m = cb.AddMethod(AccessFlags::kStatic, "tierUpLoop", "()I");
   Label loop = m.NewLabel(), done = m.NewLabel();
@@ -187,28 +176,19 @@ struct Measurement {
   double ns_per_op = 0;     // host nanoseconds per executed bytecode
   double millis = 0;        // host milliseconds for the measured run
   uint64_t instructions = 0;
-  uint64_t osr_entries = 0;   // OSR entries over both runs (tiered engine only)
-  uint64_t tier_compiles = 0; // baseline compiles over both runs
 };
 
-// The three execution tiers under measurement. Tiering is on by default in
-// the quickened engine, so the pure-quickened row must zero the thresholds.
-enum class Engine { kReference, kQuick, kTiered };
+// The two execution engines under measurement.
+enum class Engine { kReference, kQuick };
 
 MachineConfig ConfigFor(Engine engine) {
   MachineConfig config;
   config.quicken = engine != Engine::kReference;
-  if (engine == Engine::kQuick) {
-    config.tier_invocation_threshold = 0;
-    config.tier_osr_threshold = 0;
-  }
   return config;
 }
 
 // One warm-up run installs the quick forms (and faults in the prepared code
-// for the reference engine); the second run is timed. Under the tiered engine
-// the warm-up run is also where hot-method detection fires: tierup_loop OSRs
-// mid-warm-up, and by the timed run every kernel enters compiled code.
+// for the reference engine); the second run is timed.
 Measurement MeasureKernel(Engine engine, const Kernel& kernel) {
   MapClassProvider provider;
   InstallSystemLibrary(provider);
@@ -244,8 +224,6 @@ Measurement MeasureKernel(Engine engine, const Kernel& kernel) {
       out.instructions = instructions;
     }
   }
-  out.osr_entries = machine.counters().osr_entries;
-  out.tier_compiles = machine.counters().tier_compiles;
   return out;
 }
 
@@ -259,15 +237,7 @@ Measurement MeasureFig5App(Engine engine) {
   app.InstallInto(&provider);
   Machine machine(ConfigFor(engine), &provider);
 
-  // Under the tiered engine one execution is not enough to get hot: each
-  // module's step kernel accumulates ~4.8k backedges per run, below the
-  // default 10k threshold. Three warm-ups carry every hot method across it,
-  // so the timed run measures steady-state tiered execution.
-  const int warm_runs = engine == Engine::kTiered ? 3 : 1;
-  Result<CallOutcome> warm = machine.RunMain(app.main_class);
-  for (int i = 1; i < warm_runs && warm.ok() && !warm->threw; i++) {
-    warm = machine.RunMain(app.main_class);
-  }
+  auto warm = machine.RunMain(app.main_class);
   if (!warm.ok() || warm->threw) {
     std::fprintf(stderr, "fig5 app failed under engine=%d\n", static_cast<int>(engine));
     std::abort();
@@ -292,8 +262,6 @@ Measurement MeasureFig5App(Engine engine) {
       out.instructions = instructions;
     }
   }
-  out.osr_entries = machine.counters().osr_entries;
-  out.tier_compiles = machine.counters().tier_compiles;
   return out;
 }
 
@@ -411,7 +379,6 @@ int main(int argc, char** argv) {
   bool json = false;
   bool check = false;
   bool quickened_engine = true;
-  bool tiered_engine = false;
   bool profile = false;
   std::string json_path = "BENCH_interp.json";
   std::string profile_prefix = "PROFILE_interp";
@@ -423,8 +390,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--no-quicken") == 0) {
       quickened_engine = false;
-    } else if (std::strcmp(argv[i], "--tier") == 0) {
-      tiered_engine = true;
     } else if (std::strcmp(argv[i], "--check") == 0) {
       check = true;
     } else if (std::strcmp(argv[i], "--profile") == 0) {
@@ -434,68 +399,41 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (!quickened_engine) {
-    tiered_engine = false;  // tiering rides the quickened engine
-  }
 
   if (profile) {
     return RunProfileMode(quickened_engine, profile_prefix);
   }
 
-  bench::PrintHeader(tiered_engine
-                         ? "Interpreter microbenchmarks: tiered vs quickened vs reference"
-                         : "Interpreter microbenchmarks: quickened vs reference engine",
+  bench::PrintHeader("Interpreter microbenchmarks: quickened vs reference engine",
                      "client-side execution cost underlying Figures 7-9");
   std::printf("dispatch mode: %s (DVM_THREADED_DISPATCH %s)\n\n",
               InterpreterDispatchMode(),
               std::strcmp(InterpreterDispatchMode(), "threaded") == 0 ? "on" : "off");
-  if (tiered_engine) {
-    bench::PrintRow({"kernel", "quick ns/op", "tier ns/op", "ref ns/op", "quick x",
-                     "tier x", "osr"});
-  } else {
-    bench::PrintRow({"kernel", "quick ns/op", "ref ns/op", "speedup", "instrs"});
-  }
+  bench::PrintRow({"kernel", "quick ns/op", "ref ns/op", "speedup", "instrs"});
 
   double dispatch_speedup = 0;
   double throw_speedup = 0;
-  double tier_int_loop_gain = 0;   // tiered over pure-quickened, int_loop
-  double tier_fig5_gain = 0;       // tiered over pure-quickened, fig5_jlex
-  uint64_t tierup_osr_entries = 0;
   std::string rows;
 
   // Shared per-row reporting: prints the table row and appends the JSON row.
   auto report = [&](const std::string& name, const Measurement& quick,
-                    const Measurement& tiered, const Measurement& reference) {
+                    const Measurement& reference) {
     double speedup =
         quickened_engine && quick.ns_per_op > 0 ? reference.ns_per_op / quick.ns_per_op : 0;
-    double tiered_speedup =
-        tiered_engine && tiered.ns_per_op > 0 ? reference.ns_per_op / tiered.ns_per_op : 0;
-    if (tiered_engine) {
-      bench::PrintRow({name, bench::FmtDouble(quick.ns_per_op, 2),
-                       bench::FmtDouble(tiered.ns_per_op, 2),
-                       bench::FmtDouble(reference.ns_per_op, 2),
-                       bench::FmtDouble(speedup, 2) + "x",
-                       bench::FmtDouble(tiered_speedup, 2) + "x",
-                       std::to_string(tiered.osr_entries)});
-    } else {
-      bench::PrintRow({name,
-                       quickened_engine ? bench::FmtDouble(quick.ns_per_op, 2) : "-",
-                       bench::FmtDouble(reference.ns_per_op, 2),
-                       quickened_engine ? bench::FmtDouble(speedup, 2) + "x" : "-",
-                       std::to_string(reference.instructions)});
-    }
+    bench::PrintRow({name,
+                     quickened_engine ? bench::FmtDouble(quick.ns_per_op, 2) : "-",
+                     bench::FmtDouble(reference.ns_per_op, 2),
+                     quickened_engine ? bench::FmtDouble(speedup, 2) + "x" : "-",
+                     std::to_string(reference.instructions)});
     if (!rows.empty()) {
       rows += ",\n";
     }
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "    {\"kernel\": \"%s\", \"quickened_ns_per_op\": %.3f, "
-                  "\"tiered_ns_per_op\": %.3f, \"reference_ns_per_op\": %.3f, "
-                  "\"speedup\": %.3f, \"tiered_speedup\": %.3f, "
-                  "\"osr_entries\": %llu, \"instructions\": %llu}",
-                  name.c_str(), quick.ns_per_op, tiered.ns_per_op,
-                  reference.ns_per_op, speedup, tiered_speedup,
-                  static_cast<unsigned long long>(tiered.osr_entries),
+                  "\"reference_ns_per_op\": %.3f, \"speedup\": %.3f, "
+                  "\"instructions\": %llu}",
+                  name.c_str(), quick.ns_per_op, reference.ns_per_op, speedup,
                   static_cast<unsigned long long>(reference.instructions));
     rows += buf;
     return speedup;
@@ -506,21 +444,12 @@ int main(int argc, char** argv) {
     if (quickened_engine) {
       quick = MeasureKernel(Engine::kQuick, kernel);
     }
-    Measurement tiered{};
-    if (tiered_engine) {
-      tiered = MeasureKernel(Engine::kTiered, kernel);
-    }
     Measurement reference = MeasureKernel(Engine::kReference, kernel);
-    double speedup = report(kernel.name, quick, tiered, reference);
+    double speedup = report(kernel.name, quick, reference);
     if (kernel.name == "int_loop") {
       dispatch_speedup = speedup;
-      if (tiered_engine && tiered.ns_per_op > 0) {
-        tier_int_loop_gain = quick.ns_per_op / tiered.ns_per_op;
-      }
     } else if (kernel.name == "throw_catch") {
       throw_speedup = speedup;
-    } else if (kernel.name == "tierup_loop") {
-      tierup_osr_entries = tiered.osr_entries;
     }
   }
 
@@ -529,22 +458,14 @@ int main(int argc, char** argv) {
     if (quickened_engine) {
       quick = MeasureFig5App(Engine::kQuick);
     }
-    Measurement tiered{};
-    if (tiered_engine) {
-      tiered = MeasureFig5App(Engine::kTiered);
-    }
     Measurement reference = MeasureFig5App(Engine::kReference);
-    report("fig5_jlex", quick, tiered, reference);
-    if (tiered_engine && tiered.ns_per_op > 0) {
-      tier_fig5_gain = quick.ns_per_op / tiered.ns_per_op;
-    }
+    report("fig5_jlex", quick, reference);
   }
 
   if (json) {
     std::ofstream out(json_path);
     out << "{\n  \"benchmark\": \"bench_interp\",\n  \"dispatch_mode\": \""
-        << InterpreterDispatchMode() << "\",\n  \"tiered\": "
-        << (tiered_engine ? "true" : "false") << ",\n  \"kernels\": [\n"
+        << InterpreterDispatchMode() << "\",\n  \"kernels\": [\n"
         << rows << "\n  ]\n}\n";
     std::printf("\nwrote %s\n", json_path.c_str());
   }
@@ -566,35 +487,6 @@ int main(int argc, char** argv) {
                    throw_speedup);
       return 1;
     }
-  }
-  // Gate thresholds sit below steady measurements (int_loop ~1.7x, fig5_jlex
-  // ~1.45x over pure-quickened on the CI hosts) to absorb shared-machine
-  // noise while still failing on a real dispatch-loop regression.
-  if (check && tiered_engine) {
-    if (tier_int_loop_gain < 1.4) {
-      std::fprintf(stderr,
-                   "PERF CHECK FAILED: tiered engine below 1.4x over quickened "
-                   "on int_loop (%.3fx)\n",
-                   tier_int_loop_gain);
-      return 1;
-    }
-    if (tier_fig5_gain < 1.25) {
-      std::fprintf(stderr,
-                   "PERF CHECK FAILED: tiered engine below 1.25x over quickened "
-                   "on fig5_jlex (%.3fx)\n",
-                   tier_fig5_gain);
-      return 1;
-    }
-    if (tierup_osr_entries == 0) {
-      std::fprintf(stderr,
-                   "TIER CHECK FAILED: tierup_loop recorded no on-stack "
-                   "replacement under the default thresholds\n");
-      return 1;
-    }
-    std::printf("tier check passed: int_loop %.2fx, fig5_jlex %.2fx over "
-                "quickened; tierup_loop OSR entries %llu\n",
-                tier_int_loop_gain, tier_fig5_gain,
-                static_cast<unsigned long long>(tierup_osr_entries));
   }
   return 0;
 }

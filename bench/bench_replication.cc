@@ -24,12 +24,6 @@
 // recompute (0 post-rejoin rewrites vs > 0 baseline); and a same-seed rerun
 // reproduces bit-identical control-plane and fault-trace fingerprints.
 //
-// A second scenario exercises the warm fleet (DESIGN.md §16): a profiling
-// client tiers up locally and its method profile names the fleet's hot set;
-// the replicas' CompilerFilters attach baseline-compiled blobs under a new
-// policy epoch; receiving replicas recompile-and-byte-diff every pushed blob
-// before install; and a fresh client then installs the shipped tiers with
-// zero local compiles while printing byte-identical program output.
 // Stdout is byte-deterministic for a given seed; the CI replication-smoke job
 // diffs it across the timer-wheel and binary-heap EventQueue backends.
 #include <cinttypes>
@@ -40,12 +34,9 @@
 
 #include "bench/bench_util.h"
 #include "src/bytecode/serializer.h"
-#include "src/compiler/compiler.h"
 #include "src/dvm/redirect_client.h"
 #include "src/dvm/replication.h"
-#include "src/runtime/profile.h"
 #include "src/runtime/syslib.h"
-#include "src/support/hash.h"
 #include "src/verifier/verifier.h"
 #include "src/services/fleet_metrics.h"
 #include "src/services/slo_monitor.h"
@@ -361,148 +352,6 @@ RunOutcome Run(Scenario& s, const Options& opt, bool replicated,
   return out;
 }
 
-// Warm-fleet scenario: profile-guided tier-1 pre-compilation at the proxies.
-// A low threshold makes even the modest applet kernels tier up during the
-// profiling pass; the fresh client keeps the production default, so the only
-// compiled code it can run is what the fleet shipped.
-constexpr uint64_t kProfileTierThreshold = 8;
-
-struct WarmFleetOutcome {
-  bool all_ok = true;                   // every applet ran to completion
-  uint64_t hot_methods = 0;             // rows fed to the compiler filters
-  uint64_t profile_tier_compiles = 0;   // profiling client's local compiles
-  uint64_t tier_blobs = 0;              // blobs attached by rewriting replicas
-  uint64_t blob_checks = 0;             // replica recompile-and-byte-diff runs
-  uint64_t blob_rejects = 0;
-  uint64_t tier_installs = 0;           // fresh client: shipped tiers installed
-  uint64_t tier_compiles = 0;           // fresh client: local compiles (0!)
-  size_t artifacts_compared = 0;
-  bool artifacts_identical = true;      // incl. the kAttrTieredCode attribute
-  bool outputs_identical = true;        // self-tiered vs shipped-tier printing
-  uint64_t output_digest = 0;
-};
-
-WarmFleetOutcome WarmFleet(Scenario& s) {
-  WarmFleetOutcome out;
-  ProxyCluster cluster(kReplicas, ProxyConfig{}, s.env, s.origin);
-  std::vector<CompilerFilter*> compilers;
-  for (size_t i = 0; i < cluster.size(); i++) {
-    cluster.replica(i).AddFilter(std::make_unique<VerificationFilter>());
-    auto compiler = std::make_unique<CompilerFilter>("");
-    compilers.push_back(compiler.get());
-    cluster.replica(i).AddFilter(std::move(compiler));
-  }
-  cluster.EnableReplication();
-
-  auto run_apps = [&](RedirectingClient& client, SimTime start_at) {
-    // Clients join the fleet at distinct points on the shared virtual
-    // timeline: control-mesh links are FIFOs, so a client operating "before"
-    // traffic that is already queued would see its rounds time out.
-    if (client.machine().virtual_nanos() < start_at) {
-      client.machine().AddNanos(start_at - client.machine().virtual_nanos());
-    }
-    std::string transcript;
-    for (const auto& main : s.mains) {
-      auto result = client.RunApp(main);
-      transcript += main;
-      transcript += " => ";
-      transcript += result.ok()
-                        ? (result->threw ? result->exception_class : result->value.ToString())
-                        : result.error().message;
-      transcript += '\n';
-      const bool ok = result.ok() && !result->threw;
-      if (!ok) {
-        std::fprintf(stderr,
-                     "warm fleet: %s failed: %s (timeouts=%llu stale=%llu failovers=%llu)\n",
-                     main.c_str(),
-                     result.ok() ? result->exception_class.c_str()
-                                 : result.error().message.c_str(),
-                     (unsigned long long)client.timeouts(),
-                     (unsigned long long)client.stale_epoch_rejections(),
-                     (unsigned long long)client.failovers());
-      }
-      out.all_ok &= ok;
-    }
-    for (const auto& line : client.machine().printed()) {
-      transcript += line;
-      transcript += '\n';
-    }
-    return transcript;
-  };
-
-  // Profiling pass: the client tiers up locally, and its always-on method
-  // counters become the fleet's hot-set feedback.
-  MachineConfig profile_config = DvmMachineConfig();
-  profile_config.tier_invocation_threshold = kProfileTierThreshold;
-  profile_config.tier_osr_threshold = kProfileTierThreshold;
-  RedirectingClient profiler(s.server, nullptr, profile_config, MakeEthernet10Mb());
-  profiler.UseCluster(&cluster);
-  const std::string profiled_output = run_apps(profiler, 0);
-  out.profile_tier_compiles = profiler.machine().counters().tier_compiles;
-
-  // The hot set is exactly the set of methods the profiling machine compiled:
-  // final counters over the deterministic workload reproduce every tier-up
-  // decision, so the fresh client below finds a shipped blob wherever it
-  // would have compiled.
-  std::map<std::string, std::set<std::string>> hot;
-  for (const MethodProfileRow& row : CollectMethodProfile(profiler.machine().registry())) {
-    if (row.invocations < kProfileTierThreshold && row.backedges < kProfileTierThreshold) {
-      continue;
-    }
-    const size_t dot = row.method.find('.');  // class names use '/', so the
-    if (dot == std::string::npos) {           // first '.' splits class from id
-      continue;
-    }
-    hot[row.method.substr(0, dot)].insert(row.method.substr(dot + 1));
-    out.hot_methods++;
-  }
-  for (CompilerFilter* compiler : compilers) {
-    compiler->SetHotMethods(hot);
-  }
-
-  // Hot-set push is a policy change: a 2PC epoch round invalidates every
-  // replica, so the next fetch re-rewrites with blobs attached and replicates
-  // the new artifacts fleet-wide.
-  // The push must land after the profiling pass's last artifact replication:
-  // the control mesh is a FIFO of SimLinks, so a 2PC round scheduled before
-  // the queued artifact pushes drain would blow the vote deadline and abort.
-  const SimTime hot_push_at = profiler.machine().virtual_nanos() + 1 * kSecond;
-  cluster.CommitPolicyUpdate(hot_push_at);
-
-  // Fresh fleet client: trusts the signed artifact chain, production tier
-  // thresholds. Every tier it runs must have come off the wire.
-  MachineConfig fresh_config = DvmMachineConfig();
-  fresh_config.trust_tiered_artifacts = true;
-  RedirectingClient fresh(s.server, nullptr, fresh_config, MakeEthernet10Mb());
-  fresh.UseCluster(&cluster);
-  const std::string fresh_output = run_apps(fresh, hot_push_at + 1 * kSecond);
-  out.tier_installs = fresh.machine().counters().tier_installs;
-  out.tier_compiles = fresh.machine().counters().tier_compiles;
-  out.outputs_identical = fresh_output == profiled_output;
-  out.output_digest = Fnv1a(fresh_output);
-
-  for (size_t i = 0; i < cluster.size(); i++) {
-    out.blob_checks += cluster.replica(i).stats().Value("proxy.tier_blob_checks");
-    out.blob_rejects += cluster.replica(i).stats().Value("proxy.tier_blob_rejects");
-    out.tier_blobs += compilers[i]->stats().tier_blobs;
-  }
-  for (const auto& name : s.classes) {
-    const std::string key = DvmProxy::RewriteCacheKey(name, "");
-    auto reference = cluster.replica(0).cache().Peek(key);
-    if (!reference.has_value()) {
-      continue;  // class never reached by the applet mains
-    }
-    out.artifacts_compared++;
-    for (size_t i = 1; i < cluster.size(); i++) {
-      auto got = cluster.replica(i).cache().Peek(key);
-      out.artifacts_identical &= got.has_value() &&
-                                 got->main_class == reference->main_class &&
-                                 got->epoch == reference->epoch;
-    }
-  }
-  return out;
-}
-
 bool Gate(const char* what, bool pass) {
   std::printf("  %-68s %s\n", what, pass ? "PASS" : "FAIL");
   return pass;
@@ -583,15 +432,6 @@ int main(int argc, char** argv) {
               repl.snapshots_published, repl.snapshots_dropped);
   std::printf("slo transitions (virtual nanos):\n%s", repl.slo_log.c_str());
 
-  WarmFleetOutcome warm = WarmFleet(scenario);
-  std::printf("\nwarm fleet: hot_methods=%" PRIu64 " profile_tier_compiles=%" PRIu64
-              " tier_blobs=%" PRIu64 " blob_checks=%" PRIu64 " blob_rejects=%" PRIu64 "\n"
-              "fresh client: tier_installs=%" PRIu64 " tier_compiles=%" PRIu64
-              " artifacts_compared=%zu output_digest=%016" PRIx64 "\n",
-              warm.hot_methods, warm.profile_tier_compiles, warm.tier_blobs,
-              warm.blob_checks, warm.blob_rejects, warm.tier_installs,
-              warm.tier_compiles, warm.artifacts_compared, warm.output_digest);
-
   bool ok = true;
   std::printf("\nChecks:\n");
   ok &= Gate("every fetch succeeds in both modes",
@@ -628,20 +468,6 @@ int main(int argc, char** argv) {
              repl.slo_log.find("ALERT policy-epoch-staleness") != std::string::npos &&
                  repl.slo_log.find("CLEAR policy-epoch-staleness") != std::string::npos &&
                  repl.slo_firing_at_end == 0);
-  ok &= Gate("warm fleet: every applet completes in both tier deployments",
-             warm.all_ok);
-  ok &= Gate("warm fleet: profiling pass tiers locally and names a hot set",
-             warm.profile_tier_compiles > 0 && warm.hot_methods > 0);
-  ok &= Gate("warm fleet: replicas attach tiered blobs for the profiled set",
-             warm.tier_blobs > 0);
-  ok &= Gate("warm fleet: every pushed blob recompile-verified (0 rejects)",
-             warm.blob_checks > 0 && warm.blob_rejects == 0);
-  ok &= Gate("warm fleet: fresh client installs shipped tiers, 0 local compiles",
-             warm.tier_installs > 0 && warm.tier_compiles == 0);
-  ok &= Gate("warm fleet: tiered artifacts byte-identical on every replica",
-             warm.artifacts_compared > 0 && warm.artifacts_identical);
-  ok &= Gate("warm fleet: shipped-tier output matches the self-tiered run",
-             warm.outputs_identical);
 
   if (opt.check) {
     std::vector<std::vector<std::string>> rerun_rows;
@@ -652,11 +478,6 @@ int main(int argc, char** argv) {
                    again.successes == repl.successes);
     ok &= Gate("SLO transitions at identical virtual timestamps on rerun",
                again.slo_log == repl.slo_log && !repl.slo_log.empty());
-    WarmFleetOutcome warm_again = WarmFleet(scenario);
-    ok &= Gate("warm fleet reproduces identical output digest and tier counts",
-               warm_again.output_digest == warm.output_digest &&
-                   warm_again.tier_installs == warm.tier_installs &&
-                   warm_again.blob_checks == warm.blob_checks);
   }
 
   std::printf("\nA policy change is a fleet-wide commit: either every in-sync replica\n"

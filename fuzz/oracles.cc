@@ -117,21 +117,15 @@ std::string CheckDifferential(const Bytes& data) {
   // niladic method under a bounded machine modelling a DVM client (no local
   // verifier). Sanitizers catch memory unsafety; the benign-error filter
   // below catches semantic unsoundness that stays in-bounds. Every method runs
-  // on ALL THREE execution engines — the reference interpreter (oracle), the
-  // quickened engine, and the quickened engine with tier-1 compilation forced
-  // at threshold 1 (every method baseline-compiled, every loop OSR-entered) —
-  // in lockstep, so hostile inputs also exercise the quick opcode paths, the
-  // baseline compiler's fused superinstructions, and the deopt ladder; any
-  // engine divergence is a violation.
+  // on BOTH execution engines — the reference interpreter (oracle) and the
+  // quickened engine — in lockstep, so hostile inputs also exercise the quick
+  // opcode paths; any engine divergence is a violation.
   MapClassProvider provider_ref;
   InstallSystemLibrary(provider_ref);
   provider_ref.Add(cls.name(), data);
   MapClassProvider provider_quick;
   InstallSystemLibrary(provider_quick);
   provider_quick.Add(cls.name(), data);
-  MapClassProvider provider_tier;
-  InstallSystemLibrary(provider_tier);
-  provider_tier.Add(cls.name(), data);
 
   MachineConfig config;
   config.verify_on_load = false;
@@ -142,15 +136,6 @@ std::string CheckDifferential(const Bytes& data) {
   Machine reference(config, &provider_ref);
   config.quicken = true;
   Machine quick(config, &provider_quick);
-  config.tier_invocation_threshold = 1;
-  config.tier_osr_threshold = 1;
-  Machine tiered(config, &provider_tier);
-
-  struct Engine {
-    const char* name;
-    Machine* machine;
-  };
-  Engine engines[] = {{"quickened", &quick}, {"tiered", &tiered}};
 
   for (const MethodInfo& method : cls.methods) {
     if (!method.IsStatic() || !method.code.has_value()) {
@@ -165,57 +150,49 @@ std::string CheckDifferential(const Bytes& data) {
       return "verifier accepted " + cls.name() + "." + method.Id() +
              " but the reference engine hit host error: " + baseline.error().ToString();
     }
-    for (const Engine& engine : engines) {
-      auto outcome = engine.machine->CallStatic(cls.name(), method.name, method.descriptor);
-      // Guest exceptions (outcome.threw) are safe by construction; only host
-      // errors can falsify the invariant.
-      if (!outcome.ok() && !IsBenignHostError(outcome.error())) {
-        return "verifier accepted " + cls.name() + "." + method.Id() + " but the " +
-               engine.name + " engine hit host error: " + outcome.error().ToString();
+    auto outcome = quick.CallStatic(cls.name(), method.name, method.descriptor);
+    // Guest exceptions (outcome.threw) are safe by construction; only host
+    // errors can falsify the invariant.
+    if (!outcome.ok() && !IsBenignHostError(outcome.error())) {
+      return "verifier accepted " + cls.name() + "." + method.Id() +
+             " but the quickened engine hit host error: " + outcome.error().ToString();
+    }
+    if (outcome.ok() != baseline.ok()) {
+      return "engine divergence on " + cls.name() + "." + method.Id() + ": quickened " +
+             (outcome.ok() ? "succeeded" : outcome.error().ToString()) + ", reference " +
+             (baseline.ok() ? "succeeded" : baseline.error().ToString());
+    }
+    if (outcome.ok()) {
+      if (outcome->threw != baseline->threw ||
+          outcome->exception_class != baseline->exception_class ||
+          outcome->exception_message != baseline->exception_message ||
+          outcome->value.kind != baseline->value.kind ||
+          (outcome->value.kind != Value::Kind::kRef &&
+           outcome->value.num != baseline->value.num)) {
+        return "engine divergence on " + cls.name() + "." + method.Id() +
+               ": quickened and reference outcomes differ";
       }
-      if (outcome.ok() != baseline.ok()) {
-        return "engine divergence on " + cls.name() + "." + method.Id() + ": " +
-               engine.name + " " + (outcome.ok() ? "succeeded" : outcome.error().ToString()) +
-               ", reference " + (baseline.ok() ? "succeeded" : baseline.error().ToString());
-      }
-      if (outcome.ok()) {
-        if (outcome->threw != baseline->threw ||
-            outcome->exception_class != baseline->exception_class ||
-            outcome->exception_message != baseline->exception_message ||
-            outcome->value.kind != baseline->value.kind ||
-            (outcome->value.kind != Value::Kind::kRef &&
-             outcome->value.num != baseline->value.num)) {
-          return "engine divergence on " + cls.name() + "." + method.Id() + ": " +
-                 engine.name + " and reference outcomes differ";
-        }
-      } else if (outcome.error().ToString() != baseline.error().ToString()) {
-        return "engine divergence on " + cls.name() + "." + method.Id() + ": " + engine.name +
-               " error '" + outcome.error().ToString() + "' vs reference '" +
-               baseline.error().ToString() + "'";
-      }
+    } else if (outcome.error().ToString() != baseline.error().ToString()) {
+      return "engine divergence on " + cls.name() + "." + method.Id() + ": quickened error '" +
+             outcome.error().ToString() + "' vs reference '" + baseline.error().ToString() +
+             "'";
     }
   }
-  for (const Engine& engine : engines) {
-    Machine& m = *engine.machine;
-    if (m.printed() != reference.printed()) {
-      return "engine divergence on " + cls.name() + ": " + engine.name +
-             " guest output differs";
-    }
-    if (m.virtual_nanos() != reference.virtual_nanos()) {
-      return "engine divergence on " + cls.name() + ": " + engine.name +
-             " virtual clock differs (" + std::to_string(m.virtual_nanos()) + " vs " +
-             std::to_string(reference.virtual_nanos()) + ")";
-    }
-    // Architectural counters only: quickened_sites and the tier_*/osr_entries
-    // family are engine-internal by design.
-    const RuntimeCounters& ec = m.counters();
-    const RuntimeCounters& rc = reference.counters();
-    if (ec.instructions != rc.instructions || ec.allocations != rc.allocations ||
-        ec.exceptions_thrown != rc.exceptions_thrown || ec.gc_runs != rc.gc_runs ||
-        ec.classes_loaded != rc.classes_loaded) {
-      return "engine divergence on " + cls.name() + ": " + engine.name +
-             " runtime counters differ";
-    }
+  if (quick.printed() != reference.printed()) {
+    return "engine divergence on " + cls.name() + ": quickened guest output differs";
+  }
+  if (quick.virtual_nanos() != reference.virtual_nanos()) {
+    return "engine divergence on " + cls.name() + ": quickened virtual clock differs (" +
+           std::to_string(quick.virtual_nanos()) + " vs " +
+           std::to_string(reference.virtual_nanos()) + ")";
+  }
+  // Architectural counters only: quickened_sites is engine-internal by design.
+  const RuntimeCounters& qc = quick.counters();
+  const RuntimeCounters& rc = reference.counters();
+  if (qc.instructions != rc.instructions || qc.allocations != rc.allocations ||
+      qc.exceptions_thrown != rc.exceptions_thrown || qc.gc_runs != rc.gc_runs ||
+      qc.classes_loaded != rc.classes_loaded) {
+    return "engine divergence on " + cls.name() + ": quickened runtime counters differ";
   }
   return "";
 }

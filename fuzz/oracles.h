@@ -35,13 +35,11 @@ std::string CheckRewritePipeline(const Bytes& data);
 
 // Verifier↔interpreter differential oracle. Parses and verifies against the
 // system library; executes every static niladic method of an accepted class
-// under a small fuel/heap/frame budget, on three engines in lockstep: the
-// reference interpreter (oracle), the quickened engine, and the quickened
-// engine with tier-1 compilation forced at threshold 1 (every method
-// baseline-compiled, loops entered via OSR, deopts exercised). Violations: an
+// under a small fuel/heap/frame budget, on two engines in lockstep: the
+// reference interpreter (oracle) and the quickened engine. Violations: an
 // accepted class producing a host error outside the benign set (missing
-// classes, unbound natives, exhausted budgets) on any engine, or any
-// observable divergence between engines (outcomes, error strings, guest
+// classes, unbound natives, exhausted budgets) on either engine, or any
+// observable divergence between the engines (outcomes, error strings, guest
 // output, virtual clock, architectural counters).
 std::string CheckDifferential(const Bytes& data);
 

@@ -41,11 +41,6 @@ inline constexpr const char* kAttrSourceApp = "dvm.SourceApp";
 // Present when the compilation service translated the class to the client's
 // native format; the payload names the target platform.
 inline constexpr const char* kAttrCompiledStamp = "dvm.CompiledStamp";
-// Tier-1 compiled-code blobs produced by the proxy's CompilerFilter for hot
-// methods (DESIGN.md §16): a packed ("name:descriptor" -> blob) map, see
-// Pack/UnpackTieredAttribute in src/runtime/tiered.h. Rides the class bytes,
-// so the PR 9 digest/certificate/signature chain covers it automatically.
-inline constexpr const char* kAttrTieredCode = "dvm.TieredCode";
 
 struct FieldInfo {
   uint16_t access_flags = 0;

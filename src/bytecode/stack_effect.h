@@ -1,8 +1,7 @@
 // Net operand-stack effect of a decoded instruction. For field accesses and
 // invokes the effect depends on the referenced descriptor, so the constant pool
 // is required. Shared by MethodBuilder's and MethodEditor's max_stack
-// computation and by the tier-1 compiler's stack-depth analysis and blob
-// validator (src/runtime/tiered.cc).
+// computation.
 #ifndef SRC_BYTECODE_STACK_EFFECT_H_
 #define SRC_BYTECODE_STACK_EFFECT_H_
 

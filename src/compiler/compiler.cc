@@ -2,11 +2,9 @@
 
 #include <optional>
 #include <set>
-#include <utility>
 
 #include "src/rewrite/method_editor.h"
 #include "src/runtime/syslib.h"
-#include "src/runtime/tiered.h"
 
 namespace dvm {
 namespace {
@@ -157,35 +155,6 @@ Result<FilterOutcome> CompilerFilter::Apply(ClassFile& cls, const FilterContext&
   const std::string& platform = ctx.platform.empty() ? target_platform_ : ctx.platform;
   cls.SetAttribute(kAttrCompiledStamp, Bytes(platform.begin(), platform.end()));
   outcome.modified = true;
-
-  // Tier-1 pre-compilation for the fleet's hot methods: compile the final
-  // (post-peephole) bytecode and attach the blobs. BaselineCompile is a pure
-  // function of (code, pool), so every replica reproduces these bytes exactly
-  // — that byte-diff is the replica-side proof check — and the attribute rides
-  // the class bytes, so the artifact digest and certificate cover it.
-  auto hot = hot_methods_.find(cls.name());
-  if (hot != hot_methods_.end() && !hot->second.empty()) {
-    std::vector<std::pair<std::string, Bytes>> blobs;
-    for (auto& method : cls.methods) {
-      if (!method.code.has_value() || hot->second.count(method.Id()) == 0) {
-        continue;
-      }
-      DVM_ASSIGN_OR_RETURN(std::vector<Instr> code, DecodeCode(method.code->code));
-      auto tiered = BaselineCompile(code, cls.pool(), method.code->max_stack,
-                                    method.code->max_locals);
-      if (tiered == nullptr) {
-        stats_.tier_refusals++;
-        continue;
-      }
-      tiered->checksum = Fnv1a(method.code->code);
-      blobs.emplace_back(method.Id(), SerializeTieredMethod(*tiered));
-      stats_.tier_blobs++;
-    }
-    if (!blobs.empty()) {
-      cls.SetAttribute(kAttrTieredCode, PackTieredAttribute(blobs));
-      outcome.modified = true;
-    }
-  }
   return outcome;
 }
 

@@ -12,9 +12,8 @@
 #ifndef SRC_COMPILER_COMPILER_H_
 #define SRC_COMPILER_COMPILER_H_
 
-#include <map>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/bytecode/code.h"
@@ -27,8 +26,6 @@ struct CompileStats {
   uint64_t instructions_processed = 0;
   uint64_t folds = 0;         // constant-folding rewrites applied
   uint64_t reductions = 0;    // strength reductions applied
-  uint64_t tier_blobs = 0;    // tier-1 compiled-code blobs attached
-  uint64_t tier_refusals = 0; // hot methods outside the tier-1 subset
 };
 
 // Peephole-optimizes one decoded method body in place. Exposed for tests and
@@ -50,21 +47,10 @@ class CompilerFilter : public CodeFilter {
   std::string name() const override { return "compiler"; }
   Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) override;
 
-  // Profile-guided tier-1 pre-compilation (DESIGN.md §16): methods named here
-  // (class name -> set of "name:descriptor", typically fed from the fleet's
-  // MethodProfileTable) get a baseline-compiled blob attached to the class in
-  // the kAttrTieredCode attribute. The blob is compiled from the final
-  // post-peephole bytecode, so a client installing it sees exactly the code it
-  // would have compiled locally.
-  void SetHotMethods(std::map<std::string, std::set<std::string>> hot) {
-    hot_methods_ = std::move(hot);
-  }
-
   const CompileStats& stats() const { return stats_; }
 
  private:
   std::string target_platform_;
-  std::map<std::string, std::set<std::string>> hot_methods_;
   CompileStats stats_;
 };
 

@@ -2,7 +2,6 @@
 
 #include "src/bytecode/serializer.h"
 #include "src/runtime/syslib.h"
-#include "src/runtime/tiered.h"
 #include "src/verifier/certificate.h"
 #include "src/verifier/verifier.h"
 
@@ -95,8 +94,6 @@ DvmProxy::DvmProxy(ProxyConfig config, const ClassEnv* library_env, ClassProvide
       c_cert_validate_checks_(stats_.Counter("proxy.cert_validate_checks")),
       c_cert_rejects_(stats_.Counter("proxy.cert_rejects")),
       c_cert_missing_(stats_.Counter("proxy.cert_missing")),
-      c_tier_blob_checks_(stats_.Counter("proxy.tier_blob_checks")),
-      c_tier_blob_rejects_(stats_.Counter("proxy.tier_blob_rejects")),
       h_request_cpu_nanos_(stats_.Histo("proxy.request_cpu_nanos")) {
   env_.SetLockCounter(&c_lock_acquisitions_);
 }
@@ -419,64 +416,6 @@ bool DvmProxy::ValidatePushedArtifact(const CommitRecord& record) {
   return ok;
 }
 
-bool DvmProxy::ValidateTieredBlobs(const CommitRecord& record) {
-  // Recompile-and-compare: a pushed blob installs only if this replica's own
-  // BaselineCompile of the pushed bytecode reproduces it byte for byte.
-  auto check_class = [this](const Bytes& class_bytes) {
-    Result<ClassFile> parsed = ReadClassFile(class_bytes);
-    if (!parsed.ok()) {
-      return false;
-    }
-    const ClassFile& cls = parsed.value();
-    const Attribute* attr = cls.FindAttribute(kAttrTieredCode);
-    if (attr == nullptr) {
-      return true;
-    }
-    Result<std::vector<std::pair<std::string, Bytes>>> blobs =
-        UnpackTieredAttribute(attr->data);
-    if (!blobs.ok()) {
-      return false;
-    }
-    for (const auto& [id, blob] : blobs.value()) {
-      const MethodInfo* method = nullptr;
-      for (const auto& m : cls.methods) {
-        if (m.Id() == id && m.code.has_value()) {
-          method = &m;
-          break;
-        }
-      }
-      if (method == nullptr) {
-        return false;
-      }
-      Result<std::vector<Instr>> code = DecodeCode(method->code->code);
-      if (!code.ok()) {
-        return false;
-      }
-      std::unique_ptr<TieredMethod> tiered =
-          BaselineCompile(code.value(), cls.pool(), method->code->max_stack,
-                          method->code->max_locals);
-      if (tiered == nullptr) {
-        return false;
-      }
-      tiered->checksum = Fnv1a(method->code->code);
-      c_tier_blob_checks_.Add();
-      if (SerializeTieredMethod(*tiered) != blob) {
-        return false;
-      }
-    }
-    return true;
-  };
-  if (!check_class(record.main_class)) {
-    return false;
-  }
-  for (const auto& [name, data] : record.extra_classes) {
-    if (!check_class(data)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void DvmProxy::ApplyCommitRecord(const CommitRecord& record) {
   if (record.type == CommitRecordType::kEpoch) {
     ApplyPolicyEpoch(record.epoch);
@@ -496,14 +435,6 @@ void DvmProxy::ApplyCommitRecord(const CommitRecord& record) {
     c_cert_validations_.Add();
   } else {
     c_cert_rejects_.Add();
-    audit_.Push("REPL-REJECT " + record.class_name);
-    return;
-  }
-  // Pre-compiled tier-1 blobs must match what this replica would compile from
-  // the pushed bytecode; a blob that cannot be reproduced is as suspect as a
-  // certificate that does not prove its class.
-  if (!ValidateTieredBlobs(record)) {
-    c_tier_blob_rejects_.Add();
     audit_.Push("REPL-REJECT " + record.class_name);
     return;
   }

@@ -17,7 +17,6 @@
 
 #include "src/bytecode/classfile.h"
 #include "src/bytecode/code.h"
-#include "src/runtime/tiered.h"
 #include "src/runtime/value.h"
 #include "src/support/result.h"
 #include "src/verifier/class_env.h"
@@ -73,7 +72,7 @@ struct InlineCache {
   // Per-site profile, always compiled in (a counter bump on paths that were
   // already dispatching): monomorphic hits, slow-path misses, and receiver
   // transitions. transitions >= the megamorphic threshold marks a site the
-  // tier-up planner should not inline through.
+  // method profile reports as megamorphic.
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t transitions = 0;
@@ -97,17 +96,10 @@ struct PreparedMethod {
   };
   std::vector<Handler> handlers;
   // Method-hotness profile, always compiled in and identical across engines:
-  // entry count plus taken backward branches (loop trip evidence). These are
-  // the tier-up triggers the tier-1 baseline compiler consumes.
+  // entry count plus taken backward branches (loop trip evidence). The
+  // method profile (src/runtime/profile.h) exports both.
   uint64_t invocations = 0;
   uint64_t backedges = 0;
-  // Tier-1 compiled form (DESIGN.md §16): produced locally once the hotness
-  // counters cross the machine's thresholds, or installed from a trusted
-  // proxy-compiled kAttrTieredCode blob at Prepare time. Null while cold.
-  std::unique_ptr<TieredMethod> tier_code;
-  // The method uses a construct outside the tier-1 subset, or its compiled
-  // code was invalidated (megamorphic site / redefinition): never (re)compile.
-  bool tier_failed = false;
   // Exception-dispatch memo: (fault instruction, exception class symbol) ->
   // handler-table entry index, -1 = no handler in this method. Populated only
   // from walks where every subclass query resolved cleanly, so entries can

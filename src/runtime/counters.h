@@ -26,13 +26,10 @@ struct RuntimeCounters {
   // Interpreter quickening: instruction sites rewritten to their quick form.
   // Engine-internal; excluded from cross-engine differential comparisons.
   uint64_t quickened_sites = 0;
-  // Tier-1 baseline compiler (DESIGN.md §16). All engine-internal, like
-  // quickened_sites: the virtual clock and the architectural counters above
-  // are invariant across tiers.
-  uint64_t tier_compiles = 0;   // local baseline compiles
-  uint64_t tier_installs = 0;   // proxy-compiled blobs installed at Prepare
-  uint64_t tier_deopts = 0;     // bailouts back to the interpreter
-  uint64_t osr_entries = 0;     // on-stack replacements at loop backedges
+  // Always 0 (no tier-1 engine, DESIGN.md §16); the perfbench harness reads them.
+  uint64_t tier_compiles = 0;
+  uint64_t tier_deopts = 0;
+  uint64_t osr_entries = 0;
   // Service-specific dynamic work, attributed by the service natives.
   uint64_t dynamic_verify_checks = 0;
   uint64_t security_checks = 0;

@@ -5,7 +5,6 @@
 #include "src/bytecode/descriptor.h"
 #include "src/runtime/opsem.h"
 #include "src/runtime/profile.h"
-#include "src/runtime/tiered.h"
 #include "src/support/interner.h"
 #include "src/verifier/link_checker.h"
 
@@ -42,17 +41,6 @@ const char* InterpreterDispatchMode() {
 }
 
 Interpreter::Interpreter(Machine& machine) : machine_(machine) {
-  const MachineConfig& config = machine_.config();
-  tier_invocation_threshold_ = config.tier_invocation_threshold;
-  tier_osr_threshold_ = config.tier_osr_threshold;
-  tier_force_deopt_ = config.tier_force_deopt;
-  // Tiering rides the quickened engine; the reference engine stays the oracle.
-  tier_enabled_ = config.quicken &&
-                  (tier_invocation_threshold_ != 0 || tier_osr_threshold_ != 0);
-  if (!tier_enabled_) {
-    tier_invocation_threshold_ = 0;
-    tier_osr_threshold_ = 0;
-  }
   previous_root_provider_ = machine_.frame_root_provider();
   machine_.SetFrameRootProvider([this](std::vector<ObjRef>* roots) {
     if (previous_root_provider_) {
@@ -127,32 +115,6 @@ Result<PreparedMethod*> Interpreter::Prepare(RuntimeClass* cls, const MethodInfo
     prepared->handlers.push_back(std::move(entry));
   }
 
-  // Proxy-compiled tier-1 code (DESIGN.md §16): install the shipped blob
-  // instead of compiling locally, but only when the machine trusts the class
-  // channel (the DVM client behind the signed rewrite-cache artifact chain).
-  // Every blob is proof-checked against this method's bytecode before use;
-  // checksum or validation failure falls back to local tiering silently.
-  if (tier_enabled_ && machine_.config().trust_tiered_artifacts) {
-    if (const Attribute* attr = cls->file.FindAttribute(kAttrTieredCode)) {
-      if (auto entries = UnpackTieredAttribute(attr->data); entries.ok()) {
-        for (const auto& [id, blob] : entries.value()) {
-          if (id != method->Id()) {
-            continue;
-          }
-          auto parsed = ParseTieredBlob(blob);
-          if (parsed.ok() && parsed.value()->checksum == Fnv1a(method->code->code) &&
-              ValidateTieredMethod(*parsed.value(), prepared->code, cls->file.pool(),
-                                   method->code->max_stack, method->code->max_locals)
-                  .ok()) {
-            prepared->tier_code = std::move(parsed.value());
-            machine_.counters().tier_installs++;
-          }
-          break;
-        }
-      }
-    }
-  }
-
   PreparedMethod* out = prepared.get();
   cls->prepared[method->Id()] = std::move(prepared);
   return out;
@@ -214,9 +176,6 @@ Status Interpreter::PushFrame(RuntimeClass* cls, const MethodInfo* method,
   prepared->invocations++;
   machine_.AddNanos(machine_.config().cost.nanos_per_invoke);
   ProfileMethodEntry();
-  if (tier_enabled_) {
-    MaybeTierOnEntry(frames_.back());
-  }
   return Status::Ok();
 }
 
@@ -258,9 +217,6 @@ Status Interpreter::PushFrameSliced(RuntimeClass* cls, const MethodInfo* method,
   prepared->invocations++;
   machine_.AddNanos(machine_.config().cost.nanos_per_invoke);
   ProfileMethodEntry();
-  if (tier_enabled_) {
-    MaybeTierOnEntry(frames_.back());
-  }
   return Status::Ok();
 }
 
@@ -404,12 +360,8 @@ Result<CallOutcome> Interpreter::Loop() {
       return outcome;
     }
     if (quicken) {
-      // Both quickened-family engines do their own budget accounting.
-      if (frames_.back().compiled_active) {
-        DVM_RETURN_IF_ERROR(RunCompiled());
-      } else {
-        DVM_RETURN_IF_ERROR(RunQuick());
-      }
+      // The quickened engine does its own budget accounting.
+      DVM_RETURN_IF_ERROR(RunQuick());
     } else {
       if (machine_.counters().instructions >= machine_.config().max_instructions) {
         return HostErr("instruction budget exceeded");
@@ -437,12 +389,6 @@ Result<bool> Interpreter::DispatchPendingException() {
 
   while (!frames_.empty()) {
     ExecFrame& frame = frames_.back();
-    // Throwing always deoptimizes: any compiled frame the unwind examines
-    // resumes interpreted (its pc is synced at every potential throw point).
-    if (frame.compiled_active) {
-      frame.compiled_active = false;
-      machine_.counters().tier_deopts++;
-    }
     uint32_t fault_ix = frame.pc == 0 ? 0 : frame.pc - 1;
     int32_t handler_ix = -1;
     bool clean = true;
@@ -1405,21 +1351,13 @@ Status Interpreter::QuickInvokeSlow(Op op, uint32_t site_ix) {
       QHOST("local index out of range in " + f->method->Id());                \
   } while (0)
 // Taken branch: pc is already past the branch instruction, so a target below
-// it is a backward edge — the loop-trip evidence the tier-up profile counts,
-// and a profiler poll point (mirrored in the reference engine's Step).
+// it is a backward edge — the loop-trip evidence the profiler exports, and a
+// profiler poll point (mirrored in the reference engine's Step).
 #define QBRANCH(target_expr)                                                  \
   do {                                                                        \
     uint32_t target_ = (target_expr);                                         \
     if (target_ < pc) {                                                       \
       ProfileBackedge(f->prepared);                                           \
-      /* OSR tier-up: a branch target is always a span head in compiled */    \
-      /* code, so a hot loop can enter its compiled form mid-execution. */    \
-      if (tier_osr_threshold_ != 0 &&                                         \
-          f->prepared->backedges >= tier_osr_threshold_) {                    \
-        QSYNC();                                                              \
-        f->pc = target_;                                                      \
-        if (MaybeOsr(*f)) return Status::Ok();                                \
-      }                                                                       \
     }                                                                         \
     pc = target_;                                                             \
   } while (0)
@@ -1739,9 +1677,6 @@ Status Interpreter::RunQuick() {
       return HostErr("operand stack overflow in " + caller.method->Id());
     }
     arena_[caller.sp++] = result;
-    if (caller.compiled_active) {
-      return Status::Ok();  // resume the compiled caller via Loop
-    }
     reload();
   } NEXT();
 
@@ -1752,9 +1687,6 @@ Status Interpreter::RunQuick() {
       return_value_ = Value::Null();
       has_return_value_ = false;
       return Status::Ok();
-    }
-    if (frames_.back().compiled_active) {
-      return Status::Ok();  // resume the compiled caller via Loop
     }
     reload();
   } NEXT();
@@ -1888,9 +1820,8 @@ Status Interpreter::RunQuick() {
   OP(kInvokestatic) OP(kInvokevirtual) OP(kInvokespecial) {
     QSYNC();
     DVM_RETURN_IF_ERROR(QuickInvokeSlow(inst.op, pc - 1));
-    if (machine_.HasPendingException() || frames_.empty() ||
-        frames_.back().compiled_active) {
-      return Status::Ok();  // exit to Loop; a compiled callee re-enters there
+    if (machine_.HasPendingException() || frames_.empty()) {
+      return Status::Ok();
     }
     reload();
   } NEXT();
@@ -1903,9 +1834,8 @@ Status Interpreter::RunQuick() {
     }
     QSYNC();
     DVM_RETURN_IF_ERROR(InvokeResolved(ic.invoke_owner, ic.invoke_method, argc));
-    if (machine_.HasPendingException() || frames_.empty() ||
-        frames_.back().compiled_active) {
-      return Status::Ok();  // exit to Loop; a compiled callee re-enters there
+    if (machine_.HasPendingException() || frames_.empty()) {
+      return Status::Ok();
     }
     reload();
   } NEXT();
@@ -1922,9 +1852,8 @@ Status Interpreter::RunQuick() {
     }
     QSYNC();
     DVM_RETURN_IF_ERROR(InvokeResolved(ic.invoke_owner, ic.invoke_method, argc));
-    if (machine_.HasPendingException() || frames_.empty() ||
-        frames_.back().compiled_active) {
-      return Status::Ok();  // exit to Loop; a compiled callee re-enters there
+    if (machine_.HasPendingException() || frames_.empty()) {
+      return Status::Ok();
     }
     reload();
   } NEXT();
@@ -1952,9 +1881,8 @@ Status Interpreter::RunQuick() {
     } else {
       DVM_RETURN_IF_ERROR(QuickInvokeSlow(Op::kInvokevirtual, pc - 1));
     }
-    if (machine_.HasPendingException() || frames_.empty() ||
-        frames_.back().compiled_active) {
-      return Status::Ok();  // exit to Loop; a compiled callee re-enters there
+    if (machine_.HasPendingException() || frames_.empty()) {
+      return Status::Ok();
     }
     reload();
   } NEXT();

@@ -63,17 +63,6 @@ class Interpreter {
     uint32_t stack_limit = 0;
     uint32_t sp = 0;
     uint32_t pc = 0;  // instruction index
-    // Tier-1 execution state (DESIGN.md §16). While compiled_active, cpc
-    // indexes tcode->code and pc is only authoritative at span boundaries;
-    // deoptimization clears the flag with pc pointing at the resume point.
-    // tcode pins the TieredMethod this frame entered with (the graveyard
-    // keeps it alive across invalidation).
-    uint32_t cpc = 0;
-    bool compiled_active = false;
-    // Forced-deopt ladder: 0 = fresh, 1 = charged one span, 2 = deopted
-    // (blocks re-activation for this frame under tier_force_deopt).
-    uint8_t tier_state = 0;
-    TieredMethod* tcode = nullptr;
   };
 
   Result<PreparedMethod*> Prepare(RuntimeClass* cls, const MethodInfo* method);
@@ -90,7 +79,7 @@ class Interpreter {
   // pending exception; the return value is a host-level status.
   Status EnsureInitialized(RuntimeClass* cls);
 
-  // Raises an opsem fault for all three engines: a guest exception is left
+  // Raises an opsem fault for both engines: a guest exception is left
   // pending for Loop to dispatch, a host fault is the returned error. Kept
   // out of line so the engines' hot loops carry only the call.
   Status Raise(const opsem::Fault& fault);
@@ -99,24 +88,8 @@ class Interpreter {
   // exceptions are signalled through machine_.ThrowGuest; host errors abort.
   Status Step();
   // Quickened engine: runs until a guest exception is pending, the frame
-  // stack empties, a host error occurs, or the top frame becomes
-  // compiled-active (tier-up at a call or OSR point).
+  // stack empties, or a host error occurs.
   Status RunQuick();
-  // Tier-1 engine: runs the top frame's compiled form until it deoptimizes,
-  // returns into an interpreted caller, throws, or the stack empties.
-  // Compiled->compiled calls and returns stay inside this loop.
-  Status RunCompiled();
-
-  // Entry tier-up: activates (compiling if needed) the freshly pushed top
-  // frame when the method is hot or already has live compiled code.
-  void MaybeTierOnEntry(ExecFrame& frame);
-  // OSR: called from a taken backward branch with frame state synced and
-  // frame.pc at the branch target. Returns true when the frame switched to
-  // compiled execution (the caller must exit to Loop).
-  bool MaybeOsr(ExecFrame& frame);
-  // Compiles `prepared` if eligible (needs the owning class for its constant
-  // pool); records tier_failed on refusal.
-  TieredMethod* EnsureTierCode(RuntimeClass* cls, PreparedMethod* prepared);
 
   // Unwinds the pending guest exception to the nearest matching handler;
   // returns false when no handler exists and the frame stack is empty.
@@ -147,13 +120,6 @@ class Interpreter {
   void ProfileBackedge(PreparedMethod* prepared);
 
   Machine& machine_;
-  // Tier-1 configuration, cached from MachineConfig at construction so the hot
-  // paths (frame push, backedge) test plain members. tier_enabled_ is false
-  // when the quickened engine is off or both thresholds are zero.
-  bool tier_enabled_ = false;
-  bool tier_force_deopt_ = false;
-  uint64_t tier_invocation_threshold_ = 0;
-  uint64_t tier_osr_threshold_ = 0;
   std::vector<ExecFrame> frames_;
   // One contiguous backing store for every frame's locals and operand stack.
   std::vector<Value> arena_;

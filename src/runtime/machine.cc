@@ -1,11 +1,8 @@
 #include "src/runtime/machine.h"
 
-#include <cstdlib>
-
 #include "src/runtime/interp.h"
 #include "src/runtime/stack_security.h"
 #include "src/runtime/syslib.h"
-#include "src/runtime/tiered.h"
 #include "src/verifier/verifier.h"
 
 namespace dvm {
@@ -51,14 +48,6 @@ const std::string* SimFileSystem::PathOf(int handle) const {
 
 Machine::Machine(MachineConfig config, ClassProvider* provider)
     : config_(config), heap_(config.heap_capacity_bytes), registry_(provider) {
-  if (const char* env = std::getenv("DVM_TIER_THRESHOLD")) {
-    uint64_t threshold = std::strtoull(env, nullptr, 10);
-    config_.tier_invocation_threshold = threshold;
-    config_.tier_osr_threshold = threshold;
-  }
-  if (const char* env = std::getenv("DVM_TIER_FORCE_DEOPT")) {
-    config_.tier_force_deopt = env[0] != '\0' && env[0] != '0';
-  }
   registry_.on_load = [this](RuntimeClass& cls) { return OnClassLoad(cls); };
   if (config_.stack_introspection_security) {
     stack_security_ = std::make_unique<StackIntrospectionSecurity>();
@@ -102,33 +91,6 @@ std::vector<Assumption>* Machine::PendingLinkChecks(const std::string& class_nam
 
 void Machine::ClearPendingLinkChecks(const std::string& class_name) {
   pending_link_checks_.erase(class_name);
-}
-
-void Machine::RetireTieredCode(PreparedMethod* prepared) {
-  if (prepared == nullptr || prepared->tier_code == nullptr) {
-    return;
-  }
-  prepared->tier_code->invalidated = true;
-  retired_tiers_.push_back(std::move(prepared->tier_code));
-  prepared->tier_failed = true;
-}
-
-void Machine::DiscardTieredCode() {
-  for (const std::string& name : registry_.loaded_order()) {
-    RuntimeClass* cls = registry_.FindLoaded(name);
-    if (cls == nullptr) {
-      continue;
-    }
-    for (auto& [id, prepared] : cls->prepared) {
-      if (prepared->tier_code != nullptr) {
-        prepared->tier_code->invalidated = true;
-        retired_tiers_.push_back(std::move(prepared->tier_code));
-      }
-      // Unlike a megamorphic retirement, redefinition permits re-tiering once
-      // the method runs hot again under the new code.
-      prepared->tier_failed = false;
-    }
-  }
 }
 
 void Machine::AddServiceNanos(const std::string& service, uint64_t n) {

@@ -27,7 +27,6 @@ namespace dvm {
 class Machine;
 class StackIntrospectionSecurity;
 class ExecutionProfiler;
-struct TieredMethod;
 
 // Native method implementation. `args` includes the receiver at index 0 for
 // instance methods. May signal a guest exception via Machine::ThrowGuest and
@@ -86,24 +85,6 @@ struct MachineConfig {
   // Observable behaviour (outcomes, guest output, counters, virtual clock) is
   // identical between the two engines.
   bool quicken = true;
-  // Tier-1 baseline compiler above the quickened engine (DESIGN.md §16).
-  // A method tiers up when its invocation count crosses
-  // tier_invocation_threshold, or mid-run at a loop backedge (on-stack
-  // replacement) when its backedge count crosses tier_osr_threshold. Zero
-  // disables that trigger. The environment variables DVM_TIER_THRESHOLD
-  // (sets both) and DVM_TIER_FORCE_DEOPT override these at Machine
-  // construction, mirroring DVM_EVENT_QUEUE.
-  uint64_t tier_invocation_threshold = 10'000;
-  uint64_t tier_osr_threshold = 10'000;
-  // CI hammer: every compiled activation executes at most one basic-block
-  // span before deoptimizing, so mixed compiled/interpreted execution is
-  // exercised on every tiered method.
-  bool tier_force_deopt = false;
-  // Install proxy-compiled code blobs (kAttrTieredCode) at Prepare time.
-  // Off by default: only DVM clients that fetched the class through the
-  // verified replication channel opt in; machines running raw bytes (fuzz,
-  // differential oracles) ignore the attribute entirely.
-  bool trust_tiered_artifacts = false;
   size_t heap_capacity_bytes = 64 * 1024 * 1024;
   size_t max_frames = 2048;
   uint64_t max_instructions = 2'000'000'000;  // runaway-loop backstop
@@ -220,15 +201,6 @@ class Machine {
   std::vector<Assumption>* PendingLinkChecks(const std::string& class_name);
   void ClearPendingLinkChecks(const std::string& class_name);
 
-  // --- tiered execution -----------------------------------------------------------
-  // Moves a method's compiled code to the graveyard (frames still holding a
-  // raw pointer keep a valid, invalidated object) and blocks recompilation.
-  void RetireTieredCode(PreparedMethod* prepared);
-  // Class-redefinition hook: invalidates and retires every compiled method in
-  // the registry. Live compiled frames deopt at their next span boundary;
-  // methods may tier up again later.
-  void DiscardTieredCode();
-
  private:
   Status OnClassLoad(RuntimeClass& cls);
 
@@ -251,9 +223,6 @@ class Machine {
 
   std::map<std::string, std::vector<Assumption>> pending_link_checks_;
   std::map<std::string, ObjRef> interned_strings_;
-  // Invalidated TieredMethod objects; kept alive until machine teardown so
-  // frames entered under the old code can still observe the invalidated flag.
-  std::vector<std::unique_ptr<TieredMethod>> retired_tiers_;
   std::unique_ptr<StackIntrospectionSecurity> stack_security_;
   ExecutionProfiler* profiler_ = nullptr;
 };

@@ -1,12 +1,11 @@
-// Pure value semantics of the JVM opcodes, defined once for the three
-// execution engines: the reference Step, the quickened RunQuick and the
-// tier-1 RunCompiled (DESIGN.md §11, §16). Every function here computes a
-// result or reports a Fault and touches nothing else. Frames, operand-stack
-// guards, resolution, unwinding and inline caches stay in the engines, and
-// each engine raises a Fault at its own sync point (Step directly, RunQuick
-// through QFAULT, RunCompiled through CFAULT, which also deopts).
+// Pure value semantics of the JVM opcodes, defined once for the two
+// execution engines: the reference Step and the quickened RunQuick
+// (DESIGN.md §11). Every function here computes a result or reports a Fault
+// and touches nothing else. Frames, operand-stack guards, resolution,
+// unwinding and inline caches stay in the engines, and each engine raises a
+// Fault at its own sync point (Step directly, RunQuick through QFAULT).
 //
-// The three-way differential cannot see a bug that all engines share, so
+// The engine differential cannot see a bug that both engines share, so
 // tests/opsem_test.cc is the oracle for this file: it checks every operation
 // against literal JVM-spec results.
 #ifndef SRC_RUNTIME_OPSEM_H_

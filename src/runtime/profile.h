@@ -1,12 +1,11 @@
-// Continuous interpreter profiling (the paper's profiling service made real,
-// and the profile feed for the planned template JIT).
+// Continuous interpreter profiling (the paper's profiling service made real).
 //
 // Two independent mechanisms:
 //
 //  1. Always-on counters, zero-allocation, compiled into both engines:
 //     PreparedMethod::invocations/backedges and per-site InlineCache
 //     hits/misses/transitions. CollectMethodProfile() walks every prepared
-//     method of every loaded class and renders the tier-up view (hot methods,
+//     method of every loaded class and renders the hotness view (hot methods,
 //     loopy methods, megamorphic sites).
 //
 //  2. Virtual-clock sampled call-stack profiles (ExecutionProfiler). The

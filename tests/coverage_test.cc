@@ -19,18 +19,14 @@
 namespace dvm {
 namespace {
 
-// The three execution engines: reference, quickened, and tier-1 compiling
-// every method on its first call.
+// The two execution engines: reference and quickened.
 std::vector<std::pair<std::string, MachineConfig>> EdgeEngines() {
   MachineConfig reference;
   reference.quicken = false;
-  MachineConfig tiered;
-  tiered.tier_invocation_threshold = 1;
-  tiered.tier_osr_threshold = 1;
-  return {{"reference", reference}, {"quickened", MachineConfig{}}, {"tier-1", tiered}};
+  return {{"reference", reference}, {"quickened", MachineConfig{}}};
 }
 
-// Every edge case runs on all three engines, which must agree exactly.
+// Every edge case runs on both engines, which must agree exactly.
 class InterpEdgeTest : public ::testing::Test {
  protected:
   InterpEdgeTest() { InstallSystemLibrary(provider_); }
@@ -54,9 +50,6 @@ class InterpEdgeTest : public ::testing::Test {
     for (const auto& [engine, config] : EdgeEngines()) {
       Machine machine(config, &provider_);
       auto out = machine.CallStatic(name, "f", desc, args);
-      if (engine == "tier-1") {
-        tier_compiles_ = machine.counters().tier_compiles;
-      }
       if (!first.has_value()) {
         first = out;
         continue;
@@ -87,7 +80,6 @@ class InterpEdgeTest : public ::testing::Test {
 
   MapClassProvider provider_;
   int counter_ = 0;
-  uint64_t tier_compiles_ = 0;  // from the last RunAll's tier-1 engine
 };
 
 TEST_F(InterpEdgeTest, ShiftSemanticsMatchJvm) {
@@ -189,7 +181,6 @@ TEST_F(InterpEdgeTest, IntMinDivMinusOneWraps) {
   auto out = int_op(Op::kIdiv);
   EXPECT_FALSE(out.threw);
   EXPECT_EQ(out.value.AsInt(), INT32_MIN);
-  EXPECT_GE(tier_compiles_, 1u);  // the tier-1 engine ran it, not the interpreter
   EXPECT_EQ(int_op(Op::kIrem).value.AsInt(), 0);
   EXPECT_EQ(long_op(Op::kLdiv).value.AsLong(), INT64_MIN);
   EXPECT_EQ(long_op(Op::kLrem).value.AsLong(), 0);
@@ -224,8 +215,8 @@ TEST_F(InterpEdgeTest, RefArraysHoldObjects) {
   EXPECT_EQ(out.value.AsInt(), 3);
 }
 
-// Tier-1 fuses `iload; <int const>; <int alu>[; istore]` into kAluLC/kAluLCS
-// with the constant as an immediate; its shift count must still be masked.
+// `iload; <int const>; <shift>[; istore]` with out-of-range constant shift
+// counts: every engine must mask the count to 5 bits.
 TEST_F(InterpEdgeTest, FusedAluImmediateShiftCounts) {
   struct Case {
     Op op;
@@ -238,22 +229,20 @@ TEST_F(InterpEdgeTest, FusedAluImmediateShiftCounts) {
       {Op::kIushr, 32, -7}, {Op::kIushr, 33, 0x7FFFFFFC}, {Op::kIushr, -1, 1},
   };
   for (const Case& c : cases) {
-    auto fused = Run("(I)I", [&c](MethodBuilder& m) {  // kAluLC
+    auto direct = Run("(I)I", [&c](MethodBuilder& m) {
       m.LoadLocal("I", 0).PushInt(c.count).Emit(c.op).Emit(Op::kIreturn);
     }, {Value::Int(-7)});
-    EXPECT_EQ(fused.value.AsInt(), c.want) << GetOpInfo(c.op)->name << " " << c.count;
-    EXPECT_GE(tier_compiles_, 1u);
-    auto stored = Run("(I)I", [&c](MethodBuilder& m) {  // kAluLCS
+    EXPECT_EQ(direct.value.AsInt(), c.want) << GetOpInfo(c.op)->name << " " << c.count;
+    auto stored = Run("(I)I", [&c](MethodBuilder& m) {
       m.LoadLocal("I", 0).PushInt(c.count).Emit(c.op).StoreLocal("I", 1);
       m.LoadLocal("I", 1).Emit(Op::kIreturn);
     }, {Value::Int(-7)});
     EXPECT_EQ(stored.value.AsInt(), c.want) << GetOpInfo(c.op)->name << " " << c.count;
-    EXPECT_GE(tier_compiles_, 1u);
   }
 }
 
-// Tier-1 fuses `iload; <int const>; if_icmp<cond>` into kBrLC; INT32_MIN
-// comes from the constant pool (ldc), the edge of the compare.
+// `iload; <int const>; if_icmp<cond>` against INT32_MIN, which comes from the
+// constant pool (ldc): the edge of the compare.
 TEST_F(InterpEdgeTest, FusedBranchAgainstIntMin) {
   auto taken = [&](Op cond, int32_t x) {
     auto out = Run("(I)I", [cond](MethodBuilder& m) {
@@ -262,7 +251,6 @@ TEST_F(InterpEdgeTest, FusedBranchAgainstIntMin) {
       m.PushInt(0).Emit(Op::kIreturn);
       m.Bind(yes).PushInt(1).Emit(Op::kIreturn);
     }, {Value::Int(x)});
-    EXPECT_GE(tier_compiles_, 1u);
     return out.value.AsInt() == 1;
   };
   EXPECT_TRUE(taken(Op::kIfIcmpeq, INT32_MIN));
@@ -297,7 +285,6 @@ TEST_F(InterpEdgeTest, ArrayElementKindMismatchIsAHostError) {
     auto out = run(kind, access);
     ASSERT_FALSE(out.ok()) << GetOpInfo(access)->name;
     EXPECT_EQ(out.error().message, "array element kind mismatch");
-    EXPECT_GE(tier_compiles_, 1u);
   }
 }
 

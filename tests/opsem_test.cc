@@ -1,6 +1,6 @@
 // Table test for the shared opcode value semantics (src/runtime/opsem.h).
 // Every operation runs over all pairs from {MIN, -1, 0, 1, MAX} and is checked
-// against literal JVM-spec results. The three engines share opsem.h, so the
+// against literal JVM-spec results. Both engines share opsem.h, so the
 // cross-engine differential cannot catch a bug in it; this table can.
 #include "src/runtime/opsem.h"
 

@@ -470,47 +470,6 @@ int CmdMutateCerts(uint64_t seed, uint64_t count,
   return accepted > 0 ? 1 : 0;
 }
 
-// Tier-differential at CLI scale: the three-way engine oracle (reference vs
-// quickened vs tier-1 compilation forced at threshold 1) over every input plus
-// `count` deterministic structure-aware mutants per input. Any observable
-// divergence between the tiers on a verifier-accepted class is a soundness
-// hole in the baseline compiler or its deopt machinery; exit 1.
-int CmdTierDiff(uint64_t seed, uint64_t count,
-                const std::vector<std::filesystem::path>& inputs) {
-  std::vector<Bytes> bases;
-  for (const auto& file : ExpandInputs(inputs)) {
-    bases.push_back(ReadFileBytes(file));
-  }
-  if (bases.empty()) {
-    bases = fuzz::BuiltinSeeds();
-  }
-  uint64_t checked = 0, violations = 0;
-  fuzz::Rng rng(seed);
-  for (const Bytes& base : bases) {
-    std::string v = fuzz::CheckDifferential(base);
-    checked++;
-    if (!v.empty()) {
-      violations++;
-      std::fprintf(stderr, "FAIL: %s\n", v.c_str());
-    }
-    for (uint64_t i = 0; i < count; i++) {
-      Bytes mutant = fuzz::MutateClassBytes(base, rng);
-      checked++;
-      v = fuzz::CheckDifferential(mutant);
-      if (!v.empty()) {
-        violations++;
-        std::fprintf(stderr, "FAIL (mutant %llu): %s\n",
-                     static_cast<unsigned long long>(i), v.c_str());
-      }
-    }
-  }
-  std::printf("tier-diff: inputs=%zu checked=%llu violations=%llu (seed=%llu)\n",
-              bases.size(), static_cast<unsigned long long>(checked),
-              static_cast<unsigned long long>(violations),
-              static_cast<unsigned long long>(seed));
-  return violations > 0 ? 1 : 0;
-}
-
 int CmdMin(const std::filesystem::path& in, const std::filesystem::path& out) {
   Bytes data = ReadFileBytes(in);
   std::string category = TriageCategory(data);
@@ -545,7 +504,6 @@ int Usage() {
                "       dvm_fuzz triage <file>...\n"
                "       dvm_fuzz mutate <out-dir> <seed> <count> [input]...\n"
                "       dvm_fuzz mutate-certs <seed> <count> [input]...\n"
-               "       dvm_fuzz tier-diff <seed> <count> [input]...\n"
                "       dvm_fuzz min <file> <out>\n");
   return 2;
 }
@@ -582,12 +540,6 @@ int main(int argc, char** argv) {
     uint64_t count = std::strtoull(rest[1].c_str(), nullptr, 10);
     return dvm::CmdMutateCerts(seed, count,
                                std::vector<std::filesystem::path>(rest.begin() + 2, rest.end()));
-  }
-  if (cmd == "tier-diff" && rest.size() >= 2) {
-    uint64_t seed = std::strtoull(rest[0].c_str(), nullptr, 10);
-    uint64_t count = std::strtoull(rest[1].c_str(), nullptr, 10);
-    return dvm::CmdTierDiff(seed, count,
-                            std::vector<std::filesystem::path>(rest.begin() + 2, rest.end()));
   }
   if (cmd == "min" && rest.size() == 2) {
     return dvm::CmdMin(rest[0], rest[1]);

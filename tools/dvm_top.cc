@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
 
   // --- profiled guest execution ---------------------------------------------
   // The same applet population runs on a local profiled interpreter: the
-  // hot-method view a JIT tier would consume.
+  // hot-method view the profiling service exports.
   MapClassProvider local;
   InstallSystemLibrary(local);
   for (const auto& applet : applets) {
