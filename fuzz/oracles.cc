@@ -88,14 +88,23 @@ std::string CheckRewritePipeline(const Bytes& data) {
   // first pass changed nothing — a modified class legitimately gains another
   // layer of dynamic-check preambles on re-filtering, because trusting a
   // "previously filtered" stamp on possibly-hostile input would be fail-open.
-  auto second = pipeline.Run(first->class_bytes);
+  auto first_bytes = WriteClassFile(first->cls);
+  if (!first_bytes.ok()) {
+    return "";  // an unrepresentable rewrite is a typed rejection, as in the proxy
+  }
+  auto second = pipeline.Run(first_bytes.value());
   if (!second.ok()) {
     return "pipeline rejected its own output: " + second.error().ToString();
   }
-  if (!first->modified && second->class_bytes != first->class_bytes) {
+  auto second_bytes = WriteClassFile(second->cls);
+  if (!second_bytes.ok()) {
+    return "pipeline output failed to serialize on the second pass: " +
+           second_bytes.error().ToString();
+  }
+  if (!first->modified && second_bytes.value() != first_bytes.value()) {
     return "pipeline mutated a class it reported as unmodified: " +
-           std::to_string(first->class_bytes.size()) + " -> " +
-           std::to_string(second->class_bytes.size()) + " bytes";
+           std::to_string(first_bytes->size()) + " -> " +
+           std::to_string(second_bytes->size()) + " bytes";
   }
   return "";
 }

@@ -1,9 +1,9 @@
 // The transparent network proxy housing the static service components
 // (paper sections 2-3). It intercepts class requests, fetches origin bytes,
-// parses once, runs the stacked filter pipeline, generates the instrumented
-// binary once, optionally signs it, caches the result, and logs an audit
-// trail. CPU time per request is accounted so the scaling experiment
-// (Figure 10) can queue requests on a simulated single-CPU server.
+// parses once, runs the stacked filter pipeline, then signs, emits and proves
+// the in-memory result once, caches it, and logs an audit trail. CPU time per
+// request is accounted so the scaling experiment (Figure 10) can queue
+// requests on a simulated single-CPU server.
 //
 // Concurrency model (see DESIGN.md "Concurrent proxy architecture"):
 // HandleRequest is safe to call from many threads. Per-request state lives in
@@ -239,8 +239,8 @@ class DvmProxy {
   double ThrashFactor(size_t inflight_requests) const;
 
  private:
-  // Environment the verifier sees: library + every class this proxy parsed.
-  // Reader/writer locked: filters Lookup concurrently, the rewrite path Adds.
+  // Environment the verifier sees: the library first, then every class this
+  // proxy parsed. Reader/writer locked: filters Lookup, the rewrite path Adds.
   class SeenEnv : public ClassEnv {
    public:
     explicit SeenEnv(const ClassEnv* library) : library_(library) {}
@@ -259,16 +259,14 @@ class DvmProxy {
   std::optional<ProxyResponse> TryServeFromCache(RequestContext& ctx);
   // Serves a filter-synthesized class (e.g. a "$cold" split).
   std::optional<ProxyResponse> TryServeGenerated(RequestContext& ctx);
-  // The miss path: fetch origin bytes, parse, run the stacked services, emit,
-  // sign, publish synthesized classes, and populate the cache.
+  // The miss path: fetch origin bytes, parse, run the stacked services, sign,
+  // emit, prove, publish synthesized classes, and populate the cache.
   Result<ProxyResponse> Rewrite(RequestContext& ctx);
-  // Runs the full verifier over the final artifact (main + companions against
-  // the system library) and serializes its stack-map certificate. The emitted
-  // certificate is self-validated before leaving the proxy; any failure —
-  // including the rare fixpoint frame a one-pass join cannot reproduce —
-  // degrades to "no certificate" (empty return) rather than a bad proof.
-  Bytes EmitCertificate(const Bytes& main_bytes,
-                        const std::vector<std::pair<std::string, Bytes>>& extras);
+  // Runs the full verifier over the final in-memory artifact (main +
+  // companions against the system library) and serializes its stack-map
+  // certificate. Empty, counted in proxy.cert_emit_failures, only when the
+  // verifier rejects the proxy's own output.
+  Bytes EmitCertificate(const ClassFile& main, const std::vector<ClassFile>& extras);
   // One-pass check of a pushed artifact against its certificate.
   bool ValidatePushedArtifact(const CommitRecord& record);
   // Commits accounting (stage counters, audit ring, CPU totals) and stamps

@@ -20,11 +20,6 @@ Status CodeSigner::AttachSignature(ClassFile* cls) const {
   return Status::Ok();
 }
 
-Result<Bytes> CodeSigner::SignedBytes(ClassFile cls) const {
-  DVM_RETURN_IF_ERROR(AttachSignature(&cls));
-  return WriteClassFile(cls);
-}
-
 Status CodeSigner::VerifyClassBytes(const Bytes& data) const {
   DVM_ASSIGN_OR_RETURN(ClassFile cls, ReadClassFile(data));
   const Attribute* attr = cls.FindAttribute(kAttrSignatureDigest);

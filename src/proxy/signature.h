@@ -24,8 +24,6 @@ class CodeSigner {
   // Computes and attaches the signature attribute. Fails with kParseError if
   // the class cannot be serialized (oversized tables from hostile rewrites).
   Status AttachSignature(ClassFile* cls) const;
-  // Serializes, signs and returns the bytes in one step.
-  Result<Bytes> SignedBytes(ClassFile cls) const;
 
   // Verifies a serialized class; kSecurityError when unsigned or tampered.
   Status VerifyClassBytes(const Bytes& data) const;

@@ -26,14 +26,12 @@ Result<PipelineResult> FilterPipeline::Run(ClassFile cls, const std::string& pla
       result.modified = true;
     }
     for (auto& extra : outcome.extra_classes) {
-      DVM_ASSIGN_OR_RETURN(Bytes extra_bytes, WriteClassFile(extra));
-      result.extra_classes.emplace_back(extra.name(), std::move(extra_bytes));
+      result.extra_classes.push_back(std::move(extra));
       result.modified = true;
     }
   }
 
-  result.class_name = cls.name();
-  DVM_ASSIGN_OR_RETURN(result.class_bytes, WriteClassFile(cls));
+  result.cls = std::move(cls);
   return result;
 }
 

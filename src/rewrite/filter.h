@@ -1,8 +1,8 @@
 // The proxy's internal filtering API (paper section 3): logically separate
 // services are written as code-transformation filters and stacked according to
-// site-specific requirements. The pipeline parses each class once, runs every
-// filter over the in-memory form, and generates the output binary once —
-// amortizing parse/emit across all static services.
+// site-specific requirements. The pipeline runs every filter over one
+// in-memory class and returns the result unserialized, so the proxy parses
+// and writes each class once across all static services.
 #ifndef SRC_REWRITE_FILTER_H_
 #define SRC_REWRITE_FILTER_H_
 
@@ -48,16 +48,16 @@ class CodeFilter {
 };
 
 struct PipelineResult {
-  Bytes class_bytes;
-  std::string class_name;
-  std::vector<std::pair<std::string, Bytes>> extra_classes;
+  // Final class (a filter's replacement, if any) and synthesized companions.
+  ClassFile cls;
+  std::vector<ClassFile> extra_classes;
   bool modified = false;
   uint64_t checks_performed = 0;
   // Names of filters that ran, in order (audit trail).
   std::vector<std::string> filters_run;
 };
 
-// Parse-once / emit-once filter stack.
+// Parse-once filter stack; the caller emits the result once.
 class FilterPipeline {
  public:
   explicit FilterPipeline(const ClassEnv* env) : env_(env) {}

@@ -197,12 +197,14 @@ Status ValidateMethod(const ClassFile& cls, const MethodInfo& method, const Meth
                       const ClassEnv& env, const MethodCertificate& mcert,
                       ValidateStats* stats, std::vector<Assumption>* assumptions) {
   const size_t count = mc.instrs.size();
+  const std::vector<bool> merge = MergePoints(method, mc);
   std::vector<const Frame*> asserted(count, nullptr);
   for (const FrameAssertion& assertion : mcert.assertions) {
     stats->validate_checks++;
-    if (assertion.index >= count || asserted[assertion.index] != nullptr) {
+    if (assertion.index >= count || !merge[assertion.index] ||
+        asserted[assertion.index] != nullptr) {
       return Verr(cls.name() + "." + method.Id() + ": certificate assertion @" +
-                  std::to_string(assertion.index) + " out of range or duplicated");
+                  std::to_string(assertion.index) + " is not at a unique merge point");
     }
     asserted[assertion.index] = &assertion.frame;
   }

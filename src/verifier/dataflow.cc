@@ -117,6 +117,19 @@ Result<MethodCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verify
   return mc;
 }
 
+std::vector<bool> MergePoints(const MethodInfo& method, const MethodCode& mc) {
+  std::vector<bool> merge(mc.instrs.size(), false);
+  for (const Instr& instr : mc.instrs) {
+    if (IsBranch(instr.op)) {
+      merge[static_cast<size_t>(instr.a)] = true;
+    }
+  }
+  for (const auto& h : method.code->handlers) {
+    merge[mc.off_to_ix.at(h.handler_pc)] = true;
+  }
+  return merge;
+}
+
 Status CheckSuperclass(const ClassFile& cls, const ClassEnv& env, uint64_t* checks,
                        std::vector<Assumption>* assumptions) {
   std::string super = cls.super_name();
@@ -505,7 +518,9 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       VType arr;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &arr));
       Check();
-      VType element = VType::Ref(kObject);
+      // A null array throws before any element exists. Null (the reference
+      // bottom) keeps Step monotone: Null ⊑ [LC; and Null ⊑ C, not so Object.
+      VType element = VType::Null();
       if (arr.kind == VType::Kind::kRef) {
         if (!arr.IsArray() || arr.name.size() < 2 ||
             (arr.name[1] != 'L' && arr.name[1] != '[')) {

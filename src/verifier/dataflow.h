@@ -40,6 +40,10 @@ Status Phase1(const ClassFile& cls, VerifyStats* stats);
 // fall-off-the-end). Bumps stats->phase2_checks / instructions_verified.
 Result<MethodCode> Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats);
 
+// Per instruction index: is it a branch target or handler entry? Certificates
+// assert frames at the reachable ones and nowhere else (one proof per class).
+std::vector<bool> MergePoints(const MethodInfo& method, const MethodCode& mc);
+
 // Class-level inheritance check shared by VerifyClass and the certificate
 // validator: extending a known-final class is rejected; an unknown superclass
 // becomes a class-scoped existence assumption.

@@ -110,10 +110,9 @@ class MethodVerifier {
 
   Status Run();
 
-  // Fills `out` with the fixpoint frame at every merge point: branch targets
-  // and handler entries that are reachable. std::set iteration keeps the
-  // assertion indices strictly increasing, which the canonical certificate
-  // encoding requires.
+  // Fills `out` with the fixpoint frame at every reachable merge point, in
+  // strictly increasing index order as the canonical certificate encoding
+  // requires.
   void EmitAssertions(MethodCertificate* out) const;
 
  private:
@@ -212,18 +211,10 @@ Status MethodVerifier::Run() {
 }
 
 void MethodVerifier::EmitAssertions(MethodCertificate* out) const {
-  std::set<size_t> targets;
-  for (const Instr& instr : mc_.instrs) {
-    if (IsBranch(instr.op)) {
-      targets.insert(static_cast<size_t>(instr.a));
-    }
-  }
-  for (const auto& h : method_.code->handlers) {
-    targets.insert(mc_.off_to_ix.at(h.handler_pc));
-  }
-  for (size_t target : targets) {
-    if (!in_frames_[target].has_value()) {
-      continue;  // unreachable target: the fixpoint never produced a frame
+  const std::vector<bool> merge = MergePoints(method_, mc_);
+  for (size_t target = 0; target < merge.size(); target++) {
+    if (!merge[target] || !in_frames_[target].has_value()) {
+      continue;  // not a merge point, or one the fixpoint never reached
     }
     FrameAssertion assertion;
     assertion.index = static_cast<uint32_t>(target);

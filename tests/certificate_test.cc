@@ -438,5 +438,44 @@ TEST_F(CertificateReplicationTest, TamperedPushIsDroppedFailClosed) {
   EXPECT_EQ(cluster_->replica(1).replicated_installs(), 2u);
 }
 
+// A loop whose array local starts null and becomes String[] (the shape of
+// tests/corpus/aaload_null_widening.bin, built here from source). The emitted
+// proof must validate on a peer: no certless push, no trusted install.
+TEST_F(CertificateReplicationTest, NullSeededArrayLoadCarriesProof) {
+  ClassBuilder cb("app/NullSeeded", "java/lang/Object");
+  MethodBuilder& m = cb.AddMethod(AccessFlags::kPublic | AccessFlags::kStatic, "run", "()V");
+  Label loop = m.NewLabel();
+  Label join = m.NewLabel();
+  m.PushNull().StoreLocal("[Ljava/lang/String;", 0);
+  m.Bind(loop);
+  m.LoadLocal("[Ljava/lang/String;", 0).PushInt(0).Emit(Op::kAaload);
+  m.StoreLocal("Ljava/lang/String;", 1);
+  m.PushInt(0).Branch(Op::kIfeq, join);
+  m.Bind(join);
+  m.PushInt(1).ANewArray("java/lang/String").StoreLocal("[Ljava/lang/String;", 0);
+  m.Branch(Op::kGoto, loop);
+  origin_.AddClassFile(cb.Build().value());
+
+  ASSERT_TRUE(cluster_->replica(0).HandleRequest("app/NullSeeded").ok());
+  EXPECT_EQ(cluster_->replica(0).stats().Value("proxy.cert_emits"), 1u);
+  EXPECT_EQ(cluster_->replica(0).stats().Value("proxy.cert_emit_failures"), 0u);
+
+  const std::string key = DvmProxy::RewriteCacheKey("app/NullSeeded", "");
+  auto cached = cluster_->replica(0).cache().Peek(key);
+  ASSERT_TRUE(cached.has_value());
+  CommitRecord record;
+  record.type = CommitRecordType::kArtifact;
+  record.cache_key = key;
+  record.class_name = "app/NullSeeded";
+  record.main_class = cached->main_class;
+  record.extra_classes = cached->extra_classes;
+  record.certificate = cached->certificate;
+  cluster_->replica(1).ApplyCommitRecord(record);
+  EXPECT_EQ(cluster_->replica(1).stats().Value("proxy.cert_validations"), 1u);
+  EXPECT_EQ(cluster_->replica(1).stats().Value("proxy.cert_missing"), 0u);
+  EXPECT_EQ(cluster_->replica(1).stats().Value("proxy.cert_rejects"), 0u);
+  EXPECT_EQ(cluster_->replica(1).replicated_installs(), 1u);
+}
+
 }  // namespace
 }  // namespace dvm

@@ -4,15 +4,21 @@
 //      execute deterministically, and survive rewriting unchanged,
 //   3. random byte mutations of valid class files never crash the parser,
 //      verifier, or interpreter — they fail cleanly or run safely,
-//   4. random object graphs survive garbage collection exactly when reachable.
+//   4. random object graphs survive garbage collection exactly when reachable,
+//   5. every opcode's abstract transfer function is monotone.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <optional>
 
 #include "src/bytecode/builder.h"
 #include "src/bytecode/serializer.h"
+#include "src/bytecode/stack_effect.h"
 #include "src/rewrite/method_editor.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/syslib.h"
 #include "src/support/rng.h"
+#include "src/verifier/dataflow.h"
 #include "src/verifier/verifier.h"
 
 namespace dvm {
@@ -319,6 +325,176 @@ TEST_P(GcPropertyTest, CollectKeepsExactlyTheReachable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GcPropertyTest, ::testing::Range<uint64_t>(1, 13));
+
+// ---------------------------------------------------------------------------
+// 5. Monotone transfer: a ⊑ b implies Step(a) ⊑ Step(b).
+// ---------------------------------------------------------------------------
+
+// The certificate validator recomputes each merge point's frame as the join of
+// its incoming edges and requires it to equal the fixpoint's assertion. That
+// holds only when no opcode maps a narrower input to an output that does not
+// fit the wider input's output.
+class TransferMonotonicityTest : public ::testing::TestWithParam<Op> {
+ protected:
+  TransferMonotonicityTest() {
+    static const auto* library = new std::vector<ClassFile>(BuildSystemLibrary());
+    for (const ClassFile& c : *library) {
+      env_.Add(&c);
+    }
+    ClassBuilder c("mono/C", "java/lang/Object");
+    c.AddField(AccessFlags::kStatic, "s", "Lmono/C;");
+    c.AddField(0, "f", "Lmono/C;");
+    c.AddMethod(AccessFlags::kStatic, "sm", "(Lmono/C;)Lmono/C;").PushNull().Emit(Op::kAreturn);
+    c.AddMethod(0, "m", "(Lmono/C;)Lmono/C;").PushNull().Emit(Op::kAreturn);
+    c_ = c.Build().value();
+    d_ = ClassBuilder("mono/D", "mono/C").Build().value();
+    env_.Add(&c_);
+    env_.Add(&d_);
+    t_.this_class = t_.pool().AddClass("mono/T");
+  }
+
+  // An operand that resolves in env_ for every opcode that takes one.
+  int Operand(Op op) {
+    ConstantPool& pool = t_.pool();
+    switch (op) {
+      case Op::kLdc:
+        return pool.AddInteger(7);
+      case Op::kGetstatic:
+      case Op::kPutstatic:
+        return pool.AddFieldRef("mono/C", "s", "Lmono/C;");
+      case Op::kGetfield:
+      case Op::kPutfield:
+        return pool.AddFieldRef("mono/C", "f", "Lmono/C;");
+      case Op::kInvokestatic:
+        return pool.AddMethodRef("mono/C", "sm", "(Lmono/C;)Lmono/C;");
+      case Op::kInvokevirtual:
+      case Op::kInvokespecial:
+        return pool.AddMethodRef("mono/C", "m", "(Lmono/C;)Lmono/C;");
+      case Op::kNewarray:
+        return static_cast<int>(ArrayKind::kInt);
+      default:
+        return GetOpInfo(op)->operands == OperandKind::kCpIndex ? pool.AddClass("mono/C") : 0;
+    }
+  }
+
+  MapClassEnv env_;
+  ClassFile c_;
+  ClassFile d_;
+  ClassFile t_;
+};
+
+TEST_P(TransferMonotonicityTest, NarrowerInputNeverYieldsWiderOutput) {
+  const Op op = GetParam();
+  const std::vector<VType> types = {VType::Top(),
+                                    VType::Int(),
+                                    VType::Long(),
+                                    VType::Null(),
+                                    VType::Ref("java/lang/Object"),
+                                    VType::Ref("mono/C"),
+                                    VType::Ref("mono/D"),
+                                    VType::Ref("[Lmono/C;"),
+                                    VType::Ref("[Lmono/D;"),
+                                    VType::Ref("[Ljava/lang/Object;"),
+                                    VType::Ref("[I")};
+  const size_t n_types = types.size();
+  std::vector<std::vector<size_t>> up(n_types);
+  for (size_t a = 0; a < n_types; a++) {
+    for (size_t b = 0; b < n_types; b++) {
+      if (FitsInto(types[a], types[b], env_)) {
+        up[a].push_back(b);
+      }
+    }
+  }
+
+  // One static method holding the single instruction under test.
+  const OperandKind operands = GetOpInfo(op)->operands;
+  const Instr instr{op, Operand(op), operands == OperandKind::kLocalIncr ? 1 : 0};
+  MethodInfo method;
+  method.access_flags = AccessFlags::kStatic;
+  method.name = "t";
+  method.descriptor = "()Lmono/C;";
+  method.code = CodeAttr{/*max_stack=*/8, /*max_locals=*/1, {}, {}};
+  MethodCode mc;
+  mc.instrs = {instr};
+  mc.offsets = {0, static_cast<uint32_t>(InstructionLength(op))};
+  mc.off_to_ix[0] = 0;
+  uint64_t checks = 0;
+  std::vector<Assumption> assumptions;
+  AbstractInterpreter interp(t_, method, mc, env_, &checks, &assumptions);
+
+  // Vary every slot the instruction reads: its operand-stack pops, plus
+  // local 0 when it names a local.
+  const bool reads_local = operands == OperandKind::kU8 || operands == OperandKind::kLocalIncr;
+  Result<int> pops = StackPops(instr, t_.pool());
+  const size_t slots = (pops.ok() ? static_cast<size_t>(pops.value()) : 0) + (reads_local ? 1 : 0);
+  auto frame_of = [&](const std::vector<size_t>& pick) {
+    Frame frame;
+    frame.locals = {reads_local ? types[pick[0]] : VType::Top()};
+    for (size_t i = reads_local ? 1 : 0; i < slots; i++) {
+      frame.stack.push_back(types[pick[i]]);
+    }
+    return frame;
+  };
+  // Every assignment of types to the slots, as mixed-radix counters.
+  auto next = [](std::vector<size_t>& digits, const std::vector<size_t>& radix) {
+    for (size_t i = 0; i < digits.size(); i++) {
+      if (++digits[i] < radix[i]) {
+        return true;
+      }
+      digits[i] = 0;
+    }
+    return false;
+  };
+
+  std::map<std::vector<size_t>, std::optional<Frame>> out;
+  auto step = [&](const std::vector<size_t>& pick) -> const std::optional<Frame>& {
+    auto [it, inserted] = out.try_emplace(pick);
+    if (inserted) {
+      auto result = interp.Step(0, frame_of(pick));
+      if (result.ok()) {
+        it->second = std::move(result.value().frame);
+      }
+    }
+    return it->second;
+  };
+
+  size_t pairs = 0;
+  std::vector<size_t> a(slots, 0);
+  do {
+    const std::optional<Frame>& out_a = step(a);
+    if (!out_a.has_value()) {
+      continue;
+    }
+    std::vector<size_t> radix(slots);
+    for (size_t i = 0; i < slots; i++) {
+      radix[i] = up[a[i]].size();
+    }
+    std::vector<size_t> pos(slots, 0);
+    do {
+      std::vector<size_t> b(slots);
+      for (size_t i = 0; i < slots; i++) {
+        b[i] = up[a[i]][pos[i]];
+      }
+      const std::optional<Frame>& out_b = step(b);
+      if (!out_b.has_value()) {
+        continue;
+      }
+      pairs++;
+      ASSERT_TRUE(FrameFits(*out_a, *out_b, env_))
+          << GetOpInfo(op)->name << " is not monotone: " << frame_of(a).ToString() << " -> "
+          << out_a->ToString() << " but " << frame_of(b).ToString() << " -> "
+          << out_b->ToString();
+    } while (next(pos, radix));
+  } while (next(a, std::vector<size_t>(slots, n_types)));
+  if (!IsQuickOp(op) && !IsReturn(op)) {
+    EXPECT_GT(pairs, 0u) << GetOpInfo(op)->name << " never stepped";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllOpcodes, TransferMonotonicityTest, ::testing::ValuesIn(AllOps()),
+                         [](const ::testing::TestParamInfo<Op>& info) {
+                           return std::string(GetOpInfo(info.param)->name);
+                         });
 
 }  // namespace
 }  // namespace dvm

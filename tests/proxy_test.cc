@@ -26,10 +26,15 @@ ClassFile SimpleClass(const std::string& name) {
 
 // --- signer -----------------------------------------------------------------------
 
+Bytes SignedBytes(const CodeSigner& signer, ClassFile cls) {
+  EXPECT_TRUE(signer.AttachSignature(&cls).ok());
+  return MustWriteClassFile(cls);
+}
+
 TEST(CodeSignerTest, SignAndVerifyRoundTrip) {
   CodeSigner signer("org-key");
   ClassBuilder cb("sig/C", "java/lang/Object");
-  Bytes signed_bytes = signer.SignedBytes(MustBuild(cb)).value();
+  Bytes signed_bytes = SignedBytes(signer, MustBuild(cb));
   EXPECT_TRUE(signer.VerifyClassBytes(signed_bytes).ok());
 }
 
@@ -37,7 +42,7 @@ TEST(CodeSignerTest, DetectsTampering) {
   CodeSigner signer("org-key");
   ClassBuilder cb("sig/C", "java/lang/Object");
   cb.AddField(AccessFlags::kPublic, "f", "I");
-  Bytes signed_bytes = signer.SignedBytes(MustBuild(cb)).value();
+  Bytes signed_bytes = SignedBytes(signer, MustBuild(cb));
   // Flip a byte somewhere in the middle (not in the signature itself).
   signed_bytes[signed_bytes.size() / 3] ^= 0x01;
   auto status = signer.VerifyClassBytes(signed_bytes);
@@ -52,7 +57,7 @@ TEST(CodeSignerTest, RejectsUnsignedAndWrongKey) {
   EXPECT_FALSE(signer.VerifyClassBytes(MustWriteClassFile(cls)).ok());
 
   CodeSigner other("evil-key");
-  Bytes foreign = other.SignedBytes(std::move(cls)).value();
+  Bytes foreign = SignedBytes(other, std::move(cls));
   EXPECT_FALSE(signer.VerifyClassBytes(foreign).ok());
 }
 
@@ -223,6 +228,66 @@ TEST_F(ProxyTest, SystemClassesPassThrough) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->name(), "java/lang/String");
   EXPECT_EQ(parsed->FindAttribute(kAttrServiceStamp), nullptr);
+}
+
+// An origin that answers a request with a class declaring another name must
+// not plant that class in the verifier's environment. Here app/Shadow's bytes
+// declare java/lang/Thread with an extra evil()V; if the proxy accepted them,
+// app/User's call to Thread.evil()V would verify against the forgery and its
+// artifact would depend on whether app/Shadow was fetched first.
+TEST_F(ProxyTest, OriginCannotShadowLibraryClasses) {
+  ClassBuilder shadow("java/lang/Thread", "java/lang/Object");
+  shadow.AddMethod(AccessFlags::kPublic | AccessFlags::kStatic, "evil", "()V")
+      .Emit(Op::kReturn);
+  origin_.Add("app/Shadow", MustWriteClassFile(MustBuild(shadow)));
+  ClassBuilder user("app/User", "java/lang/Object");
+  user.AddMethod(AccessFlags::kPublic | AccessFlags::kStatic, "main", "()V")
+      .InvokeStatic("java/lang/Thread", "evil", "()V")
+      .Emit(Op::kReturn);
+  origin_.AddClassFile(MustBuild(user));
+
+  auto fresh = MakeProxyPtr();
+  auto clean = fresh->HandleRequest("app/User");
+  ASSERT_TRUE(clean.ok()) << clean.error().ToString();
+
+  auto proxy = MakeProxyPtr();
+  auto shadowed = proxy->HandleRequest("app/Shadow");
+  auto after = proxy->HandleRequest("app/User");
+  ASSERT_TRUE(after.ok()) << after.error().ToString();
+  EXPECT_EQ(after->data, clean->data);
+  ASSERT_FALSE(shadowed.ok());
+  EXPECT_EQ(shadowed.error().code, ErrorCode::kLinkError);
+}
+
+// The system namespace belongs to the trusted library. An origin copy of a
+// library class still passes through (clients boot the library via the
+// proxy) but never answers the verifier's lookups, and a system-namespace
+// class the library does not ship, which would skip verification, is refused.
+TEST_F(ProxyTest, LibraryNamespaceBelongsToTheTrustedLibrary) {
+  ClassBuilder user("app/User", "java/lang/Object");
+  user.AddMethod(AccessFlags::kPublic | AccessFlags::kStatic, "main", "()V")
+      .InvokeStatic("java/lang/Thread", "evil", "()V")
+      .Emit(Op::kReturn);
+  origin_.AddClassFile(MustBuild(user));
+  auto fresh = MakeProxyPtr();
+  auto clean = fresh->HandleRequest("app/User");
+  ASSERT_TRUE(clean.ok()) << clean.error().ToString();
+
+  ClassBuilder forged_thread("java/lang/Thread", "java/lang/Object");
+  forged_thread.AddMethod(AccessFlags::kPublic | AccessFlags::kStatic, "evil", "()V")
+      .Emit(Op::kReturn);
+  origin_.AddClassFile(MustBuild(forged_thread));
+  ClassBuilder forged("java/lang/Forged", "java/lang/Object");
+  origin_.AddClassFile(MustBuild(forged));
+
+  auto proxy = MakeProxyPtr();
+  EXPECT_TRUE(proxy->HandleRequest("java/lang/Thread").ok());
+  auto after = proxy->HandleRequest("app/User");
+  ASSERT_TRUE(after.ok()) << after.error().ToString();
+  EXPECT_EQ(after->data, clean->data);
+  auto outside = proxy->HandleRequest("java/lang/Forged");
+  ASSERT_FALSE(outside.ok());
+  EXPECT_EQ(outside.error().code, ErrorCode::kLinkError);
 }
 
 }  // namespace

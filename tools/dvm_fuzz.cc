@@ -266,6 +266,26 @@ Bytes CatchNonThrowable() {
   return MustWriteClassFile(cls);
 }
 
+// A loop whose array local starts null and becomes String[]: aaload on the
+// null array used to push Object while the typed array pushes String, so the
+// fixpoint's frame after the loop was wider than the exact join the one-pass
+// validator recomputes, and the verifier's own certificate was rejected.
+//   aconst_null; astore 0; L: aload 0; iconst_0; aaload; astore 1;
+//   iconst_0; ifeq M; M: iconst_1; anewarray String; astore 0; goto L
+Bytes AaloadNullWidening() {
+  ClassFile cls = HandAssembled("()V", {{Op::kReturn, 0, 0}}, 2, 2);
+  int string_class = cls.pool().AddClass("java/lang/String");
+  // Branch operands are instruction indices; EncodeCode turns them into offsets.
+  std::vector<Instr> body = {{Op::kAconstNull, 0, 0},  {Op::kAstore, 0, 0},
+                             {Op::kAload, 0, 0},       {Op::kIconst0, 0, 0},
+                             {Op::kAaload, 0, 0},      {Op::kAstore, 1, 0},
+                             {Op::kIconst0, 0, 0},     {Op::kIfeq, 8, 0},
+                             {Op::kIconst1, 0, 0},     {Op::kAnewarray, string_class, 0},
+                             {Op::kAstore, 0, 0},      {Op::kGoto, 2, 0}};
+  cls.FindMethod("f", "()V")->code->code = EncodeCode(body).value();
+  return MustWriteClassFile(cls);
+}
+
 struct RegressionInput {
   const char* name;
   Bytes (*make)();
@@ -289,6 +309,7 @@ const RegressionInput kRegressions[] = {
     {"handler_overflow.bin", HandlerOverflow},
     {"cyclic_super_athrow.bin", CyclicSuperAthrow},
     {"catch_nonthrowable.bin", CatchNonThrowable},
+    {"aaload_null_widening.bin", AaloadNullWidening},
 };
 
 // Coarse outcome bucket used by `min` to preserve behaviour while shrinking.
