@@ -241,19 +241,19 @@ MethodCertificate* AssertedMethod(ClassCertificate& cert, Rng& rng) {
 // Tampers with one frame slot. Widening to Top looks sound (every edge frame
 // still fits) — only the validator's exact-join check can reject it, which is
 // exactly what this mutation probes.
-void PerturbSlot(VType& slot, Rng& rng) {
+void PerturbSlot(NamedType& slot, Rng& rng) {
   switch (rng.Below(4)) {
     case 0:
-      slot = VType::Top();
+      slot = NamedType::Top();
       break;
     case 1:
-      slot = slot.kind == VType::Kind::kInt ? VType::Long() : VType::Int();
+      slot = slot.kind == VType::Kind::kInt ? NamedType::Long() : NamedType::Int();
       break;
     case 2:
-      slot = VType::Ref(slot.kind == VType::Kind::kRef ? slot.name + "X" : "java/lang/Object");
+      slot = NamedType::Ref(slot.kind == VType::Kind::kRef ? slot.name + "X" : "java/lang/Object");
       break;
     default:
-      slot = VType::Null();
+      slot = NamedType::Null();
       break;
   }
 }
@@ -278,7 +278,7 @@ Bytes MutateCertificateBytes(const Bytes& cert, Rng& rng) {
           break;
         case 2:  // tamper a locals slot
           if (m != nullptr) {
-            Frame& f = m->assertions[rng.Below(static_cast<uint32_t>(m->assertions.size()))].frame;
+            NamedFrame& f = m->assertions[rng.Below(static_cast<uint32_t>(m->assertions.size()))].frame;
             if (!f.locals.empty()) {
               PerturbSlot(f.locals[rng.Below(static_cast<uint32_t>(f.locals.size()))], rng);
             }
@@ -286,11 +286,11 @@ Bytes MutateCertificateBytes(const Bytes& cert, Rng& rng) {
           break;
         case 3:  // tamper a stack slot, or fake a deeper stack
           if (m != nullptr) {
-            Frame& f = m->assertions[rng.Below(static_cast<uint32_t>(m->assertions.size()))].frame;
+            NamedFrame& f = m->assertions[rng.Below(static_cast<uint32_t>(m->assertions.size()))].frame;
             if (!f.stack.empty() && rng.Coin()) {
               PerturbSlot(f.stack[rng.Below(static_cast<uint32_t>(f.stack.size()))], rng);
             } else {
-              f.stack.push_back(VType::Int());
+              f.stack.push_back(NamedType::Int());
             }
           }
           break;

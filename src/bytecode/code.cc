@@ -1,13 +1,11 @@
 #include "src/bytecode/code.h"
 
-#include <unordered_map>
-
 namespace dvm {
 
 Result<std::vector<Instr>> DecodeCode(const Bytes& code) {
   std::vector<Instr> instrs;
   // Byte offset of each decoded instruction, for branch target mapping.
-  std::unordered_map<uint32_t, uint32_t> offset_to_index;
+  std::vector<uint32_t> offsets;
   struct PendingBranch {
     size_t instr_index;
     uint32_t target_offset;
@@ -71,18 +69,20 @@ Result<std::vector<Instr>> DecodeCode(const Bytes& code) {
         instr.b = static_cast<int8_t>(code[pos + 2]);
         break;
     }
-    offset_to_index[offset] = static_cast<uint32_t>(instrs.size());
+    offsets.push_back(offset);
     instrs.push_back(instr);
     pos += static_cast<size_t>(len);
   }
 
+  offsets.push_back(static_cast<uint32_t>(code.size()));
+  const OffsetIndex offset_to_index(offsets);
   for (const auto& p : pending) {
-    auto it = offset_to_index.find(p.target_offset);
-    if (it == offset_to_index.end()) {
+    int32_t index = offset_to_index.At(p.target_offset);
+    if (index == OffsetIndex::kNone) {
       return Error{ErrorCode::kVerifyError,
                    "branch targets mid-instruction offset " + std::to_string(p.target_offset)};
     }
-    instrs[p.instr_index].a = static_cast<int32_t>(it->second);
+    instrs[p.instr_index].a = index;
   }
   return instrs;
 }
@@ -97,6 +97,13 @@ std::vector<uint32_t> CodeByteOffsets(const std::vector<Instr>& instrs) {
   }
   offsets.push_back(pos);
   return offsets;
+}
+
+OffsetIndex::OffsetIndex(const std::vector<uint32_t>& offsets)
+    : ix_(offsets.empty() ? 0 : offsets.back() + 1, kNone) {
+  for (size_t i = 0; i < offsets.size(); i++) {
+    ix_[offsets[i]] = static_cast<int32_t>(i);
+  }
 }
 
 Result<Bytes> EncodeCode(const std::vector<Instr>& instrs) {

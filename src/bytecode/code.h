@@ -45,6 +45,28 @@ Result<Bytes> EncodeCode(const std::vector<Instr>& instrs);
 // metadata after rewriting.
 std::vector<uint32_t> CodeByteOffsets(const std::vector<Instr>& instrs);
 
+// Byte offset -> instruction index for one code body: a dense table with one
+// entry per byte offset up to and including the code length. Built from
+// CodeByteOffsets output; the end offset maps to the instruction count (the
+// exclusive end of an exception range). Exception-table and branch pcs come
+// off the wire, so At() is bounds-checked.
+class OffsetIndex {
+ public:
+  static constexpr int32_t kNone = -1;
+
+  OffsetIndex() = default;
+  explicit OffsetIndex(const std::vector<uint32_t>& offsets);
+
+  // Index of the instruction starting at `offset`, the instruction count for
+  // the code length, and kNone for a mid-instruction or out-of-range offset.
+  int32_t At(uint32_t offset) const {
+    return offset < ix_.size() ? ix_[offset] : kNone;
+  }
+
+ private:
+  std::vector<int32_t> ix_;
+};
+
 }  // namespace dvm
 
 #endif  // SRC_BYTECODE_CODE_H_

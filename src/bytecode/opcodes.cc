@@ -1,6 +1,6 @@
 #include "src/bytecode/opcodes.h"
 
-#include <unordered_map>
+#include <array>
 
 namespace dvm {
 namespace {
@@ -11,7 +11,7 @@ struct Entry {
 };
 
 // Stack deltas are in slots; longs take one slot in the DVM (see opcodes.h).
-const Entry kTable[] = {
+constexpr Entry kTable[] = {
     {Op::kNop, {"nop", OperandKind::kNone, 0, false}},
     {Op::kAconstNull, {"aconst_null", OperandKind::kNone, 1, false}},
     {Op::kIconst0, {"iconst_0", OperandKind::kNone, 1, false}},
@@ -114,23 +114,18 @@ const Entry kTable[] = {
     {Op::kInstanceofQuick, {"instanceof_quick", OperandKind::kCpIndex, 0, false}},
 };
 
-const std::unordered_map<uint8_t, const OpInfo*>& Table() {
-  static const auto* map = [] {
-    auto* m = new std::unordered_map<uint8_t, const OpInfo*>();
-    for (const auto& e : kTable) {
-      (*m)[static_cast<uint8_t>(e.op)] = &e.info;
-    }
-    return m;
-  }();
-  return *map;
-}
+// kTable indexed by opcode byte; nullptr for the unassigned bytes.
+constexpr std::array<const OpInfo*, 256> kByByte = [] {
+  std::array<const OpInfo*, 256> t{};
+  for (const auto& e : kTable) {
+    t[static_cast<uint8_t>(e.op)] = &e.info;
+  }
+  return t;
+}();
 
 }  // namespace
 
-const OpInfo* GetOpInfo(Op op) {
-  auto it = Table().find(static_cast<uint8_t>(op));
-  return it == Table().end() ? nullptr : it->second;
-}
+const OpInfo* GetOpInfo(Op op) { return kByByte[static_cast<uint8_t>(op)]; }
 
 int InstructionLength(Op op) {
   const OpInfo* info = GetOpInfo(op);

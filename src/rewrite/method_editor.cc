@@ -63,19 +63,11 @@ Result<MethodEditor> MethodEditor::Open(ClassFile* cls, MethodInfo* method) {
   MethodEditor editor(cls, method);
   DVM_ASSIGN_OR_RETURN(editor.code_, DecodeCode(method->code->code));
 
-  std::vector<uint32_t> offsets = CodeByteOffsets(editor.code_);
-  auto index_of = [&offsets](uint16_t byte_pc) -> int64_t {
-    for (size_t i = 0; i < offsets.size(); i++) {
-      if (offsets[i] == byte_pc) {
-        return static_cast<int64_t>(i);
-      }
-    }
-    return -1;
-  };
+  const OffsetIndex index_of(CodeByteOffsets(editor.code_));
   for (const auto& h : method->code->handlers) {
-    int64_t start = index_of(h.start_pc);
-    int64_t end = index_of(h.end_pc);
-    int64_t handler = index_of(h.handler_pc);
+    int32_t start = index_of.At(h.start_pc);
+    int32_t end = index_of.At(h.end_pc);
+    int32_t handler = index_of.At(h.handler_pc);
     if (start < 0 || end < 0 || handler < 0) {
       return Error{ErrorCode::kParseError,
                    "handler not on instruction boundary in " + method->Id()};

@@ -89,19 +89,11 @@ Result<PreparedMethod*> Interpreter::Prepare(RuntimeClass* cls, const MethodInfo
   DVM_ASSIGN_OR_RETURN(prepared->code, DecodeCode(method->code->code));
   prepared->cache.resize(prepared->code.size());
 
-  std::vector<uint32_t> offsets = CodeByteOffsets(prepared->code);
-  auto index_of = [&offsets](uint16_t byte_pc) -> int64_t {
-    for (size_t i = 0; i < offsets.size(); i++) {
-      if (offsets[i] == byte_pc) {
-        return static_cast<int64_t>(i);
-      }
-    }
-    return -1;
-  };
+  const OffsetIndex index_of(CodeByteOffsets(prepared->code));
   for (const auto& h : method->code->handlers) {
-    int64_t start = index_of(h.start_pc);
-    int64_t end = index_of(h.end_pc);
-    int64_t handler = index_of(h.handler_pc);
+    int32_t start = index_of.At(h.start_pc);
+    int32_t end = index_of.At(h.end_pc);
+    int32_t handler = index_of.At(h.handler_pc);
     if (start < 0 || end < 0 || handler < 0) {
       return HostErr("exception handler not on instruction boundary in " + method->Id());
     }

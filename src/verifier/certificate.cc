@@ -13,7 +13,7 @@ constexpr uint32_t kCertMagic = 0x44564331;
 Error Verr(const std::string& message) { return Error{ErrorCode::kVerifyError, message}; }
 Error Perr(const std::string& message) { return Error{ErrorCode::kParseError, message}; }
 
-void WriteVType(ByteWriter& w, const VType& t) {
+void WriteType(ByteWriter& w, const NamedType& t) {
   w.U8(static_cast<uint8_t>(t.kind));
   // Only reference-like kinds carry a payload; writing nothing for the rest
   // keeps the encoding canonical (one byte string for every frame).
@@ -25,12 +25,12 @@ void WriteVType(ByteWriter& w, const VType& t) {
   }
 }
 
-Result<VType> ReadVType(ByteReader& r) {
+Result<NamedType> ReadType(ByteReader& r) {
   DVM_ASSIGN_OR_RETURN(uint8_t raw_kind, r.U8());
   if (raw_kind > static_cast<uint8_t>(VType::Kind::kUninit)) {
     return Perr("certificate type kind out of range");
   }
-  VType t;
+  NamedType t;
   t.kind = static_cast<VType::Kind>(raw_kind);
   if (t.kind == VType::Kind::kRef || t.kind == VType::Kind::kUninit) {
     DVM_ASSIGN_OR_RETURN(t.name, r.Str());
@@ -47,26 +47,26 @@ Result<VType> ReadVType(ByteReader& r) {
   return t;
 }
 
-void WriteFrame(ByteWriter& w, const Frame& frame) {
+void WriteFrame(ByteWriter& w, const NamedFrame& frame) {
   w.U32(static_cast<uint32_t>(frame.locals.size()));
-  for (const VType& t : frame.locals) {
-    WriteVType(w, t);
+  for (const NamedType& t : frame.locals) {
+    WriteType(w, t);
   }
   w.U32(static_cast<uint32_t>(frame.stack.size()));
-  for (const VType& t : frame.stack) {
-    WriteVType(w, t);
+  for (const NamedType& t : frame.stack) {
+    WriteType(w, t);
   }
 }
 
-Result<Frame> ReadFrame(ByteReader& r) {
-  Frame frame;
+Result<NamedFrame> ReadFrame(ByteReader& r) {
+  NamedFrame frame;
   DVM_ASSIGN_OR_RETURN(uint32_t locals, r.U32());
-  if (locals > r.remaining()) {  // each VType is at least one byte
+  if (locals > r.remaining()) {  // each type is at least one byte
     return Perr("certificate frame locals count exceeds payload");
   }
   frame.locals.reserve(locals);
   for (uint32_t i = 0; i < locals; i++) {
-    DVM_ASSIGN_OR_RETURN(VType t, ReadVType(r));
+    DVM_ASSIGN_OR_RETURN(NamedType t, ReadType(r));
     frame.locals.push_back(std::move(t));
   }
   DVM_ASSIGN_OR_RETURN(uint32_t stack, r.U32());
@@ -75,10 +75,54 @@ Result<Frame> ReadFrame(ByteReader& r) {
   }
   frame.stack.reserve(stack);
   for (uint32_t i = 0; i < stack; i++) {
-    DVM_ASSIGN_OR_RETURN(VType t, ReadVType(r));
+    DVM_ASSIGN_OR_RETURN(NamedType t, ReadType(r));
     frame.stack.push_back(std::move(t));
   }
   return frame;
+}
+
+NamedType Spell(const VType& t, const TypeEnv& types) {
+  switch (t.kind) {
+    case VType::Kind::kRef:
+      return NamedType::Ref(types.Name(t.name));
+    case VType::Kind::kUninit:
+      return NamedType::Uninit(types.Name(t.name), static_cast<int>(t.site));
+    default:
+      return {t.kind, "", -1};
+  }
+}
+
+// Inverse of Spell. Fails on a slot Spell cannot produce — a payload on a
+// kind that carries none, a reference without a name, a site no code body
+// reaches — which no certificate the verifier emitted can contain.
+bool Unspell(const NamedType& t, TypeEnv& types, VType* out) {
+  switch (t.kind) {
+    case VType::Kind::kRef:
+      *out = types.Ref(t.name);
+      return !t.name.empty() && t.site == -1;
+    case VType::Kind::kUninit:
+      *out = VType::Uninit(types.Intern(t.name), static_cast<uint32_t>(t.site));
+      return !t.name.empty() && t.site >= 0 && static_cast<uint32_t>(t.site) <= VType::kMaxSite;
+    default:
+      *out = VType{t.kind, 0, 0};
+      return t.name.empty() && t.site == -1;
+  }
+}
+
+bool UnspellFrame(const NamedFrame& named, TypeEnv& types, Frame* out) {
+  out->locals.resize(named.locals.size());
+  out->stack.resize(named.stack.size());
+  for (size_t i = 0; i < named.locals.size(); i++) {
+    if (!Unspell(named.locals[i], types, &out->locals[i])) {
+      return false;
+    }
+  }
+  for (size_t i = 0; i < named.stack.size(); i++) {
+    if (!Unspell(named.stack[i], types, &out->stack[i])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool SameAssumption(const Assumption& a, const Assumption& b) {
@@ -193,23 +237,34 @@ namespace {
 // into the next instruction; every control-flow edge is checked at its source
 // against the certificate's assertion for the target, and folded into a
 // shadow join that must land exactly on the asserted frame.
-Status ValidateMethod(const ClassFile& cls, const MethodInfo& method, const MethodCode& mc,
-                      const ClassEnv& env, const MethodCertificate& mcert,
-                      ValidateStats* stats, std::vector<Assumption>* assumptions) {
+Status ValidateMethod(ClassScope& scope, const MethodInfo& method, const MethodCode& mc,
+                      const MethodCertificate& mcert, ValidateStats* stats,
+                      std::vector<Assumption>* assumptions) {
+  const ClassFile& cls = scope.cls();
+  TypeEnv& types = scope.types();
   const size_t count = mc.instrs.size();
   const std::vector<bool> merge = MergePoints(method, mc);
+  std::vector<Frame> frames(mcert.assertions.size());
   std::vector<const Frame*> asserted(count, nullptr);
-  for (const FrameAssertion& assertion : mcert.assertions) {
+  for (size_t a = 0; a < mcert.assertions.size(); a++) {
+    const FrameAssertion& assertion = mcert.assertions[a];
     stats->validate_checks++;
     if (assertion.index >= count || !merge[assertion.index] ||
         asserted[assertion.index] != nullptr) {
       return Verr(cls.name() + "." + method.Id() + ": certificate assertion @" +
                   std::to_string(assertion.index) + " is not at a unique merge point");
     }
-    asserted[assertion.index] = &assertion.frame;
+    // The interpreter indexes locals by slot, so a frame of another width
+    // must not be adopted (it could never be the exact join anyway).
+    if (!UnspellFrame(assertion.frame, types, &frames[a]) ||
+        frames[a].locals.size() != method.code->max_locals) {
+      return Verr(cls.name() + "." + method.Id() + ": certificate assertion @" +
+                  std::to_string(assertion.index) + " is not a well-formed frame");
+    }
+    asserted[assertion.index] = &frames[a];
   }
 
-  AbstractInterpreter interp(cls, method, mc, env, &stats->validate_checks, assumptions);
+  AbstractInterpreter interp(scope, method, mc, &stats->validate_checks, assumptions);
   std::vector<std::optional<Frame>> shadow(count);
 
   auto fold = [&](size_t target, const Frame& frame) -> Status {
@@ -219,7 +274,7 @@ Status ValidateMethod(const ClassFile& cls, const MethodInfo& method, const Meth
                   std::to_string(target) + " has no certificate assertion");
     }
     stats->validate_checks++;
-    if (!FrameFits(frame, *asserted[target], env)) {
+    if (!FrameFits(frame, *asserted[target], types)) {
       return Verr(cls.name() + "." + method.Id() + ": edge frame does not fit certificate "
                   "assertion @" + std::to_string(target));
     }
@@ -227,12 +282,14 @@ Status ValidateMethod(const ClassFile& cls, const MethodInfo& method, const Meth
       shadow[target] = frame;
     } else {
       bool changed = false;
-      MergeFrames(*shadow[target], frame, env, &changed);
+      MergeFrames(*shadow[target], frame, types, &changed);
     }
     return Status::Ok();
   };
 
   Frame current = interp.EntryFrame();
+  Frame handler_entry;
+  std::vector<AbstractInterpreter::HandlerEdge> handler_edges;
   bool live = true;
   for (size_t i = 0; i < count; i++) {
     if (asserted[i] != nullptr) {
@@ -249,22 +306,18 @@ Status ValidateMethod(const ClassFile& cls, const MethodInfo& method, const Meth
       continue;  // unreachable and unasserted — the verifier never looked at it
     }
     stats->instructions_validated++;
-    DVM_ASSIGN_OR_RETURN(std::vector<AbstractInterpreter::HandlerEdge> handler_edges,
-                         interp.HandlerEdges(i, current));
+    DVM_RETURN_IF_ERROR(interp.HandlerEdges(i, &handler_edges));
     for (const auto& edge : handler_edges) {
-      DVM_RETURN_IF_ERROR(fold(edge.target, edge.frame));
+      handler_entry.locals = current.locals;
+      handler_entry.stack.assign(1, edge.thrown);
+      DVM_RETURN_IF_ERROR(fold(edge.target, handler_entry));
     }
-    DVM_ASSIGN_OR_RETURN(AbstractInterpreter::StepResult out,
-                         interp.Step(i, std::move(current)));
+    DVM_ASSIGN_OR_RETURN(AbstractInterpreter::StepResult out, interp.Step(i, current));
     if (out.branch_target.has_value()) {
-      DVM_RETURN_IF_ERROR(fold(*out.branch_target, out.frame));
+      DVM_RETURN_IF_ERROR(fold(*out.branch_target, current));
     }
-    if (out.fallthrough) {
-      current = std::move(out.frame);
-    } else {
-      current = Frame{};
-      live = false;
-    }
+    // A terminator leaves `current` dead until the next assertion replaces it.
+    live = out.fallthrough;
   }
 
   for (size_t i = 0; i < count; i++) {
@@ -286,6 +339,20 @@ Status ValidateMethod(const ClassFile& cls, const MethodInfo& method, const Meth
 
 }  // namespace
 
+NamedFrame SpellFrame(std::span<const VType> locals, std::span<const VType> stack,
+                      const TypeEnv& types) {
+  NamedFrame frame;
+  frame.locals.reserve(locals.size());
+  for (const VType& t : locals) {
+    frame.locals.push_back(Spell(t, types));
+  }
+  frame.stack.reserve(stack.size());
+  for (const VType& t : stack) {
+    frame.stack.push_back(Spell(t, types));
+  }
+  return frame;
+}
+
 Status ValidateCertificate(const ClassFile& cls, const ClassEnv& env,
                            const ClassCertificate& cert, ValidateStats* stats) {
   stats->validate_checks++;
@@ -299,6 +366,9 @@ Status ValidateCertificate(const ClassFile& cls, const ClassEnv& env,
   DVM_RETURN_IF_ERROR(
       CheckSuperclass(cls, env, &stats->verify.phase1_checks, &derived));
 
+  TypeEnv types(env);
+  ClassScope scope(cls, types);
+
   size_t next_method = 0;
   for (const auto& method : cls.methods) {
     if (!method.code.has_value()) {
@@ -310,8 +380,8 @@ Status ValidateCertificate(const ClassFile& cls, const ClassEnv& env,
       return Verr(cls.name() + ": certificate method list does not match class");
     }
     DVM_ASSIGN_OR_RETURN(MethodCode mc, Phase2(cls, method, &stats->verify));
-    DVM_RETURN_IF_ERROR(ValidateMethod(cls, method, mc, env, cert.methods[next_method],
-                                       stats, &derived));
+    DVM_RETURN_IF_ERROR(
+        ValidateMethod(scope, method, mc, cert.methods[next_method], stats, &derived));
     next_method++;
   }
   stats->validate_checks++;

@@ -19,6 +19,7 @@
 #define SRC_VERIFIER_CERTIFICATE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,10 +32,43 @@
 
 namespace dvm {
 
+// A typestate slot with its class name spelled out. Certificates carry these
+// rather than VTypes, whose name ids mean something only inside the call
+// that made them.
+struct NamedType {
+  VType::Kind kind = VType::Kind::kTop;
+  std::string name;  // kRef / kUninit only
+  int site = -1;     // kUninit only
+
+  static NamedType Top() { return {VType::Kind::kTop, "", -1}; }
+  static NamedType Int() { return {VType::Kind::kInt, "", -1}; }
+  static NamedType Long() { return {VType::Kind::kLong, "", -1}; }
+  static NamedType Null() { return {VType::Kind::kNull, "", -1}; }
+  static NamedType Ref(std::string class_or_array) {
+    return {VType::Kind::kRef, std::move(class_or_array), -1};
+  }
+  static NamedType Uninit(std::string class_name, int new_site) {
+    return {VType::Kind::kUninit, std::move(class_name), new_site};
+  }
+
+  bool operator==(const NamedType& other) const = default;
+};
+
+struct NamedFrame {
+  std::vector<NamedType> locals;
+  std::vector<NamedType> stack;
+
+  bool operator==(const NamedFrame& other) const = default;
+};
+
+// The certificate spelling of the frame `locals` + `stack`.
+NamedFrame SpellFrame(std::span<const VType> locals, std::span<const VType> stack,
+                      const TypeEnv& types);
+
 // The typestate frame the fixpoint computed on entry to one merge point.
 struct FrameAssertion {
   uint32_t index = 0;  // instruction index (not byte offset)
-  Frame frame;
+  NamedFrame frame;
 
   bool operator==(const FrameAssertion& other) const = default;
 };

@@ -2,8 +2,14 @@
 
 #include <set>
 
+#include "src/bytecode/serializer.h"
+
 namespace dvm {
 namespace {
+
+// An Uninit value's site is the index of its `new`; a code body holds at most
+// one instruction per byte.
+static_assert(kMaxCodeLen - 1 <= VType::kMaxSite);
 
 constexpr const char* kObject = "java/lang/Object";
 constexpr const char* kThrowable = "java/lang/Throwable";
@@ -46,9 +52,7 @@ Result<MethodCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verify
 
   MethodCode mc;
   mc.offsets = CodeByteOffsets(instrs);
-  for (size_t i = 0; i < instrs.size(); i++) {
-    mc.off_to_ix[mc.offsets[i]] = static_cast<uint32_t>(i);
-  }
+  mc.off_to_ix = OffsetIndex(mc.offsets);
 
   const ConstantPool& pool = cls.pool();
   for (size_t i = 0; i < instrs.size(); i++) {
@@ -100,11 +104,15 @@ Result<MethodCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verify
     }
   }
 
+  // Exception-table pcs come off the wire and may lie anywhere in u16 range.
+  auto starts_instr = [&](uint16_t pc) {
+    int32_t ix = mc.off_to_ix.At(pc);
+    return ix != OffsetIndex::kNone && static_cast<size_t>(ix) < instrs.size();
+  };
   for (const auto& h : code.handlers) {
     check();
-    if (!mc.off_to_ix.count(h.start_pc) || !mc.off_to_ix.count(h.handler_pc) ||
-        (h.end_pc != mc.offsets.back() && !mc.off_to_ix.count(h.end_pc)) ||
-        h.start_pc >= h.end_pc) {
+    if (!starts_instr(h.start_pc) || !starts_instr(h.handler_pc) ||
+        mc.off_to_ix.At(h.end_pc) == OffsetIndex::kNone || h.start_pc >= h.end_pc) {
       return Verr("exception handler has invalid code range in " + method.Id());
     }
     check();
@@ -125,7 +133,7 @@ std::vector<bool> MergePoints(const MethodInfo& method, const MethodCode& mc) {
     }
   }
   for (const auto& h : method.code->handlers) {
-    merge[mc.off_to_ix.at(h.handler_pc)] = true;
+    merge[static_cast<size_t>(mc.off_to_ix.At(h.handler_pc))] = true;
   }
   return merge;
 }
@@ -154,16 +162,183 @@ Status CheckSuperclass(const ClassFile& cls, const ClassEnv& env, uint64_t* chec
 // Phase 3: the abstract transfer function.
 // ---------------------------------------------------------------------------
 
-AbstractInterpreter::AbstractInterpreter(const ClassFile& cls, const MethodInfo& method,
-                                         const MethodCode& mc, const ClassEnv& env,
-                                         uint64_t* checks, std::vector<Assumption>* assumptions)
-    : cls_(cls), method_(method), mc_(mc), env_(env), checks_(checks),
-      assumptions_(assumptions),
+ClassScope::ClassScope(const ClassFile& cls, TypeEnv& types)
+    : object_id(types.Intern(kObject)),
+      throwable_id(types.Intern(kThrowable)),
+      string_id(types.Intern("java/lang/String")),
+      int_array_id(types.Intern("[I")),
+      long_array_id(types.Intern("[J")),
+      cls_(cls),
+      types_(types),
+      slot_(cls.pool().size(), -1) {}
+
+ClassScope::FieldSite& ClassScope::Field(uint16_t index) {
+  int32_t& slot = slot_[index];
+  if (slot < 0) {
+    FieldSite& site = fields_.emplace_back();
+    site.ref = cls_.pool().FieldRefAt(index).value();
+    site.type = types_.FromDescriptor(site.ref.descriptor);
+    slot = static_cast<int32_t>(fields_.size() - 1);
+  }
+  return fields_[static_cast<size_t>(slot)];
+}
+
+ClassScope::InvokeSite& ClassScope::Invoke(uint16_t index) {
+  int32_t& slot = slot_[index];
+  if (slot < 0) {
+    InvokeSite& site = invokes_.emplace_back();
+    site.ref = cls_.pool().MethodRefAt(index).value();
+    site.class_id = types_.Intern(site.ref.class_name);
+    Result<MethodSignature> sig = ParseMethodDescriptor(site.ref.descriptor);
+    if (!sig.ok()) {
+      site.bad_descriptor = sig.error();
+    } else {
+      site.params = std::move(sig->params);
+      for (const std::string& param : site.params) {
+        site.param_types.push_back(types_.FromDescriptor(param));
+      }
+      site.returns_void = sig->ReturnsVoid();
+      site.return_type = types_.FromDescriptor(sig->return_type);
+    }
+    slot = static_cast<int32_t>(invokes_.size() - 1);
+  }
+  return invokes_[static_cast<size_t>(slot)];
+}
+
+const ClassScope::ClassSite& ClassScope::Class(uint16_t index) {
+  int32_t& slot = slot_[index];
+  if (slot < 0) {
+    ClassSite& site = classes_.emplace_back();
+    site.name = cls_.pool().ClassNameAt(index).value();
+    site.type = types_.Ref(site.name);
+    site.array_of = types_.Ref("[" + DescriptorFromClassName(site.name));
+    site.known = types_.classes().IsKnown(site.name);
+    slot = static_cast<int32_t>(classes_.size() - 1);
+  }
+  return classes_[static_cast<size_t>(slot)];
+}
+
+namespace {
+
+// Shared walk of ResolveField / ResolveMethod: look the member up in the
+// referenced class and its known ancestors. `find` reports whether a class
+// declares the member (filling in the checks and failure of a hit). The
+// visited set cuts hierarchy cycles a hostile class can smuggle in
+// (A extends B extends A).
+template <typename Find>
+ClassScope::Resolution ResolveMember(const ClassEnv& env, const MemberRef& ref,
+                                     AssumptionKind kind, const char* what, Find find) {
+  ClassScope::Resolution r;
+  auto assume = [&](const std::string& target_class) {
+    Assumption a;
+    a.kind = kind;
+    a.scope = AssumptionScope::kMethod;
+    a.target_class = target_class;
+    a.member_name = ref.member_name;
+    a.descriptor = ref.descriptor;
+    r.assumption = std::move(a);
+  };
+  r.checks++;
+  const ClassFile* current = env.Lookup(ref.class_name);
+  if (current == nullptr) {
+    assume(ref.class_name);
+    return r;
+  }
+  std::set<std::string> visited;
+  visited.insert(ref.class_name);
+  while (!find(*current, &r)) {
+    std::string super = current->super_name();
+    if (super.empty() || !visited.insert(super).second) {
+      r.failure = std::string(what) + " " + ref.ToString() + " does not exist";
+      return r;
+    }
+    current = env.Lookup(super);
+    if (current == nullptr) {
+      // The member may be inherited from a class outside the environment.
+      assume(super);
+      return r;
+    }
+  }
+  return r;
+}
+
+}  // namespace
+
+const ClassScope::Resolution& ClassScope::ResolveField(FieldSite& site, bool want_static) {
+  std::optional<Resolution>& memo = site.resolved[want_static ? 1 : 0];
+  if (!memo.has_value()) {
+    const MemberRef& ref = site.ref;
+    memo = ResolveMember(
+        types_.classes(), ref, AssumptionKind::kFieldExists, "field",
+        [&](const ClassFile& cls, Resolution* r) {
+          const FieldInfo* field = cls.FindField(ref.member_name);
+          if (field == nullptr) {
+            return false;
+          }
+          r->checks++;
+          if (field->descriptor != ref.descriptor) {
+            r->failure = "field " + ref.ToString() + " has descriptor " + field->descriptor;
+            return true;
+          }
+          r->checks++;
+          if (field->IsStatic() != want_static) {
+            r->failure =
+                "field " + ref.ToString() + (want_static ? " is not static" : " is static");
+          }
+          return true;
+        });
+  }
+  return *memo;
+}
+
+const ClassScope::Resolution& ClassScope::ResolveMethod(InvokeSite& site, bool want_static) {
+  std::optional<Resolution>& memo = site.resolved[want_static ? 1 : 0];
+  if (!memo.has_value()) {
+    const MemberRef& ref = site.ref;
+    memo = ResolveMember(
+        types_.classes(), ref, AssumptionKind::kMethodExists, "method",
+        [&](const ClassFile& cls, Resolution* r) {
+          const MethodInfo* m = cls.FindMethod(ref.member_name, ref.descriptor);
+          if (m == nullptr) {
+            return false;
+          }
+          r->checks++;
+          if (m->IsStatic() != want_static) {
+            r->failure =
+                "method " + ref.ToString() + (want_static ? " is not static" : " is static");
+          }
+          return true;
+        });
+  }
+  return *memo;
+}
+
+AbstractInterpreter::AbstractInterpreter(ClassScope& scope, const MethodInfo& method,
+                                         const MethodCode& mc, uint64_t* checks,
+                                         std::vector<Assumption>* assumptions)
+    : scope_(scope), types_(scope.types()), method_(method), mc_(mc), checks_(checks),
+      assumptions_(assumptions), method_id_(method.Id()),
       // Phase 2 already rejected malformed descriptors.
-      sig_(ParseMethodDescriptor(method.descriptor).value()) {}
+      sig_(ParseMethodDescriptor(method.descriptor).value()),
+      return_type_(types_.FromDescriptor(sig_.return_type)) {
+  for (const auto& h : method.code->handlers) {
+    Handler handler;
+    handler.start_pc = h.start_pc;
+    handler.end_pc = h.end_pc;
+    handler.target = static_cast<size_t>(mc.off_to_ix.At(h.handler_pc));
+    handler.catch_type = VType::Ref(scope.throwable_id);
+    if (h.catch_type != 0) {
+      auto name = scope.cls().pool().ClassNameAt(h.catch_type);
+      if (name.ok()) {
+        handler.catch_type = types_.Ref(name.value());
+      }
+    }
+    handlers_.push_back(handler);
+  }
+}
 
 void AbstractInterpreter::Assume(Assumption a) {
-  a.method_id = method_.Id();
+  a.method_id = method_id_;
   assumptions_->push_back(std::move(a));
 }
 
@@ -175,8 +350,29 @@ void AbstractInterpreter::AssumeClass(const std::string& class_name) {
   Assume(std::move(a));
 }
 
+void AbstractInterpreter::AssumeAssignable(const VType& src, uint32_t dst) {
+  Assumption a;
+  a.kind = AssumptionKind::kAssignable;
+  a.scope = AssumptionScope::kMethod;
+  a.target_class = types_.Name(src.name);
+  a.expected_class = types_.Name(dst);
+  Assume(std::move(a));
+}
+
+Status AbstractInterpreter::Replay(size_t index, const ClassScope::Resolution& resolution) {
+  *checks_ += resolution.checks;
+  if (resolution.assumption.has_value()) {
+    Assume(*resolution.assumption);
+  }
+  if (resolution.failure.has_value()) {
+    return Fail(index, *resolution.failure);
+  }
+  return Status::Ok();
+}
+
 Error AbstractInterpreter::Fail(size_t index, const std::string& message) const {
-  return Verr(cls_.name() + "." + method_.Id() + " @" + std::to_string(index) + ": " + message);
+  return Verr(scope_.cls().name() + "." + method_id_ + " @" + std::to_string(index) + ": " +
+              message);
 }
 
 Result<VType> AbstractInterpreter::Pop(Frame& frame, size_t index) {
@@ -194,7 +390,7 @@ Status AbstractInterpreter::PopKind(Frame& frame, size_t index, VType::Kind kind
   DVM_ASSIGN_OR_RETURN(VType t, Pop(frame, index));
   Check();
   if (t.kind != kind) {
-    return Fail(index, std::string("expected ") + what + ", found " + t.ToString());
+    return Fail(index, std::string("expected ") + what + ", found " + Str(t));
   }
   return Status::Ok();
 }
@@ -203,41 +399,35 @@ Status AbstractInterpreter::PopRefLike(Frame& frame, size_t index, VType* out) {
   DVM_ASSIGN_OR_RETURN(VType t, Pop(frame, index));
   Check();
   if (!t.IsRefLike()) {
-    return Fail(index, "expected reference, found " + t.ToString());
+    return Fail(index, "expected reference, found " + Str(t));
   }
-  *out = std::move(t);
+  *out = t;
   return Status::Ok();
 }
 
-Status AbstractInterpreter::PopAssignable(Frame& frame, size_t index, const std::string& desc) {
+Status AbstractInterpreter::PopAssignable(Frame& frame, size_t index, const VType& want,
+                                          const std::string& desc) {
   DVM_ASSIGN_OR_RETURN(VType t, Pop(frame, index));
   Check();
-  VType want = VType::FromDescriptor(desc);
   switch (want.kind) {
     case VType::Kind::kInt:
     case VType::Kind::kLong:
       if (t.kind != want.kind) {
-        return Fail(index, "expected " + want.ToString() + ", found " + t.ToString());
+        return Fail(index, "expected " + Str(want) + ", found " + Str(t));
       }
       return Status::Ok();
     case VType::Kind::kRef: {
       if (!t.IsRefLike()) {
-        return Fail(index, "expected reference " + want.name + ", found " + t.ToString());
+        return Fail(index, "expected reference " + Str(want) + ", found " + Str(t));
       }
-      switch (IsAssignable(t, want.name, env_)) {
+      switch (IsAssignable(t, want.name, types_)) {
         case Assignability::kYes:
           return Status::Ok();
         case Assignability::kNo:
-          return Fail(index, t.ToString() + " is not assignable to " + want.name);
-        case Assignability::kUnknown: {
-          Assumption a;
-          a.kind = AssumptionKind::kAssignable;
-          a.scope = AssumptionScope::kMethod;
-          a.target_class = t.name;
-          a.expected_class = want.name;
-          Assume(std::move(a));
+          return Fail(index, Str(t) + " is not assignable to " + Str(want));
+        case Assignability::kUnknown:
+          AssumeAssignable(t, want.name);
           return Status::Ok();
-        }
       }
       return Status::Ok();
     }
@@ -252,7 +442,7 @@ Status AbstractInterpreter::Push(Frame& frame, size_t index, VType t) {
     return Fail(index, "operand stack overflow (max_stack=" +
                            std::to_string(method_.code->max_stack) + ")");
   }
-  frame.stack.push_back(std::move(t));
+  frame.stack.push_back(t);
   return Status::Ok();
 }
 
@@ -262,107 +452,9 @@ Result<VType> AbstractInterpreter::GetLocal(const Frame& frame, size_t index, in
   const VType& t = frame.locals[static_cast<size_t>(slot)];
   if (t.kind != want) {
     return Fail(index, std::string("local ") + std::to_string(slot) + " is not " + what +
-                           " (found " + t.ToString() + ")");
+                           " (found " + Str(t) + ")");
   }
   return t;
-}
-
-Status AbstractInterpreter::ResolveField(size_t index, const MemberRef& ref, bool want_static) {
-  Check();
-  const ClassFile* target = env_.Lookup(ref.class_name);
-  if (target == nullptr) {
-    Assumption a;
-    a.kind = AssumptionKind::kFieldExists;
-    a.scope = AssumptionScope::kMethod;
-    a.target_class = ref.class_name;
-    a.member_name = ref.member_name;
-    a.descriptor = ref.descriptor;
-    Assume(std::move(a));
-    return Status::Ok();
-  }
-  // Search the class and its known ancestors. The visited set cuts hierarchy
-  // cycles a hostile class can smuggle in (A extends B extends A).
-  std::set<std::string> visited;
-  visited.insert(ref.class_name);
-  const ClassFile* current = target;
-  while (current != nullptr) {
-    const FieldInfo* field = current->FindField(ref.member_name);
-    if (field != nullptr) {
-      Check();
-      if (field->descriptor != ref.descriptor) {
-        return Fail(index, "field " + ref.ToString() + " has descriptor " + field->descriptor);
-      }
-      Check();
-      if (field->IsStatic() != want_static) {
-        return Fail(index, "field " + ref.ToString() +
-                               (want_static ? " is not static" : " is static"));
-      }
-      return Status::Ok();
-    }
-    std::string super = current->super_name();
-    if (super.empty() || !visited.insert(super).second) {
-      return Fail(index, "field " + ref.ToString() + " does not exist");
-    }
-    current = env_.Lookup(super);
-    if (current == nullptr) {
-      // Field may be inherited from a class outside the environment.
-      Assumption a;
-      a.kind = AssumptionKind::kFieldExists;
-      a.scope = AssumptionScope::kMethod;
-      a.target_class = super;
-      a.member_name = ref.member_name;
-      a.descriptor = ref.descriptor;
-      Assume(std::move(a));
-      return Status::Ok();
-    }
-  }
-  return Status::Ok();
-}
-
-Status AbstractInterpreter::ResolveMethod(size_t index, const MemberRef& ref, Op op) {
-  Check();
-  const ClassFile* target = env_.Lookup(ref.class_name);
-  if (target == nullptr) {
-    Assumption a;
-    a.kind = AssumptionKind::kMethodExists;
-    a.scope = AssumptionScope::kMethod;
-    a.target_class = ref.class_name;
-    a.member_name = ref.member_name;
-    a.descriptor = ref.descriptor;
-    Assume(std::move(a));
-    return Status::Ok();
-  }
-  std::set<std::string> visited;
-  visited.insert(ref.class_name);
-  const ClassFile* current = target;
-  while (current != nullptr) {
-    const MethodInfo* m = current->FindMethod(ref.member_name, ref.descriptor);
-    if (m != nullptr) {
-      Check();
-      bool want_static = op == Op::kInvokestatic;
-      if (m->IsStatic() != want_static) {
-        return Fail(index, "method " + ref.ToString() +
-                               (want_static ? " is not static" : " is static"));
-      }
-      return Status::Ok();
-    }
-    std::string super = current->super_name();
-    if (super.empty() || !visited.insert(super).second) {
-      return Fail(index, "method " + ref.ToString() + " does not exist");
-    }
-    current = env_.Lookup(super);
-    if (current == nullptr) {
-      Assumption a;
-      a.kind = AssumptionKind::kMethodExists;
-      a.scope = AssumptionScope::kMethod;
-      a.target_class = super;
-      a.member_name = ref.member_name;
-      a.descriptor = ref.descriptor;
-      Assume(std::move(a));
-      return Status::Ok();
-    }
-  }
-  return Status::Ok();
 }
 
 Frame AbstractInterpreter::EntryFrame() const {
@@ -370,19 +462,18 @@ Frame AbstractInterpreter::EntryFrame() const {
   frame.locals.assign(method_.code->max_locals, VType::Top());
   size_t slot = 0;
   if (!method_.IsStatic()) {
-    frame.locals[slot++] = VType::Ref(cls_.name());
+    frame.locals[slot++] = types_.Ref(scope_.cls().name());
   }
   for (const auto& param : sig_.params) {
-    frame.locals[slot++] = VType::FromDescriptor(param);
+    frame.locals[slot++] = types_.FromDescriptor(param);
   }
   return frame;
 }
 
-Result<std::vector<AbstractInterpreter::HandlerEdge>> AbstractInterpreter::HandlerEdges(
-    size_t index, const Frame& frame) {
-  std::vector<HandlerEdge> edges;
+Status AbstractInterpreter::HandlerEdges(size_t index, std::vector<HandlerEdge>* edges) {
+  edges->clear();
   uint32_t offset = mc_.offsets[index];
-  for (const auto& h : method_.code->handlers) {
+  for (const Handler& h : handlers_) {
     if (offset < h.start_pc || offset >= h.end_pc) {
       continue;
     }
@@ -394,45 +485,28 @@ Result<std::vector<AbstractInterpreter::HandlerEdge>> AbstractInterpreter::Handl
       return Fail(index, "exception handler needs stack room for the thrown reference "
                          "(max_stack=0)");
     }
-    std::string catch_class = kThrowable;
-    if (h.catch_type != 0) {
-      auto name = cls_.pool().ClassNameAt(h.catch_type);
-      if (name.ok()) {
-        catch_class = name.value();
-      }
-    }
     // A catch type that provably isn't a Throwable can never be thrown; the
     // handler entry state it would imply is a fiction.
     Check();
-    if (catch_class != kThrowable) {
-      switch (IsAssignable(VType::Ref(catch_class), kThrowable, env_)) {
+    if (h.catch_type.name != scope_.throwable_id) {
+      switch (IsAssignable(h.catch_type, scope_.throwable_id, types_)) {
         case Assignability::kYes:
           break;
         case Assignability::kNo:
-          return Fail(index, "handler catches non-throwable " + catch_class);
-        case Assignability::kUnknown: {
-          Assumption a;
-          a.kind = AssumptionKind::kAssignable;
-          a.scope = AssumptionScope::kMethod;
-          a.target_class = catch_class;
-          a.expected_class = kThrowable;
-          Assume(std::move(a));
+          return Fail(index, "handler catches non-throwable " + Str(h.catch_type));
+        case Assignability::kUnknown:
+          AssumeAssignable(h.catch_type, scope_.throwable_id);
           break;
-        }
       }
     }
-    HandlerEdge edge;
-    edge.target = mc_.off_to_ix.at(h.handler_pc);
-    edge.frame.locals = frame.locals;
-    edge.frame.stack.push_back(VType::Ref(catch_class));
-    edges.push_back(std::move(edge));
+    edges->push_back({h.target, h.catch_type});
   }
-  return edges;
+  return Status::Ok();
 }
 
-Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, Frame frame) {
+Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, Frame& frame) {
   const Instr& instr = mc_.instrs[index];
-  const ConstantPool& pool = cls_.pool();
+  const uint16_t cp_index = static_cast<uint16_t>(instr.a);
 
   StepResult out;
   out.fallthrough = !IsTerminator(instr.op);
@@ -453,13 +527,13 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       DVM_RETURN_IF_ERROR(Push(frame, index, VType::Int()));
       break;
     case Op::kLdc: {
-      uint16_t cp_index = static_cast<uint16_t>(instr.a);
+      const ConstantPool& pool = scope_.cls().pool();
       if (pool.HasTag(cp_index, CpTag::kInteger)) {
         DVM_RETURN_IF_ERROR(Push(frame, index, VType::Int()));
       } else if (pool.HasTag(cp_index, CpTag::kLong)) {
         DVM_RETURN_IF_ERROR(Push(frame, index, VType::Long()));
       } else {
-        DVM_RETURN_IF_ERROR(Push(frame, index, VType::Ref("java/lang/String")));
+        DVM_RETURN_IF_ERROR(Push(frame, index, VType::Ref(scope_.string_id)));
       }
       break;
     }
@@ -475,7 +549,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
     }
     case Op::kAload: {
       Check();
-      const VType& t = frame.locals[static_cast<size_t>(instr.a)];
+      const VType t = frame.locals[static_cast<size_t>(instr.a)];
       if (!t.IsRefLike() && t.kind != VType::Kind::kUninit) {
         return Fail(index, "aload of non-reference local " + std::to_string(instr.a));
       }
@@ -494,7 +568,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       DVM_ASSIGN_OR_RETURN(VType t, Pop(frame, index));
       Check();
       if (!t.IsRefLike() && t.kind != VType::Kind::kUninit) {
-        return Fail(index, "astore of non-reference " + t.ToString());
+        return Fail(index, "astore of non-reference " + Str(t));
       }
       frame.locals[static_cast<size_t>(instr.a)] = t;
       break;
@@ -504,10 +578,10 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "int index"));
       VType arr;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &arr));
-      const char* want = instr.op == Op::kIaload ? "[I" : "[J";
+      const uint32_t want = instr.op == Op::kIaload ? scope_.int_array_id : scope_.long_array_id;
       Check();
       if (arr.kind == VType::Kind::kRef && arr.name != want) {
-        return Fail(index, "array load type mismatch: " + arr.ToString());
+        return Fail(index, "array load type mismatch: " + Str(arr));
       }
       DVM_RETURN_IF_ERROR(
           Push(frame, index, instr.op == Op::kIaload ? VType::Int() : VType::Long()));
@@ -522,11 +596,11 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       // bottom) keeps Step monotone: Null ⊑ [LC; and Null ⊑ C, not so Object.
       VType element = VType::Null();
       if (arr.kind == VType::Kind::kRef) {
-        if (!arr.IsArray() || arr.name.size() < 2 ||
-            (arr.name[1] != 'L' && arr.name[1] != '[')) {
-          return Fail(index, "aaload on non-reference array " + arr.ToString());
+        const std::string& name = types_.Name(arr.name);
+        if (!types_.IsArray(arr) || name.size() < 2 || (name[1] != 'L' && name[1] != '[')) {
+          return Fail(index, "aaload on non-reference array " + Str(arr));
         }
-        element = VType::FromDescriptor(ArrayElementDescriptor(arr.name));
+        element = types_.FromDescriptor(ArrayElementDescriptor(name));
       }
       DVM_RETURN_IF_ERROR(Push(frame, index, element));
       break;
@@ -540,10 +614,10 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "int index"));
       VType arr;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &arr));
-      const char* want = instr.op == Op::kIastore ? "[I" : "[J";
+      const uint32_t want = instr.op == Op::kIastore ? scope_.int_array_id : scope_.long_array_id;
       Check();
       if (arr.kind == VType::Kind::kRef && arr.name != want) {
-        return Fail(index, "array store type mismatch: " + arr.ToString());
+        return Fail(index, "array store type mismatch: " + Str(arr));
       }
       break;
     }
@@ -555,25 +629,20 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &arr));
       Check();
       if (arr.kind == VType::Kind::kRef) {
-        if (!arr.IsArray()) {
-          return Fail(index, "aastore on non-array " + arr.ToString());
+        if (!types_.IsArray(arr)) {
+          return Fail(index, "aastore on non-array " + Str(arr));
         }
-        std::string elem_desc = ArrayElementDescriptor(arr.name);
+        std::string elem_desc = ArrayElementDescriptor(types_.Name(arr.name));
         if (elem_desc[0] == 'L') {
-          switch (IsAssignable(value, ClassNameFromDescriptor(elem_desc), env_)) {
+          const uint32_t elem = types_.Intern(ClassNameFromDescriptor(elem_desc));
+          switch (IsAssignable(value, elem, types_)) {
             case Assignability::kYes:
               break;
             case Assignability::kNo:
-              return Fail(index, value.ToString() + " not storable into " + arr.name);
-            case Assignability::kUnknown: {
-              Assumption a;
-              a.kind = AssumptionKind::kAssignable;
-              a.scope = AssumptionScope::kMethod;
-              a.target_class = value.name;
-              a.expected_class = ClassNameFromDescriptor(elem_desc);
-              Assume(std::move(a));
+              return Fail(index, Str(value) + " not storable into " + Str(arr));
+            case Assignability::kUnknown:
+              AssumeAssignable(value, elem);
               break;
-            }
           }
         }
       }
@@ -704,7 +773,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       if (!IsReferenceDescriptor(sig_.return_type)) {
         return Fail(index, "areturn from method returning " + sig_.return_type);
       }
-      DVM_RETURN_IF_ERROR(PopAssignable(frame, index, sig_.return_type));
+      DVM_RETURN_IF_ERROR(PopAssignable(frame, index, return_type_, sig_.return_type));
       break;
     }
     case Op::kReturn:
@@ -715,47 +784,52 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       break;
     case Op::kGetstatic:
     case Op::kGetfield: {
-      MemberRef ref = pool.FieldRefAt(static_cast<uint16_t>(instr.a)).value();
+      ClassScope::FieldSite& site = scope_.Field(cp_index);
       if (instr.op == Op::kGetfield) {
         VType obj;
         DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &obj));
       }
-      DVM_RETURN_IF_ERROR(ResolveField(index, ref, instr.op == Op::kGetstatic));
-      DVM_RETURN_IF_ERROR(Push(frame, index, VType::FromDescriptor(ref.descriptor)));
+      DVM_RETURN_IF_ERROR(
+          Replay(index, scope_.ResolveField(site, instr.op == Op::kGetstatic)));
+      DVM_RETURN_IF_ERROR(Push(frame, index, site.type));
       break;
     }
     case Op::kPutstatic:
     case Op::kPutfield: {
-      MemberRef ref = pool.FieldRefAt(static_cast<uint16_t>(instr.a)).value();
-      DVM_RETURN_IF_ERROR(PopAssignable(frame, index, ref.descriptor));
+      ClassScope::FieldSite& site = scope_.Field(cp_index);
+      DVM_RETURN_IF_ERROR(PopAssignable(frame, index, site.type, site.ref.descriptor));
       if (instr.op == Op::kPutfield) {
         VType obj;
         DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &obj));
       }
-      DVM_RETURN_IF_ERROR(ResolveField(index, ref, instr.op == Op::kPutstatic));
+      DVM_RETURN_IF_ERROR(
+          Replay(index, scope_.ResolveField(site, instr.op == Op::kPutstatic)));
       break;
     }
     case Op::kInvokestatic:
     case Op::kInvokevirtual:
     case Op::kInvokespecial: {
-      MemberRef ref = pool.MethodRefAt(static_cast<uint16_t>(instr.a)).value();
-      DVM_ASSIGN_OR_RETURN(MethodSignature callee, ParseMethodDescriptor(ref.descriptor));
+      ClassScope::InvokeSite& site = scope_.Invoke(cp_index);
+      if (site.bad_descriptor.has_value()) {
+        return *site.bad_descriptor;
+      }
       // Arguments are popped right-to-left.
-      for (size_t p = callee.params.size(); p > 0; p--) {
-        DVM_RETURN_IF_ERROR(PopAssignable(frame, index, callee.params[p - 1]));
+      for (size_t p = site.params.size(); p > 0; p--) {
+        DVM_RETURN_IF_ERROR(
+            PopAssignable(frame, index, site.param_types[p - 1], site.params[p - 1]));
       }
       if (instr.op != Op::kInvokestatic) {
         DVM_ASSIGN_OR_RETURN(VType receiver, Pop(frame, index));
         Check();
-        if (instr.op == Op::kInvokespecial && ref.member_name == "<init>" &&
+        if (instr.op == Op::kInvokespecial && site.ref.member_name == "<init>" &&
             receiver.kind == VType::Kind::kUninit) {
           // Constructor call initializes every copy of this Uninit value.
           Check();
-          if (receiver.name != ref.class_name) {
-            return Fail(index, "constructor class mismatch: " + receiver.ToString() + " vs " +
-                                   ref.class_name);
+          if (receiver.name != site.class_id) {
+            return Fail(index, "constructor class mismatch: " + Str(receiver) + " vs " +
+                                   site.ref.class_name);
           }
-          VType initialized = VType::Ref(receiver.name);
+          const VType initialized = VType::Ref(receiver.name);
           for (auto& local : frame.locals) {
             if (local == receiver) {
               local = initialized;
@@ -767,48 +841,49 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
             }
           }
         } else if (!receiver.IsRefLike()) {
-          return Fail(index, "invoke on non-reference " + receiver.ToString());
+          return Fail(index, "invoke on non-reference " + Str(receiver));
         }
       }
-      DVM_RETURN_IF_ERROR(ResolveMethod(index, ref, instr.op));
-      if (!callee.ReturnsVoid()) {
-        DVM_RETURN_IF_ERROR(Push(frame, index, VType::FromDescriptor(callee.return_type)));
+      DVM_RETURN_IF_ERROR(
+          Replay(index, scope_.ResolveMethod(site, instr.op == Op::kInvokestatic)));
+      if (!site.returns_void) {
+        DVM_RETURN_IF_ERROR(Push(frame, index, site.return_type));
       }
       break;
     }
     case Op::kNew: {
-      std::string class_name = pool.ClassNameAt(static_cast<uint16_t>(instr.a)).value();
+      const ClassScope::ClassSite& site = scope_.Class(cp_index);
       Check();
-      if (!env_.IsKnown(class_name)) {
-        AssumeClass(class_name);
+      if (!site.known) {
+        AssumeClass(site.name);
       }
-      DVM_RETURN_IF_ERROR(
-          Push(frame, index, VType::Uninit(class_name, static_cast<int>(index))));
+      DVM_RETURN_IF_ERROR(Push(
+          frame, index, VType::Uninit(site.type.name, static_cast<uint32_t>(index))));
       break;
     }
     case Op::kNewarray:
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "array length"));
-      DVM_RETURN_IF_ERROR(Push(
-          frame, index,
-          VType::Ref(instr.a == static_cast<int>(ArrayKind::kLong) ? "[J" : "[I")));
+      DVM_RETURN_IF_ERROR(Push(frame, index,
+                               VType::Ref(instr.a == static_cast<int>(ArrayKind::kLong)
+                                              ? scope_.long_array_id
+                                              : scope_.int_array_id)));
       break;
     case Op::kAnewarray: {
-      std::string element = pool.ClassNameAt(static_cast<uint16_t>(instr.a)).value();
+      const ClassScope::ClassSite& site = scope_.Class(cp_index);
       Check();
-      if (element[0] != '[' && !env_.IsKnown(element)) {
-        AssumeClass(element);
+      if (site.name[0] != '[' && !site.known) {
+        AssumeClass(site.name);
       }
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "array length"));
-      DVM_RETURN_IF_ERROR(
-          Push(frame, index, VType::Ref("[" + DescriptorFromClassName(element))));
+      DVM_RETURN_IF_ERROR(Push(frame, index, site.array_of));
       break;
     }
     case Op::kArraylength: {
       VType arr;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &arr));
       Check();
-      if (arr.kind == VType::Kind::kRef && !arr.IsArray()) {
-        return Fail(index, "arraylength on non-array " + arr.ToString());
+      if (arr.kind == VType::Kind::kRef && !types_.IsArray(arr)) {
+        return Fail(index, "arraylength on non-array " + Str(arr));
       }
       DVM_RETURN_IF_ERROR(Push(frame, index, VType::Int()));
       break;
@@ -817,46 +892,29 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       VType t;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &t));
       if (t.kind == VType::Kind::kRef) {
-        switch (IsAssignable(t, kThrowable, env_)) {
+        switch (IsAssignable(t, scope_.throwable_id, types_)) {
           case Assignability::kYes:
             break;
           case Assignability::kNo:
-            return Fail(index, "athrow of non-throwable " + t.ToString());
-          case Assignability::kUnknown: {
-            Assumption a;
-            a.kind = AssumptionKind::kAssignable;
-            a.scope = AssumptionScope::kMethod;
-            a.target_class = t.name;
-            a.expected_class = kThrowable;
-            Assume(std::move(a));
+            return Fail(index, "athrow of non-throwable " + Str(t));
+          case Assignability::kUnknown:
+            AssumeAssignable(t, scope_.throwable_id);
             break;
-          }
         }
       }
       break;
     }
-    case Op::kCheckcast: {
-      std::string class_name = pool.ClassNameAt(static_cast<uint16_t>(instr.a)).value();
-      VType t;
-      DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &t));
-      Check();
-      if (class_name[0] != '[' && !env_.IsKnown(class_name)) {
-        AssumeClass(class_name);
-      }
-      DVM_RETURN_IF_ERROR(Push(frame, index,
-                               class_name[0] == '[' ? VType::Ref(class_name)
-                                                    : VType::Ref(class_name)));
-      break;
-    }
+    case Op::kCheckcast:
     case Op::kInstanceof: {
-      std::string class_name = pool.ClassNameAt(static_cast<uint16_t>(instr.a)).value();
+      const ClassScope::ClassSite& site = scope_.Class(cp_index);
       VType t;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &t));
       Check();
-      if (class_name[0] != '[' && !env_.IsKnown(class_name)) {
-        AssumeClass(class_name);
+      if (site.name[0] != '[' && !site.known) {
+        AssumeClass(site.name);
       }
-      DVM_RETURN_IF_ERROR(Push(frame, index, VType::Int()));
+      DVM_RETURN_IF_ERROR(
+          Push(frame, index, instr.op == Op::kCheckcast ? site.type : VType::Int()));
       break;
     }
     case Op::kMonitorenter:
@@ -881,8 +939,6 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
     case Op::kInstanceofQuick:
       return Fail(index, "quick opcode in class file");
   }
-
-  out.frame = std::move(frame);
   return out;
 }
 

@@ -59,6 +59,14 @@ struct ClassCertificate;  // certificate.h
 Result<VerifiedClass> VerifyClass(const ClassFile& cls, const ClassEnv& env,
                                   ClassCertificate* cert_out = nullptr);
 
+class TypeEnv;  // typestate.h
+
+// The same, with the caller's TypeEnv (whose classes() is the environment)
+// naming the types. Its ids never reach the result, so it may have interned
+// anything beforehand.
+Result<VerifiedClass> VerifyClass(const ClassFile& cls, TypeEnv& types,
+                                  ClassCertificate* cert_out = nullptr);
+
 }  // namespace dvm
 
 #endif  // SRC_VERIFIER_VERIFIER_H_

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+
 #include "src/bytecode/builder.h"
 #include "src/bytecode/code.h"
 #include "src/bytecode/constant_pool.h"
@@ -16,6 +19,71 @@ TEST(OpcodesTest, MetadataPresentForAllOps) {
   EXPECT_NE(GetOpInfo(Op::kNop), nullptr);
   EXPECT_NE(GetOpInfo(Op::kInvokevirtual), nullptr);
   EXPECT_EQ(GetOpInfo(static_cast<Op>(0xFE)), nullptr);
+}
+
+// Every opcode byte the instruction set assigns (opcodes.h), listed here
+// independently of the table GetOpInfo reads.
+constexpr Op kInstructionSet[] = {
+    Op::kNop,           Op::kAconstNull,    Op::kIconst0,        Op::kIconst1,
+    Op::kBipush,        Op::kSipush,        Op::kLdc,            Op::kIload,
+    Op::kLload,         Op::kAload,         Op::kIstore,         Op::kLstore,
+    Op::kAstore,        Op::kIaload,        Op::kLaload,         Op::kAaload,
+    Op::kIastore,       Op::kLastore,       Op::kAastore,        Op::kPop,
+    Op::kDup,           Op::kDupX1,         Op::kSwap,           Op::kIadd,
+    Op::kLadd,          Op::kIsub,          Op::kLsub,           Op::kImul,
+    Op::kLmul,          Op::kIdiv,          Op::kLdiv,           Op::kIrem,
+    Op::kLrem,          Op::kIneg,          Op::kLneg,           Op::kIshl,
+    Op::kIshr,          Op::kIushr,         Op::kIand,           Op::kIor,
+    Op::kIxor,          Op::kIinc,          Op::kI2l,            Op::kL2i,
+    Op::kLcmp,          Op::kIfeq,          Op::kIfne,           Op::kIflt,
+    Op::kIfge,          Op::kIfgt,          Op::kIfle,           Op::kIfIcmpeq,
+    Op::kIfIcmpne,      Op::kIfIcmplt,      Op::kIfIcmpge,       Op::kIfIcmpgt,
+    Op::kIfIcmple,      Op::kIfAcmpeq,      Op::kIfAcmpne,       Op::kGoto,
+    Op::kIreturn,       Op::kLreturn,       Op::kAreturn,        Op::kReturn,
+    Op::kGetstatic,     Op::kPutstatic,     Op::kGetfield,       Op::kPutfield,
+    Op::kInvokevirtual, Op::kInvokespecial, Op::kInvokestatic,   Op::kNew,
+    Op::kNewarray,      Op::kAnewarray,     Op::kArraylength,    Op::kAthrow,
+    Op::kCheckcast,     Op::kInstanceof,    Op::kMonitorenter,   Op::kMonitorexit,
+    Op::kIfnull,        Op::kIfnonnull,     Op::kLdcQuick,       Op::kGetfieldQuick,
+    Op::kPutfieldQuick, Op::kGetstaticQuick, Op::kPutstaticQuick, Op::kInvokevirtualQuick,
+    Op::kInvokespecialQuick, Op::kInvokestaticQuick, Op::kNewQuick, Op::kAnewarrayQuick,
+    Op::kCheckcastQuick, Op::kInstanceofQuick,
+};
+
+// GetOpInfo is a dense 256-entry table: every byte must answer, and exactly
+// the assigned ones with metadata whose operand shape fixes the length.
+TEST(OpcodesTest, DenseTableCoversExactlyTheInstructionSet) {
+  std::set<uint8_t> assigned;
+  for (Op op : kInstructionSet) {
+    EXPECT_TRUE(assigned.insert(static_cast<uint8_t>(op)).second);
+  }
+  for (int raw = 0; raw < 256; raw++) {
+    const uint8_t byte = static_cast<uint8_t>(raw);
+    const OpInfo* info = GetOpInfo(byte);
+    ASSERT_EQ(info != nullptr, assigned.count(byte) == 1) << "byte 0x" << std::hex << raw;
+    if (info == nullptr) {
+      EXPECT_EQ(InstructionLength(static_cast<Op>(byte)), -1);
+      continue;
+    }
+    int want = 0;
+    switch (info->operands) {
+      case OperandKind::kNone:
+        want = 1;
+        break;
+      case OperandKind::kI8:
+      case OperandKind::kU8:
+      case OperandKind::kArrayKind:
+        want = 2;
+        break;
+      case OperandKind::kI16:
+      case OperandKind::kCpIndex:
+      case OperandKind::kBranch16:
+      case OperandKind::kLocalIncr:
+        want = 3;
+        break;
+    }
+    EXPECT_EQ(InstructionLength(static_cast<Op>(byte)), want) << info->name;
+  }
 }
 
 TEST(OpcodesTest, InstructionLengths) {
@@ -180,6 +248,27 @@ TEST(CodeTest, RejectsBranchIntoMiddleOfInstruction) {
   Bytes bad = {static_cast<uint8_t>(Op::kSipush), 0x00, 0x05,
                static_cast<uint8_t>(Op::kGoto), 0xFF, 0xFE};
   EXPECT_FALSE(DecodeCode(bad).ok());
+  // Forward: goto at 0 targets offset 4, an operand byte of the sipush at 3.
+  Bytes forward = {static_cast<uint8_t>(Op::kGoto), 0x00, 0x04,
+                   static_cast<uint8_t>(Op::kSipush), 0x00, 0x05,
+                   static_cast<uint8_t>(Op::kReturn)};
+  EXPECT_FALSE(DecodeCode(forward).ok());
+}
+
+TEST(CodeTest, OffsetIndexMapsInstructionStartsOnly) {
+  std::vector<Instr> instrs = {{Op::kNop, 0, 0}, {Op::kBipush, 1, 0}, {Op::kSipush, 2, 0}};
+  const OffsetIndex index(CodeByteOffsets(instrs));
+  EXPECT_EQ(index.At(0), 0);
+  EXPECT_EQ(index.At(1), 1);
+  EXPECT_EQ(index.At(2), OffsetIndex::kNone);  // bipush operand
+  EXPECT_EQ(index.At(3), 2);
+  EXPECT_EQ(index.At(4), OffsetIndex::kNone);  // sipush operands
+  EXPECT_EQ(index.At(5), OffsetIndex::kNone);
+  EXPECT_EQ(index.At(6), 3);  // the code length: exclusive end of a range
+  // Wire pcs past the end are out of range, not out of bounds.
+  EXPECT_EQ(index.At(7), OffsetIndex::kNone);
+  EXPECT_EQ(index.At(0xFFFF), OffsetIndex::kNone);
+  EXPECT_EQ(index.At(UINT32_MAX), OffsetIndex::kNone);
 }
 
 TEST(CodeTest, ByteOffsetsAccountForWidths) {

@@ -225,24 +225,24 @@ TEST_F(CertificateTest, EverySingleFieldMutationIsRejected) {
                                        static_cast<long>(ai));
         rejects(m, where + " dropped");
       }
-      Frame& frame = cert.methods[mi].assertions[ai].frame;
+      NamedFrame& frame = cert.methods[mi].assertions[ai].frame;
       for (size_t li = 0; li < frame.locals.size(); li++) {
-        if (frame.locals[li] == VType::Top()) {
+        if (frame.locals[li] == NamedType::Top()) {
           continue;  // already the widest element; Top -> Top is no mutation
         }
         ClassCertificate m = cert;
-        m.methods[mi].assertions[ai].frame.locals[li] = VType::Top();
+        m.methods[mi].assertions[ai].frame.locals[li] = NamedType::Top();
         rejects(m, where + " local " + std::to_string(li) + " widened");
       }
       for (size_t si = 0; si < frame.stack.size(); si++) {
         ClassCertificate m = cert;
         m.methods[mi].assertions[ai].frame.stack[si] =
-            frame.stack[si] == VType::Int() ? VType::Long() : VType::Int();
+            frame.stack[si] == NamedType::Int() ? NamedType::Long() : NamedType::Int();
         rejects(m, where + " stack " + std::to_string(si) + " retyped");
       }
       {
         ClassCertificate m = cert;
-        m.methods[mi].assertions[ai].frame.stack.push_back(VType::Int());
+        m.methods[mi].assertions[ai].frame.stack.push_back(NamedType::Int());
         rejects(m, where + " stack deepened");
       }
     }

@@ -5,11 +5,17 @@
 //   3. random byte mutations of valid class files never crash the parser,
 //      verifier, or interpreter — they fail cleanly or run safely,
 //   4. random object graphs survive garbage collection exactly when reachable,
-//   5. every opcode's abstract transfer function is monotone.
+//   5. every opcode's abstract transfer function is monotone,
+//   6. the lattice's name ids never decide an order: verdicts, joins and
+//      certificate bytes are the same whatever order names were interned in.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "src/bytecode/builder.h"
 #include "src/bytecode/serializer.h"
@@ -17,9 +23,12 @@
 #include "src/rewrite/method_editor.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/syslib.h"
+#include "src/support/hash.h"
 #include "src/support/rng.h"
+#include "src/verifier/certificate.h"
 #include "src/verifier/dataflow.h"
 #include "src/verifier/verifier.h"
+#include "src/workloads/apps.h"
 
 namespace dvm {
 namespace {
@@ -385,22 +394,23 @@ class TransferMonotonicityTest : public ::testing::TestWithParam<Op> {
 
 TEST_P(TransferMonotonicityTest, NarrowerInputNeverYieldsWiderOutput) {
   const Op op = GetParam();
+  TypeEnv names(env_);
   const std::vector<VType> types = {VType::Top(),
                                     VType::Int(),
                                     VType::Long(),
                                     VType::Null(),
-                                    VType::Ref("java/lang/Object"),
-                                    VType::Ref("mono/C"),
-                                    VType::Ref("mono/D"),
-                                    VType::Ref("[Lmono/C;"),
-                                    VType::Ref("[Lmono/D;"),
-                                    VType::Ref("[Ljava/lang/Object;"),
-                                    VType::Ref("[I")};
+                                    names.Ref("java/lang/Object"),
+                                    names.Ref("mono/C"),
+                                    names.Ref("mono/D"),
+                                    names.Ref("[Lmono/C;"),
+                                    names.Ref("[Lmono/D;"),
+                                    names.Ref("[Ljava/lang/Object;"),
+                                    names.Ref("[I")};
   const size_t n_types = types.size();
   std::vector<std::vector<size_t>> up(n_types);
   for (size_t a = 0; a < n_types; a++) {
     for (size_t b = 0; b < n_types; b++) {
-      if (FitsInto(types[a], types[b], env_)) {
+      if (FitsInto(types[a], types[b], names)) {
         up[a].push_back(b);
       }
     }
@@ -417,10 +427,11 @@ TEST_P(TransferMonotonicityTest, NarrowerInputNeverYieldsWiderOutput) {
   MethodCode mc;
   mc.instrs = {instr};
   mc.offsets = {0, static_cast<uint32_t>(InstructionLength(op))};
-  mc.off_to_ix[0] = 0;
+  mc.off_to_ix = OffsetIndex(mc.offsets);
   uint64_t checks = 0;
   std::vector<Assumption> assumptions;
-  AbstractInterpreter interp(t_, method, mc, env_, &checks, &assumptions);
+  ClassScope scope(t_, names);
+  AbstractInterpreter interp(scope, method, mc, &checks, &assumptions);
 
   // Vary every slot the instruction reads: its operand-stack pops, plus
   // local 0 when it names a local.
@@ -450,9 +461,9 @@ TEST_P(TransferMonotonicityTest, NarrowerInputNeverYieldsWiderOutput) {
   auto step = [&](const std::vector<size_t>& pick) -> const std::optional<Frame>& {
     auto [it, inserted] = out.try_emplace(pick);
     if (inserted) {
-      auto result = interp.Step(0, frame_of(pick));
-      if (result.ok()) {
-        it->second = std::move(result.value().frame);
+      Frame frame = frame_of(pick);
+      if (interp.Step(0, frame).ok()) {
+        it->second = std::move(frame);
       }
     }
     return it->second;
@@ -480,10 +491,10 @@ TEST_P(TransferMonotonicityTest, NarrowerInputNeverYieldsWiderOutput) {
         continue;
       }
       pairs++;
-      ASSERT_TRUE(FrameFits(*out_a, *out_b, env_))
-          << GetOpInfo(op)->name << " is not monotone: " << frame_of(a).ToString() << " -> "
-          << out_a->ToString() << " but " << frame_of(b).ToString() << " -> "
-          << out_b->ToString();
+      ASSERT_TRUE(FrameFits(*out_a, *out_b, names))
+          << GetOpInfo(op)->name << " is not monotone: " << names.ToString(frame_of(a))
+          << " -> " << names.ToString(*out_a) << " but " << names.ToString(frame_of(b))
+          << " -> " << names.ToString(*out_b);
     } while (next(pos, radix));
   } while (next(a, std::vector<size_t>(slots, n_types)));
   if (!IsQuickOp(op) && !IsReturn(op)) {
@@ -495,6 +506,97 @@ INSTANTIATE_TEST_SUITE_P(AllOpcodes, TransferMonotonicityTest, ::testing::Values
                          [](const ::testing::TestParamInfo<Op>& info) {
                            return std::string(GetOpInfo(info.param)->name);
                          });
+
+// ---------------------------------------------------------------------------
+// 6. Lattice representation.
+// ---------------------------------------------------------------------------
+
+static_assert(sizeof(VType) == 8 && std::is_trivially_copyable_v<VType>);
+
+// Interns `names` in reverse lexicographic order, so that id order and name
+// order disagree on every pair.
+void InternReversed(std::vector<std::string> names, TypeEnv& types) {
+  std::sort(names.rbegin(), names.rend());
+  for (const std::string& name : names) {
+    types.Intern(name);
+  }
+}
+
+// The cyclic hierarchy of VerifierTest.MergeTypesIsCommutative: CycA and
+// CycB tie on chain depth, and the tie goes to the smaller name.
+TEST(LatticeRepresentationTest, JoinTieBreakFollowsNamesNotIds) {
+  const std::vector<ClassFile> library = BuildSystemLibrary();
+  ClassBuilder a("app/CycA", "app/CycB");
+  ClassBuilder b("app/CycB", "app/CycA");
+  ClassBuilder c("app/Leaf", "app/CycA");
+  const ClassFile cls_a = a.Build().value();
+  const ClassFile cls_b = b.Build().value();
+  const ClassFile cls_c = c.Build().value();
+  MapClassEnv env;
+  for (const ClassFile& cls : library) {
+    env.Add(&cls);
+  }
+  env.Add(&cls_a);
+  env.Add(&cls_b);
+  env.Add(&cls_c);
+
+  for (bool reversed : {false, true}) {
+    SCOPED_TRACE(reversed ? "reverse-interned" : "first-use order");
+    TypeEnv types(env);
+    if (reversed) {
+      InternReversed({"app/CycA", "app/CycB", "app/Leaf"}, types);
+    }
+    const VType cyc_a = types.Ref("app/CycA");
+    const VType cyc_b = types.Ref("app/CycB");
+    const VType leaf = types.Ref("app/Leaf");
+    EXPECT_EQ(types.Name(MergeTypes(cyc_a, cyc_b, types).name), "app/CycA");
+    EXPECT_EQ(types.Name(MergeTypes(cyc_b, cyc_a, types).name), "app/CycA");
+    EXPECT_EQ(types.Name(MergeTypes(leaf, cyc_b, types).name), "app/CycA");
+  }
+}
+
+// A jlex class's certificate, pinned to the bytes the string-carrying lattice
+// produced, whether names reach the table in first-use or reverse order.
+TEST(LatticeRepresentationTest, CertificateBytesDoNotDependOnNameIds) {
+  const std::vector<ClassFile> library = BuildSystemLibrary();
+  const AppBundle app = BuildJlexApp();
+  MapClassEnv env;
+  for (const ClassFile& cls : library) {
+    env.Add(&cls);
+  }
+  for (const ClassFile& cls : app.classes) {
+    env.Add(&cls);
+  }
+  const ClassFile* module = env.Lookup("app/jlex/M0");
+  ASSERT_NE(module, nullptr);
+
+  std::vector<std::string> names;
+  for (const ClassFile& cls : library) {
+    names.push_back(cls.name());
+  }
+  for (const ClassFile& cls : app.classes) {
+    names.push_back(cls.name());
+  }
+  const ConstantPool& pool = module->pool();
+  for (size_t i = 1; i < pool.size(); i++) {
+    if (pool.HasTag(static_cast<uint16_t>(i), CpTag::kClass)) {
+      names.push_back(pool.ClassNameAt(static_cast<uint16_t>(i)).value());
+    }
+  }
+
+  for (bool reversed : {false, true}) {
+    SCOPED_TRACE(reversed ? "reverse-interned" : "first-use order");
+    TypeEnv types(env);
+    if (reversed) {
+      InternReversed(names, types);
+    }
+    ClassCertificate cert;
+    ASSERT_TRUE(VerifyClass(*module, types, &cert).ok());
+    const Bytes bytes = SerializeCertificate(cert);
+    EXPECT_EQ(bytes.size(), 420u);
+    EXPECT_EQ(Fnv1a(bytes.data(), bytes.size()), 0x125392729f51a684ULL);
+  }
+}
 
 }  // namespace
 }  // namespace dvm

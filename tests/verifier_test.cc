@@ -206,6 +206,52 @@ TEST_F(VerifierTest, RejectsFallOffEnd) {
   EXPECT_FALSE(VerifyClass(cls, lib_.env()).ok());
 }
 
+// Exception-table pcs are u16 wire values: each of start, end and handler
+// must land on an instruction boundary within the body (end may also be the
+// code length). Out-of-range pcs such as 0xFFFF on a 4-byte body must be
+// rejected, not used to index the offset table. (A mid-instruction handler_pc
+// is VerifierHandlerRejection.HandlerPcMidInstruction.)
+TEST_F(VerifierTest, RejectsHandlerPcsOffBoundaryOrOutOfRange) {
+  auto verify_with = [&](std::vector<uint8_t> code, ExceptionHandler h) {
+    ClassBuilder cb("app/BadHandler", "java/lang/Object");
+    cb.AddMethod(AccessFlags::kStatic, "f", "()V").Emit(Op::kReturn);
+    ClassFile cls = MustBuild(cb);
+    MethodInfo* method = cls.FindMethod("f", "()V");
+    method->code->code = std::move(code);
+    method->code->max_stack = 4;
+    method->code->max_locals = 2;
+    method->code->handlers = {h};
+    return VerifyClass(cls, lib_.env());
+  };
+  // bipush 5 @0, pop @2, return @3; code length 4.
+  const std::vector<uint8_t> body = {static_cast<uint8_t>(Op::kBipush), 5,
+                                     static_cast<uint8_t>(Op::kPop),
+                                     static_cast<uint8_t>(Op::kReturn)};
+  const ExceptionHandler bad[] = {
+      {/*start=*/1, /*end=*/3, /*handler=*/3, 0},            // start mid-instruction
+      {/*start=*/0, /*end=*/1, /*handler=*/3, 0},            // end mid-instruction
+      {/*start=*/0xFFFF, /*end=*/0xFFFF, /*handler=*/3, 0},  // start past the end
+      {/*start=*/4, /*end=*/0xFFFF, /*handler=*/3, 0},       // start at the code length
+      {/*start=*/0, /*end=*/0xFFFF, /*handler=*/3, 0},       // end past the end
+      {/*start=*/0, /*end=*/5, /*handler=*/3, 0},            // end just past the end
+      {/*start=*/0, /*end=*/3, /*handler=*/0xFFFF, 0},       // handler past the end
+      {/*start=*/0, /*end=*/3, /*handler=*/4, 0},            // handler at the code length
+  };
+  for (const ExceptionHandler& h : bad) {
+    SCOPED_TRACE(testing::Message() << h.start_pc << "/" << h.end_pc << "/" << h.handler_pc);
+    auto r = verify_with(body, h);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, ErrorCode::kVerifyError) << r.error().ToString();
+  }
+  // A range ending at the code length is well-formed. nop @0, return @1,
+  // handler: pop @2, return @3.
+  const std::vector<uint8_t> guarded = {
+      static_cast<uint8_t>(Op::kNop), static_cast<uint8_t>(Op::kReturn),
+      static_cast<uint8_t>(Op::kPop), static_cast<uint8_t>(Op::kReturn)};
+  auto r = verify_with(guarded, {/*start=*/0, /*end=*/4, /*handler=*/2, 0});
+  EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.error().ToString());
+}
+
 TEST_F(VerifierTest, RejectsWrongCpTagOperand) {
   ClassBuilder cb("app/BadCp", "java/lang/Object");
   MethodBuilder& m = cb.AddMethod(AccessFlags::kStatic, "f", "()V");
@@ -413,30 +459,33 @@ TEST_F(VerifierTest, MergeOfSiblingsIsCommonAncestor) {
   env.Add(&cls_a);
   env.Add(&cls_b);
   env.Add(&cls_c);
+  TypeEnv t(env);
 
-  VType merged = MergeTypes(VType::Ref("app/B"), VType::Ref("app/C"), env);
-  EXPECT_EQ(merged, VType::Ref("app/A"));
+  VType merged = MergeTypes(t.Ref("app/B"), t.Ref("app/C"), t);
+  EXPECT_EQ(merged, t.Ref("app/A"));
 }
 
 TEST_F(VerifierTest, MergeWithNullKeepsRef) {
   MapClassEnv env;
-  EXPECT_EQ(MergeTypes(VType::Null(), VType::Ref("x/Y"), env), VType::Ref("x/Y"));
-  EXPECT_EQ(MergeTypes(VType::Int(), VType::Ref("x/Y"), env).kind, VType::Kind::kTop);
-  EXPECT_EQ(MergeTypes(VType::Int(), VType::Long(), env).kind, VType::Kind::kTop);
+  TypeEnv t(env);
+  EXPECT_EQ(MergeTypes(VType::Null(), t.Ref("x/Y"), t), t.Ref("x/Y"));
+  EXPECT_EQ(MergeTypes(VType::Int(), t.Ref("x/Y"), t).kind, VType::Kind::kTop);
+  EXPECT_EQ(MergeTypes(VType::Int(), VType::Long(), t).kind, VType::Kind::kTop);
 }
 
 TEST_F(VerifierTest, AssignabilityAnswers) {
-  EXPECT_EQ(IsAssignable(VType::Null(), "anything/AtAll", lib_.env()), Assignability::kYes);
-  EXPECT_EQ(IsAssignable(VType::Ref("java/lang/Exception"), "java/lang/Throwable", lib_.env()),
+  TypeEnv t(lib_.env());
+  EXPECT_EQ(IsAssignable(VType::Null(), t.Intern("anything/AtAll"), t), Assignability::kYes);
+  EXPECT_EQ(IsAssignable(t.Ref("java/lang/Exception"), t.Intern("java/lang/Throwable"), t),
             Assignability::kYes);
-  EXPECT_EQ(IsAssignable(VType::Ref("java/lang/String"), "java/lang/Throwable", lib_.env()),
+  EXPECT_EQ(IsAssignable(t.Ref("java/lang/String"), t.Intern("java/lang/Throwable"), t),
             Assignability::kNo);
-  EXPECT_EQ(IsAssignable(VType::Ref("unknown/Cls"), "java/lang/Throwable", lib_.env()),
+  EXPECT_EQ(IsAssignable(t.Ref("unknown/Cls"), t.Intern("java/lang/Throwable"), t),
             Assignability::kUnknown);
-  EXPECT_EQ(IsAssignable(VType::Ref("[I"), "java/lang/Object", lib_.env()),
+  EXPECT_EQ(IsAssignable(t.Ref("[I"), t.Intern("java/lang/Object"), t),
             Assignability::kYes);
-  EXPECT_EQ(IsAssignable(VType::Ref("[I"), "[J", lib_.env()), Assignability::kNo);
-  EXPECT_EQ(IsAssignable(VType::Ref("[I"), "[I", lib_.env()), Assignability::kYes);
+  EXPECT_EQ(IsAssignable(t.Ref("[I"), t.Intern("[J"), t), Assignability::kNo);
+  EXPECT_EQ(IsAssignable(t.Ref("[I"), t.Intern("[I"), t), Assignability::kYes);
 }
 
 // The certificate validator's shadow joins fold incoming edges in whatever
@@ -455,19 +504,20 @@ TEST_F(VerifierTest, MergeTypesIsCommutative) {
   env.Add(&cls_a);
   env.Add(&cls_b);
   env.Add(&cls_c);
+  TypeEnv t(env);
 
   const VType samples[] = {
       VType::Top(),           VType::Int(),
       VType::Long(),          VType::Null(),
-      VType::Ref("app/CycA"), VType::Ref("app/CycB"),
-      VType::Ref("app/Leaf"), VType::Ref("java/lang/Object"),
-      VType::Ref("no/Such"),  VType::Uninit("app/CycA", 3),
+      t.Ref("app/CycA"), t.Ref("app/CycB"),
+      t.Ref("app/Leaf"), t.Ref("java/lang/Object"),
+      t.Ref("no/Such"),  VType::Uninit(t.Intern("app/CycA"), 3),
   };
   for (const VType& x : samples) {
     for (const VType& y : samples) {
       // Must terminate on the cycle, and must not depend on argument order.
-      EXPECT_EQ(MergeTypes(x, y, env), MergeTypes(y, x, env))
-          << x.ToString() << " vs " << y.ToString();
+      EXPECT_EQ(MergeTypes(x, y, t), MergeTypes(y, x, t))
+          << t.ToString(x) << " vs " << t.ToString(y);
     }
   }
 }
@@ -478,15 +528,16 @@ TEST_F(VerifierTest, MergeTypesIsCommutative) {
 // differential oracle).
 TEST_F(VerifierTest, MergeFramesMergesLocalsOnStackDepthMismatch) {
   MapClassEnv env;
+  TypeEnv t(env);
   Frame into;
   into.locals = {VType::Int()};
   into.stack = {VType::Int()};
   Frame from;
-  from.locals = {VType::Ref("x/Y")};
+  from.locals = {t.Ref("x/Y")};
   from.stack = {};
 
   bool changed = false;
-  MergeFrames(into, from, env, &changed);
+  MergeFrames(into, from, t, &changed);
   EXPECT_TRUE(changed);
   EXPECT_EQ(into.locals[0], VType::Top());  // Int ⊔ Ref, no longer dropped
   // The depth conflict itself surfaces as Top entries that fail the next use.
@@ -503,23 +554,24 @@ TEST_F(VerifierTest, FitsIntoMatchesMergeLattice) {
   MapClassEnv env = lib_.env();
   env.Add(&cls_a);
   env.Add(&cls_b);
+  TypeEnv t(env);
 
-  EXPECT_TRUE(FitsInto(VType::Ref("app/B"), VType::Ref("app/A"), env));
-  EXPECT_FALSE(FitsInto(VType::Ref("app/A"), VType::Ref("app/B"), env));
-  EXPECT_TRUE(FitsInto(VType::Null(), VType::Ref("app/A"), env));
-  EXPECT_TRUE(FitsInto(VType::Int(), VType::Top(), env));
-  EXPECT_FALSE(FitsInto(VType::Top(), VType::Int(), env));
-  EXPECT_TRUE(FitsInto(VType::Int(), VType::Int(), env));
+  EXPECT_TRUE(FitsInto(t.Ref("app/B"), t.Ref("app/A"), t));
+  EXPECT_FALSE(FitsInto(t.Ref("app/A"), t.Ref("app/B"), t));
+  EXPECT_TRUE(FitsInto(VType::Null(), t.Ref("app/A"), t));
+  EXPECT_TRUE(FitsInto(VType::Int(), VType::Top(), t));
+  EXPECT_FALSE(FitsInto(VType::Top(), VType::Int(), t));
+  EXPECT_TRUE(FitsInto(VType::Int(), VType::Int(), t));
 
   Frame wide;
-  wide.locals = {VType::Ref("app/A")};
+  wide.locals = {t.Ref("app/A")};
   Frame narrow;
-  narrow.locals = {VType::Ref("app/B")};
-  EXPECT_TRUE(FrameFits(narrow, wide, env));
-  EXPECT_FALSE(FrameFits(wide, narrow, env));
+  narrow.locals = {t.Ref("app/B")};
+  EXPECT_TRUE(FrameFits(narrow, wide, t));
+  EXPECT_FALSE(FrameFits(wide, narrow, t));
   Frame deeper = narrow;
   deeper.stack.push_back(VType::Int());
-  EXPECT_FALSE(FrameFits(deeper, wide, env));  // shape mismatch never fits
+  EXPECT_FALSE(FrameFits(deeper, wide, t));  // shape mismatch never fits
 }
 
 // --- Link checker (phase 4) ----------------------------------------------------
