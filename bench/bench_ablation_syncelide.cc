@@ -42,10 +42,11 @@ uint64_t Run(const ClassFile& cls, bool elide, uint64_t* monitors_elided) {
     MapClassEnv env;
     FilterContext ctx;
     ctx.env = &env;
-    if (!filter.Apply(copy, ctx).ok()) {
+    Result<FilterOutcome> outcome = filter.Apply(copy, ctx);
+    if (!outcome.ok()) {
       std::abort();
     }
-    *monitors_elided = filter.stats().monitors_elided;
+    *monitors_elided = outcome->sites_rewritten;
   }
   MapClassProvider provider;
   InstallSystemLibrary(provider);

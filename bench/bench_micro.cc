@@ -78,9 +78,9 @@ void BM_VerificationFilterPipeline(benchmark::State& state) {
   }
   Bytes wire = MustWriteClassFile(JlexBundle().classes[1]);
   for (auto _ : state) {
-    FilterPipeline pipeline(&env);
+    FilterPipeline pipeline;
     pipeline.Add(std::make_unique<VerificationFilter>());
-    auto result = pipeline.Run(wire);
+    auto result = pipeline.Run(wire, env);
     auto out = WriteClassFile(result.value().cls);
     benchmark::DoNotOptimize(out);
   }

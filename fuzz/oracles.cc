@@ -75,10 +75,11 @@ std::string CheckRoundTrip(const Bytes& data) {
 }
 
 std::string CheckRewritePipeline(const Bytes& data) {
-  FilterPipeline pipeline(&GetSyslib().env);
+  const ClassEnv& env = GetSyslib().env;
+  FilterPipeline pipeline;
   pipeline.Add(std::make_unique<VerificationFilter>());
 
-  auto first = pipeline.Run(data);
+  auto first = pipeline.Run(data, env);
   if (!first.ok()) {
     return "";  // typed rejection of hostile input is fine
   }
@@ -92,7 +93,7 @@ std::string CheckRewritePipeline(const Bytes& data) {
   if (!first_bytes.ok()) {
     return "";  // an unrepresentable rewrite is a typed rejection, as in the proxy
   }
-  auto second = pipeline.Run(first_bytes.value());
+  auto second = pipeline.Run(first_bytes.value(), env);
   if (!second.ok()) {
     return "pipeline rejected its own output: " + second.error().ToString();
   }

@@ -104,7 +104,6 @@ Result<bool> PeepholeOptimize(std::vector<Instr>* code, const ConstantPool& pool
   while (changed) {
     changed = false;
     for (size_t i = 0; i + 2 < code->size(); i++) {
-      stats->instructions_processed++;
       // Window: push c1; push c2; binop  ->  push (c1 op c2)
       auto c1 = PushedConstant((*code)[i], pool);
       auto c2 = PushedConstant((*code)[i + 1], pool);
@@ -134,24 +133,25 @@ Result<bool> PeepholeOptimize(std::vector<Instr>* code, const ConstantPool& pool
   return changed_any;
 }
 
-Result<FilterOutcome> CompilerFilter::Apply(ClassFile& cls, const FilterContext& ctx) {
+Result<FilterOutcome> CompilerFilter::Apply(ClassFile& cls, const FilterContext& ctx) const {
   FilterOutcome outcome;
   if (IsSystemClass(cls.name())) {
     return outcome;
   }
+  CompileStats stats;
   for (auto& method : cls.methods) {
     if (!method.code.has_value()) {
       continue;
     }
     DVM_ASSIGN_OR_RETURN(std::vector<Instr> code, DecodeCode(method.code->code));
-    DVM_ASSIGN_OR_RETURN(bool changed, PeepholeOptimize(&code, cls.pool(), &stats_));
-    stats_.methods_compiled++;
+    DVM_ASSIGN_OR_RETURN(bool changed, PeepholeOptimize(&code, cls.pool(), &stats));
     outcome.checks_performed += code.size();
     if (changed) {
       DVM_ASSIGN_OR_RETURN(method.code->code, EncodeCode(code));
       outcome.modified = true;
     }
   }
+  outcome.sites_rewritten = stats.folds + stats.reductions;
   const std::string& platform = ctx.platform.empty() ? target_platform_ : ctx.platform;
   cls.SetAttribute(kAttrCompiledStamp, Bytes(platform.begin(), platform.end()));
   outcome.modified = true;

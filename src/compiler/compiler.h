@@ -22,15 +22,13 @@
 namespace dvm {
 
 struct CompileStats {
-  uint64_t methods_compiled = 0;
-  uint64_t instructions_processed = 0;
   uint64_t folds = 0;         // constant-folding rewrites applied
   uint64_t reductions = 0;    // strength reductions applied
 };
 
-// Peephole-optimizes one decoded method body in place. Exposed for tests and
-// the client-side JIT baseline. Safe across branches: a window is only folded
-// when no branch targets its interior.
+// Peephole-optimizes one decoded method body in place, adding what it applied
+// to `stats`. Exposed for tests. Safe across branches: a window is only
+// folded when no branch targets its interior.
 Result<bool> PeepholeOptimize(std::vector<Instr>* code, const ConstantPool& pool,
                               CompileStats* stats);
 
@@ -38,20 +36,18 @@ Result<bool> PeepholeOptimize(std::vector<Instr>* code, const ConstantPool& pool
 // stamps the class for the target platform. The platform is taken from the
 // request context when present (clients report their native format in the
 // remote-administration handshake, section 3.4); `default_platform` covers
-// platform-neutral requests.
+// platform-neutral requests. The outcome's sites_rewritten counts the folds
+// and strength reductions applied.
 class CompilerFilter : public CodeFilter {
  public:
   explicit CompilerFilter(std::string default_platform)
       : target_platform_(std::move(default_platform)) {}
 
   std::string name() const override { return "compiler"; }
-  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) override;
-
-  const CompileStats& stats() const { return stats_; }
+  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) const override;
 
  private:
   std::string target_platform_;
-  CompileStats stats_;
 };
 
 }  // namespace dvm

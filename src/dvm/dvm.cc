@@ -54,8 +54,9 @@ DvmServer::DvmServer(DvmServerConfig config, ClassProvider* origin)
   }
 
   // Feed the console's code-version inventory from what the proxy serves.
-  // The proxy invokes this under its rewrite critical section, so the
-  // console's maps see one writer at a time even with worker threads.
+  // The proxy serializes its observer calls under a lock of their own, so the
+  // console's maps see one writer at a time even while misses run in
+  // parallel on worker threads.
   proxy_->SetServedObserver([this](const std::string& class_name, const Bytes& data) {
     console_.RecordCodeVersion(class_name, Md5::ToHex(Md5::Hash(data)));
   });

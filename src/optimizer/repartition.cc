@@ -3,7 +3,6 @@
 #include "src/bytecode/builder.h"
 #include "src/bytecode/code.h"
 #include "src/bytecode/descriptor.h"
-#include "src/bytecode/serializer.h"
 #include "src/rewrite/method_editor.h"
 #include "src/runtime/syslib.h"
 
@@ -120,7 +119,7 @@ Result<Bytes> TranspileCode(const Bytes& code, const ConstantPool& from, Constan
   return EncodeCode(instrs);
 }
 
-Result<FilterOutcome> RepartitionFilter::Apply(ClassFile& cls, const FilterContext& ctx) {
+Result<FilterOutcome> RepartitionFilter::Apply(ClassFile& cls, const FilterContext& ctx) const {
   FilterOutcome outcome;
   const std::string class_name = cls.name();
   // Only split classes we have profile data for; without a profile every
@@ -192,16 +191,10 @@ Result<FilterOutcome> RepartitionFilter::Apply(ClassFile& cls, const FilterConte
         MethodInfo stub,
         BuildForwardingStub(original, class_name, cold_class, cold_descriptor, cls.pool()));
     original = std::move(stub);
-    stats_.methods_moved++;
   }
 
   cold.SetAttribute(kAttrServiceStamp, Bytes{'c', 'o', 'l', 'd'});
   cls.SetAttribute(kAttrServiceStamp, Bytes{'r', 'p', 'r', 't'});
-  stats_.classes_split++;
-  DVM_ASSIGN_OR_RETURN(Bytes hot_wire, WriteClassFile(cls));
-  DVM_ASSIGN_OR_RETURN(Bytes cold_wire, WriteClassFile(cold));
-  stats_.hot_bytes += hot_wire.size();
-  stats_.cold_bytes += cold_wire.size();
   outcome.extra_classes.push_back(std::move(cold));
   outcome.modified = true;
   return outcome;

@@ -35,25 +35,17 @@ class TransferProfile {
   std::set<std::string> classes_;  // classes with any profile data
 };
 
-struct RepartitionStats {
-  uint64_t classes_split = 0;
-  uint64_t methods_moved = 0;
-  uint64_t hot_bytes = 0;
-  uint64_t cold_bytes = 0;
-};
-
+// A split class comes back with its cold companion in extra_classes and the
+// number of methods moved in checks_performed.
 class RepartitionFilter : public CodeFilter {
  public:
   explicit RepartitionFilter(const TransferProfile* profile) : profile_(profile) {}
 
   std::string name() const override { return "repartitioner"; }
-  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) override;
-
-  const RepartitionStats& stats() const { return stats_; }
+  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) const override;
 
  private:
   const TransferProfile* profile_;
-  RepartitionStats stats_;
 };
 
 // Re-encodes `code` from one class's constant pool into another's, remapping

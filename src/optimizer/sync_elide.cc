@@ -75,7 +75,7 @@ Result<std::vector<size_t>> FindElidableMonitorOps(const std::vector<Instr>& cod
   return elidable;
 }
 
-Result<FilterOutcome> SyncElideFilter::Apply(ClassFile& cls, const FilterContext& ctx) {
+Result<FilterOutcome> SyncElideFilter::Apply(ClassFile& cls, const FilterContext& ctx) const {
   FilterOutcome outcome;
   if (IsSystemClass(cls.name())) {
     return outcome;
@@ -89,20 +89,14 @@ Result<FilterOutcome> SyncElideFilter::Apply(ClassFile& cls, const FilterContext
     if (!method.code->handlers.empty()) {
       continue;
     }
-    stats_.methods_analyzed++;
     DVM_ASSIGN_OR_RETURN(std::vector<Instr> code, DecodeCode(method.code->code));
-    for (const auto& instr : code) {
-      if (instr.op == Op::kMonitorenter) {
-        stats_.monitors_seen++;
-      }
-    }
     DVM_ASSIGN_OR_RETURN(std::vector<size_t> elidable, FindElidableMonitorOps(code));
     if (elidable.empty()) {
       continue;
     }
     for (size_t index : elidable) {
       if (code[index].op == Op::kMonitorenter) {
-        stats_.monitors_elided++;
+        outcome.sites_rewritten++;
       }
       code[index] = Instr{Op::kNop, 0, 0};
     }

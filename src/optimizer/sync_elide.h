@@ -21,21 +21,11 @@
 
 namespace dvm {
 
-struct SyncElideStats {
-  uint64_t methods_analyzed = 0;
-  uint64_t monitors_seen = 0;
-  uint64_t monitors_elided = 0;
-};
-
+// The outcome's sites_rewritten counts the monitorenter instructions elided.
 class SyncElideFilter : public CodeFilter {
  public:
   std::string name() const override { return "sync-elider"; }
-  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) override;
-
-  const SyncElideStats& stats() const { return stats_; }
-
- private:
-  SyncElideStats stats_;
+  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) const override;
 };
 
 // Core analysis on one decoded method body; exposed for tests. Returns the

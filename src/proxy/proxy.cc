@@ -30,20 +30,13 @@ struct ArtifactEnv {
 
 }  // namespace
 
-const ClassFile* DvmProxy::SeenEnv::Lookup(const std::string& class_name) const {
+std::shared_ptr<const ClassFile> DvmProxy::SeenEnv::Find(const std::string& class_name) const {
   if (lock_counter_ != nullptr) {
     lock_counter_->Add();
   }
-  // The trusted library answers first: no origin class, whatever it declares,
-  // can shadow a library type for later verifications.
-  if (const ClassFile* trusted = library_->Lookup(class_name)) {
-    return trusted;
-  }
   std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = seen_.find(class_name);
-  // ClassFiles are unique_ptr-held and never erased, so the pointer stays
-  // valid after the lock drops.
-  return it == seen_.end() ? nullptr : it->second.get();
+  return it == seen_.end() ? nullptr : it->second;
 }
 
 void DvmProxy::SeenEnv::Add(ClassFile cls) {
@@ -51,8 +44,23 @@ void DvmProxy::SeenEnv::Add(ClassFile cls) {
     lock_counter_->Add();
   }
   std::string name = cls.name();
+  auto entry = std::make_shared<const ClassFile>(std::move(cls));
   std::unique_lock<std::shared_mutex> lock(mu_);
-  seen_[name] = std::make_unique<ClassFile>(std::move(cls));
+  // The replaced class, if any, lives on in every view that pinned it.
+  seen_[name] = std::move(entry);
+}
+
+const ClassFile* DvmProxy::RewriteView::Lookup(const std::string& class_name) const {
+  // The trusted library answers first: no origin class, whatever it declares,
+  // can shadow a library type. It never changes, so it needs no memo.
+  if (const ClassFile* trusted = library_->Lookup(class_name)) {
+    return trusted;
+  }
+  auto [it, inserted] = memo_.try_emplace(class_name);
+  if (inserted) {
+    it->second = seen_->Find(class_name);
+  }
+  return it->second.get();
 }
 
 void AuditRing::Push(std::string event) {
@@ -93,10 +101,8 @@ size_t AuditRing::size() const {
 
 DvmProxy::DvmProxy(ProxyConfig config, const ClassEnv* library_env, ClassProvider* origin)
     : config_(config),
-      env_(library_env),
       library_env_(library_env),
       origin_(origin),
-      pipeline_(&env_),
       cache_(config.cache_capacity_bytes, config.cache_shards),
       signer_(config.signing_key),
       audit_(config.audit_trail_capacity),
@@ -118,7 +124,7 @@ DvmProxy::DvmProxy(ProxyConfig config, const ClassEnv* library_env, ClassProvide
       c_cert_rejects_(stats_.Counter("proxy.cert_rejects")),
       c_cert_missing_(stats_.Counter("proxy.cert_missing")),
       h_request_cpu_nanos_(stats_.Histo("proxy.request_cpu_nanos")) {
-  env_.SetLockCounter(&c_lock_acquisitions_);
+  seen_.SetLockCounter(&c_lock_acquisitions_);
 }
 
 void DvmProxy::AddFilter(std::unique_ptr<CodeFilter> filter) {
@@ -207,12 +213,10 @@ std::optional<ProxyResponse> DvmProxy::TryServeGenerated(RequestContext& ctx) {
 }
 
 Result<ProxyResponse> DvmProxy::Rewrite(RequestContext& ctx) {
-  // The stacked filters keep per-filter statistics, and the observer feeds
-  // the (unsynchronized) administration console, so rewriting is one critical
-  // section. Hit/generated traffic never takes this lock.
-  c_lock_acquisitions_.Add();
-  std::lock_guard<std::mutex> lock(rewrite_mu_);
-
+  // Misses on different keys run all of this concurrently. Nothing here
+  // writes proxy state before the publish step except seen_, which each
+  // rewrite reads through its own stable RewriteView.
+  //
   // Sample the cache generation and policy epoch before doing any work. If
   // InvalidateCache (a policy change) lands while this rewrite is in flight,
   // the generation moves and the publish step below is skipped: without the
@@ -243,10 +247,12 @@ Result<ProxyResponse> DvmProxy::Rewrite(RequestContext& ctx) {
                  "origin class " + parsed.name() + " is not in the trusted library"};
   }
   // Record what flowed through so later classes verify against it.
-  env_.Add(parsed);
+  seen_.Add(parsed);
 
   // Run the stacked static services.
-  DVM_ASSIGN_OR_RETURN(PipelineResult result, pipeline_.Run(std::move(parsed), ctx.platform));
+  RewriteView view(library_env_, &seen_);
+  DVM_ASSIGN_OR_RETURN(PipelineResult result,
+                       pipeline_.Run(std::move(parsed), view, ctx.platform));
   ctx.filter_nanos = result.checks_performed * config_.nanos_per_check;
 
   // Sign in memory, then generate each output binary once.
@@ -268,25 +274,8 @@ Result<ProxyResponse> DvmProxy::Rewrite(RequestContext& ctx) {
   ctx.audit_events.push_back((result.modified ? "REWRITE " : "PASS ") + ctx.class_name);
   c_rewrites_.Add();
 
-  // Publish gate: an invalidation that arrived mid-rewrite moved the
-  // generation, so this artifact reflects a retired configuration. Serve it
-  // to the requester (stamped with its true, stale epoch — cluster-mode
-  // clients discard and retry) but keep it out of every shared structure.
-  if (cache_generation_.load(std::memory_order_acquire) != generation) {
-    c_stale_rewrite_skips_.Add();
-    ctx.audit_events.push_back("STALE-SKIP " + ctx.class_name);
-    return response;
-  }
-
-  if (!response.extra_classes.empty()) {
-    c_lock_acquisitions_.Add();
-    std::lock_guard<std::mutex> generated_lock(generated_mu_);
-    for (const auto& [name, data] : response.extra_classes) {
-      generated_[name] = data;
-    }
-  }
+  CachedClass entry;
   if (config_.enable_cache) {
-    CachedClass entry;
     // Prove the artifact once here so replicas receiving it over the
     // replication push never re-run the fixpoint. Certificate work is real
     // CPU on the fleet but is deliberately not charged to the virtual CPU
@@ -300,9 +289,33 @@ Result<ProxyResponse> DvmProxy::Rewrite(RequestContext& ctx) {
     entry.main_class = response.data;
     entry.extra_classes = response.extra_classes;
     entry.epoch = epoch;
-    cache_.Put(ctx.cache_key, std::move(entry));
+  }
+
+  // Publish gate, after the proof: the generation check and every shared
+  // insert are one step under generated_mu_, which InvalidateCache also
+  // holds for its clear. Either this rewrite sees the invalidation's bump,
+  // or the invalidation clears what it published. A stale artifact reflects
+  // a retired configuration: it is served to the requester (stamped with its
+  // true, stale epoch — cluster-mode clients discard and retry) but kept out
+  // of every shared structure.
+  {
+    c_lock_acquisitions_.Add();
+    std::lock_guard<std::mutex> lock(generated_mu_);
+    if (cache_generation_.load(std::memory_order_acquire) != generation) {
+      c_stale_rewrite_skips_.Add();
+      ctx.audit_events.push_back("STALE-SKIP " + ctx.class_name);
+      return response;
+    }
+    for (const auto& [name, data] : response.extra_classes) {
+      generated_[name] = data;
+    }
+    if (config_.enable_cache) {
+      cache_.Put(ctx.cache_key, std::move(entry));
+    }
   }
   if (served_observer_) {
+    c_lock_acquisitions_.Add();
+    std::lock_guard<std::mutex> lock(observer_mu_);
     served_observer_(ctx.class_name, response.data);
   }
   return response;
@@ -352,15 +365,15 @@ ProxyResponse DvmProxy::Commit(RequestContext& ctx, ProxyResponse response) {
 }
 
 void DvmProxy::InvalidateCache() {
-  // Advance the generation FIRST: an in-flight rewrite that sampled the old
-  // value must observe the change at its publish gate no matter how the
-  // clear below interleaves with its install.
+  // Advance the generation FIRST, then clear under the publish lock: a
+  // rewrite that sampled the old value either publishes before the clear
+  // (and is cleared) or reaches its gate after it and sees the bump.
   cache_generation_.fetch_add(1, std::memory_order_acq_rel);
+  c_lock_acquisitions_.Add();
+  std::lock_guard<std::mutex> lock(generated_mu_);
   cache_.Clear();
   // Synthesized classes were rewritten under the old service configuration
   // too; dropping only the LRU cache used to leave them stale.
-  c_lock_acquisitions_.Add();
-  std::lock_guard<std::mutex> lock(generated_mu_);
   generated_.clear();
 }
 

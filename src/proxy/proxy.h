@@ -9,9 +9,10 @@
 // HandleRequest is safe to call from many threads. Per-request state lives in
 // an explicit RequestContext rather than proxy members; the rewrite cache is
 // sharded; concurrent misses on one (class, platform) key are coalesced so
-// the filter pipeline runs once; and because the stacked filters keep their
-// own statistics, the rewrite stage itself is a serialized critical section —
-// cache hits and generated-class serves proceed in parallel around it.
+// the filter pipeline runs once; and misses on different keys run the whole
+// rewrite in parallel: the stacked filters are stateless, each rewrite sees
+// its own stable view of the classes seen so far, and publishing is one
+// locked step that an invalidation cannot interleave.
 #ifndef SRC_PROXY_PROXY_H_
 #define SRC_PROXY_PROXY_H_
 
@@ -24,6 +25,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/proxy/cache.h"
@@ -153,8 +155,9 @@ class DvmProxy {
 
   // Invoked for every class version served from the pipeline (not for cache
   // hits) with the served bytes; the administration console uses it to keep
-  // the organization's code-version inventory. Called under the rewrite
-  // critical section, so one invocation at a time.
+  // the organization's code-version inventory. Called after the artifact is
+  // published, under a lock that covers only the callback, so one invocation
+  // at a time even while misses run in parallel.
   void SetServedObserver(std::function<void(const std::string&, const Bytes&)> observer) {
     served_observer_ = std::move(observer);
   }
@@ -174,9 +177,10 @@ class DvmProxy {
   // class map — used when the service configuration (e.g. the security
   // policy) changes and classes must be re-instrumented. Synthesized classes
   // embed the old policy's hooks too, so serving them stale was a bug.
-  // Bumps the cache generation *before* clearing, so an in-flight rewrite
-  // that started under the old configuration refuses to publish afterward
-  // (the invalidate / single-flight race — see Rewrite()).
+  // Bumps the cache generation *before* clearing, and clears under the lock
+  // a rewrite publishes under, so an in-flight rewrite that started under the
+  // old configuration either refuses to publish or is cleared (the
+  // invalidate / single-flight race — see Rewrite()).
   void InvalidateCache();
 
   // The canonical rewrite-cache key for (class, platform); the replication
@@ -223,7 +227,8 @@ class DvmProxy {
   uint64_t coalesced_requests() const { return flights_.coalesced_waits(); }
   // Named counters: proxy.{connection,parse,filter,emit,sign}_nanos,
   // proxy.coalesced, proxy.rewrites, proxy.generated_hits,
-  // proxy.lock_acquisitions (audit + generated + env + pipeline locks); the
+  // proxy.lock_acquisitions (audit, generated/publish, seen-class and
+  // observer locks actually taken); the
   // certificate plane: proxy.cert_emits / cert_emit_checks /
   // cert_emit_failures (fixpoint side) and proxy.cert_validations /
   // cert_validate_checks / cert_rejects / cert_missing (one-pass install
@@ -239,20 +244,34 @@ class DvmProxy {
   double ThrashFactor(size_t inflight_requests) const;
 
  private:
-  // Environment the verifier sees: the library first, then every class this
-  // proxy parsed. Reader/writer locked: filters Lookup, the rewrite path Adds.
-  class SeenEnv : public ClassEnv {
+  // Every class this proxy parsed, by name. Reader/writer locked: rewrites
+  // read it through a RewriteView, Add replaces. Entries are shared, so a
+  // replaced class stays alive while an in-flight view still pins it.
+  class SeenEnv {
    public:
-    explicit SeenEnv(const ClassEnv* library) : library_(library) {}
-    const ClassFile* Lookup(const std::string& class_name) const override;
+    std::shared_ptr<const ClassFile> Find(const std::string& class_name) const;
     void Add(ClassFile cls);
     void SetLockCounter(StatCounter* counter) { lock_counter_ = counter; }
 
    private:
-    const ClassEnv* library_;
     mutable std::shared_mutex mu_;
     StatCounter* lock_counter_ = nullptr;
-    std::map<std::string, std::unique_ptr<ClassFile>> seen_;
+    std::map<std::string, std::shared_ptr<const ClassFile>> seen_;
+  };
+
+  // The environment one rewrite's filters verify against: the trusted
+  // library first, then SeenEnv. The first answer for each seen name, absent
+  // included, holds for the whole rewrite whatever concurrent misses Add
+  // meanwhile, and every class returned stays pinned until the view dies.
+  class RewriteView : public ClassEnv {
+   public:
+    RewriteView(const ClassEnv* library, const SeenEnv* seen) : library_(library), seen_(seen) {}
+    const ClassFile* Lookup(const std::string& class_name) const override;
+
+   private:
+    const ClassEnv* library_;
+    const SeenEnv* seen_;
+    mutable std::unordered_map<std::string, std::shared_ptr<const ClassFile>> memo_;
   };
 
   // Serves a cache hit, filling the context's timing/audit state.
@@ -274,7 +293,7 @@ class DvmProxy {
   ProxyResponse Commit(RequestContext& ctx, ProxyResponse response);
 
   ProxyConfig config_;
-  SeenEnv env_;
+  SeenEnv seen_;
   // The trusted library alone (no proxy-seen classes): certificates are
   // emitted and validated against artifact + library only, so every replica
   // reaches the same verdict regardless of what it happened to parse first.
@@ -286,15 +305,15 @@ class DvmProxy {
   AuditRing audit_;
   SingleFlightGroup flights_;
 
-  // The stacked filters carry their own statistics (verifier counts, profile
-  // instrumentation totals, ...), so pipeline execution — and the observer
-  // callback fed from it — is one critical section. Hits bypass this lock.
-  std::mutex rewrite_mu_;
   // Classes synthesized by filters (e.g. "$cold" splits): servable on demand
-  // without going to the origin, independent of the LRU cache.
+  // without going to the origin, independent of the LRU cache. The mutex
+  // also makes a rewrite's publish (generation check, generated_ insert,
+  // cache Put) one step against InvalidateCache's clear.
   std::mutex generated_mu_;
   std::map<std::string, Bytes> generated_;
 
+  // Held only around served_observer_ calls.
+  std::mutex observer_mu_;
   std::function<void(const std::string&, const Bytes&)> served_observer_;
   std::atomic<uint64_t> requests_served_{0};
   std::atomic<uint64_t> total_cpu_nanos_{0};

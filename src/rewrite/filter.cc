@@ -4,16 +4,17 @@
 
 namespace dvm {
 
-Result<PipelineResult> FilterPipeline::Run(const Bytes& class_bytes,
+Result<PipelineResult> FilterPipeline::Run(const Bytes& class_bytes, const ClassEnv& env,
                                            const std::string& platform) const {
   DVM_ASSIGN_OR_RETURN(ClassFile cls, ReadClassFile(class_bytes));
-  return Run(std::move(cls), platform);
+  return Run(std::move(cls), env, platform);
 }
 
-Result<PipelineResult> FilterPipeline::Run(ClassFile cls, const std::string& platform) const {
+Result<PipelineResult> FilterPipeline::Run(ClassFile cls, const ClassEnv& env,
+                                           const std::string& platform) const {
   PipelineResult result;
   FilterContext ctx;
-  ctx.env = env_;
+  ctx.env = &env;
   ctx.platform = platform;
 
   for (const auto& filter : filters_) {

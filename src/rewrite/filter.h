@@ -38,13 +38,21 @@ struct FilterOutcome {
   // Work metric: number of discrete checks/transformations performed. Feeds
   // the proxy's throughput accounting (Figure 10).
   uint64_t checks_performed = 0;
+  // What the service changed, for the services whose effect is not their
+  // work count: dynamic checks injected (verification), monitorenter
+  // instructions elided (sync elision), folds and strength reductions
+  // (compiler); 0 from every other filter. Filters keep no counters of their
+  // own: a caller that reports a service's effect reads it here.
+  uint64_t sites_rewritten = 0;
 };
 
+// A static service. Apply is const: a filter holds only its configuration,
+// never per-request state, so one instance serves concurrent rewrites.
 class CodeFilter {
  public:
   virtual ~CodeFilter() = default;
   virtual std::string name() const = 0;
-  virtual Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) = 0;
+  virtual Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) const = 0;
 };
 
 struct PipelineResult {
@@ -57,25 +65,26 @@ struct PipelineResult {
   std::vector<std::string> filters_run;
 };
 
-// Parse-once filter stack; the caller emits the result once.
+// Parse-once filter stack; the caller emits the result once. Run is safe to
+// call concurrently once the stack is built.
 class FilterPipeline {
  public:
-  explicit FilterPipeline(const ClassEnv* env) : env_(env) {}
-
   void Add(std::unique_ptr<CodeFilter> filter) { filters_.push_back(std::move(filter)); }
   size_t size() const { return filters_.size(); }
 
-  // Runs all filters over the serialized class. Any filter error aborts the
-  // run with that error (the proxy converts verification errors into
-  // replacement classes before this surfaces to clients). `platform` is the
-  // requesting client's native format (may be empty).
-  Result<PipelineResult> Run(const Bytes& class_bytes, const std::string& platform = "") const;
+  // Runs all filters over the serialized class, verifying against `env`. Any
+  // filter error aborts the run with that error (the proxy converts
+  // verification errors into replacement classes before this surfaces to
+  // clients). `platform` is the requesting client's native format (may be
+  // empty).
+  Result<PipelineResult> Run(const Bytes& class_bytes, const ClassEnv& env,
+                             const std::string& platform = "") const;
   // Same, starting from a parsed class (saves the parse when the caller
   // already has one).
-  Result<PipelineResult> Run(ClassFile cls, const std::string& platform = "") const;
+  Result<PipelineResult> Run(ClassFile cls, const ClassEnv& env,
+                             const std::string& platform = "") const;
 
  private:
-  const ClassEnv* env_;
   std::vector<std::unique_ptr<CodeFilter>> filters_;
 };
 

@@ -170,7 +170,7 @@ const std::vector<std::string>& AdministrationConsole::FirstUseOrder(
   return it == first_use_.end() ? kEmpty : it->second;
 }
 
-Result<FilterOutcome> AuditFilter::Apply(ClassFile& cls, const FilterContext& ctx) {
+Result<FilterOutcome> AuditFilter::Apply(ClassFile& cls, const FilterContext& ctx) const {
   FilterOutcome outcome;
   if (IsSystemClass(cls.name())) {
     return outcome;
@@ -182,14 +182,13 @@ Result<FilterOutcome> AuditFilter::Apply(ClassFile& cls, const FilterContext& ct
     // Entry events suffice for resource accounting and usage analysis; exits
     // would double the event rate for no additional audit value.
     DVM_RETURN_IF_ERROR(Instrument(cls, method, kRtAuditorClass, /*enter_exit=*/false));
-    methods_instrumented_++;
     outcome.checks_performed++;
     outcome.modified = true;
   }
   return outcome;
 }
 
-Result<FilterOutcome> ProfileFilter::Apply(ClassFile& cls, const FilterContext& ctx) {
+Result<FilterOutcome> ProfileFilter::Apply(ClassFile& cls, const FilterContext& ctx) const {
   FilterOutcome outcome;
   if (IsSystemClass(cls.name())) {
     return outcome;
@@ -199,7 +198,6 @@ Result<FilterOutcome> ProfileFilter::Apply(ClassFile& cls, const FilterContext& 
       continue;
     }
     DVM_RETURN_IF_ERROR(Instrument(cls, method, kRtProfilerClass, /*enter_exit=*/true));
-    methods_instrumented_++;
     outcome.checks_performed++;
     outcome.modified = true;
   }

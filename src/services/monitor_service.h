@@ -143,24 +143,18 @@ class AdministrationConsole {
 
 // --- static components ---------------------------------------------------------
 
+// Both instrumenters count the methods they instrumented in
+// checks_performed.
 class AuditFilter : public CodeFilter {
  public:
   std::string name() const override { return "auditor"; }
-  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) override;
-
-  uint64_t methods_instrumented() const { return methods_instrumented_; }
-
- private:
-  uint64_t methods_instrumented_ = 0;
+  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) const override;
 };
 
 class ProfileFilter : public CodeFilter {
  public:
   std::string name() const override { return "profiler"; }
-  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) override;
-
- private:
-  uint64_t methods_instrumented_ = 0;
+  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) const override;
 };
 
 // --- dynamic components ----------------------------------------------------------

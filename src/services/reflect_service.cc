@@ -38,10 +38,9 @@ Result<ReflectionInfo> DecodeReflectionInfo(const Bytes& data) {
   return info;
 }
 
-Result<FilterOutcome> ReflectionFilter::Apply(ClassFile& cls, const FilterContext& ctx) {
+Result<FilterOutcome> ReflectionFilter::Apply(ClassFile& cls, const FilterContext& ctx) const {
   FilterOutcome outcome;
   cls.SetAttribute(kAttrReflectionInfo, EncodeReflectionInfo(cls));
-  classes_annotated_++;
   outcome.modified = true;
   outcome.checks_performed = cls.fields.size() + cls.methods.size();
   return outcome;

@@ -31,12 +31,7 @@ Result<ReflectionInfo> DecodeReflectionInfo(const Bytes& data);
 class ReflectionFilter : public CodeFilter {
  public:
   std::string name() const override { return "reflection"; }
-  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) override;
-
-  uint64_t classes_annotated() const { return classes_annotated_; }
-
- private:
-  uint64_t classes_annotated_ = 0;
+  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) const override;
 };
 
 }  // namespace dvm

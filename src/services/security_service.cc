@@ -83,7 +83,7 @@ Result<SecurityPolicy> ParseSecurityPolicy(const std::string& xml_text) {
   return policy;
 }
 
-Result<FilterOutcome> SecurityFilter::Apply(ClassFile& cls, const FilterContext& ctx) {
+Result<FilterOutcome> SecurityFilter::Apply(ClassFile& cls, const FilterContext& ctx) const {
   FilterOutcome outcome;
   const std::string class_name = cls.name();
   // Never instrument the enforcement machinery itself.
@@ -175,7 +175,6 @@ Result<FilterOutcome> SecurityFilter::Apply(ClassFile& cls, const FilterContext&
         wrapper.code = std::move(code);
         method = std::move(inner);      // original slot becomes the renamed native
         cls.methods.push_back(std::move(wrapper));
-        checks_injected_++;
         outcome.modified = true;
         break;  // method reference invalidated by push_back; stop hook scan
       }
@@ -183,7 +182,6 @@ Result<FilterOutcome> SecurityFilter::Apply(ClassFile& cls, const FilterContext&
       DVM_ASSIGN_OR_RETURN(MethodEditor editor, MethodEditor::Open(&cls, &method));
       DVM_RETURN_IF_ERROR(editor.InsertBefore(0, preamble));
       DVM_RETURN_IF_ERROR(editor.Commit());
-      checks_injected_++;
       outcome.modified = true;
     }
   }

@@ -73,13 +73,10 @@ class SecurityFilter : public CodeFilter {
  public:
   explicit SecurityFilter(const SecurityPolicy* policy) : policy_(policy) {}
   std::string name() const override { return "security"; }
-  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) override;
-
-  uint64_t checks_injected() const { return checks_injected_; }
+  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) const override;
 
  private:
   const SecurityPolicy* policy_;
-  uint64_t checks_injected_ = 0;
 };
 
 class EnforcementManager;

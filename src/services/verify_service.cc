@@ -149,26 +149,23 @@ Result<ClassFile> BuildVerifyErrorClass(const ClassFile& original, const std::st
   return out;
 }
 
-Result<FilterOutcome> VerificationFilter::Apply(ClassFile& cls, const FilterContext& ctx) {
+Result<FilterOutcome> VerificationFilter::Apply(ClassFile& cls, const FilterContext& ctx) const {
   FilterOutcome outcome;
   if (IsSystemClass(cls.name())) {
     return outcome;  // the shipped library is trusted and pre-verified
   }
-  stats_.classes_verified++;
 
   auto verified = VerifyClass(cls, *ctx.env);
   if (!verified.ok()) {
     if (verified.error().code != ErrorCode::kVerifyError) {
       return verified.error();
     }
-    stats_.classes_rejected++;
     DVM_ASSIGN_OR_RETURN(outcome.replacement, BuildVerifyErrorClass(cls, verified.error().message));
     outcome.modified = true;
     outcome.checks_performed = 1;
     return outcome;
   }
 
-  stats_.static_checks += verified->stats.TotalStaticChecks();
   outcome.checks_performed = verified->stats.TotalStaticChecks();
 
   // Partition assumptions by scope.
@@ -184,7 +181,7 @@ Result<FilterOutcome> VerificationFilter::Apply(ClassFile& cls, const FilterCont
 
   if (!class_scoped.empty()) {
     DVM_RETURN_IF_ERROR(InjectClassChecks(cls, class_scoped));
-    stats_.dynamic_checks_injected += class_scoped.size();
+    outcome.sites_rewritten += class_scoped.size();
     outcome.modified = true;
   }
   size_t guard_index = 0;
@@ -194,7 +191,7 @@ Result<FilterOutcome> VerificationFilter::Apply(ClassFile& cls, const FilterCont
       continue;
     }
     DVM_RETURN_IF_ERROR(InjectMethodGuard(cls, method, guard_index++, it->second));
-    stats_.dynamic_checks_injected += it->second.size();
+    outcome.sites_rewritten += it->second.size();
     outcome.modified = true;
   }
 

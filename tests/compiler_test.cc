@@ -100,7 +100,7 @@ TEST(CompilerFilterTest, PreservesSemantics) {
   auto outcome = filter.Apply(cls, ctx);
   ASSERT_TRUE(outcome.ok()) << outcome.error().ToString();
   EXPECT_TRUE(outcome->modified);
-  EXPECT_GT(filter.stats().folds + filter.stats().reductions, 0u);
+  EXPECT_GT(outcome->sites_rewritten, 0u);
 
   EXPECT_EQ(RunStatic(cls, "f", 3), 60);
   const Attribute* stamp = cls.FindAttribute(kAttrCompiledStamp);

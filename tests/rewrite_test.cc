@@ -177,7 +177,7 @@ class CountingFilter : public CodeFilter {
   explicit CountingFilter(std::string tag, std::vector<std::string>* order)
       : tag_(std::move(tag)), order_(order) {}
   std::string name() const override { return tag_; }
-  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) override {
+  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) const override {
     order_->push_back(tag_);
     FilterOutcome outcome;
     outcome.checks_performed = 1;
@@ -192,7 +192,7 @@ class CountingFilter : public CodeFilter {
 class RenamingFilter : public CodeFilter {
  public:
   std::string name() const override { return "renamer"; }
-  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) override {
+  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) const override {
     FilterOutcome outcome;
     ClassBuilder cb("rw/Replaced", "java/lang/Object");
     outcome.replacement = cb.Build().value();
@@ -203,12 +203,12 @@ class RenamingFilter : public CodeFilter {
 TEST(FilterPipelineTest, RunsFiltersInStackingOrder) {
   std::vector<std::string> order;
   MapClassEnv env;
-  FilterPipeline pipeline(&env);
+  FilterPipeline pipeline;
   pipeline.Add(std::make_unique<CountingFilter>("first", &order));
   pipeline.Add(std::make_unique<CountingFilter>("second", &order));
 
   ClassBuilder cb("rw/P", "java/lang/Object");
-  auto result = pipeline.Run(MustBuild(cb));
+  auto result = pipeline.Run(MustBuild(cb), env);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(order, (std::vector<std::string>{"first", "second"}));
   EXPECT_EQ(result->checks_performed, 2u);
@@ -218,10 +218,10 @@ TEST(FilterPipelineTest, RunsFiltersInStackingOrder) {
 
 TEST(FilterPipelineTest, ReplacementClassFlowsThrough) {
   MapClassEnv env;
-  FilterPipeline pipeline(&env);
+  FilterPipeline pipeline;
   pipeline.Add(std::make_unique<RenamingFilter>());
   ClassBuilder cb("rw/Original", "java/lang/Object");
-  auto result = pipeline.Run(MustBuild(cb));
+  auto result = pipeline.Run(MustBuild(cb), env);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->cls.name(), "rw/Replaced");
   EXPECT_TRUE(result->modified);
@@ -229,10 +229,10 @@ TEST(FilterPipelineTest, ReplacementClassFlowsThrough) {
 
 TEST(FilterPipelineTest, ParsesBytesOnce) {
   MapClassEnv env;
-  FilterPipeline pipeline(&env);
+  FilterPipeline pipeline;
   ClassBuilder cb("rw/Bytes", "java/lang/Object");
   ClassFile cls = MustBuild(cb);
-  auto result = pipeline.Run(MustWriteClassFile(cls));
+  auto result = pipeline.Run(MustWriteClassFile(cls), env);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->cls.name(), "rw/Bytes");
 }
