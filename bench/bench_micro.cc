@@ -5,10 +5,13 @@
 #include <benchmark/benchmark.h>
 
 #include "src/bytecode/builder.h"
+#include "src/bytecode/code.h"
 #include "src/bytecode/serializer.h"
+#include "src/bytecode/stack_effect.h"
 #include "src/proxy/signature.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/syslib.h"
+#include "src/services/monitor_service.h"
 #include "src/services/security_service.h"
 #include "src/services/verify_service.h"
 #include "src/support/md5.h"
@@ -70,6 +73,64 @@ void BM_VerifyClass(benchmark::State& state) {
                                                   benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_VerifyClass);
+
+// Instructions per second over every method body of the class.
+void BM_DecodeCode(benchmark::State& state) {
+  const ClassFile& cls = JlexBundle().classes[1];
+  size_t instrs = 0;
+  for (auto _ : state) {
+    for (const auto& method : cls.methods) {
+      if (method.code.has_value()) {
+        auto decoded = DecodeCode(method.code->code);
+        instrs += decoded->instrs.size();
+        benchmark::DoNotOptimize(decoded);
+      }
+    }
+  }
+  state.counters["instrs/s"] = benchmark::Counter(static_cast<double>(instrs),
+                                                  benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_DecodeCode);
+
+void BM_ComputeMaxStackDepth(benchmark::State& state) {
+  const ClassFile& cls = JlexBundle().classes[1];
+  std::vector<std::vector<Instr>> bodies;
+  for (const auto& method : cls.methods) {
+    if (method.code.has_value()) {
+      bodies.push_back(DecodeCode(method.code->code)->instrs);
+    }
+  }
+  size_t instrs = 0;
+  for (auto _ : state) {
+    for (const auto& body : bodies) {
+      auto depth = ComputeMaxStackDepth(body, cls.pool(), {});
+      instrs += body.size();
+      benchmark::DoNotOptimize(depth);
+    }
+  }
+  state.counters["instrs/s"] = benchmark::Counter(static_cast<double>(instrs),
+                                                  benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ComputeMaxStackDepth);
+
+// The audit service's entry instrumentation of every method: decode, insert,
+// encode, handler remap and max-stack per method (plus one class copy).
+void BM_AuditFilter(benchmark::State& state) {
+  MapClassEnv env;
+  for (const auto& cls : Library()) {
+    env.Add(&cls);
+  }
+  FilterContext ctx;
+  ctx.env = &env;
+  const AuditFilter filter;
+  for (auto _ : state) {
+    ClassFile cls = JlexBundle().classes[1];
+    auto outcome = filter.Apply(cls, ctx);
+    benchmark::DoNotOptimize(outcome);
+    benchmark::DoNotOptimize(cls);
+  }
+}
+BENCHMARK(BM_AuditFilter);
 
 void BM_VerificationFilterPipeline(benchmark::State& state) {
   MapClassEnv env;

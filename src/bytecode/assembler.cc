@@ -481,8 +481,8 @@ std::string ToAssembly(const ClassFile& cls) {
     if (m.code.has_value()) {
       auto decoded = DecodeCode(m.code->code);
       if (decoded.ok()) {
-        const auto& instrs = decoded.value();
-        std::vector<uint32_t> offsets = CodeByteOffsets(instrs);
+        const auto& instrs = decoded->instrs;
+        const auto& offsets = decoded->offsets;
         // Collect label positions: branch targets and handler boundaries.
         std::map<size_t, std::string> labels;
         auto label_at = [&labels](size_t index) {

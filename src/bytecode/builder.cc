@@ -1,7 +1,5 @@
 #include "src/bytecode/builder.h"
 
-#include <deque>
-
 #include "src/bytecode/descriptor.h"
 #include "src/bytecode/stack_effect.h"
 
@@ -138,59 +136,19 @@ MethodBuilder& MethodBuilder::AddHandler(Label start, Label end, Label handler,
 }
 
 Result<uint16_t> MethodBuilder::ComputeMaxStack(const std::vector<Instr>& instrs) const {
-  if (instrs.empty()) {
-    return static_cast<uint16_t>(0);
-  }
-  // Breadth-first propagation of stack depth. Depths must agree at merge points
-  // for well-formed code; we take the max and let the verifier flag conflicts.
-  std::vector<int> depth_at(instrs.size(), -1);
-  std::deque<size_t> work;
-
-  auto schedule = [&](size_t index, int depth) {
-    if (index >= instrs.size()) {
-      return;
-    }
-    if (depth_at[index] < depth) {
-      depth_at[index] = depth;
-      work.push_back(index);
-    }
-  };
-
-  schedule(0, 0);
   // Exception handlers start with exactly the thrown reference on the stack.
+  std::vector<uint32_t> handler_entries;
   for (const auto& h : handlers_) {
     int pos = label_positions_[static_cast<size_t>(h.handler.id)];
     if (pos >= 0) {
-      schedule(static_cast<size_t>(pos), 1);
+      handler_entries.push_back(static_cast<uint32_t>(pos));
     }
   }
-
-  int max_depth = 0;
-  while (!work.empty()) {
-    size_t index = work.front();
-    work.pop_front();
-    int depth = depth_at[index];
-    const Instr& instr = instrs[index];
-    DVM_ASSIGN_OR_RETURN(int delta, StackDelta(instr, owner_->pool()));
-    DVM_ASSIGN_OR_RETURN(int pops, StackPops(instr, owner_->pool()));
-    if (depth < pops) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "builder: stack underflow at instruction " + std::to_string(index) + " in " +
-                       name_};
-    }
-    int next = depth + delta;
-    max_depth = std::max(max_depth, std::max(depth, next));
-    if (IsBranch(instr.op)) {
-      schedule(static_cast<size_t>(instr.a), next);
-    }
-    if (!IsTerminator(instr.op)) {
-      schedule(index + 1, next);
-    }
-  }
-  if (max_depth > 0xFFFF) {
-    return Error{ErrorCode::kCapacity, "max stack exceeds 65535"};
-  }
-  return static_cast<uint16_t>(max_depth);
+  return ComputeMaxStackDepth(instrs, owner_->pool(), handler_entries, [this](size_t index) {
+    return Error{ErrorCode::kInvalidArgument,
+                 "builder: stack underflow at instruction " + std::to_string(index) + " in " +
+                     name_};
+  });
 }
 
 Status MethodBuilder::Done() {
@@ -214,14 +172,14 @@ Status MethodBuilder::Done() {
     instrs[index].a = pos;
   }
 
-  DVM_ASSIGN_OR_RETURN(Bytes encoded, EncodeCode(instrs));
+  std::vector<uint32_t> offsets;
+  DVM_ASSIGN_OR_RETURN(Bytes encoded, EncodeCode(instrs, &offsets));
   DVM_ASSIGN_OR_RETURN(uint16_t max_stack, ComputeMaxStack(instrs));
 
   DVM_ASSIGN_OR_RETURN(MethodSignature sig, ParseMethodDescriptor(descriptor_));
   int arg_slots = sig.ArgSlots() + ((access_flags_ & AccessFlags::kStatic) != 0 ? 0 : 1);
   uint16_t max_locals = static_cast<uint16_t>(std::max(max_local_ + 1, arg_slots));
 
-  std::vector<uint32_t> offsets = CodeByteOffsets(instrs);
   CodeAttr code;
   code.max_stack = max_stack;
   code.max_locals = max_locals;

@@ -2,15 +2,18 @@
 
 namespace dvm {
 
-Result<std::vector<Instr>> DecodeCode(const Bytes& code) {
-  std::vector<Instr> instrs;
-  // Byte offset of each decoded instruction, for branch target mapping.
-  std::vector<uint32_t> offsets;
-  struct PendingBranch {
-    size_t instr_index;
-    uint32_t target_offset;
-  };
-  std::vector<PendingBranch> pending;
+Result<DecodedCode> DecodeCode(const Bytes& code) {
+  // Every instruction takes at least one byte, so one allocation per output
+  // covers any body. (A second pass counting instructions first would cost as
+  // much as decoding: each length depends on the previous one.)
+  DecodedCode out;
+  std::vector<Instr>& instrs = out.instrs;
+  std::vector<uint32_t>& offsets = out.offsets;
+  instrs.reserve(code.size());
+  offsets.reserve(code.size() + 1);
+  // Branch operands hold the target *byte offset* until every instruction
+  // start is known, then the target's index.
+  bool has_branches = false;
 
   size_t pos = 0;
   while (pos < code.size()) {
@@ -30,7 +33,7 @@ Result<std::vector<Instr>> DecodeCode(const Bytes& code) {
                    "unknown opcode 0x" + std::to_string(code[pos]) + " at offset " +
                        std::to_string(pos)};
     }
-    int len = InstructionLength(op);
+    int len = EncodedLength(info->operands);
     if (pos + static_cast<size_t>(len) > code.size()) {
       return Error{ErrorCode::kVerifyError,
                    "truncated instruction at offset " + std::to_string(pos)};
@@ -61,7 +64,8 @@ Result<std::vector<Instr>> DecodeCode(const Bytes& code) {
           return Error{ErrorCode::kVerifyError,
                        "branch at offset " + std::to_string(pos) + " escapes method body"};
         }
-        pending.push_back({instrs.size(), static_cast<uint32_t>(target)});
+        instr.a = static_cast<int32_t>(target);
+        has_branches = true;
         break;
       }
       case OperandKind::kLocalIncr:
@@ -75,16 +79,21 @@ Result<std::vector<Instr>> DecodeCode(const Bytes& code) {
   }
 
   offsets.push_back(static_cast<uint32_t>(code.size()));
-  const OffsetIndex offset_to_index(offsets);
-  for (const auto& p : pending) {
-    int32_t index = offset_to_index.At(p.target_offset);
-    if (index == OffsetIndex::kNone) {
-      return Error{ErrorCode::kVerifyError,
-                   "branch targets mid-instruction offset " + std::to_string(p.target_offset)};
+  out.off_to_ix = OffsetIndex(offsets);
+  if (has_branches) {
+    for (Instr& instr : instrs) {
+      if (!IsBranch(instr.op)) {
+        continue;
+      }
+      int32_t index = out.off_to_ix.At(static_cast<uint32_t>(instr.a));
+      if (index == OffsetIndex::kNone) {
+        return Error{ErrorCode::kVerifyError,
+                     "branch targets mid-instruction offset " + std::to_string(instr.a)};
+      }
+      instr.a = index;
     }
-    instrs[p.instr_index].a = index;
   }
-  return instrs;
+  return out;
 }
 
 std::vector<uint32_t> CodeByteOffsets(const std::vector<Instr>& instrs) {
@@ -106,8 +115,10 @@ OffsetIndex::OffsetIndex(const std::vector<uint32_t>& offsets)
   }
 }
 
-Result<Bytes> EncodeCode(const std::vector<Instr>& instrs) {
-  std::vector<uint32_t> offsets = CodeByteOffsets(instrs);
+Result<Bytes> EncodeCode(const std::vector<Instr>& instrs, std::vector<uint32_t>* offsets_out) {
+  std::vector<uint32_t> own_offsets;
+  std::vector<uint32_t>& offsets = offsets_out != nullptr ? *offsets_out : own_offsets;
+  offsets = CodeByteOffsets(instrs);
   Bytes out;
   out.reserve(offsets.back());
   for (size_t i = 0; i < instrs.size(); i++) {

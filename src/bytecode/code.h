@@ -29,22 +29,6 @@ struct Instr {
   bool operator==(const Instr& other) const = default;
 };
 
-// Decodes an instruction stream. Checks that every opcode is known, that no
-// instruction is truncated, and that every branch lands on an instruction
-// boundary within the method (these are the instruction-integrity checks of
-// verification phase 2; the decoder performs them because nothing downstream
-// can operate on code that fails them).
-Result<std::vector<Instr>> DecodeCode(const Bytes& code);
-
-// Encodes a decoded stream back to bytes. Fails if a branch displacement does
-// not fit in 16 bits (methods that large are rejected at build time).
-Result<Bytes> EncodeCode(const std::vector<Instr>& instrs);
-
-// Byte offset of each instruction in the encoding of `instrs`, plus one final
-// entry holding the total encoded size. Used to remap exception tables and line
-// metadata after rewriting.
-std::vector<uint32_t> CodeByteOffsets(const std::vector<Instr>& instrs);
-
 // Byte offset -> instruction index for one code body: a dense table with one
 // entry per byte offset up to and including the code length. Built from
 // CodeByteOffsets output; the end offset maps to the instruction count (the
@@ -66,6 +50,37 @@ class OffsetIndex {
  private:
   std::vector<int32_t> ix_;
 };
+
+// A decoded method body with the offset maps its consumers index by: the
+// decoder computes both to resolve branches, so verification phase 2, the
+// method editor and the interpreter's preparation take them from here instead
+// of rebuilding them.
+struct DecodedCode {
+  // Reserved for the longest possible body (one instruction per byte):
+  // shrink it before keeping it.
+  std::vector<Instr> instrs;
+  std::vector<uint32_t> offsets;  // CodeByteOffsets(instrs): per instruction + total
+  OffsetIndex off_to_ix;          // byte offset -> instruction index
+};
+
+// Decodes an instruction stream. Checks that every opcode is known, that no
+// instruction is truncated, and that every branch lands on an instruction
+// boundary within the method (these are the instruction-integrity checks of
+// verification phase 2; the decoder performs them because nothing downstream
+// can operate on code that fails them).
+Result<DecodedCode> DecodeCode(const Bytes& code);
+
+// Encodes a decoded stream back to bytes. Fails if a branch displacement does
+// not fit in 16 bits (methods that large are rejected at build time). When
+// `offsets` is given it receives CodeByteOffsets(instrs), which the encoder
+// computes anyway.
+Result<Bytes> EncodeCode(const std::vector<Instr>& instrs,
+                         std::vector<uint32_t>* offsets = nullptr);
+
+// Byte offset of each instruction in the encoding of `instrs`, plus one final
+// entry holding the total encoded size. Used to remap exception tables and line
+// metadata after rewriting.
+std::vector<uint32_t> CodeByteOffsets(const std::vector<Instr>& instrs);
 
 }  // namespace dvm
 

@@ -9,7 +9,7 @@ namespace {
 constexpr size_t kMaxArrayDims = 255;
 
 // Consumes one type descriptor starting at *pos; returns false on malformed input.
-bool ConsumeType(const std::string& desc, size_t* pos) {
+bool ConsumeType(std::string_view desc, size_t* pos) {
   size_t dims = 0;
   while (*pos < desc.size() && desc[*pos] == '[') {
     if (++dims > kMaxArrayDims) {
@@ -27,7 +27,7 @@ bool ConsumeType(const std::string& desc, size_t* pos) {
       return true;
     case 'L': {
       size_t semi = desc.find(';', *pos);
-      if (semi == std::string::npos || semi == *pos + 1) {
+      if (semi == std::string_view::npos || semi == *pos + 1) {
         return false;
       }
       *pos = semi + 1;
@@ -77,6 +77,31 @@ Result<MethodSignature> ParseMethodDescriptor(const std::string& desc) {
     return Error{ErrorCode::kParseError, "malformed return type in descriptor: " + desc};
   }
   return sig;
+}
+
+std::optional<MethodShape> ScanMethodDescriptor(std::string_view desc) {
+  // Mirrors ParseMethodDescriptor step for step.
+  if (desc.empty() || desc[0] != '(') {
+    return std::nullopt;
+  }
+  MethodShape shape;
+  size_t pos = 1;
+  while (pos < desc.size() && desc[pos] != ')') {
+    if (!ConsumeType(desc, &pos)) {
+      return std::nullopt;
+    }
+    shape.arg_slots++;
+  }
+  if (pos >= desc.size() || desc[pos] != ')') {
+    return std::nullopt;
+  }
+  std::string_view ret = desc.substr(pos + 1);
+  shape.returns_void = ret == "V";
+  size_t ret_pos = 0;
+  if (!shape.returns_void && !(ConsumeType(ret, &ret_pos) && ret_pos == ret.size())) {
+    return std::nullopt;
+  }
+  return shape;
 }
 
 std::string MakeMethodDescriptor(const std::vector<std::string>& params,

@@ -9,7 +9,9 @@
 #ifndef SRC_BYTECODE_DESCRIPTOR_H_
 #define SRC_BYTECODE_DESCRIPTOR_H_
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/support/result.h"
@@ -34,6 +36,16 @@ bool IsArrayDescriptor(const std::string& desc);
 
 // Parses "(IJ[Lfoo/Bar;)V" style method descriptors.
 Result<MethodSignature> ParseMethodDescriptor(const std::string& desc);
+
+// What a stack-depth walk needs from a method descriptor, read without
+// allocating: the argument slot count and whether the method returns void.
+struct MethodShape {
+  int arg_slots = 0;
+  bool returns_void = false;
+};
+// Accepts exactly the descriptors ParseMethodDescriptor accepts (nullopt for
+// the rest), with arg_slots == ArgSlots() and returns_void == ReturnsVoid().
+std::optional<MethodShape> ScanMethodDescriptor(std::string_view desc);
 std::string MakeMethodDescriptor(const std::vector<std::string>& params,
                                  const std::string& return_type);
 

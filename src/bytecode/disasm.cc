@@ -100,7 +100,7 @@ std::string DisassembleMethod(const ClassFile& cls, const MethodInfo& method) {
     out << "    <undecodable: " << decoded.error().ToString() << ">\n";
     return out.str();
   }
-  const auto& instrs = decoded.value();
+  const auto& instrs = decoded->instrs;
   for (size_t i = 0; i < instrs.size(); i++) {
     const OpInfo* info = GetOpInfo(instrs[i].op);
     out << "    " << i << ": " << (info != nullptr ? info->name : "<bad>")

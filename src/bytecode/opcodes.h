@@ -7,6 +7,7 @@
 #ifndef SRC_BYTECODE_OPCODES_H_
 #define SRC_BYTECODE_OPCODES_H_
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -150,28 +151,78 @@ struct OpInfo {
   // Net operand-stack effect where it is fixed; kVariableStack for invokes/field ops
   // whose effect depends on the referenced descriptor.
   int stack_delta;
+  // Slots popped (before the pushes) where the effect is fixed; 0 otherwise.
+  int pops;
   bool variable_stack;
 };
 
 constexpr int kVariableStack = 127;
 
+// Metadata per opcode byte, nullptr for the unassigned bytes: the one dense
+// table (opcodes.cc) that every lookup and predicate below reads. Decoding,
+// encoding, verification and max-stack computation consult it several times
+// per instruction, so the accessors are inline loads rather than calls.
+extern const std::array<const OpInfo*, 256> kOpInfoByByte;
+
 // Returns metadata for an opcode, or nullptr if the byte is not a valid opcode.
-const OpInfo* GetOpInfo(Op op);
-inline const OpInfo* GetOpInfo(uint8_t raw) { return GetOpInfo(static_cast<Op>(raw)); }
+inline const OpInfo* GetOpInfo(Op op) { return kOpInfoByByte[static_cast<uint8_t>(op)]; }
+inline const OpInfo* GetOpInfo(uint8_t raw) { return kOpInfoByByte[raw]; }
 
-// Length in bytes of an encoded instruction (opcode + operands).
-int InstructionLength(Op op);
+// Length in bytes of an encoded instruction with this operand shape.
+constexpr int EncodedLength(OperandKind operands) {
+  switch (operands) {
+    case OperandKind::kNone:
+      return 1;
+    case OperandKind::kI8:
+    case OperandKind::kU8:
+    case OperandKind::kArrayKind:
+      return 2;
+    case OperandKind::kI16:
+    case OperandKind::kCpIndex:
+    case OperandKind::kBranch16:
+    case OperandKind::kLocalIncr:
+      return 3;
+  }
+  return -1;
+}
 
-bool IsBranch(Op op);
-bool IsConditionalBranch(Op op);
-bool IsReturn(Op op);
+// Length in bytes of an encoded instruction (opcode + operands), -1 for an
+// unassigned byte.
+inline int InstructionLength(Op op) {
+  const OpInfo* info = GetOpInfo(op);
+  return info == nullptr ? -1 : EncodedLength(info->operands);
+}
+
+inline bool IsBranch(Op op) {
+  const OpInfo* info = GetOpInfo(op);
+  return info != nullptr && info->operands == OperandKind::kBranch16;
+}
+
+inline bool IsConditionalBranch(Op op) { return IsBranch(op) && op != Op::kGoto; }
+
+inline bool IsReturn(Op op) {
+  return op == Op::kIreturn || op == Op::kLreturn || op == Op::kAreturn || op == Op::kReturn;
+}
+
 // True when control cannot fall through to the next instruction.
-bool IsTerminator(Op op);
-bool IsInvoke(Op op);
-bool IsFieldAccess(Op op);
+inline bool IsTerminator(Op op) { return IsReturn(op) || op == Op::kGoto || op == Op::kAthrow; }
+
+inline bool IsInvoke(Op op) {
+  return op == Op::kInvokevirtual || op == Op::kInvokespecial || op == Op::kInvokestatic;
+}
+
+inline bool IsFieldAccess(Op op) {
+  return op == Op::kGetfield || op == Op::kPutfield || op == Op::kGetstatic ||
+         op == Op::kPutstatic;
+}
+
 // True for the runtime-internal quick forms (0xd3..0xde). Quick opcodes must
 // never appear in on-the-wire class files.
-bool IsQuickOp(Op op);
+inline bool IsQuickOp(Op op) {
+  uint8_t raw = static_cast<uint8_t>(op);
+  return raw >= static_cast<uint8_t>(Op::kLdcQuick) &&
+         raw <= static_cast<uint8_t>(Op::kInstanceofQuick);
+}
 inline bool IsQuickOp(uint8_t raw) { return IsQuickOp(static_cast<Op>(raw)); }
 
 }  // namespace dvm

@@ -1,137 +1,140 @@
 #include "src/bytecode/stack_effect.h"
 
-#include "src/bytecode/descriptor.h"
+#include <algorithm>
+#include <cstddef>
+#include <optional>
+#include <string>
 
 namespace dvm {
-namespace {
 
-// Pops/pushes for instructions with pool-dependent effects.
-struct Effect {
-  int pops;
-  int pushes;
-};
+Result<MethodShape> StackEffects::InvokeShape(uint16_t index) {
+  Memo& memo = memo_[index % memo_.size()];
+  if (memo.index == index && index != 0) {
+    return memo.shape;
+  }
+  const ConstantPool& pool = pool_;
+  if (!pool.HasTag(index, CpTag::kMethodRef)) {
+    return pool.MethodRefAt(index).error();
+  }
+  const CpEntry& ref = pool.entry(index);
+  if (!pool.HasTag(ref.ref1, CpTag::kClass) ||
+      !pool.HasTag(pool.entry(ref.ref1).ref1, CpTag::kUtf8) ||
+      !pool.HasTag(ref.ref2, CpTag::kUtf8) || !pool.HasTag(ref.ref3, CpTag::kUtf8)) {
+    return pool.MethodRefAt(index).error();
+  }
+  const std::string& descriptor = pool.entry(ref.ref3).utf8;
+  std::optional<MethodShape> shape = ScanMethodDescriptor(descriptor);
+  if (!shape.has_value()) {
+    return ParseMethodDescriptor(descriptor).error();
+  }
+  memo = Memo{index, *shape};
+  return *shape;
+}
 
-Result<Effect> VariableEffect(const Instr& instr, const ConstantPool& pool) {
-  uint16_t index = static_cast<uint16_t>(instr.a);
+Result<StackEffect> StackEffects::VariableOf(const Instr& instr) {
+  if (GetOpInfo(instr.op) == nullptr) {
+    return Error{ErrorCode::kInternal, "unknown opcode in StackEffects"};
+  }
   switch (instr.op) {
     case Op::kGetstatic:
-      return Effect{0, 1};
+      return StackEffect{0, 1};
     case Op::kPutstatic:
-      return Effect{1, 0};
+      return StackEffect{1, 0};
     case Op::kGetfield:
-      return Effect{1, 1};
+      return StackEffect{1, 1};
     case Op::kPutfield:
-      return Effect{2, 0};
+      return StackEffect{2, 0};
     case Op::kInvokestatic:
     case Op::kInvokevirtual:
     case Op::kInvokespecial: {
-      DVM_ASSIGN_OR_RETURN(MemberRef ref, pool.MethodRefAt(index));
-      DVM_ASSIGN_OR_RETURN(MethodSignature sig, ParseMethodDescriptor(ref.descriptor));
-      int pops = sig.ArgSlots() + (instr.op == Op::kInvokestatic ? 0 : 1);
-      int pushes = sig.ReturnsVoid() ? 0 : 1;
-      return Effect{pops, pushes};
+      DVM_ASSIGN_OR_RETURN(MethodShape shape, InvokeShape(static_cast<uint16_t>(instr.a)));
+      return StackEffect{shape.arg_slots + (instr.op == Op::kInvokestatic ? 0 : 1),
+                         shape.returns_void ? 0 : 1};
     }
     default:
       return Error{ErrorCode::kInternal, "not a variable-stack opcode"};
   }
 }
 
-// Fixed pop counts for instructions whose OpInfo carries only the net delta.
-int FixedPops(Op op) {
-  switch (op) {
-    case Op::kIstore:
-    case Op::kLstore:
-    case Op::kAstore:
-    case Op::kPop:
-    case Op::kIneg:
-    case Op::kLneg:
-    case Op::kI2l:
-    case Op::kL2i:
-    case Op::kIreturn:
-    case Op::kLreturn:
-    case Op::kAreturn:
-    case Op::kAthrow:
-    case Op::kMonitorenter:
-    case Op::kMonitorexit:
-    case Op::kIfeq:
-    case Op::kIfne:
-    case Op::kIflt:
-    case Op::kIfge:
-    case Op::kIfgt:
-    case Op::kIfle:
-    case Op::kIfnull:
-    case Op::kIfnonnull:
-    case Op::kNewarray:
-    case Op::kAnewarray:
-    case Op::kArraylength:
-    case Op::kCheckcast:
-    case Op::kInstanceof:
-    case Op::kDup:
-      return 1;
-    case Op::kIaload:
-    case Op::kLaload:
-    case Op::kAaload:
-    case Op::kIadd:
-    case Op::kLadd:
-    case Op::kIsub:
-    case Op::kLsub:
-    case Op::kImul:
-    case Op::kLmul:
-    case Op::kIdiv:
-    case Op::kLdiv:
-    case Op::kIrem:
-    case Op::kLrem:
-    case Op::kIshl:
-    case Op::kIshr:
-    case Op::kIushr:
-    case Op::kIand:
-    case Op::kIor:
-    case Op::kIxor:
-    case Op::kLcmp:
-    case Op::kSwap:
-    case Op::kDupX1:
-    case Op::kIfIcmpeq:
-    case Op::kIfIcmpne:
-    case Op::kIfIcmplt:
-    case Op::kIfIcmpge:
-    case Op::kIfIcmpgt:
-    case Op::kIfIcmple:
-    case Op::kIfAcmpeq:
-    case Op::kIfAcmpne:
-      return 2;
-    case Op::kIastore:
-    case Op::kLastore:
-    case Op::kAastore:
-      return 3;
-    default:
-      return 0;
+Result<uint16_t> ComputeMaxStackDepth(const std::vector<Instr>& instrs,
+                                      const ConstantPool& pool,
+                                      const std::vector<uint32_t>& handler_entries,
+                                      const std::function<Error(size_t)>& underflow) {
+  constexpr int kMaxDepth = 0xFFFF;
+  if (instrs.empty()) {
+    return static_cast<uint16_t>(0);
   }
-}
+  std::vector<int> depth_at(instrs.size(), -1);
+  // Each instruction's effect, computed on its first visit (pops < 0 before).
+  std::vector<StackEffect> effect(instrs.size(), StackEffect{-1, 0});
+  StackEffects effects(pool);
+  // A FIFO queue: entries before `head` are done. Visit order decides which
+  // error a malformed body reports first, so it stays breadth-first.
+  std::vector<size_t> work;
+  size_t head = 0;
+  auto schedule = [&](size_t index, int depth) {
+    if (index >= instrs.size()) {
+      return;
+    }
+    if (depth_at[index] < depth) {
+      depth_at[index] = depth;
+      work.push_back(index);
+    }
+  };
+  schedule(0, 0);
+  for (uint32_t entry : handler_entries) {
+    schedule(entry, 1);
+  }
 
-}  // namespace
-
-Result<int> StackDelta(const Instr& instr, const ConstantPool& pool) {
-  const OpInfo* info = GetOpInfo(instr.op);
-  if (info == nullptr) {
-    return Error{ErrorCode::kInternal, "unknown opcode in StackDelta"};
+  int max_depth = 0;
+  while (head < work.size()) {
+    size_t index = work[head++];
+    if (head >= 4096 && head * 2 >= work.size()) {
+      work.erase(work.begin(), work.begin() + static_cast<std::ptrdiff_t>(head));
+      head = 0;
+    }
+    int depth = depth_at[index];
+    for (;;) {
+      StackEffect e = effect[index];
+      if (e.pops < 0) {
+        DVM_ASSIGN_OR_RETURN(e, effects.Of(instrs[index]));
+        effect[index] = e;
+      }
+      if (depth < e.pops) {
+        if (underflow) {
+          return underflow(index);
+        }
+        return Error{ErrorCode::kInvalidArgument,
+                     "rewritten code underflows stack at instruction " + std::to_string(index)};
+      }
+      const int next = depth + e.delta();
+      // A loop that grows the stack reschedules itself one slot deeper on
+      // every trip, so the walk would never drain: stop at the first depth
+      // past the limit rather than after the walk.
+      if (next > kMaxDepth) {
+        return Error{ErrorCode::kCapacity, "max stack exceeds 65535"};
+      }
+      max_depth = std::max(max_depth, std::max(depth, next));
+      const Op op = instrs[index].op;
+      if (IsBranch(op)) {
+        schedule(static_cast<size_t>(instrs[index].a), next);
+      }
+      if (IsTerminator(op)) {
+        break;
+      }
+      // With nothing else queued, a fall-through entry would be the next one
+      // popped: step to it directly, in the same order.
+      if (head == work.size() && index + 1 < instrs.size() && depth_at[index + 1] < next) {
+        index++;
+        depth_at[index] = next;
+        depth = next;
+        continue;
+      }
+      schedule(index + 1, next);
+      break;
+    }
   }
-  if (!info->variable_stack) {
-    return info->stack_delta;
-  }
-  DVM_ASSIGN_OR_RETURN(Effect e, VariableEffect(instr, pool));
-  return e.pushes - e.pops;
-}
-
-Result<int> StackPops(const Instr& instr, const ConstantPool& pool) {
-  const OpInfo* info = GetOpInfo(instr.op);
-  if (info == nullptr) {
-    return Error{ErrorCode::kInternal, "unknown opcode in StackPops"};
-  }
-  if (info->variable_stack) {
-    DVM_ASSIGN_OR_RETURN(Effect e, VariableEffect(instr, pool));
-    return e.pops;
-  }
-  return FixedPops(instr.op);
+  return static_cast<uint16_t>(max_depth);
 }
 
 }  // namespace dvm

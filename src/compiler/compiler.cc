@@ -143,7 +143,8 @@ Result<FilterOutcome> CompilerFilter::Apply(ClassFile& cls, const FilterContext&
     if (!method.code.has_value()) {
       continue;
     }
-    DVM_ASSIGN_OR_RETURN(std::vector<Instr> code, DecodeCode(method.code->code));
+    DVM_ASSIGN_OR_RETURN(DecodedCode decoded, DecodeCode(method.code->code));
+    std::vector<Instr>& code = decoded.instrs;
     DVM_ASSIGN_OR_RETURN(bool changed, PeepholeOptimize(&code, cls.pool(), &stats));
     outcome.checks_performed += code.size();
     if (changed) {

@@ -107,7 +107,8 @@ bool TransferProfile::HasDataFor(const std::string& class_name) const {
 }
 
 Result<Bytes> TranspileCode(const Bytes& code, const ConstantPool& from, ConstantPool& to) {
-  DVM_ASSIGN_OR_RETURN(std::vector<Instr> instrs, DecodeCode(code));
+  DVM_ASSIGN_OR_RETURN(DecodedCode decoded, DecodeCode(code));
+  std::vector<Instr>& instrs = decoded.instrs;
   for (auto& instr : instrs) {
     const OpInfo* info = GetOpInfo(instr.op);
     if (info != nullptr && info->operands == OperandKind::kCpIndex) {

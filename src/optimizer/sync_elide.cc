@@ -89,7 +89,8 @@ Result<FilterOutcome> SyncElideFilter::Apply(ClassFile& cls, const FilterContext
     if (!method.code->handlers.empty()) {
       continue;
     }
-    DVM_ASSIGN_OR_RETURN(std::vector<Instr> code, DecodeCode(method.code->code));
+    DVM_ASSIGN_OR_RETURN(DecodedCode decoded, DecodeCode(method.code->code));
+    std::vector<Instr>& code = decoded.instrs;
     DVM_ASSIGN_OR_RETURN(std::vector<size_t> elidable, FindElidableMonitorOps(code));
     if (elidable.empty()) {
       continue;

@@ -1,59 +1,6 @@
 #include "src/rewrite/method_editor.h"
 
-#include <deque>
-
-#include "src/bytecode/stack_effect.h"
-
 namespace dvm {
-
-Result<uint16_t> ComputeMaxStackDepth(const std::vector<Instr>& instrs,
-                                      const ConstantPool& pool,
-                                      const std::vector<uint32_t>& handler_entries) {
-  if (instrs.empty()) {
-    return static_cast<uint16_t>(0);
-  }
-  std::vector<int> depth_at(instrs.size(), -1);
-  std::deque<size_t> work;
-  auto schedule = [&](size_t index, int depth) {
-    if (index >= instrs.size()) {
-      return;
-    }
-    if (depth_at[index] < depth) {
-      depth_at[index] = depth;
-      work.push_back(index);
-    }
-  };
-  schedule(0, 0);
-  for (uint32_t entry : handler_entries) {
-    schedule(entry, 1);
-  }
-
-  int max_depth = 0;
-  while (!work.empty()) {
-    size_t index = work.front();
-    work.pop_front();
-    int depth = depth_at[index];
-    const Instr& instr = instrs[index];
-    DVM_ASSIGN_OR_RETURN(int delta, StackDelta(instr, pool));
-    DVM_ASSIGN_OR_RETURN(int pops, StackPops(instr, pool));
-    if (depth < pops) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "rewritten code underflows stack at instruction " + std::to_string(index)};
-    }
-    int next = depth + delta;
-    max_depth = std::max(max_depth, std::max(depth, next));
-    if (IsBranch(instr.op)) {
-      schedule(static_cast<size_t>(instr.a), next);
-    }
-    if (!IsTerminator(instr.op)) {
-      schedule(index + 1, next);
-    }
-  }
-  if (max_depth > 0xFFFF) {
-    return Error{ErrorCode::kCapacity, "max stack exceeds 65535"};
-  }
-  return static_cast<uint16_t>(max_depth);
-}
 
 Result<MethodEditor> MethodEditor::Open(ClassFile* cls, MethodInfo* method) {
   if (!method->code.has_value()) {
@@ -61,9 +8,10 @@ Result<MethodEditor> MethodEditor::Open(ClassFile* cls, MethodInfo* method) {
                  "cannot edit bodyless method " + method->Id()};
   }
   MethodEditor editor(cls, method);
-  DVM_ASSIGN_OR_RETURN(editor.code_, DecodeCode(method->code->code));
+  DVM_ASSIGN_OR_RETURN(DecodedCode decoded, DecodeCode(method->code->code));
+  editor.code_ = std::move(decoded.instrs);
 
-  const OffsetIndex index_of(CodeByteOffsets(editor.code_));
+  const OffsetIndex& index_of = decoded.off_to_ix;
   for (const auto& h : method->code->handlers) {
     int32_t start = index_of.At(h.start_pc);
     int32_t end = index_of.At(h.end_pc);
@@ -138,12 +86,19 @@ Status MethodEditor::Commit() {
   if (!modified_) {
     return Status::Ok();
   }
-  DVM_ASSIGN_OR_RETURN(Bytes encoded, EncodeCode(code_));
+  std::vector<uint32_t> offsets;
+  DVM_ASSIGN_OR_RETURN(Bytes encoded, EncodeCode(code_, &offsets));
 
-  std::vector<uint32_t> offsets = CodeByteOffsets(code_);
   std::vector<uint32_t> handler_entries;
   std::vector<ExceptionHandler> new_handlers;
   for (const auto& h : handlers_) {
+    // Handler pcs are u16 on the wire; code grown past 64 KiB cannot keep a
+    // handler whose range or entry moved beyond it.
+    if (offsets[h.start_ix] > 0xFFFF || offsets[h.end_ix] > 0xFFFF ||
+        offsets[h.handler_ix] > 0xFFFF) {
+      return Error{ErrorCode::kCapacity,
+                   "exception handler pc exceeds 65535 in " + method_->Id()};
+    }
     ExceptionHandler entry;
     entry.start_pc = static_cast<uint16_t>(offsets[h.start_ix]);
     entry.end_pc = static_cast<uint16_t>(offsets[h.end_ix]);

@@ -16,6 +16,7 @@
 
 #include "src/bytecode/classfile.h"
 #include "src/bytecode/code.h"
+#include "src/bytecode/stack_effect.h"  // ComputeMaxStackDepth
 #include "src/support/result.h"
 
 namespace dvm {
@@ -58,13 +59,6 @@ class MethodEditor {
   int max_extra_local_ = -1;
   bool modified_ = false;
 };
-
-// Worklist-based max-stack computation shared by the editor and tests.
-// `handler_entries` are instruction indices that start with one reference on
-// the stack (exception handler entry points).
-Result<uint16_t> ComputeMaxStackDepth(const std::vector<Instr>& instrs,
-                                      const ConstantPool& pool,
-                                      const std::vector<uint32_t>& handler_entries);
 
 }  // namespace dvm
 

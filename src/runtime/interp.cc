@@ -86,10 +86,12 @@ Result<PreparedMethod*> Interpreter::Prepare(RuntimeClass* cls, const MethodInfo
   auto prepared = std::make_unique<PreparedMethod>();
   prepared->method = method;
   prepared->compiled = cls->file.FindAttribute(kAttrCompiledStamp) != nullptr;
-  DVM_ASSIGN_OR_RETURN(prepared->code, DecodeCode(method->code->code));
+  DVM_ASSIGN_OR_RETURN(DecodedCode decoded, DecodeCode(method->code->code));
+  prepared->code = std::move(decoded.instrs);
+  prepared->code.shrink_to_fit();  // the decoder sized it for the worst case
   prepared->cache.resize(prepared->code.size());
 
-  const OffsetIndex index_of(CodeByteOffsets(prepared->code));
+  const OffsetIndex& index_of = decoded.off_to_ix;
   for (const auto& h : method->code->handlers) {
     int32_t start = index_of.At(h.start_pc);
     int32_t end = index_of.At(h.end_pc);

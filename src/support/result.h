@@ -5,9 +5,11 @@
 #define SRC_SUPPORT_RESULT_H_
 
 #include <cassert>
+#include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <utility>
-#include <variant>
 
 namespace dvm {
 
@@ -70,30 +72,85 @@ inline const char* ErrorCodeName(ErrorCode code) {
   return "Unknown";
 }
 
+namespace result_internal {
+
+// Failures are the cold path: keep the Error allocation out of line, so a
+// caller's inlined success path carries none of its code.
+[[gnu::cold, gnu::noinline, gnu::returns_nonnull]] inline Error* NewError(Error error) {
+  return new Error(std::move(error));
+}
+[[gnu::cold, gnu::noinline, gnu::returns_nonnull]] inline Error* CopyError(const Error& error) {
+  return new Error(error);
+}
+
+}  // namespace result_internal
+
+// Result<T> and Status hold a failure's Error out of line, behind one
+// pointer that is null on success. Success, the common case on every hot path
+// (the verifier's Push/Pop, a stack-effect lookup), then builds and destroys
+// no ErrorCode + std::string pair: a Status is one pointer and a Result<T> is
+// a T plus one pointer. Copying a failure deep-copies its Error; moving one
+// moves the Error into a fresh allocation, so the moved-from object still
+// reports the failure it had, and a moved-from success stays a success.
 template <typename T>
 class [[nodiscard]] Result {
  public:
-  Result(T value) : data_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
-  Result(Error error) : data_(std::move(error)) {}  // NOLINT(google-explicit-constructor)
+  Result(T value) { new (&value_) T(std::move(value)); }  // NOLINT(google-explicit-constructor)
+  Result(Error error)  // NOLINT(google-explicit-constructor)
+      : error_(result_internal::NewError(std::move(error))) {}
 
-  bool ok() const { return std::holds_alternative<T>(data_); }
+  Result(const Result& other)
+    requires std::is_copy_constructible_v<T>
+  {
+    if (other.error_ != nullptr) {
+      error_ = result_internal::CopyError(*other.error_);
+    } else {
+      new (&value_) T(other.value_);
+    }
+  }
+  Result(Result&& other) noexcept {
+    if (other.error_ != nullptr) {
+      error_ = result_internal::NewError(std::move(*other.error_));
+    } else {
+      new (&value_) T(std::move(other.value_));
+    }
+  }
+  Result& operator=(const Result& other)
+    requires std::is_copy_constructible_v<T>
+  {
+    if (this != &other) {
+      Destroy();
+      new (this) Result(other);
+    }
+    return *this;
+  }
+  Result& operator=(Result&& other) noexcept {
+    if (this != &other) {
+      Destroy();
+      new (this) Result(std::move(other));
+    }
+    return *this;
+  }
+  ~Result() { Destroy(); }
+
+  bool ok() const { return error_ == nullptr; }
 
   const T& value() const& {
     assert(ok());
-    return std::get<T>(data_);
+    return value_;
   }
   T& value() & {
     assert(ok());
-    return std::get<T>(data_);
+    return value_;
   }
   T&& value() && {
     assert(ok());
-    return std::get<T>(std::move(data_));
+    return std::move(value_);
   }
 
   const Error& error() const {
     assert(!ok());
-    return std::get<Error>(data_);
+    return *error_;
   }
 
   const T& operator*() const& { return value(); }
@@ -102,26 +159,55 @@ class [[nodiscard]] Result {
   T* operator->() { return &value(); }
 
  private:
-  std::variant<T, Error> data_;
+  void Destroy() {
+    if (error_ != nullptr) {
+      delete error_;
+    } else {
+      value_.~T();
+    }
+  }
+
+  union {
+    T value_;  // alive exactly when error_ is null
+  };
+  Error* error_ = nullptr;
 };
 
 // Result<void> analogue.
 class [[nodiscard]] Status {
  public:
   Status() = default;
-  Status(Error error) : error_(std::move(error)), failed_(true) {}  // NOLINT
+  Status(Error error) : error_(result_internal::NewError(std::move(error))) {}  // NOLINT
+
+  Status(const Status& other)
+      : error_(other.error_ != nullptr ? result_internal::CopyError(*other.error_) : nullptr) {}
+  Status(Status&& other) noexcept
+      : error_(other.error_ != nullptr ? result_internal::NewError(std::move(*other.error_))
+                                       : nullptr) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) {
+      error_.reset(other.error_ != nullptr ? result_internal::CopyError(*other.error_) : nullptr);
+    }
+    return *this;
+  }
+  Status& operator=(Status&& other) noexcept {
+    if (this != &other) {
+      error_.reset(other.error_ != nullptr ? result_internal::NewError(std::move(*other.error_))
+                                           : nullptr);
+    }
+    return *this;
+  }
 
   static Status Ok() { return Status(); }
 
-  bool ok() const { return !failed_; }
+  bool ok() const { return error_ == nullptr; }
   const Error& error() const {
-    assert(failed_);
-    return error_;
+    assert(!ok());
+    return *error_;
   }
 
  private:
-  Error error_;
-  bool failed_ = false;
+  std::unique_ptr<Error> error_;
 };
 
 // Propagation helpers. Usage:

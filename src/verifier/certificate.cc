@@ -237,7 +237,7 @@ namespace {
 // into the next instruction; every control-flow edge is checked at its source
 // against the certificate's assertion for the target, and folded into a
 // shadow join that must land exactly on the asserted frame.
-Status ValidateMethod(ClassScope& scope, const MethodInfo& method, const MethodCode& mc,
+Status ValidateMethod(ClassScope& scope, const MethodInfo& method, const DecodedCode& mc,
                       const MethodCertificate& mcert, ValidateStats* stats,
                       std::vector<Assumption>* assumptions) {
   const ClassFile& cls = scope.cls();
@@ -379,7 +379,7 @@ Status ValidateCertificate(const ClassFile& cls, const ClassEnv& env,
         cert.methods[next_method].method_id != method.Id()) {
       return Verr(cls.name() + ": certificate method list does not match class");
     }
-    DVM_ASSIGN_OR_RETURN(MethodCode mc, Phase2(cls, method, &stats->verify));
+    DVM_ASSIGN_OR_RETURN(DecodedCode mc, Phase2(cls, method, &stats->verify));
     DVM_RETURN_IF_ERROR(
         ValidateMethod(scope, method, mc, cert.methods[next_method], stats, &derived));
     next_method++;

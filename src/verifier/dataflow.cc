@@ -22,7 +22,7 @@ Error Verr(const std::string& message) { return Error{ErrorCode::kVerifyError, m
 // Phase 2: instruction integrity.
 // ---------------------------------------------------------------------------
 
-Result<MethodCode> Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats) {
+Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats) {
   const CodeAttr& code = *method.code;
   auto check = [&stats] { stats->phase2_checks++; };
 
@@ -47,12 +47,9 @@ Result<MethodCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verify
 
   // DecodeCode performs opcode validity, truncation and branch-boundary checks.
   check();
-  DVM_ASSIGN_OR_RETURN(std::vector<Instr> instrs, DecodeCode(code.code));
+  DVM_ASSIGN_OR_RETURN(DecodedCode mc, DecodeCode(code.code));
+  const std::vector<Instr>& instrs = mc.instrs;
   stats->instructions_verified += instrs.size();
-
-  MethodCode mc;
-  mc.offsets = CodeByteOffsets(instrs);
-  mc.off_to_ix = OffsetIndex(mc.offsets);
 
   const ConstantPool& pool = cls.pool();
   for (size_t i = 0; i < instrs.size(); i++) {
@@ -121,11 +118,10 @@ Result<MethodCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verify
     }
   }
 
-  mc.instrs = std::move(instrs);
   return mc;
 }
 
-std::vector<bool> MergePoints(const MethodInfo& method, const MethodCode& mc) {
+std::vector<bool> MergePoints(const MethodInfo& method, const DecodedCode& mc) {
   std::vector<bool> merge(mc.instrs.size(), false);
   for (const Instr& instr : mc.instrs) {
     if (IsBranch(instr.op)) {
@@ -314,7 +310,7 @@ const ClassScope::Resolution& ClassScope::ResolveMethod(InvokeSite& site, bool w
 }
 
 AbstractInterpreter::AbstractInterpreter(ClassScope& scope, const MethodInfo& method,
-                                         const MethodCode& mc, uint64_t* checks,
+                                         const DecodedCode& mc, uint64_t* checks,
                                          std::vector<Assumption>* assumptions)
     : scope_(scope), types_(scope.types()), method_(method), mc_(mc), checks_(checks),
       assumptions_(assumptions), method_id_(method.Id()),

@@ -24,13 +24,6 @@
 
 namespace dvm {
 
-// Decoded method body with the offset maps the dataflow passes index by.
-struct MethodCode {
-  std::vector<Instr> instrs;
-  std::vector<uint32_t> offsets;  // per-instruction byte offsets + total
-  OffsetIndex off_to_ix;          // byte offset -> instruction index
-};
-
 // Phase 1: class file internal consistency (constant pool, descriptor syntax,
 // method/field shape rules). Shared verbatim by VerifyClass and the
 // certificate validator; bumps stats->phase1_checks.
@@ -38,11 +31,11 @@ Status Phase1(const ClassFile& cls, VerifyStats* stats);
 
 // Phase 2: instruction integrity (decode, operand validity, handler ranges,
 // fall-off-the-end). Bumps stats->phase2_checks / instructions_verified.
-Result<MethodCode> Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats);
+Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats);
 
 // Per instruction index: is it a branch target or handler entry? Certificates
 // assert frames at the reachable ones and nowhere else (one proof per class).
-std::vector<bool> MergePoints(const MethodInfo& method, const MethodCode& mc);
+std::vector<bool> MergePoints(const MethodInfo& method, const DecodedCode& mc);
 
 // Class-level inheritance check shared by VerifyClass and the certificate
 // validator: extending a known-final class is rejected; an unknown superclass
@@ -140,7 +133,7 @@ class AbstractInterpreter {
   // phase3_checks, the validator at its own counter); `assumptions` receives
   // link-time assumptions stamped with this method's id. Both must outlive
   // the interpreter; the sink can be swapped per visit.
-  AbstractInterpreter(ClassScope& scope, const MethodInfo& method, const MethodCode& mc,
+  AbstractInterpreter(ClassScope& scope, const MethodInfo& method, const DecodedCode& mc,
                       uint64_t* checks, std::vector<Assumption>* assumptions);
 
   // Frame on entry to instruction 0: receiver + parameters in locals.
@@ -188,7 +181,7 @@ class AbstractInterpreter {
   ClassScope& scope_;
   TypeEnv& types_;
   const MethodInfo& method_;
-  const MethodCode& mc_;
+  const DecodedCode& mc_;
   uint64_t* checks_;
   std::vector<Assumption>* assumptions_;
   const std::string method_id_;

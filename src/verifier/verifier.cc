@@ -1,7 +1,10 @@
 #include "src/verifier/verifier.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <deque>
+#include <memory>
 #include <set>
 #include <span>
 
@@ -17,6 +20,67 @@ namespace {
 constexpr const char* kObject = "java/lang/Object";
 
 Error Verr(const std::string& message) { return Error{ErrorCode::kVerifyError, message}; }
+
+// Frames hold a handful of slots: a memcpy beats a vector range-insert or
+// assign call per copy.
+void CopySlots(VType* to, std::span<const VType> from) {
+  if (!from.empty()) {
+    std::memcpy(to, from.data(), from.size() * sizeof(VType));
+  }
+}
+
+// Append-only frame-slot storage that never initializes a slot: each one is
+// copied in (CopySlots) before it is read, so the value-initialization a
+// growing std::vector would do is wasted work.
+class SlotArena {
+ public:
+  SlotArena() = default;
+  SlotArena(const SlotArena&) = delete;
+  SlotArena& operator=(const SlotArena&) = delete;
+  ~SlotArena() {
+    if (data_ != nullptr) {
+      std::allocator<VType>().deallocate(data_, capacity_);
+    }
+  }
+
+  VType* data() { return data_; }
+  const VType* data() const { return data_; }
+
+  void Reserve(size_t slots) {
+    if (slots > capacity_) {
+      Grow(slots);
+    }
+  }
+  // Room for `slots` more slots; returns the offset of the first.
+  size_t Append(size_t slots) {
+    if (used_ + slots > capacity_) {
+      Grow(std::max(used_ + slots, 2 * capacity_));
+    }
+    size_t at = used_;
+    used_ += slots;
+    return at;
+  }
+
+ private:
+  void Grow(size_t capacity) {
+    VType* next = std::allocator<VType>().allocate(capacity);
+    if (data_ != nullptr) {
+      CopySlots(next, {data_, used_});
+      std::allocator<VType>().deallocate(data_, capacity_);
+    }
+    data_ = next;
+    capacity_ = capacity;
+  }
+
+  VType* data_ = nullptr;
+  size_t capacity_ = 0;
+  size_t used_ = 0;
+};
+
+// Slots reserved for a method's frames before its fixpoint starts: an
+// estimate of max_locals + 2 per instruction, capped so that a hostile
+// max_locals costs nothing up front.
+constexpr size_t kMaxInitialArenaSlots = size_t{1} << 15;
 
 }  // namespace
 
@@ -108,10 +172,11 @@ namespace {
 // a different stack depth is a verification failure, so a slab never
 // changes width and the arena holds one slot per frame slot of a reached
 // instruction, however large a hostile max_stack is. Each visit steps one
-// reused scratch frame, so the fixpoint allocates nothing per instruction.
+// reused scratch frame, so the fixpoint allocates nothing per instruction;
+// frames move in and out of the arena by memcpy.
 class MethodVerifier {
  public:
-  MethodVerifier(ClassScope& scope, const MethodInfo& method, const MethodCode& mc,
+  MethodVerifier(ClassScope& scope, const MethodInfo& method, const DecodedCode& mc,
                  VerifyStats* stats, std::vector<Assumption>* assumptions)
       : method_(method), mc_(mc), types_(scope.types()), stats_(stats),
         assumptions_(assumptions),
@@ -145,14 +210,14 @@ class MethodVerifier {
   Status MergeInto(size_t target, std::span<const VType> locals, std::span<const VType> stack);
 
   const MethodInfo& method_;
-  const MethodCode& mc_;
+  const DecodedCode& mc_;
   TypeEnv& types_;
   VerifyStats* stats_;
   std::vector<Assumption>* assumptions_;
   AbstractInterpreter interp_;
 
   const size_t max_locals_;
-  std::vector<VType> arena_;
+  SlotArena arena_;
   std::vector<size_t> slab_;    // arena offset of each in-frame, kNoFrame before the first visit
   std::vector<size_t> depth_;   // operand-stack depth of each in-frame
   Frame scratch_;               // the visited instruction's frame, stepped in place
@@ -169,10 +234,11 @@ class MethodVerifier {
 Status MethodVerifier::MergeInto(size_t target, std::span<const VType> locals,
                                  std::span<const VType> stack) {
   if (slab_[target] == kNoFrame) {
-    slab_[target] = arena_.size();
+    const size_t at = arena_.Append(locals.size() + stack.size());
+    slab_[target] = at;
     depth_[target] = stack.size();
-    arena_.insert(arena_.end(), locals.begin(), locals.end());
-    arena_.insert(arena_.end(), stack.begin(), stack.end());
+    CopySlots(arena_.data() + at, locals);
+    CopySlots(arena_.data() + at + locals.size(), stack);
     worklist_.push_back(target);
     return Status::Ok();
   }
@@ -196,8 +262,14 @@ Status MethodVerifier::Transfer(size_t index) {
   // visit's for this instruction.
   buckets_[index].clear();
   interp_.set_assumption_sink(&buckets_[index]);
-  scratch_.locals.assign(Locals(index).begin(), Locals(index).end());
-  scratch_.stack.assign(Stack(index).begin(), Stack(index).end());
+  // Step never resizes the locals, which Run() sized once. The stack is a
+  // few slots: pushing them into the capacity earlier visits left behind
+  // beats a resize call.
+  CopySlots(scratch_.locals.data(), Locals(index));
+  scratch_.stack.clear();
+  for (const VType& slot : Stack(index)) {
+    scratch_.stack.push_back(slot);
+  }
 
   // Any instruction inside a protected range contributes its locals to the
   // handler entry state (the stack is replaced by the thrown reference). A
@@ -222,7 +294,9 @@ Status MethodVerifier::Transfer(size_t index) {
 Status MethodVerifier::Run() {
   slab_.assign(mc_.instrs.size(), kNoFrame);
   depth_.assign(mc_.instrs.size(), 0);
-  buckets_.assign(mc_.instrs.size(), {});
+  buckets_.resize(mc_.instrs.size());
+  scratch_.locals.resize(max_locals_);
+  arena_.Reserve(std::min(mc_.instrs.size() * (max_locals_ + 2), kMaxInitialArenaSlots));
   const Frame entry = interp_.EntryFrame();
   DVM_RETURN_IF_ERROR(MergeInto(0, entry.locals, entry.stack));
 
@@ -282,7 +356,7 @@ Result<VerifiedClass> VerifyClass(const ClassFile& cls, TypeEnv& types,
     if (!method.code.has_value()) {
       continue;
     }
-    DVM_ASSIGN_OR_RETURN(MethodCode mc, Phase2(cls, method, &out.stats));
+    DVM_ASSIGN_OR_RETURN(DecodedCode mc, Phase2(cls, method, &out.stats));
     MethodVerifier verifier(scope, method, mc, &out.stats, &out.assumptions);
     DVM_RETURN_IF_ERROR(verifier.Run());
     if (cert_out != nullptr) {

@@ -210,7 +210,7 @@ TEST(CodeTest, EncodeDecodeRoundTrip) {
   ASSERT_TRUE(encoded.ok());
   auto decoded = DecodeCode(*encoded);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, instrs);
+  EXPECT_EQ(decoded->instrs, instrs);
 }
 
 TEST(CodeTest, NegativeImmediatesRoundTrip) {
@@ -224,7 +224,7 @@ TEST(CodeTest, NegativeImmediatesRoundTrip) {
   ASSERT_TRUE(encoded.ok());
   auto decoded = DecodeCode(*encoded);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, instrs);
+  EXPECT_EQ(decoded->instrs, instrs);
 }
 
 TEST(CodeTest, RejectsUnknownOpcode) {
@@ -283,29 +283,32 @@ TEST(CodeTest, ByteOffsetsAccountForWidths) {
 
 TEST(StackEffectTest, FixedOps) {
   ConstantPool pool;
-  EXPECT_EQ(StackDelta({Op::kIconst0, 0, 0}, pool).value(), 1);
-  EXPECT_EQ(StackDelta({Op::kIadd, 0, 0}, pool).value(), -1);
-  EXPECT_EQ(StackPops({Op::kIadd, 0, 0}, pool).value(), 2);
-  EXPECT_EQ(StackPops({Op::kIastore, 0, 0}, pool).value(), 3);
+  StackEffects effects(pool);
+  EXPECT_EQ(effects.Of({Op::kIconst0, 0, 0}).value().delta(), 1);
+  EXPECT_EQ(effects.Of({Op::kIadd, 0, 0}).value().delta(), -1);
+  EXPECT_EQ(effects.Of({Op::kIadd, 0, 0}).value().pops, 2);
+  EXPECT_EQ(effects.Of({Op::kIastore, 0, 0}).value().pops, 3);
 }
 
 TEST(StackEffectTest, InvokeUsesDescriptor) {
   ConstantPool pool;
   uint16_t m = pool.AddMethodRef("a/B", "f", "(II)I");
-  EXPECT_EQ(StackDelta({Op::kInvokestatic, m, 0}, pool).value(), -1);
-  EXPECT_EQ(StackPops({Op::kInvokestatic, m, 0}, pool).value(), 2);
+  StackEffects effects(pool);
+  EXPECT_EQ(effects.Of({Op::kInvokestatic, m, 0}).value().delta(), -1);
+  EXPECT_EQ(effects.Of({Op::kInvokestatic, m, 0}).value().pops, 2);
   // Virtual adds the receiver.
-  EXPECT_EQ(StackDelta({Op::kInvokevirtual, m, 0}, pool).value(), -2);
-  EXPECT_EQ(StackPops({Op::kInvokevirtual, m, 0}, pool).value(), 3);
+  EXPECT_EQ(effects.Of({Op::kInvokevirtual, m, 0}).value().delta(), -2);
+  EXPECT_EQ(effects.Of({Op::kInvokevirtual, m, 0}).value().pops, 3);
 }
 
 TEST(StackEffectTest, FieldOpsUseDescriptor) {
   ConstantPool pool;
   uint16_t f = pool.AddFieldRef("a/B", "x", "I");
-  EXPECT_EQ(StackDelta({Op::kGetstatic, f, 0}, pool).value(), 1);
-  EXPECT_EQ(StackDelta({Op::kPutstatic, f, 0}, pool).value(), -1);
-  EXPECT_EQ(StackDelta({Op::kGetfield, f, 0}, pool).value(), 0);
-  EXPECT_EQ(StackDelta({Op::kPutfield, f, 0}, pool).value(), -2);
+  StackEffects effects(pool);
+  EXPECT_EQ(effects.Of({Op::kGetstatic, f, 0}).value().delta(), 1);
+  EXPECT_EQ(effects.Of({Op::kPutstatic, f, 0}).value().delta(), -1);
+  EXPECT_EQ(effects.Of({Op::kGetfield, f, 0}).value().delta(), 0);
+  EXPECT_EQ(effects.Of({Op::kPutfield, f, 0}).value().delta(), -2);
 }
 
 ClassFile BuildCounterClass() {
@@ -358,8 +361,9 @@ TEST(BuilderTest, BranchesResolve) {
   auto decoded = DecodeCode(m->code->code);
   ASSERT_TRUE(decoded.ok());
   bool saw_backward = false;
-  for (size_t i = 0; i < decoded->size(); i++) {
-    if ((*decoded)[i].op == Op::kGoto && (*decoded)[i].a < static_cast<int>(i)) {
+  const std::vector<Instr>& instrs = decoded->instrs;
+  for (size_t i = 0; i < instrs.size(); i++) {
+    if (instrs[i].op == Op::kGoto && instrs[i].a < static_cast<int>(i)) {
       saw_backward = true;
     }
   }

@@ -3,6 +3,8 @@
 // against the monolithic configuration on the same workloads.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "src/bytecode/builder.h"
 #include "src/dvm/dvm.h"
 #include "src/workloads/apps.h"
@@ -247,6 +249,35 @@ TEST_F(DvmEndToEndTest, SignedModeDeliversVerifiableClasses) {
   auto response = server->proxy().HandleRequest("app/Main");
   ASSERT_TRUE(response.ok());
   EXPECT_TRUE(server->proxy().signer().VerifyClassBytes(response->data).ok());
+}
+
+// A monitoring-only deployment (verification off, audit on) hands origin code
+// straight to a rewriter. A body whose stack grows on every loop trip
+// (`iconst_0; goto 0`) must fail the request promptly rather than pin the
+// proxy thread in the rewriter's max-stack walk.
+TEST_F(DvmEndToEndTest, MonitoringOnlyProxyFailsClosedOnStackGrowingLoop) {
+  ClassBuilder cb("app/Grow", "java/lang/Object");
+  cb.AddMethod(AccessFlags::kStatic | AccessFlags::kPublic, "main", "()V").Emit(Op::kReturn);
+  ClassFile grow = MustBuild(cb);
+  grow.FindMethod("main", "()V")->code->code =
+      EncodeCode({{Op::kIconst0, 0, 0}, {Op::kGoto, 0, 0}}).value();
+  origin_.AddClassFile(grow);
+
+  DvmServerConfig config;
+  config.enable_verification = false;
+  config.enable_security = false;
+  config.enable_audit = true;
+  auto server = MakeServer(config);
+  auto start = std::chrono::steady_clock::now();
+  auto response = server->proxy().HandleRequest("app/Grow");
+  double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_LT(seconds, 5.0);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.error().code, ErrorCode::kCapacity) << response.error().ToString();
+
+  // The rest of the application is still served.
+  EXPECT_TRUE(server->proxy().HandleRequest("app/Main").ok());
 }
 
 }  // namespace

@@ -271,7 +271,7 @@ TEST(SyncElideTest, ElidesMonitorsOnNonEscapingObjects) {
   EXPECT_EQ(RunWork(cls, 10), before);
   auto decoded = DecodeCode(cls.FindMethod("work", "(I)I")->code->code);
   ASSERT_TRUE(decoded.ok());
-  for (const auto& instr : *decoded) {
+  for (const auto& instr : decoded->instrs) {
     EXPECT_NE(instr.op, Op::kMonitorenter);
     EXPECT_NE(instr.op, Op::kMonitorexit);
   }
@@ -289,7 +289,7 @@ TEST(SyncElideTest, KeepsMonitorsOnEscapingObjects) {
   auto decoded = DecodeCode(cls.FindMethod("work", "(I)I")->code->code);
   ASSERT_TRUE(decoded.ok());
   bool has_monitor = false;
-  for (const auto& instr : *decoded) {
+  for (const auto& instr : decoded->instrs) {
     has_monitor |= instr.op == Op::kMonitorenter;
   }
   EXPECT_TRUE(has_monitor);
@@ -318,7 +318,7 @@ TEST(SyncElideTest, AnalysisFindsExactInstructionSet) {
   ClassFile cls = BuildSyncHeavy(/*escaping=*/false);
   auto decoded = DecodeCode(cls.FindMethod("work", "(I)I")->code->code);
   ASSERT_TRUE(decoded.ok());
-  auto elidable = FindElidableMonitorOps(*decoded);
+  auto elidable = FindElidableMonitorOps(decoded->instrs);
   ASSERT_TRUE(elidable.ok());
   // One aload+monitorenter pair and one aload+monitorexit pair.
   EXPECT_EQ(elidable->size(), 4u);

@@ -179,8 +179,8 @@ TEST(RepartitionTest, TranspileRemapsConstants) {
   ASSERT_TRUE(remapped.ok()) << remapped.error().ToString();
   auto decoded = DecodeCode(remapped.value());
   ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ((*decoded)[0].op, Op::kLdc);
-  auto str = target.StringAt(static_cast<uint16_t>((*decoded)[0].a));
+  ASSERT_EQ(decoded->instrs[0].op, Op::kLdc);
+  auto str = target.StringAt(static_cast<uint16_t>(decoded->instrs[0].a));
   ASSERT_TRUE(str.ok());
   EXPECT_EQ(str.value(), "payload");
 }

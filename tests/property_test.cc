@@ -92,7 +92,7 @@ TEST_P(OpcodeRoundTripTest, EncodeDecodeRoundTrips) {
   ASSERT_TRUE(encoded.ok()) << encoded.error().ToString();
   auto decoded = DecodeCode(*encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
-  EXPECT_EQ(*decoded, code);
+  EXPECT_EQ(decoded->instrs, code);
   EXPECT_EQ(static_cast<int>((*encoded).size()),
             InstructionLength(op) + InstructionLength(Op::kReturn));
 }
@@ -424,7 +424,7 @@ TEST_P(TransferMonotonicityTest, NarrowerInputNeverYieldsWiderOutput) {
   method.name = "t";
   method.descriptor = "()Lmono/C;";
   method.code = CodeAttr{/*max_stack=*/8, /*max_locals=*/1, {}, {}};
-  MethodCode mc;
+  DecodedCode mc;
   mc.instrs = {instr};
   mc.offsets = {0, static_cast<uint32_t>(InstructionLength(op))};
   mc.off_to_ix = OffsetIndex(mc.offsets);
@@ -436,8 +436,9 @@ TEST_P(TransferMonotonicityTest, NarrowerInputNeverYieldsWiderOutput) {
   // Vary every slot the instruction reads: its operand-stack pops, plus
   // local 0 when it names a local.
   const bool reads_local = operands == OperandKind::kU8 || operands == OperandKind::kLocalIncr;
-  Result<int> pops = StackPops(instr, t_.pool());
-  const size_t slots = (pops.ok() ? static_cast<size_t>(pops.value()) : 0) + (reads_local ? 1 : 0);
+  Result<StackEffect> effect = StackEffects(t_.pool()).Of(instr);
+  const size_t slots =
+      (effect.ok() ? static_cast<size_t>(effect->pops) : 0) + (reads_local ? 1 : 0);
   auto frame_of = [&](const std::vector<size_t>& pick) {
     Frame frame;
     frame.locals = {reads_local ? types[pick[0]] : VType::Top()};

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "src/bytecode/builder.h"
 #include "src/bytecode/serializer.h"
 #include "src/rewrite/filter.h"
@@ -168,6 +170,84 @@ TEST(MethodEditorTest, OpenFailsOnBodylessMethod) {
   cb.AddNativeMethod(AccessFlags::kStatic, "n", "()V");
   ClassFile cls = MustBuild(cb);
   EXPECT_FALSE(MethodEditor::Open(&cls, cls.FindMethod("n", "()V")).ok());
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+// `iconst_0; goto 0` reaches instruction 0 one slot deeper on every trip, so
+// a walk that keeps the deepest depth per instruction never drains: it must
+// stop at the 65535 limit instead of running until its counter overflows.
+TEST(MethodEditorTest, StackGrowingLoopFailsPromptly) {
+  const std::vector<Instr> loop = {{Op::kIconst0, 0, 0}, {Op::kGoto, 0, 0}};
+  ConstantPool pool;
+  auto start = std::chrono::steady_clock::now();
+  auto depth = ComputeMaxStackDepth(loop, pool, {});
+  EXPECT_LT(SecondsSince(start), 5.0);
+  ASSERT_FALSE(depth.ok());
+  EXPECT_EQ(depth.error().code, ErrorCode::kCapacity);
+  EXPECT_EQ(depth.error().message, "max stack exceeds 65535");
+
+  // Every rewrite of such a body recomputes max_stack in Commit.
+  ClassFile cls = BuildLoopClass();
+  MethodInfo* method = cls.FindMethod("f", "(I)I");
+  method->code->code = EncodeCode(loop).value();
+  auto editor = MethodEditor::Open(&cls, method);
+  ASSERT_TRUE(editor.ok());
+  ASSERT_TRUE(editor->InsertBefore(0, {{Op::kNop, 0, 0}}).ok());
+  start = std::chrono::steady_clock::now();
+  Status committed = editor->Commit();
+  EXPECT_LT(SecondsSince(start), 5.0);
+  ASSERT_FALSE(committed.ok());
+  EXPECT_EQ(committed.error().code, ErrorCode::kCapacity);
+}
+
+// Handler pcs are u16 on the wire. Growing a 65,534-byte body whose handler
+// covers [0, 65532) -> 65532 by 8 bytes would move its end and entry past
+// 65535; Commit must refuse rather than truncate them to [8, 4) -> 4.
+TEST(MethodEditorTest, HandlerPcPastU16IsCapacityError) {
+  std::vector<Instr> body(65532, Instr{Op::kNop, 0, 0});
+  body.push_back({Op::kPop, 0, 0});  // handler entry: drop the exception
+  body.push_back({Op::kReturn, 0, 0});
+  auto build = [&body] {
+    ClassBuilder cb("rw/Big", "java/lang/Object");
+    cb.AddMethod(AccessFlags::kStatic | AccessFlags::kPublic, "f", "()V").Emit(Op::kReturn);
+    ClassFile cls = MustBuild(cb);
+    CodeAttr& code = *cls.FindMethod("f", "()V")->code;
+    code.code = EncodeCode(body).value();
+    ExceptionHandler handler;
+    handler.start_pc = 0;
+    handler.end_pc = 65532;
+    handler.handler_pc = 65532;
+    code.handlers = {handler};
+    return cls;
+  };
+  const std::vector<Instr> eight_bytes = {
+      {Op::kSipush, 1, 0}, {Op::kPop, 0, 0}, {Op::kSipush, 2, 0}, {Op::kPop, 0, 0}};
+
+  ClassFile cls = build();
+  MethodInfo* method = cls.FindMethod("f", "()V");
+  ASSERT_EQ(method->code->code.size(), 65534u);
+  auto editor = MethodEditor::Open(&cls, method);
+  ASSERT_TRUE(editor.ok());
+  ASSERT_TRUE(editor->InsertBefore(0, eight_bytes).ok());
+  Status committed = editor->Commit();
+  ASSERT_FALSE(committed.ok());
+  EXPECT_EQ(committed.error().code, ErrorCode::kCapacity);
+  EXPECT_EQ(method->code->handlers[0].end_pc, 65532);  // the method is left as it was
+
+  // Two bytes keep every pc in range, and the handler moves with its code.
+  ClassFile fits = build();
+  MethodInfo* small = fits.FindMethod("f", "()V");
+  auto small_editor = MethodEditor::Open(&fits, small);
+  ASSERT_TRUE(small_editor.ok());
+  ASSERT_TRUE(small_editor->InsertBefore(0, {{Op::kIconst0, 0, 0}, {Op::kPop, 0, 0}}).ok());
+  ASSERT_TRUE(small_editor->Commit().ok());
+  ASSERT_EQ(small->code->handlers.size(), 1u);
+  EXPECT_EQ(small->code->handlers[0].start_pc, 2);
+  EXPECT_EQ(small->code->handlers[0].end_pc, 65534);
+  EXPECT_EQ(small->code->handlers[0].handler_pc, 65534);
 }
 
 // --- filter pipeline -------------------------------------------------------------

@@ -45,6 +45,65 @@ TEST(ResultTest, AssignOrReturnPropagates) {
   EXPECT_FALSE(Doubler(Error{ErrorCode::kInternal, "x"}).ok());
 }
 
+// Success is one null pointer: the Error lives out of line.
+static_assert(sizeof(Status) == sizeof(void*));
+static_assert(sizeof(Result<int64_t>) == sizeof(int64_t) + sizeof(void*));
+
+TEST(ResultTest, CopiesOfFailuresAreDeep) {
+  Status s = Error{ErrorCode::kParseError, "bad"};
+  Status copy = s;
+  ASSERT_FALSE(copy.ok());
+  EXPECT_NE(&copy.error(), &s.error());
+  EXPECT_EQ(copy.error().code, ErrorCode::kParseError);
+  EXPECT_EQ(copy.error().message, "bad");
+  s = Status::Ok();  // the copy outlives its source's error
+  EXPECT_EQ(copy.error().message, "bad");
+
+  Result<std::string> r = Error{ErrorCode::kNotFound, "gone"};
+  Result<std::string> rcopy = r;
+  ASSERT_FALSE(rcopy.ok());
+  EXPECT_NE(&rcopy.error(), &r.error());
+  EXPECT_EQ(rcopy.error().ToString(), "NotFound: gone");
+  r = std::string("value");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(rcopy.error().message, "gone");
+
+  Result<std::string> value = std::string("v");
+  value = rcopy;  // copy-assigning a failure over a value
+  ASSERT_FALSE(value.ok());
+  EXPECT_EQ(value.error().message, "gone");
+}
+
+TEST(ResultTest, MovesKeepTheStateTheyHad) {
+  Status ok;
+  Status moved_ok = std::move(ok);
+  EXPECT_TRUE(moved_ok.ok());
+  EXPECT_TRUE(ok.ok());  // NOLINT(bugprone-use-after-move): a success stays one
+
+  Status failed = Error{ErrorCode::kCapacity, "full"};
+  Status moved_failed = std::move(failed);
+  ASSERT_FALSE(moved_failed.ok());
+  EXPECT_EQ(moved_failed.error().message, "full");
+  EXPECT_FALSE(failed.ok());  // NOLINT(bugprone-use-after-move)
+
+  Result<std::string> value = std::string("payload");
+  Result<std::string> moved_value = std::move(value);
+  ASSERT_TRUE(moved_value.ok());
+  EXPECT_EQ(*moved_value, "payload");
+  EXPECT_TRUE(value.ok());  // NOLINT(bugprone-use-after-move): no error appears
+
+  Result<std::string> error = Error{ErrorCode::kInternal, "x"};
+  Result<std::string> moved_error = std::move(error);
+  ASSERT_FALSE(moved_error.ok());
+  EXPECT_EQ(moved_error.error().message, "x");
+  EXPECT_FALSE(error.ok());  // NOLINT(bugprone-use-after-move)
+
+  Result<std::string> target = Error{ErrorCode::kInternal, "old"};
+  target = Result<std::string>(std::string("new"));
+  ASSERT_TRUE(target.ok());
+  EXPECT_EQ(*target, "new");
+}
+
 TEST(BytesTest, RoundTripsScalars) {
   ByteWriter w;
   w.U8(0xAB);
