@@ -173,9 +173,12 @@ void InstallBenchClasses(MapClassProvider& provider) {
 }
 
 struct Measurement {
-  double ns_per_op = 0;     // host nanoseconds per executed bytecode
-  double millis = 0;        // host milliseconds for the measured run
-  uint64_t instructions = 0;
+  // Host nanoseconds per executed bytecode: median and extremes of the timed
+  // repetitions.
+  double ns_per_op = 0;
+  double ns_per_op_min = 0;
+  double ns_per_op_max = 0;
+  uint64_t instructions = 0;  // per repetition
 };
 
 // The two execution engines under measurement.
@@ -187,44 +190,50 @@ MachineConfig ConfigFor(Engine engine) {
   return config;
 }
 
-// One warm-up run installs the quick forms (and faults in the prepared code
-// for the reference engine); the second run is timed.
+// Times `kTimedReps` calls of `run` on `machine` after one warm-up call,
+// which installs the quick forms (and faults in the prepared code for the
+// reference engine). Host-time benchmarks on a shared machine jitter far more
+// than run to run of the engine, so the median is reported with the range.
+// `run` returns the guest result, which must not change between calls.
+template <typename Run>
+Measurement TimeRuns(Machine& machine, const std::string& name, Run run) {
+  constexpr int kTimedReps = 7;
+  Result<CallOutcome> warm = run();
+  if (!warm.ok() || warm->threw) {
+    std::fprintf(stderr, "%s failed: %s\n", name.c_str(),
+                 warm.ok() ? warm->exception_class.c_str() : warm.error().ToString().c_str());
+    std::abort();
+  }
+  Measurement out;
+  std::vector<double> ns_per_op;
+  for (int rep = 0; rep < kTimedReps; rep++) {
+    uint64_t before = machine.counters().instructions;
+    auto t0 = std::chrono::steady_clock::now();
+    Result<CallOutcome> timed = run();
+    auto t1 = std::chrono::steady_clock::now();
+    if (!timed.ok() || timed->threw || timed->value.num != warm->value.num) {
+      std::fprintf(stderr, "%s diverged between runs\n", name.c_str());
+      std::abort();
+    }
+    out.instructions = machine.counters().instructions - before;
+    double nanos = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+    ns_per_op.push_back(nanos / static_cast<double>(out.instructions));
+  }
+  std::sort(ns_per_op.begin(), ns_per_op.end());
+  out.ns_per_op = ns_per_op[kTimedReps / 2];
+  out.ns_per_op_min = ns_per_op.front();
+  out.ns_per_op_max = ns_per_op.back();
+  return out;
+}
+
 Measurement MeasureKernel(Engine engine, const Kernel& kernel) {
   MapClassProvider provider;
   InstallSystemLibrary(provider);
   InstallBenchClasses(provider);
   Machine machine(ConfigFor(engine), &provider);
-
-  auto warm = machine.CallStatic("bench/Kernels", kernel.method, "()I");
-  if (!warm.ok() || warm->threw) {
-    std::fprintf(stderr, "kernel %s failed: %s\n", kernel.name.c_str(),
-                 warm.ok() ? warm->exception_class.c_str() : warm.error().ToString().c_str());
-    std::abort();
-  }
-  // Best of three timed repetitions: host-time benchmarks on a shared machine
-  // jitter far more than the engine deltas under measurement.
-  Measurement out;
-  out.ns_per_op = 1e18;
-  for (int rep = 0; rep < 3; rep++) {
-    uint64_t before = machine.counters().instructions;
-    auto t0 = std::chrono::steady_clock::now();
-    auto run = machine.CallStatic("bench/Kernels", kernel.method, "()I");
-    auto t1 = std::chrono::steady_clock::now();
-    if (!run.ok() || run->threw || run->value.num != warm->value.num) {
-      std::fprintf(stderr, "kernel %s diverged between runs\n", kernel.name.c_str());
-      std::abort();
-    }
-    uint64_t instructions = machine.counters().instructions - before;
-    double nanos = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-    double ns_per_op = nanos / static_cast<double>(instructions);
-    if (ns_per_op < out.ns_per_op) {
-      out.ns_per_op = ns_per_op;
-      out.millis = nanos / 1e6;
-      out.instructions = instructions;
-    }
-  }
-  return out;
+  return TimeRuns(machine, "kernel " + kernel.name,
+                  [&] { return machine.CallStatic("bench/Kernels", kernel.method, "()I"); });
 }
 
 // Full Figure 5 application (synthetic JLex) under each engine: the
@@ -236,33 +245,7 @@ Measurement MeasureFig5App(Engine engine) {
   InstallSystemLibrary(provider);
   app.InstallInto(&provider);
   Machine machine(ConfigFor(engine), &provider);
-
-  auto warm = machine.RunMain(app.main_class);
-  if (!warm.ok() || warm->threw) {
-    std::fprintf(stderr, "fig5 app failed under engine=%d\n", static_cast<int>(engine));
-    std::abort();
-  }
-  Measurement out;
-  out.ns_per_op = 1e18;
-  for (int rep = 0; rep < 3; rep++) {
-    uint64_t before = machine.counters().instructions;
-    auto t0 = std::chrono::steady_clock::now();
-    auto run = machine.RunMain(app.main_class);
-    auto t1 = std::chrono::steady_clock::now();
-    if (!run.ok() || run->threw) {
-      std::abort();
-    }
-    uint64_t instructions = machine.counters().instructions - before;
-    double nanos = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-    double ns_per_op = nanos / static_cast<double>(instructions);
-    if (ns_per_op < out.ns_per_op) {
-      out.ns_per_op = ns_per_op;
-      out.millis = nanos / 1e6;
-      out.instructions = instructions;
-    }
-  }
-  return out;
+  return TimeRuns(machine, "fig5 app", [&] { return machine.RunMain(app.main_class); });
 }
 
 // The leaf frame of each sampled stack, with samples accumulated per method —
@@ -431,10 +414,12 @@ int main(int argc, char** argv) {
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "    {\"kernel\": \"%s\", \"quickened_ns_per_op\": %.3f, "
-                  "\"reference_ns_per_op\": %.3f, \"speedup\": %.3f, "
-                  "\"instructions\": %llu}",
-                  name.c_str(), quick.ns_per_op, reference.ns_per_op, speedup,
-                  static_cast<unsigned long long>(reference.instructions));
+                  "\"quickened_range\": [%.3f, %.3f], "
+                  "\"reference_ns_per_op\": %.3f, \"reference_range\": [%.3f, %.3f], "
+                  "\"speedup\": %.3f, \"instructions\": %llu}",
+                  name.c_str(), quick.ns_per_op, quick.ns_per_op_min, quick.ns_per_op_max,
+                  reference.ns_per_op, reference.ns_per_op_min, reference.ns_per_op_max,
+                  speedup, static_cast<unsigned long long>(reference.instructions));
     rows += buf;
     return speedup;
   };

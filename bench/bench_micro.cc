@@ -4,10 +4,12 @@
 // not the simulated 1999 hardware.
 #include <benchmark/benchmark.h>
 
+#include "bench/bench_util.h"
 #include "src/bytecode/builder.h"
 #include "src/bytecode/code.h"
 #include "src/bytecode/serializer.h"
 #include "src/bytecode/stack_effect.h"
+#include "src/dvm/dvm.h"
 #include "src/proxy/signature.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/syslib.h"
@@ -206,6 +208,77 @@ void BM_InvokeDispatch(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(calls), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_InvokeDispatch);
+
+void BM_QuickIntLoop(benchmark::State& state) {
+  // The handler groups that dispatch per opcode in the quickened engine: an
+  // int compare-branch backedge, ALU ops and int-array loads and stores.
+  // f(n) runs a[i & 7] ^= (a[i & 7] << 1) + i for i < n over an 8-int array.
+  MapClassProvider provider;
+  InstallSystemLibrary(provider);
+  ClassBuilder cb("micro/IntLoop", "java/lang/Object");
+  MethodBuilder& m = cb.AddMethod(AccessFlags::kStatic | AccessFlags::kPublic, "f", "(I)I");
+  Label loop = m.NewLabel(), done = m.NewLabel();
+  m.PushInt(8).Emit(Op::kNewarray, static_cast<int32_t>(ArrayKind::kInt)).StoreLocal("L", 1);
+  m.PushInt(0).StoreLocal("I", 2);
+  m.Bind(loop).LoadLocal("I", 2).LoadLocal("I", 0).Branch(Op::kIfIcmpge, done);
+  m.LoadLocal("L", 1).LoadLocal("I", 2).PushInt(7).Emit(Op::kIand);  // a, j
+  m.LoadLocal("L", 1).LoadLocal("I", 2).PushInt(7).Emit(Op::kIand).Emit(Op::kIaload);
+  m.Emit(Op::kDup).PushInt(1).Emit(Op::kIshl).LoadLocal("I", 2).Emit(Op::kIadd);
+  m.Emit(Op::kIxor).Emit(Op::kIastore);
+  m.Emit(Op::kIinc, 2, 1).Branch(Op::kGoto, loop);
+  m.Bind(done).LoadLocal("L", 1).PushInt(3).Emit(Op::kIaload).Emit(Op::kIreturn);
+  provider.AddClassFile(cb.Build().value());
+
+  MachineConfig config;
+  config.max_instructions = ~0ULL;
+  Machine machine(config, &provider);
+  uint64_t before = machine.counters().instructions;
+  for (auto _ : state) {
+    auto out = machine.CallStatic("micro/IntLoop", "f", "(I)I", {Value::Int(10'000)});
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["instr/s"] = benchmark::Counter(
+      static_cast<double>(machine.counters().instructions - before),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_QuickIntLoop);
+
+void BM_AuditedInvoke(benchmark::State& state) {
+  // The monitoring service's per-event cost on a DVM client: a loop around
+  // one quickened invokestatic of the dvm/rt/Auditor.enter native, the call
+  // the audit filter injects at every method entry. The class is served
+  // through a Fig. 6 server (so it is also audited at its own entry).
+  MapClassProvider origin;
+  ClassBuilder cb("app/MicroAudited", "java/lang/Object");
+  MethodBuilder& m = cb.AddMethod(AccessFlags::kStatic | AccessFlags::kPublic, "f", "(I)I");
+  Label loop = m.NewLabel(), done = m.NewLabel();
+  m.Bind(loop).LoadLocal("I", 0).Branch(Op::kIfle, done);
+  m.PushString("app/MicroAudited.f")
+      .InvokeStatic(kRtAuditorClass, "enter", "(Ljava/lang/String;)V");
+  m.Emit(Op::kIinc, 0, -1).Branch(Op::kGoto, loop);
+  m.Bind(done).LoadLocal("I", 0).Emit(Op::kIreturn);
+  origin.AddClassFile(cb.Build().value());
+
+  DvmServerConfig server_config;
+  server_config.policy = bench::PermissivePolicy();
+  DvmServer server(server_config, &origin);
+  MachineConfig config = DvmMachineConfig();
+  config.max_instructions = ~0ULL;
+  DvmClient client(&server, config, MakeEthernet10Mb());
+  Machine& machine = client.machine();
+  uint64_t before = machine.counters().audit_events;
+  for (auto _ : state) {
+    auto out = machine.CallStatic("app/MicroAudited", "f", "(I)I", {Value::Int(1'000)});
+    benchmark::DoNotOptimize(out);
+  }
+  if (machine.counters().audit_events - before < 1'000) {
+    state.SkipWithError("the audit native did not run");
+  }
+  state.counters["events/s"] = benchmark::Counter(
+      static_cast<double>(machine.counters().audit_events - before),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_AuditedInvoke);
 
 void BM_Md5(benchmark::State& state) {
   Bytes data(static_cast<size_t>(state.range(0)));

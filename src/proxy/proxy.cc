@@ -66,9 +66,7 @@ const ClassFile* DvmProxy::RewriteView::Lookup(const std::string& class_name) co
 void AuditRing::Push(std::string event) {
   lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
-  ring_.push_back(std::move(event));
-  while (ring_.size() > capacity_) {
-    ring_.pop_front();
+  if (ring_.Push(std::move(event))) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -80,18 +78,16 @@ void AuditRing::PushAll(std::vector<std::string> events) {
   lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& event : events) {
-    ring_.push_back(std::move(event));
-  }
-  while (ring_.size() > capacity_) {
-    ring_.pop_front();
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    if (ring_.Push(std::move(event))) {
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 }
 
 std::vector<std::string> AuditRing::Snapshot() const {
   lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<std::string>(ring_.begin(), ring_.end());
+  return ring_.Snapshot();
 }
 
 size_t AuditRing::size() const {

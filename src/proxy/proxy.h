@@ -17,7 +17,6 @@
 #define SRC_PROXY_PROXY_H_
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -33,6 +32,7 @@
 #include "src/proxy/signature.h"
 #include "src/rewrite/filter.h"
 #include "src/runtime/class_registry.h"
+#include "src/support/ring.h"
 #include "src/support/stats.h"
 #include "src/support/trace.h"
 #include "src/verifier/class_env.h"
@@ -115,27 +115,26 @@ struct RequestContext {
   }
 };
 
-// Bounded audit log: a capped ring buffer that counts what it drops.
+// Bounded audit log: a capped, thread-safe ring that counts what it drops.
 class AuditRing {
  public:
-  explicit AuditRing(size_t capacity) : capacity_(capacity) {}
+  explicit AuditRing(size_t capacity) : ring_(capacity) {}
 
   void Push(std::string event);
   void PushAll(std::vector<std::string> events);
   // Oldest → newest.
   std::vector<std::string> Snapshot() const;
   size_t size() const;
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return ring_.capacity(); }
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
   uint64_t lock_acquisitions() const {
     return lock_acquisitions_.load(std::memory_order_relaxed);
   }
 
  private:
-  size_t capacity_;
   mutable std::mutex mu_;
   mutable std::atomic<uint64_t> lock_acquisitions_{0};
-  std::deque<std::string> ring_;
+  BoundedRing<std::string> ring_;
   std::atomic<uint64_t> dropped_{0};
 };
 

@@ -44,31 +44,41 @@ class MapClassProvider : public ClassProvider {
   std::map<std::string, Bytes> classes_;
 };
 
+class Machine;
+struct PreparedMethod;
 struct RuntimeClass;
+
+// Native method implementation. `args` includes the receiver at index 0 for
+// instance methods. May signal a guest exception via Machine::ThrowGuest and
+// return any value (it is discarded); host-level errors abort the run.
+using NativeFn = std::function<Result<Value>(Machine&, std::vector<Value>&)>;
 
 // Per-instruction resolution cache ("quickening"): after the first execution
 // of a field access or invoke, the resolved owner/slot/target is remembered so
 // later executions skip constant-pool string resolution. Sound because loaded
 // classes are immutable and initialization is monotonic. invokevirtual uses a
-// monomorphic last-receiver cache with a slow-path fallback.
+// monomorphic last-receiver cache with a slow-path fallback. Names are held
+// as interned symbols; cold paths spell them with SymbolName.
 struct InlineCache {
   // Field accesses.
   RuntimeClass* field_owner = nullptr;
-  uint32_t field_slot = 0;
-  // Invokes.
+  // Invokes: the resolved target, plus what calling it needs, memoized on
+  // the first call through the site (the callee's prepared body, or its
+  // native binding). Retarget() clears both memos.
   RuntimeClass* invoke_owner = nullptr;
   const MethodInfo* invoke_method = nullptr;
-  std::string receiver_class;  // invokevirtual: cached dynamic receiver type
-  uint32_t receiver_sym = 0;   // interned form of receiver_class (quick engine)
-  int arg_count = -1;          // incl. receiver for instance methods; -1 = unresolved
-  bool has_result = false;
-  // Quick-form payloads, installed when the interpreter rewrites the site:
+  PreparedMethod* invoke_prepared = nullptr;
+  const NativeFn* invoke_native = nullptr;
+  // Quick-form payloads, installed when the interpreter rewrites the site
+  // (the 32-bit members are grouped to keep the struct small):
   Value const_value = Value::Null();  // ldc_quick: pre-materialized constant
   RuntimeClass* klass = nullptr;      // new_quick: resolved, initialized class
-  std::string array_desc;             // anewarray_quick: precomposed descriptor
-  uint32_t array_desc_sym = 0;
-  std::string cast_target;            // checkcast/instanceof_quick: target class
-  uint32_t cast_target_sym = 0;
+  uint32_t field_slot = 0;       // field accesses: slot within field_owner
+  uint32_t receiver_sym = 0;     // invokevirtual: cached dynamic receiver type
+  uint32_t array_desc_sym = 0;   // anewarray_quick: precomposed array descriptor
+  uint32_t cast_target_sym = 0;  // checkcast/instanceof_quick: target class
+  int32_t arg_count = -1;        // incl. receiver for instance methods; -1 = unresolved
+  bool has_result = false;
   // Per-site profile, always compiled in (a counter bump on paths that were
   // already dispatching): monomorphic hits, slow-path misses, and receiver
   // transitions. transitions >= the megamorphic threshold marks a site the
@@ -76,6 +86,16 @@ struct InlineCache {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t transitions = 0;
+
+  // Points the site at a newly resolved target.
+  void Retarget(RuntimeClass* owner, const MethodInfo* method) {
+    if (method != invoke_method) {
+      invoke_prepared = nullptr;
+      invoke_native = nullptr;
+    }
+    invoke_owner = owner;
+    invoke_method = method;
+  }
 };
 
 // Interpreter-ready method body: decoded instructions and handler table

@@ -43,19 +43,6 @@ size_t HeapObject::SizeBytes() const {
   return base;
 }
 
-int32_t HeapObject::ArrayLength() const {
-  switch (kind) {
-    case Kind::kIntArray:
-      return static_cast<int32_t>(ints.size());
-    case Kind::kLongArray:
-      return static_cast<int32_t>(longs.size());
-    case Kind::kRefArray:
-      return static_cast<int32_t>(refs.size());
-    default:
-      return -1;
-  }
-}
-
 Status Heap::Reserve(size_t bytes) const {
   if (live_bytes_ + bytes > capacity_bytes_) {
     return Error{ErrorCode::kCapacity, "guest heap exhausted"};
@@ -151,18 +138,6 @@ Result<ObjRef> Heap::AllocString(const std::string& value) {
   obj.class_sym = StringSym();
   obj.str = value;
   return Place(std::move(obj));
-}
-
-HeapObject* Heap::Get(ObjRef ref) {
-  if (ref == kNullRef || ref >= objects_.size() ||
-      objects_[ref].kind == HeapObject::Kind::kFree) {
-    return nullptr;
-  }
-  return &objects_[ref];
-}
-
-const HeapObject* Heap::Get(ObjRef ref) const {
-  return const_cast<Heap*>(this)->Get(ref);
 }
 
 void Heap::Mark(ObjRef root) {

@@ -32,7 +32,19 @@ struct HeapObject {
   bool marked = false;
 
   size_t SizeBytes() const;
-  int32_t ArrayLength() const;
+  // Element count of an array, -1 for any other kind.
+  int32_t ArrayLength() const {
+    switch (kind) {
+      case Kind::kIntArray:
+        return static_cast<int32_t>(ints.size());
+      case Kind::kLongArray:
+        return static_cast<int32_t>(longs.size());
+      case Kind::kRefArray:
+        return static_cast<int32_t>(refs.size());
+      default:
+        return -1;
+    }
+  }
 };
 
 class Heap {
@@ -60,8 +72,14 @@ class Heap {
   Result<ObjRef> AllocString(const std::string& value);
 
   // Returns nullptr for the null handle or a freed slot.
-  HeapObject* Get(ObjRef ref);
-  const HeapObject* Get(ObjRef ref) const;
+  HeapObject* Get(ObjRef ref) {
+    if (ref == kNullRef || ref >= objects_.size() ||
+        objects_[ref].kind == HeapObject::Kind::kFree) {
+      return nullptr;
+    }
+    return &objects_[ref];
+  }
+  const HeapObject* Get(ObjRef ref) const { return const_cast<Heap*>(this)->Get(ref); }
 
   // Mark-sweep over the given roots. Statics and frames are supplied by the
   // machine; this class only owns the object graph.

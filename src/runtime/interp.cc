@@ -22,6 +22,37 @@ namespace {
 
 Error HostErr(const std::string& message) { return Error{ErrorCode::kRuntimeError, message}; }
 
+// Failure exits of the quickened engine. Each message is built here, out of
+// line, so the dispatch loop carries only a call and keeps its registers.
+[[gnu::cold, gnu::noinline]] Status HostFail(const char* what) { return HostErr(what); }
+
+[[gnu::cold, gnu::noinline]] Status HostFailIn(const char* what, const MethodInfo* method) {
+  return HostErr(what + method->Id());
+}
+
+[[gnu::cold, gnu::noinline]] Status Throw(Machine& machine, const char* exception_class,
+                                          const char* message) {
+  machine.ThrowGuest(exception_class, message);
+  return Status::Ok();
+}
+
+[[gnu::cold, gnu::noinline]] Status ThrowNegativeArraySize(Machine& machine, int32_t length) {
+  machine.ThrowGuest("java/lang/NegativeArraySizeException", std::to_string(length));
+  return Status::Ok();
+}
+
+[[gnu::cold, gnu::noinline]] Status ThrowOutOfMemory(Machine& machine, const Error& error) {
+  machine.ThrowGuest("java/lang/OutOfMemoryError", error.message);
+  return Status::Ok();
+}
+
+[[gnu::cold, gnu::noinline]] Status ThrowClassCast(Machine& machine, const HeapObject* obj,
+                                                   uint32_t target_sym) {
+  machine.ThrowGuest("java/lang/ClassCastException",
+                     obj->class_name + " -> " + SymbolName(target_sym));
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status Interpreter::Raise(const opsem::Fault& fault) {
@@ -173,8 +204,9 @@ Status Interpreter::PushFrame(RuntimeClass* cls, const MethodInfo* method,
   return Status::Ok();
 }
 
-Status Interpreter::PushFrameSliced(RuntimeClass* cls, const MethodInfo* method,
-                                    uint32_t argc) {
+Status Interpreter::PushFrameSliced(InlineCache& ic, uint32_t argc) {
+  RuntimeClass* cls = ic.invoke_owner;
+  const MethodInfo* method = ic.invoke_method;
   ExecFrame& caller = frames_.back();
   uint32_t args_start = caller.sp - argc;  // caller validated the depth
   caller.sp = args_start;
@@ -185,7 +217,10 @@ Status Interpreter::PushFrameSliced(RuntimeClass* cls, const MethodInfo* method,
   if (!method->code.has_value()) {
     return HostErr("method has no code body: " + cls->name + "." + method->Id());
   }
-  DVM_ASSIGN_OR_RETURN(PreparedMethod * prepared, Prepare(cls, method));
+  if (ic.invoke_prepared == nullptr) {
+    DVM_ASSIGN_OR_RETURN(ic.invoke_prepared, Prepare(cls, method));
+  }
+  PreparedMethod* prepared = ic.invoke_prepared;
   uint32_t max_locals = method->code->max_locals;
   uint32_t locals_count = std::max(max_locals, argc);
   ExecFrame frame;
@@ -292,7 +327,10 @@ Result<CallOutcome> Interpreter::RunMethod(RuntimeClass* cls, const MethodInfo* 
   DVM_RETURN_IF_ERROR(init);
   if (!machine_.HasPendingException()) {
     if (method->IsNative()) {
-      DVM_RETURN_IF_ERROR(CallNative(cls, method, std::move(args)));
+      DVM_ASSIGN_OR_RETURN(const NativeFn* fn, FindNative(cls, method));
+      auto sig = ParseMethodDescriptor(method->descriptor);
+      bool has_result = sig.ok() && !sig->ReturnsVoid();
+      DVM_RETURN_IF_ERROR(CallNative(*fn, has_result, args.data(), args.size()));
       if (!machine_.HasPendingException()) {
         CallOutcome outcome;
         if (has_return_value_) {
@@ -433,8 +471,8 @@ Result<bool> Interpreter::DispatchPendingException() {
   return false;
 }
 
-Status Interpreter::CallNative(RuntimeClass* owner, const MethodInfo* method,
-                               std::vector<Value> args) {
+Result<const NativeFn*> Interpreter::FindNative(const RuntimeClass* owner,
+                                                const MethodInfo* method) const {
   const NativeFn* fn =
       machine_.natives().Find(owner->name, method->name, method->descriptor);
   if (fn == nullptr && method->name.rfind("__dvmSecured$", 0) == 0) {
@@ -445,33 +483,36 @@ Status Interpreter::CallNative(RuntimeClass* owner, const MethodInfo* method,
   if (fn == nullptr) {
     return HostErr("unbound native method " + owner->name + "." + method->Id());
   }
+  return fn;
+}
+
+Status Interpreter::CallNative(const NativeFn& fn, bool has_result, const Value* args,
+                               size_t argc) {
   machine_.counters().native_calls++;
   machine_.AddNanos(machine_.config().cost.nanos_per_native_call);
-  // The args vector lives outside the arena; root it for the duration of the
-  // native call (which may allocate and collect).
-  rooted_values_ = &args;
-  Result<Value> call = (*fn)(machine_, args);
+  // The arguments move to a vector outside the arena that is rooted for the
+  // duration of the call (which may allocate and collect). It keeps its
+  // capacity from call to call.
+  native_args_.assign(args, args + argc);
+  rooted_values_ = &native_args_;
+  Result<Value> call = fn(machine_, native_args_);
   rooted_values_ = nullptr;
   if (!call.ok()) {
     return call.error();
   }
-  Value result = call.value();
-  if (machine_.HasPendingException()) {
+  if (machine_.HasPendingException() || !has_result) {
     return Status::Ok();
   }
-  auto sig = ParseMethodDescriptor(method->descriptor);
-  if (sig.ok() && !sig->ReturnsVoid()) {
-    if (!frames_.empty()) {
-      ExecFrame& caller = frames_.back();
-      if (caller.sp >= caller.stack_limit) {
-        return HostErr("operand stack overflow in " + caller.method->Id());
-      }
-      arena_[caller.sp++] = result;
-    } else {
-      return_value_ = result;
-      has_return_value_ = true;
-    }
+  if (frames_.empty()) {
+    return_value_ = call.value();
+    has_return_value_ = true;
+    return Status::Ok();
   }
+  ExecFrame& caller = frames_.back();
+  if (caller.sp >= caller.stack_limit) {
+    return HostErr("operand stack overflow in " + caller.method->Id());
+  }
+  arena_[caller.sp++] = call.value();
   return Status::Ok();
 }
 
@@ -546,7 +587,7 @@ Status Interpreter::Invoke(Op op, uint16_t cp_index, InlineCache& ic) {
     if (receiver == nullptr) {
       return HostErr("dangling receiver reference");
     }
-    if (ic.invoke_method != nullptr && ic.receiver_class == receiver->class_name) {
+    if (ic.invoke_method != nullptr && ic.receiver_sym == receiver->class_sym) {
       // Monomorphic fast path.
       ic.hits++;
       owner = ic.invoke_owner;
@@ -585,9 +626,7 @@ Status Interpreter::Invoke(Op op, uint16_t cp_index, InlineCache& ic) {
         return Status::Ok();
       }
       // Install the monomorphic cache entry (last receiver type wins).
-      ic.invoke_owner = owner;
-      ic.invoke_method = method;
-      ic.receiver_class = receiver->class_name;
+      ic.Retarget(owner, method);
       ic.receiver_sym = receiver->class_sym;
     }
   } else if (ic.invoke_method != nullptr) {
@@ -622,8 +661,7 @@ Status Interpreter::Invoke(Op op, uint16_t cp_index, InlineCache& ic) {
                           ref.ToString() + " is static");
       return Status::Ok();
     }
-    ic.invoke_owner = owner;
-    ic.invoke_method = method;
+    ic.Retarget(owner, method);
   }
 
   if (method->IsAbstract()) {
@@ -631,7 +669,8 @@ Status Interpreter::Invoke(Op op, uint16_t cp_index, InlineCache& ic) {
     return Status::Ok();
   }
   if (method->IsNative()) {
-    return CallNative(owner, method, std::move(args));
+    DVM_ASSIGN_OR_RETURN(const NativeFn* fn, FindNative(owner, method));
+    return CallNative(*fn, ic.has_result, args.data(), args.size());
   }
   return PushFrame(owner, method, args);
 }
@@ -1137,21 +1176,23 @@ Status Interpreter::Step() {
   return Status::Ok();
 }
 
-Status Interpreter::InvokeResolved(RuntimeClass* owner, const MethodInfo* method,
-                                   uint32_t argc) {
+Status Interpreter::InvokeResolved(InlineCache& ic, uint32_t argc) {
   ExecFrame& caller = frames_.back();
+  const MethodInfo* method = ic.invoke_method;
   if (method->IsAbstract()) {
     caller.sp -= argc;
-    machine_.ThrowGuest("java/lang/AbstractMethodError", owner->name + "." + method->Id());
+    machine_.ThrowGuest("java/lang/AbstractMethodError",
+                        ic.invoke_owner->name + "." + method->Id());
     return Status::Ok();
   }
   if (method->IsNative()) {
-    std::vector<Value> args(arena_.begin() + static_cast<ptrdiff_t>(caller.sp - argc),
-                            arena_.begin() + static_cast<ptrdiff_t>(caller.sp));
     caller.sp -= argc;
-    return CallNative(owner, method, std::move(args));
+    if (ic.invoke_native == nullptr) {
+      DVM_ASSIGN_OR_RETURN(ic.invoke_native, FindNative(ic.invoke_owner, method));
+    }
+    return CallNative(*ic.invoke_native, ic.has_result, arena_.data() + caller.sp, argc);
   }
-  return PushFrameSliced(owner, method, argc);
+  return PushFrameSliced(ic, argc);
 }
 
 Status Interpreter::QuickInvokeSlow(Op op, uint32_t site_ix) {
@@ -1227,9 +1268,7 @@ Status Interpreter::QuickInvokeSlow(Op op, uint32_t site_ix) {
       return Status::Ok();
     }
     // Install / refresh the monomorphic cache entry (last receiver type wins).
-    ic.invoke_owner = owner;
-    ic.invoke_method = method;
-    ic.receiver_class = receiver->class_name;
+    ic.Retarget(owner, method);
     ic.receiver_sym = receiver->class_sym;
     if (site.op != Op::kInvokevirtualQuick) {
       site.op = Op::kInvokevirtualQuick;
@@ -1260,8 +1299,7 @@ Status Interpreter::QuickInvokeSlow(Op op, uint32_t site_ix) {
         caller.sp -= argc;
         return Status::Ok();
       }
-      ic.invoke_owner = owner;
-      ic.invoke_method = method;
+      ic.Retarget(owner, method);
       // Rewritten only after initialization succeeds: the quick form implies
       // an initialized owner.
       site.op = Op::kInvokestaticQuick;
@@ -1273,13 +1311,12 @@ Status Interpreter::QuickInvokeSlow(Op op, uint32_t site_ix) {
                             ref.ToString() + " is static");
         return Status::Ok();
       }
-      ic.invoke_owner = owner;
-      ic.invoke_method = method;
+      ic.Retarget(owner, method);
       site.op = Op::kInvokespecialQuick;
       machine_.counters().quickened_sites++;
     }
   }
-  return InvokeResolved(owner, method, argc);
+  return InvokeResolved(ic, argc);
 }
 
 // X-macro over every opcode the quickened engine handles; used to populate the
@@ -1305,44 +1342,83 @@ Status Interpreter::QuickInvokeSlow(Op op, uint32_t site_ix) {
   X(kInvokestaticQuick) X(kNewQuick) X(kAnewarrayQuick) X(kCheckcastQuick)     \
   X(kInstanceofQuick)
 
-// The hot loop keeps pc, sp and the frame's arena pointers in locals; QSYNC
-// writes sp/pc back to the frame before anything that can GC, throw, push or
-// pop frames. QTHROW and the invoke/return handlers exit back to Loop(), which
-// owns exception dispatch and outcome extraction for both engines.
+// The hot loop keeps pc, sp, the frame's arena pointers and the instruction
+// accounting in locals. `pending` counts the instructions run since the last
+// flush and `limit` is what the budget has left beyond those already
+// flushed, so the budget check is one register compare. QFLUSH charges `pending` to
+// counters.instructions and the virtual clock; it runs before anything reads
+// either (a profiler poll, a class load, a native, a nested <clinit>) and
+// before the frame it was counted in is popped. QSYNC flushes and writes
+// sp/pc back to the frame before anything that can GC, throw, load a class,
+// or push or pop frames. QRELOAD re-reads the top frame after a frame change
+// or a call, and QREBUDGET recomputes `limit` after any call that may have
+// run guest code. QTHROW and the invoke/return handlers exit back to Loop(),
+// which owns exception dispatch and outcome extraction for both engines.
+#define QFLUSH()                                  \
+  do {                                            \
+    counters.instructions += pending;             \
+    machine_.AddNanos(pending * step_nanos);      \
+    limit -= pending;                             \
+    pending = 0;                                  \
+  } while (0)
 #define QSYNC()                                   \
   do {                                            \
+    QFLUSH();                                     \
     f->sp = static_cast<uint32_t>(sp - base);     \
     f->pc = pc;                                   \
   } while (0)
-#define QHOST(msg)   \
-  do {               \
-    QSYNC();         \
-    return HostErr(msg); \
+#define QREBUDGET() \
+  (limit = counters.instructions < budget ? budget - counters.instructions : 0)
+#define QRELOAD()                                                             \
+  do {                                                                        \
+    f = &frames_.back();                                                      \
+    code = f->prepared->code.data();                                          \
+    code_size = static_cast<uint32_t>(f->prepared->code.size());              \
+    base = arena_.data();                                                     \
+    locals = base + f->locals_base;                                           \
+    floor = base + f->stack_base;                                             \
+    ceil = base + f->stack_limit;                                             \
+    sp = base + f->sp;                                                        \
+    pc = f->pc;                                                               \
+    max_locals = f->method->code->max_locals;                                 \
+    step_nanos = f->prepared->compiled ? machine_.config().cost.nanos_per_instr_compiled \
+                                       : machine_.config().cost.nanos_per_instr;         \
+    QREBUDGET();                                                              \
   } while (0)
-#define QTHROW(cls_, msg_)                \
+#define QHOST(msg)           \
+  do {                       \
+    QSYNC();                 \
+    return HostFail(msg);    \
+  } while (0)
+// Host error whose message names the current method.
+#define QHOST_IN(what)                    \
   do {                                    \
     QSYNC();                              \
-    machine_.ThrowGuest((cls_), (msg_));  \
-    return Status::Ok();                  \
+    return HostFailIn(what, f->method);   \
+  } while (0)
+#define QTHROW(cls_, msg_)                    \
+  do {                                        \
+    QSYNC();                                  \
+    return Throw(machine_, (cls_), (msg_));   \
   } while (0)
 #define QFAULT(fault_)  \
   do {                  \
     QSYNC();            \
     return Raise(fault_); \
   } while (0)
-#define QNEED(n)                                                              \
-  do {                                                                        \
-    if (sp - floor < static_cast<ptrdiff_t>(n))                               \
-      QHOST("operand stack underflow in " + f->method->Id());                 \
+#define QNEED(n)                                                   \
+  do {                                                             \
+    if (sp - floor < static_cast<ptrdiff_t>(n))                    \
+      QHOST_IN("operand stack underflow in ");                     \
   } while (0)
-#define QROOM()                                                               \
-  do {                                                                        \
-    if (sp >= ceil) QHOST("operand stack overflow in " + f->method->Id());    \
+#define QROOM()                                                    \
+  do {                                                             \
+    if (sp >= ceil) QHOST_IN("operand stack overflow in ");        \
   } while (0)
-#define QLOCAL(ix)                                                            \
-  do {                                                                        \
-    if (static_cast<uint32_t>(ix) >= max_locals)                              \
-      QHOST("local index out of range in " + f->method->Id());                \
+#define QLOCAL(ix)                                                 \
+  do {                                                             \
+    if (static_cast<uint32_t>(ix) >= max_locals)                   \
+      QHOST_IN("local index out of range in ");                    \
   } while (0)
 // Taken branch: pc is already past the branch instruction, so a target below
 // it is a backward edge — the loop-trip evidence the profiler exports, and a
@@ -1351,13 +1427,93 @@ Status Interpreter::QuickInvokeSlow(Op op, uint32_t site_ix) {
   do {                                                                        \
     uint32_t target_ = (target_expr);                                         \
     if (target_ < pc) {                                                       \
+      QFLUSH();                                                               \
       ProfileBackedge(f->prepared);                                           \
     }                                                                         \
     pc = target_;                                                             \
   } while (0)
+// After a call that may have pushed or popped frames, run a native or
+// raised an exception: leave for Loop() or resume in the top frame.
+#define QRESUME()                                                   \
+  do {                                                              \
+    if (machine_.HasPendingException() || frames_.empty()) {        \
+      return Status::Ok();                                          \
+    }                                                               \
+    QRELOAD();                                                      \
+  } while (0)
+
+// One handler per opcode for the arithmetic, compare-branch and array groups.
+// Each calls opsem with its own constant Op, so opsem.h stays the one
+// implementation of the semantics and its switch on the opcode folds away.
+// `As`/`Make` are the Value accessor and constructor of the operand type.
+#define Q_ALU(name, As, Make, alu)                       \
+  OP(name) {                                             \
+    QNEED(2);                                            \
+    auto b = (--sp)->As();                               \
+    auto a = (--sp)->As();                               \
+    *sp++ = Value::Make(opsem::alu(Op::name, a, b));     \
+  }                                                      \
+  NEXT();
+#define Q_DIVREM(name, As, Make, divrem)                 \
+  OP(name) {                                             \
+    QNEED(2);                                            \
+    auto b = (--sp)->As();                               \
+    auto a = (--sp)->As();                               \
+    decltype(a) r = 0;                                   \
+    opsem::Fault fault = opsem::divrem(Op::name, a, b, &r); \
+    if (!fault.ok()) {                                   \
+      QFAULT(fault);                                     \
+    }                                                    \
+    *sp++ = Value::Make(r);                              \
+  }                                                      \
+  NEXT();
+// Branch on one popped operand (`operand` pops it) or on two.
+#define Q_IF(name, cond, operand)                        \
+  OP(name) {                                             \
+    QNEED(1);                                            \
+    if (opsem::cond(Op::name, operand)) {                \
+      QBRANCH(static_cast<uint32_t>(inst.a));            \
+    }                                                    \
+  }                                                      \
+  NEXT();
+#define Q_IF_CMP(name, As, cond)                         \
+  OP(name) {                                             \
+    QNEED(2);                                            \
+    auto b = (--sp)->As();                               \
+    auto a = (--sp)->As();                               \
+    if (opsem::cond(Op::name, a, b)) {                   \
+      QBRANCH(static_cast<uint32_t>(inst.a));            \
+    }                                                    \
+  }                                                      \
+  NEXT();
+#define Q_ARRAY_LOAD(name)                               \
+  OP(name) {                                             \
+    QNEED(2);                                            \
+    int32_t index = (--sp)->AsInt();                     \
+    Value array_ref = *--sp;                             \
+    opsem::Fault fault = opsem::ArrayLoad(heap, Op::name, array_ref, index, sp); \
+    if (!fault.ok()) {                                   \
+      QFAULT(fault);                                     \
+    }                                                    \
+    sp++;                                                \
+  }                                                      \
+  NEXT();
+#define Q_ARRAY_STORE(name)                              \
+  OP(name) {                                             \
+    QNEED(3);                                            \
+    Value value = *--sp;                                 \
+    int32_t index = (--sp)->AsInt();                     \
+    Value array_ref = *--sp;                             \
+    opsem::Fault fault = opsem::ArrayStore(heap, Op::name, array_ref, index, value); \
+    if (!fault.ok()) {                                   \
+      QFAULT(fault);                                     \
+    }                                                    \
+  }                                                      \
+  NEXT();
 
 Status Interpreter::RunQuick() {
   RuntimeCounters& counters = machine_.counters();
+  Heap& heap = machine_.heap();
   const uint64_t budget = machine_.config().max_instructions;
 
   ExecFrame* f = nullptr;
@@ -1371,23 +1527,11 @@ Status Interpreter::RunQuick() {
   uint32_t pc = 0;
   uint32_t max_locals = 0;
   uint64_t step_nanos = 0;
+  uint64_t pending = 0;
+  uint64_t limit = 0;
   Instr inst;
 
-  auto reload = [&]() {
-    f = &frames_.back();
-    code = f->prepared->code.data();
-    code_size = static_cast<uint32_t>(f->prepared->code.size());
-    base = arena_.data();
-    locals = base + f->locals_base;
-    floor = base + f->stack_base;
-    ceil = base + f->stack_limit;
-    sp = base + f->sp;
-    pc = f->pc;
-    max_locals = f->method->code->max_locals;
-    step_nanos = f->prepared->compiled ? machine_.config().cost.nanos_per_instr_compiled
-                                       : machine_.config().cost.nanos_per_instr;
-  };
-  reload();
+  QRELOAD();
 
 #if DVM_INTERP_COMPUTED_GOTO
   // Per-call jump table of label addresses (function-local, so no shared
@@ -1402,13 +1546,12 @@ Status Interpreter::RunQuick() {
 #undef DVM_FILL
 
 // Accounting order matches the reference engine exactly: budget check, pc
-// escape check, then the instruction is counted and charged.
+// escape check, then the instruction is counted.
 #define QFETCH()                                                              \
   do {                                                                        \
-    if (counters.instructions >= budget) QHOST("instruction budget exceeded"); \
-    if (pc >= code_size) QHOST("pc escaped method body in " + f->method->Id()); \
-    counters.instructions++;                                                  \
-    machine_.AddNanos(step_nanos);                                            \
+    if (pending >= limit) QHOST("instruction budget exceeded");               \
+    if (pc >= code_size) QHOST_IN("pc escaped method body in ");              \
+    pending++;                                                                \
     inst = code[pc];                                                          \
     pc++;                                                                     \
     goto* jump[static_cast<uint8_t>(inst.op)];                                \
@@ -1422,10 +1565,9 @@ Status Interpreter::RunQuick() {
 #define NEXT() continue
 
   for (;;) {
-    if (counters.instructions >= budget) QHOST("instruction budget exceeded");
-    if (pc >= code_size) QHOST("pc escaped method body in " + f->method->Id());
-    counters.instructions++;
-    machine_.AddNanos(step_nanos);
+    if (pending >= limit) QHOST("instruction budget exceeded");
+    if (pc >= code_size) QHOST_IN("pc escaped method body in ");
+    pending++;
     inst = code[pc];
     pc++;
     switch (inst.op) {
@@ -1498,27 +1640,12 @@ Status Interpreter::RunQuick() {
     locals[static_cast<size_t>(inst.a)] = *--sp;
   } NEXT();
 
-  OP(kIaload) OP(kLaload) OP(kAaload) {
-    QNEED(2);
-    int32_t index = (--sp)->AsInt();
-    Value array_ref = *--sp;
-    opsem::Fault fault = opsem::ArrayLoad(machine_.heap(), inst.op, array_ref, index, sp);
-    if (!fault.ok()) {
-      QFAULT(fault);
-    }
-    sp++;
-  } NEXT();
-
-  OP(kIastore) OP(kLastore) OP(kAastore) {
-    QNEED(3);
-    Value value = *--sp;
-    int32_t index = (--sp)->AsInt();
-    Value array_ref = *--sp;
-    opsem::Fault fault = opsem::ArrayStore(machine_.heap(), inst.op, array_ref, index, value);
-    if (!fault.ok()) {
-      QFAULT(fault);
-    }
-  } NEXT();
+  Q_ARRAY_LOAD(kIaload)
+  Q_ARRAY_LOAD(kLaload)
+  Q_ARRAY_LOAD(kAaload)
+  Q_ARRAY_STORE(kIastore)
+  Q_ARRAY_STORE(kLastore)
+  Q_ARRAY_STORE(kAastore)
 
   OP(kPop) {
     QNEED(1);
@@ -1547,44 +1674,22 @@ Status Interpreter::RunQuick() {
     std::swap(sp[-1], sp[-2]);
   } NEXT();
 
-  OP(kIadd) OP(kIsub) OP(kImul) OP(kIand) OP(kIor) OP(kIxor) OP(kIshl)
-  OP(kIshr) OP(kIushr) {
-    QNEED(2);
-    int32_t b = (--sp)->AsInt();
-    int32_t a = (--sp)->AsInt();
-    *sp++ = Value::Int(opsem::IntAlu(inst.op, a, b));
-  } NEXT();
-
-  OP(kIdiv) OP(kIrem) {
-    QNEED(2);
-    int32_t b = (--sp)->AsInt();
-    int32_t a = (--sp)->AsInt();
-    int32_t r = 0;
-    opsem::Fault fault = opsem::IntDivRem(inst.op, a, b, &r);
-    if (!fault.ok()) {
-      QFAULT(fault);
-    }
-    *sp++ = Value::Int(r);
-  } NEXT();
-
-  OP(kLadd) OP(kLsub) OP(kLmul) {
-    QNEED(2);
-    int64_t b = (--sp)->AsLong();
-    int64_t a = (--sp)->AsLong();
-    *sp++ = Value::Long(opsem::LongAlu(inst.op, a, b));
-  } NEXT();
-
-  OP(kLdiv) OP(kLrem) {
-    QNEED(2);
-    int64_t b = (--sp)->AsLong();
-    int64_t a = (--sp)->AsLong();
-    int64_t r = 0;
-    opsem::Fault fault = opsem::LongDivRem(inst.op, a, b, &r);
-    if (!fault.ok()) {
-      QFAULT(fault);
-    }
-    *sp++ = Value::Long(r);
-  } NEXT();
+  Q_ALU(kIadd, AsInt, Int, IntAlu)
+  Q_ALU(kIsub, AsInt, Int, IntAlu)
+  Q_ALU(kImul, AsInt, Int, IntAlu)
+  Q_ALU(kIand, AsInt, Int, IntAlu)
+  Q_ALU(kIor, AsInt, Int, IntAlu)
+  Q_ALU(kIxor, AsInt, Int, IntAlu)
+  Q_ALU(kIshl, AsInt, Int, IntAlu)
+  Q_ALU(kIshr, AsInt, Int, IntAlu)
+  Q_ALU(kIushr, AsInt, Int, IntAlu)
+  Q_DIVREM(kIdiv, AsInt, Int, IntDivRem)
+  Q_DIVREM(kIrem, AsInt, Int, IntDivRem)
+  Q_ALU(kLadd, AsLong, Long, LongAlu)
+  Q_ALU(kLsub, AsLong, Long, LongAlu)
+  Q_ALU(kLmul, AsLong, Long, LongAlu)
+  Q_DIVREM(kLdiv, AsLong, Long, LongDivRem)
+  Q_DIVREM(kLrem, AsLong, Long, LongDivRem)
 
   OP(kIneg) {
     QNEED(1);
@@ -1619,38 +1724,22 @@ Status Interpreter::RunQuick() {
     *sp++ = Value::Int(opsem::Lcmp(a, b));
   } NEXT();
 
-  OP(kIfeq) OP(kIfne) OP(kIflt) OP(kIfge) OP(kIfgt) OP(kIfle) {
-    QNEED(1);
-    if (opsem::IntCond(inst.op, (--sp)->AsInt())) {
-      QBRANCH(static_cast<uint32_t>(inst.a));
-    }
-  } NEXT();
-
-  OP(kIfIcmpeq) OP(kIfIcmpne) OP(kIfIcmplt) OP(kIfIcmpge) OP(kIfIcmpgt)
-  OP(kIfIcmple) {
-    QNEED(2);
-    int32_t b = (--sp)->AsInt();
-    int32_t a = (--sp)->AsInt();
-    if (opsem::IntCmpCond(inst.op, a, b)) {
-      QBRANCH(static_cast<uint32_t>(inst.a));
-    }
-  } NEXT();
-
-  OP(kIfAcmpeq) OP(kIfAcmpne) {
-    QNEED(2);
-    ObjRef b = (--sp)->AsRef();
-    ObjRef a = (--sp)->AsRef();
-    if (opsem::RefCmpCond(inst.op, a, b)) {
-      QBRANCH(static_cast<uint32_t>(inst.a));
-    }
-  } NEXT();
-
-  OP(kIfnull) OP(kIfnonnull) {
-    QNEED(1);
-    if (opsem::NullCond(inst.op, *--sp)) {
-      QBRANCH(static_cast<uint32_t>(inst.a));
-    }
-  } NEXT();
+  Q_IF(kIfeq, IntCond, (--sp)->AsInt())
+  Q_IF(kIfne, IntCond, (--sp)->AsInt())
+  Q_IF(kIflt, IntCond, (--sp)->AsInt())
+  Q_IF(kIfge, IntCond, (--sp)->AsInt())
+  Q_IF(kIfgt, IntCond, (--sp)->AsInt())
+  Q_IF(kIfle, IntCond, (--sp)->AsInt())
+  Q_IF_CMP(kIfIcmpeq, AsInt, IntCmpCond)
+  Q_IF_CMP(kIfIcmpne, AsInt, IntCmpCond)
+  Q_IF_CMP(kIfIcmplt, AsInt, IntCmpCond)
+  Q_IF_CMP(kIfIcmpge, AsInt, IntCmpCond)
+  Q_IF_CMP(kIfIcmpgt, AsInt, IntCmpCond)
+  Q_IF_CMP(kIfIcmple, AsInt, IntCmpCond)
+  Q_IF_CMP(kIfAcmpeq, AsRef, RefCmpCond)
+  Q_IF_CMP(kIfAcmpne, AsRef, RefCmpCond)
+  Q_IF(kIfnull, NullCond, *--sp)
+  Q_IF(kIfnonnull, NullCond, *--sp)
 
   OP(kGoto) {
     QBRANCH(static_cast<uint32_t>(inst.a));
@@ -1659,6 +1748,7 @@ Status Interpreter::RunQuick() {
   OP(kIreturn) OP(kLreturn) OP(kAreturn) {
     QNEED(1);
     Value result = *--sp;
+    QFLUSH();  // charged at this frame's instruction cost
     frames_.pop_back();
     machine_.call_stack().pop_back();
     if (frames_.empty()) {
@@ -1668,13 +1758,14 @@ Status Interpreter::RunQuick() {
     }
     ExecFrame& caller = frames_.back();
     if (caller.sp >= caller.stack_limit) {
-      return HostErr("operand stack overflow in " + caller.method->Id());
+      return HostFailIn("operand stack overflow in ", caller.method);
     }
     arena_[caller.sp++] = result;
-    reload();
+    QRELOAD();
   } NEXT();
 
   OP(kReturn) {
+    QFLUSH();
     frames_.pop_back();
     machine_.call_stack().pop_back();
     if (frames_.empty()) {
@@ -1682,7 +1773,7 @@ Status Interpreter::RunQuick() {
       has_return_value_ = false;
       return Status::Ok();
     }
-    reload();
+    QRELOAD();
   } NEXT();
 
   OP(kGetstatic) {
@@ -1691,6 +1782,7 @@ Status Interpreter::RunQuick() {
     if (!resolved) {
       return Status::Ok();
     }
+    QREBUDGET();
     f->prepared->code[pc - 1].op = Op::kGetstaticQuick;
     counters.quickened_sites++;
     InlineCache& ic = f->prepared->cache[pc - 1];
@@ -1710,6 +1802,7 @@ Status Interpreter::RunQuick() {
     if (!resolved) {
       return Status::Ok();
     }
+    QREBUDGET();
     f->prepared->code[pc - 1].op = Op::kPutstaticQuick;
     counters.quickened_sites++;
     InlineCache& ic = f->prepared->cache[pc - 1];
@@ -1729,11 +1822,11 @@ Status Interpreter::RunQuick() {
     if (obj_ref.IsNullRef()) {
       QTHROW("java/lang/NullPointerException", "field access on null");
     }
-    HeapObject* obj = machine_.heap().Get(obj_ref.AsRef());
+    HeapObject* obj = heap.Get(obj_ref.AsRef());
     if (obj == nullptr || obj->kind != HeapObject::Kind::kInstance) {
       QHOST("field access on non-instance");
     }
-    QSYNC();
+    QSYNC();  // resolution may load classes
     DVM_ASSIGN_OR_RETURN(bool resolved, ResolveFieldSite(*f, pc - 1, /*is_static=*/false));
     if (!resolved) {
       return Status::Ok();
@@ -1744,7 +1837,7 @@ Status Interpreter::RunQuick() {
     site.a = static_cast<int32_t>(ic.field_slot);  // resolved slot in-line
     counters.quickened_sites++;
     if (ic.field_slot >= obj->fields.size()) {
-      QHOST("field slot out of range in " + f->method->Id());
+      QHOST_IN("field slot out of range in ");
     }
     *sp++ = obj->fields[ic.field_slot];
   } NEXT();
@@ -1755,13 +1848,13 @@ Status Interpreter::RunQuick() {
     if (obj_ref.IsNullRef()) {
       QTHROW("java/lang/NullPointerException", "field access on null");
     }
-    HeapObject* obj = machine_.heap().Get(obj_ref.AsRef());
+    HeapObject* obj = heap.Get(obj_ref.AsRef());
     if (obj == nullptr || obj->kind != HeapObject::Kind::kInstance) {
       QHOST("field access on non-instance");
     }
     uint32_t slot = static_cast<uint32_t>(inst.a);
     if (slot >= obj->fields.size()) {
-      QHOST("field slot out of range in " + f->method->Id());
+      QHOST_IN("field slot out of range in ");
     }
     *sp++ = obj->fields[slot];
   } NEXT();
@@ -1773,11 +1866,11 @@ Status Interpreter::RunQuick() {
     if (obj_ref.IsNullRef()) {
       QTHROW("java/lang/NullPointerException", "field access on null");
     }
-    HeapObject* obj = machine_.heap().Get(obj_ref.AsRef());
+    HeapObject* obj = heap.Get(obj_ref.AsRef());
     if (obj == nullptr || obj->kind != HeapObject::Kind::kInstance) {
       QHOST("field access on non-instance");
     }
-    QSYNC();
+    QSYNC();  // resolution may load classes
     DVM_ASSIGN_OR_RETURN(bool resolved, ResolveFieldSite(*f, pc - 1, /*is_static=*/false));
     if (!resolved) {
       return Status::Ok();
@@ -1788,7 +1881,7 @@ Status Interpreter::RunQuick() {
     site.a = static_cast<int32_t>(ic.field_slot);
     counters.quickened_sites++;
     if (ic.field_slot >= obj->fields.size()) {
-      QHOST("field slot out of range in " + f->method->Id());
+      QHOST_IN("field slot out of range in ");
     }
     obj->fields[ic.field_slot] = value;
   } NEXT();
@@ -1800,13 +1893,13 @@ Status Interpreter::RunQuick() {
     if (obj_ref.IsNullRef()) {
       QTHROW("java/lang/NullPointerException", "field access on null");
     }
-    HeapObject* obj = machine_.heap().Get(obj_ref.AsRef());
+    HeapObject* obj = heap.Get(obj_ref.AsRef());
     if (obj == nullptr || obj->kind != HeapObject::Kind::kInstance) {
       QHOST("field access on non-instance");
     }
     uint32_t slot = static_cast<uint32_t>(inst.a);
     if (slot >= obj->fields.size()) {
-      QHOST("field slot out of range in " + f->method->Id());
+      QHOST_IN("field slot out of range in ");
     }
     obj->fields[slot] = value;
   } NEXT();
@@ -1814,56 +1907,47 @@ Status Interpreter::RunQuick() {
   OP(kInvokestatic) OP(kInvokevirtual) OP(kInvokespecial) {
     QSYNC();
     DVM_RETURN_IF_ERROR(QuickInvokeSlow(inst.op, pc - 1));
-    if (machine_.HasPendingException() || frames_.empty()) {
-      return Status::Ok();
-    }
-    reload();
+    QRESUME();
   } NEXT();
 
   OP(kInvokestaticQuick) {
-    const InlineCache& ic = f->prepared->cache[pc - 1];
+    InlineCache& ic = f->prepared->cache[pc - 1];
     uint32_t argc = static_cast<uint32_t>(ic.arg_count);
     if (sp - floor < static_cast<ptrdiff_t>(argc)) {
-      QHOST("operand stack underflow on invoke in " + f->method->Id());
+      QHOST_IN("operand stack underflow on invoke in ");
     }
     QSYNC();
-    DVM_RETURN_IF_ERROR(InvokeResolved(ic.invoke_owner, ic.invoke_method, argc));
-    if (machine_.HasPendingException() || frames_.empty()) {
-      return Status::Ok();
-    }
-    reload();
+    DVM_RETURN_IF_ERROR(InvokeResolved(ic, argc));
+    QRESUME();
   } NEXT();
 
   OP(kInvokespecialQuick) {
-    const InlineCache& ic = f->prepared->cache[pc - 1];
+    InlineCache& ic = f->prepared->cache[pc - 1];
     uint32_t argc = static_cast<uint32_t>(ic.arg_count);
     if (sp - floor < static_cast<ptrdiff_t>(argc)) {
-      QHOST("operand stack underflow on invoke in " + f->method->Id());
+      QHOST_IN("operand stack underflow on invoke in ");
     }
     if (sp[-static_cast<ptrdiff_t>(argc)].IsNullRef()) {
       sp -= argc;
       QTHROW("java/lang/NullPointerException", "invoke on null receiver");
     }
     QSYNC();
-    DVM_RETURN_IF_ERROR(InvokeResolved(ic.invoke_owner, ic.invoke_method, argc));
-    if (machine_.HasPendingException() || frames_.empty()) {
-      return Status::Ok();
-    }
-    reload();
+    DVM_RETURN_IF_ERROR(InvokeResolved(ic, argc));
+    QRESUME();
   } NEXT();
 
   OP(kInvokevirtualQuick) {
     InlineCache& ic = f->prepared->cache[pc - 1];
     uint32_t argc = static_cast<uint32_t>(ic.arg_count);
     if (sp - floor < static_cast<ptrdiff_t>(argc)) {
-      QHOST("operand stack underflow on invoke in " + f->method->Id());
+      QHOST_IN("operand stack underflow on invoke in ");
     }
     Value receiver = sp[-static_cast<ptrdiff_t>(argc)];
     if (receiver.IsNullRef()) {
       sp -= argc;
       QTHROW("java/lang/NullPointerException", "invoke on null receiver");
     }
-    const HeapObject* obj = machine_.heap().Get(receiver.AsRef());
+    const HeapObject* obj = heap.Get(receiver.AsRef());
     if (obj == nullptr) {
       QHOST("dangling receiver reference");
     }
@@ -1871,14 +1955,11 @@ Status Interpreter::RunQuick() {
     if (obj->class_sym == ic.receiver_sym) {
       // Monomorphic hit: one integer compare, no constant-pool access.
       ic.hits++;
-      DVM_RETURN_IF_ERROR(InvokeResolved(ic.invoke_owner, ic.invoke_method, argc));
+      DVM_RETURN_IF_ERROR(InvokeResolved(ic, argc));
     } else {
       DVM_RETURN_IF_ERROR(QuickInvokeSlow(Op::kInvokevirtual, pc - 1));
     }
-    if (machine_.HasPendingException() || frames_.empty()) {
-      return Status::Ok();
-    }
-    reload();
+    QRESUME();
   } NEXT();
 
   OP(kNew) {
@@ -1891,12 +1972,13 @@ Status Interpreter::RunQuick() {
     if (machine_.HasPendingException()) {
       return Status::Ok();
     }
+    QREBUDGET();
     f->prepared->cache[pc - 1].klass = cls;
     f->prepared->code[pc - 1].op = Op::kNewQuick;
     counters.quickened_sites++;
     auto obj = machine_.AllocInstance(cls);
     if (!obj.ok()) {
-      QTHROW("java/lang/OutOfMemoryError", obj.error().message);
+      return ThrowOutOfMemory(machine_, obj.error());
     }
     QROOM();
     *sp++ = Value::Ref(obj.value());
@@ -1906,7 +1988,7 @@ Status Interpreter::RunQuick() {
     QSYNC();  // allocation may collect
     auto obj = machine_.AllocInstance(f->prepared->cache[pc - 1].klass);
     if (!obj.ok()) {
-      QTHROW("java/lang/OutOfMemoryError", obj.error().message);
+      return ThrowOutOfMemory(machine_, obj.error());
     }
     QROOM();
     *sp++ = Value::Ref(obj.value());
@@ -1916,36 +1998,38 @@ Status Interpreter::RunQuick() {
     QNEED(1);
     int32_t length = (--sp)->AsInt();
     if (length < 0) {
-      QTHROW("java/lang/NegativeArraySizeException", std::to_string(length));
+      QSYNC();
+      return ThrowNegativeArraySize(machine_, length);
     }
     QSYNC();
     auto arr = inst.a == static_cast<int>(ArrayKind::kLong)
                    ? machine_.AllocLongArray(length)
                    : machine_.AllocIntArray(length);
     if (!arr.ok()) {
-      QTHROW("java/lang/OutOfMemoryError", arr.error().message);
+      return ThrowOutOfMemory(machine_, arr.error());
     }
     *sp++ = Value::Ref(arr.value());
   } NEXT();
 
   OP(kAnewarray) {
+    QSYNC();
     const ConstantPool& pool = f->cls->file.pool();
     DVM_ASSIGN_OR_RETURN(std::string element,
                          pool.ClassNameAt(static_cast<uint16_t>(inst.a)));
     QNEED(1);
     int32_t length = (--sp)->AsInt();
     if (length < 0) {
-      QTHROW("java/lang/NegativeArraySizeException", std::to_string(length));
+      QSYNC();
+      return ThrowNegativeArraySize(machine_, length);
     }
     InlineCache& ic = f->prepared->cache[pc - 1];
-    ic.array_desc = "[" + DescriptorFromClassName(element);
-    ic.array_desc_sym = InternSymbol(ic.array_desc);
+    ic.array_desc_sym = InternSymbol("[" + DescriptorFromClassName(element));
     f->prepared->code[pc - 1].op = Op::kAnewarrayQuick;
     counters.quickened_sites++;
     QSYNC();
-    auto arr = machine_.AllocRefArray(ic.array_desc, ic.array_desc_sym, length);
+    auto arr = machine_.AllocRefArray(SymbolName(ic.array_desc_sym), ic.array_desc_sym, length);
     if (!arr.ok()) {
-      QTHROW("java/lang/OutOfMemoryError", arr.error().message);
+      return ThrowOutOfMemory(machine_, arr.error());
     }
     *sp++ = Value::Ref(arr.value());
   } NEXT();
@@ -1953,14 +2037,14 @@ Status Interpreter::RunQuick() {
   OP(kAnewarrayQuick) {
     QNEED(1);
     int32_t length = (--sp)->AsInt();
-    if (length < 0) {
-      QTHROW("java/lang/NegativeArraySizeException", std::to_string(length));
-    }
-    const InlineCache& ic = f->prepared->cache[pc - 1];
     QSYNC();
-    auto arr = machine_.AllocRefArray(ic.array_desc, ic.array_desc_sym, length);
+    if (length < 0) {
+      return ThrowNegativeArraySize(machine_, length);
+    }
+    uint32_t desc_sym = f->prepared->cache[pc - 1].array_desc_sym;
+    auto arr = machine_.AllocRefArray(SymbolName(desc_sym), desc_sym, length);
     if (!arr.ok()) {
-      QTHROW("java/lang/OutOfMemoryError", arr.error().message);
+      return ThrowOutOfMemory(machine_, arr.error());
     }
     *sp++ = Value::Ref(arr.value());
   } NEXT();
@@ -1969,7 +2053,7 @@ Status Interpreter::RunQuick() {
     QNEED(1);
     Value arr_ref = *--sp;
     int32_t length = 0;
-    opsem::Fault fault = opsem::ArrayLength(machine_.heap(), arr_ref, &length);
+    opsem::Fault fault = opsem::ArrayLength(heap, arr_ref, &length);
     if (!fault.ok()) {
       QFAULT(fault);
     }
@@ -1989,25 +2073,26 @@ Status Interpreter::RunQuick() {
   } NEXT();
 
   OP(kCheckcast) {
+    QSYNC();  // the subtype test may load classes
     const ConstantPool& pool = f->cls->file.pool();
     DVM_ASSIGN_OR_RETURN(std::string target,
                          pool.ClassNameAt(static_cast<uint16_t>(inst.a)));
     QNEED(1);
     InlineCache& ic = f->prepared->cache[pc - 1];
-    ic.cast_target = target;
     ic.cast_target_sym = InternSymbol(target);
     f->prepared->code[pc - 1].op = Op::kCheckcastQuick;
     counters.quickened_sites++;
     Value v = sp[-1];
     if (!v.IsNullRef()) {
-      const HeapObject* obj = machine_.heap().Get(v.AsRef());
+      const HeapObject* obj = heap.Get(v.AsRef());
       if (obj == nullptr) {
         QHOST("checkcast on dangling reference");
       }
       auto is_sub = machine_.registry().IsSubclassSym(obj->class_sym, ic.cast_target_sym);
       if (!is_sub.ok() || !is_sub.value()) {
         --sp;
-        QTHROW("java/lang/ClassCastException", obj->class_name + " -> " + ic.cast_target);
+        QSYNC();
+        return ThrowClassCast(machine_, obj, ic.cast_target_sym);
       }
     }
   } NEXT();
@@ -2017,25 +2102,27 @@ Status Interpreter::RunQuick() {
     const InlineCache& ic = f->prepared->cache[pc - 1];
     Value v = sp[-1];
     if (!v.IsNullRef()) {
-      const HeapObject* obj = machine_.heap().Get(v.AsRef());
+      const HeapObject* obj = heap.Get(v.AsRef());
       if (obj == nullptr) {
         QHOST("checkcast on dangling reference");
       }
+      QFLUSH();  // the subtype test may load classes
       auto is_sub = machine_.registry().IsSubclassSym(obj->class_sym, ic.cast_target_sym);
       if (!is_sub.ok() || !is_sub.value()) {
         --sp;
-        QTHROW("java/lang/ClassCastException", obj->class_name + " -> " + ic.cast_target);
+        QSYNC();
+        return ThrowClassCast(machine_, obj, ic.cast_target_sym);
       }
     }
   } NEXT();
 
   OP(kInstanceof) {
+    QSYNC();  // the subtype test may load classes
     const ConstantPool& pool = f->cls->file.pool();
     DVM_ASSIGN_OR_RETURN(std::string target,
                          pool.ClassNameAt(static_cast<uint16_t>(inst.a)));
     QNEED(1);
     InlineCache& ic = f->prepared->cache[pc - 1];
-    ic.cast_target = target;
     ic.cast_target_sym = InternSymbol(target);
     f->prepared->code[pc - 1].op = Op::kInstanceofQuick;
     counters.quickened_sites++;
@@ -2043,7 +2130,7 @@ Status Interpreter::RunQuick() {
     if (v.IsNullRef()) {
       *sp++ = Value::Int(0);
     } else {
-      const HeapObject* obj = machine_.heap().Get(v.AsRef());
+      const HeapObject* obj = heap.Get(v.AsRef());
       if (obj == nullptr) {
         QHOST("instanceof on dangling reference");
       }
@@ -2059,10 +2146,11 @@ Status Interpreter::RunQuick() {
     if (v.IsNullRef()) {
       *sp++ = Value::Int(0);
     } else {
-      const HeapObject* obj = machine_.heap().Get(v.AsRef());
+      const HeapObject* obj = heap.Get(v.AsRef());
       if (obj == nullptr) {
         QHOST("instanceof on dangling reference");
       }
+      QFLUSH();  // the subtype test may load classes
       auto is_sub = machine_.registry().IsSubclassSym(obj->class_sym, ic.cast_target_sym);
       *sp++ = Value::Int(is_sub.ok() && is_sub.value() ? 1 : 0);
     }
@@ -2081,10 +2169,10 @@ Status Interpreter::RunQuick() {
 
 #if DVM_INTERP_COMPUTED_GOTO
 L_unhandled:
-  QHOST("unhandled opcode in prepared code of " + f->method->Id());
+  QHOST_IN("unhandled opcode in prepared code of ");
 #else
     default:
-      QHOST("unhandled opcode in prepared code of " + f->method->Id());
+      QHOST_IN("unhandled opcode in prepared code of ");
     }
   }
 #endif
@@ -2093,12 +2181,24 @@ L_unhandled:
 #undef OP
 #undef NEXT
 #undef QFETCH
+#undef QFLUSH
 #undef QSYNC
+#undef QREBUDGET
+#undef QRELOAD
 #undef QHOST
+#undef QHOST_IN
 #undef QTHROW
 #undef QFAULT
 #undef QNEED
 #undef QROOM
 #undef QLOCAL
+#undef QBRANCH
+#undef QRESUME
+#undef Q_ALU
+#undef Q_DIVREM
+#undef Q_IF
+#undef Q_IF_CMP
+#undef Q_ARRAY_LOAD
+#undef Q_ARRAY_STORE
 
 }  // namespace dvm

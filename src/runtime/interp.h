@@ -69,9 +69,9 @@ class Interpreter {
   // External entry: allocates a fresh frame at the arena top and copies args.
   Status PushFrame(RuntimeClass* cls, const MethodInfo* method,
                    const std::vector<Value>& args);
-  // Quickened call path: the top `argc` caller stack slots become the callee's
-  // first locals in place.
-  Status PushFrameSliced(RuntimeClass* cls, const MethodInfo* method, uint32_t argc);
+  // Quickened call path to the target of `ic`: the top `argc` caller stack
+  // slots become the callee's first locals in place.
+  Status PushFrameSliced(InlineCache& ic, uint32_t argc);
   void EnsureArena(size_t slots);
   Result<CallOutcome> Loop();
 
@@ -106,10 +106,16 @@ class Interpreter {
   // frame, installs the quick form, and performs the call. Expects the top
   // frame's sp/pc to be synced.
   Status QuickInvokeSlow(Op op, uint32_t site_ix);
-  // Transfers control to an already-resolved target: abstract check, native
+  // Transfers control to the target `ic` resolved: abstract check, native
   // trampoline, or sliced frame push. Args are the top `argc` caller slots.
-  Status InvokeResolved(RuntimeClass* owner, const MethodInfo* method, uint32_t argc);
-  Status CallNative(RuntimeClass* owner, const MethodInfo* method, std::vector<Value> args);
+  // Memoizes the callee's prepared body or native binding in `ic`.
+  Status InvokeResolved(InlineCache& ic, uint32_t argc);
+  // The native bound to `method` of `owner`; a host error when none is.
+  Result<const NativeFn*> FindNative(const RuntimeClass* owner, const MethodInfo* method) const;
+  // Calls `fn` with `argc` args and pushes its result when `has_result` (the
+  // callee's descriptor returns a value). `args` need not stay live: they
+  // are copied into the rooted native_args_ first.
+  Status CallNative(const NativeFn& fn, bool has_result, const Value* args, size_t argc);
 
   void CollectFrameRoots(std::vector<ObjRef>* roots) const;
 
@@ -128,6 +134,8 @@ class Interpreter {
   // Values held outside the arena (native-call arguments, external entry args
   // during <clinit>) that must stay visible to the collector.
   const std::vector<Value>* rooted_values_ = nullptr;
+  // Argument vector of the native call in progress, reused across calls.
+  std::vector<Value> native_args_;
   std::function<void(std::vector<ObjRef>*)> previous_root_provider_;
 };
 

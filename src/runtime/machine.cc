@@ -122,11 +122,16 @@ Result<ObjRef> Machine::InternString(const std::string& value) {
 }
 
 Result<std::string> Machine::StringValue(ObjRef ref) const {
-  const HeapObject* obj = heap_.Get(ref);
-  if (obj == nullptr || obj->kind != HeapObject::Kind::kString) {
+  const std::string* str = StringAt(ref);
+  if (str == nullptr) {
     return Error{ErrorCode::kRuntimeError, "not a string object"};
   }
-  return obj->str;
+  return *str;
+}
+
+const std::string* Machine::StringAt(ObjRef ref) const {
+  const HeapObject* obj = heap_.Get(ref);
+  return obj == nullptr || obj->kind != HeapObject::Kind::kString ? nullptr : &obj->str;
 }
 
 Result<ObjRef> Machine::AllocInstance(RuntimeClass* cls) {

@@ -28,11 +28,6 @@ class Machine;
 class StackIntrospectionSecurity;
 class ExecutionProfiler;
 
-// Native method implementation. `args` includes the receiver at index 0 for
-// instance methods. May signal a guest exception via Machine::ThrowGuest and
-// return any value (it is discarded); host-level errors abort the run.
-using NativeFn = std::function<Result<Value>(Machine&, std::vector<Value>&)>;
-
 class NativeRegistry {
  public:
   void Register(const std::string& class_name, const std::string& method_name,
@@ -138,6 +133,10 @@ class Machine {
   // Attributed service time (keys: "verify", "security", "audit", "profile").
   void AddServiceNanos(const std::string& service, uint64_t n);
   uint64_t ServiceNanos(const std::string& service) const;
+  // The counter AddServiceNanos(service, ...) adds to, created at 0. Its
+  // address is stable for the machine's lifetime, so a per-event charge can
+  // skip the lookup.
+  uint64_t* ServiceNanosSlot(const std::string& service) { return &service_nanos_[service]; }
 
   // --- guest objects -----------------------------------------------------------
   Result<ObjRef> NewString(const std::string& value);
@@ -145,6 +144,9 @@ class Machine {
   Result<ObjRef> InternString(const std::string& value);
   // Fails unless `ref` is a string object.
   Result<std::string> StringValue(ObjRef ref) const;
+  // The same payload read in place: nullptr unless `ref` is a string object.
+  // Valid until the next allocation (which may collect).
+  const std::string* StringAt(ObjRef ref) const;
   // Allocation helpers that trigger GC against the current roots when needed.
   Result<ObjRef> AllocInstance(RuntimeClass* cls);
   Result<ObjRef> AllocArray(const std::string& descriptor, int32_t length);

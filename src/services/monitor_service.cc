@@ -60,21 +60,15 @@ uint64_t AdministrationConsole::OpenSession(const std::string& user,
   event.session_id = session.session_id;
   event.kind = "session-start";
   event.detail = user + "@" + client_host;
-  Append(std::move(event));
+  Append(event);
   return session.session_id;
 }
 
-void AdministrationConsole::Append(AuditEvent event) {
+void AdministrationConsole::Append(const AuditEvent& event) {
   events_received_++;
-  if (log_capacity_ == 0) {
-    events_dropped_++;
-    return;
-  }
-  if (log_.size() == log_capacity_) {
-    log_.pop_front();
+  if (log_.Push(event)) {
     events_dropped_++;
   }
-  log_.push_back(std::move(event));
 }
 
 void AdministrationConsole::RecordCallEdge(const std::string& caller,
@@ -95,7 +89,7 @@ void AdministrationConsole::RecordCodeVersion(const std::string& class_name,
     event.kind = "code-version-change";
     event.detail = class_name + " " + it->second.substr(0, 8) + " -> " +
                    digest_hex.substr(0, 8);
-    Append(std::move(event));
+    Append(event);
   }
   code_versions_[class_name] = digest_hex;
 }
@@ -210,45 +204,46 @@ AuditSession::AuditSession(AdministrationConsole* console, std::string user,
   session_id_ = console_->OpenSession(user, client_host, "x86/200MHz/64MB", "dvm-1.0");
 }
 
-void AuditSession::Emit(Machine& machine, const std::string& kind,
+void AuditSession::Emit(Machine& machine, uint64_t* audit_nanos, const char* kind,
                         const std::string& detail) {
   machine.counters().audit_events++;
   machine.AddNanos(kAuditEventNanos);
-  machine.AddServiceNanos("audit", kAuditEventNanos);
-  AuditEvent event;
+  *audit_nanos += kAuditEventNanos;
+  if (buffered_ == buffer_.size()) {
+    buffer_.emplace_back();
+  }
+  AuditEvent& event = buffer_[buffered_++];
   event.session_id = session_id_;
   event.sequence = sequence_++;
   event.kind = kind;
   event.detail = detail;
-  buffer_.push_back(std::move(event));
-  if (buffer_.size() >= kAuditFlushBatch) {
+  if (buffered_ >= kAuditFlushBatch) {
     Flush();
   }
 }
 
 void AuditSession::Flush() {
-  for (auto& event : buffer_) {
-    console_->Append(std::move(event));
+  for (size_t i = 0; i < buffered_; i++) {
+    console_->Append(buffer_[i]);
     events_sent_++;
   }
-  buffer_.clear();
+  buffered_ = 0;
 }
 
 void AuditSession::Install(Machine& machine) {
-  machine.natives().Register(
-      kRtAuditorClass, "enter", "(Ljava/lang/String;)V",
-      [this](Machine& m, std::vector<Value>& args) -> Result<Value> {
-        DVM_ASSIGN_OR_RETURN(std::string detail, m.StringValue(args[0].AsRef()));
-        Emit(m, "enter", detail);
-        return Value::Null();
-      });
-  machine.natives().Register(
-      kRtAuditorClass, "exit", "(Ljava/lang/String;)V",
-      [this](Machine& m, std::vector<Value>& args) -> Result<Value> {
-        DVM_ASSIGN_OR_RETURN(std::string detail, m.StringValue(args[0].AsRef()));
-        Emit(m, "exit", detail);
-        return Value::Null();
-      });
+  uint64_t* audit_nanos = machine.ServiceNanosSlot("audit");
+  for (const char* kind : {"enter", "exit"}) {
+    machine.natives().Register(
+        kRtAuditorClass, kind, "(Ljava/lang/String;)V",
+        [this, audit_nanos, kind](Machine& m, std::vector<Value>& args) -> Result<Value> {
+          const std::string* detail = m.StringAt(args[0].AsRef());
+          if (detail == nullptr) {
+            return Error{ErrorCode::kRuntimeError, "not a string object"};
+          }
+          Emit(m, audit_nanos, kind, *detail);
+          return Value::Null();
+        });
+  }
 }
 
 void ProfileCollector::Install(Machine& machine) {

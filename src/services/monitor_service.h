@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,6 +20,7 @@
 
 #include "src/rewrite/filter.h"
 #include "src/runtime/machine.h"
+#include "src/support/ring.h"
 #include "src/support/stats.h"
 #include "src/support/trace.h"
 
@@ -65,13 +65,13 @@ class AdministrationConsole {
 
   explicit AdministrationConsole(size_t log_capacity = kDefaultLogCapacity,
                                  size_t span_capacity = kDefaultSpanCapacity)
-      : log_capacity_(log_capacity), span_ring_(span_capacity) {}
+      : log_(log_capacity), span_ring_(span_capacity) {}
 
   // Handshake: establishes credentials and assigns a session identifier.
   uint64_t OpenSession(const std::string& user, const std::string& client_host,
                        const std::string& hardware_config, const std::string& vm_version);
 
-  void Append(AuditEvent event);
+  void Append(const AuditEvent& event);
   // Call-graph edge (caller -> callee) reported by the profiling service.
   void RecordCallEdge(const std::string& caller, const std::string& callee);
   void RecordFirstUse(uint64_t session_id, const std::string& method_id);
@@ -93,9 +93,7 @@ class AdministrationConsole {
   uint64_t spans_ingested() const { return span_ring_.ingested(); }
   uint64_t spans_dropped() const { return span_ring_.dropped(); }
 
-  std::vector<AuditEvent> log() const {
-    return std::vector<AuditEvent>(log_.begin(), log_.end());
-  }
+  std::vector<AuditEvent> log() const { return log_.Snapshot(); }
   const std::vector<MonitoredSession>& sessions() const { return sessions_; }
   const std::map<std::pair<std::string, std::string>, uint64_t>& call_graph() const {
     return call_graph_;
@@ -128,8 +126,7 @@ class AdministrationConsole {
  private:
   uint64_t next_session_id_ = 1;
   std::vector<MonitoredSession> sessions_;
-  size_t log_capacity_;
-  std::deque<AuditEvent> log_;
+  BoundedRing<AuditEvent> log_;
   uint64_t events_received_ = 0;
   uint64_t events_dropped_ = 0;
   std::map<std::pair<std::string, std::string>, uint64_t> call_graph_;
@@ -173,13 +170,19 @@ class AuditSession {
   uint64_t events_sent() const { return events_sent_; }
 
  private:
-  void Emit(Machine& machine, const std::string& kind, const std::string& detail);
+  // Charges the event to `audit_nanos` (the machine's "audit" service slot)
+  // and buffers it.
+  void Emit(Machine& machine, uint64_t* audit_nanos, const char* kind,
+            const std::string& detail);
 
   AdministrationConsole* console_;
   uint64_t session_id_;
   uint64_t sequence_ = 0;
   uint64_t events_sent_ = 0;
+  // Events [0, buffered_) await the next Flush. The slots are retained across
+  // flushes, so a steady event stream assigns into existing strings.
   std::vector<AuditEvent> buffer_;
+  size_t buffered_ = 0;
 };
 
 // Client-side profile collector: first-use order and call-graph edges, pushed

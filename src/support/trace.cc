@@ -244,20 +244,14 @@ std::string PrometheusText(const StatsSnapshot& snapshot,
 void BoundedSpanRing::Push(Span span) {
   std::lock_guard<std::mutex> lock(mu_);
   ingested_.fetch_add(1, std::memory_order_relaxed);
-  if (capacity_ == 0) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (ring_.size() == capacity_) {
-    ring_.pop_front();
+  if (ring_.Push(std::move(span))) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
   }
-  ring_.push_back(std::move(span));
 }
 
 std::vector<Span> BoundedSpanRing::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<Span>(ring_.begin(), ring_.end());
+  return ring_.Snapshot();
 }
 
 size_t BoundedSpanRing::size() const {

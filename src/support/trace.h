@@ -18,7 +18,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -26,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/support/ring.h"
 #include "src/support/stats.h"
 
 namespace dvm {
@@ -162,26 +162,25 @@ std::string PrometheusText(const StatsRegistry& stats,
 std::string PrometheusText(const StatsSnapshot& snapshot,
                            const std::vector<std::pair<std::string, std::string>>& labels = {});
 
-// Fixed-capacity span ring: keeps the most recent `capacity` spans and counts
+// Thread-safe span ring: keeps the most recent `capacity` spans and counts
 // what it sheds, so a 10^6-client run ingests an unbounded span stream under a
-// bounded RSS ceiling. Mirrors the proxy's AuditRing.
+// bounded RSS ceiling.
 class BoundedSpanRing {
  public:
-  explicit BoundedSpanRing(size_t capacity) : capacity_(capacity) {}
+  explicit BoundedSpanRing(size_t capacity) : ring_(capacity) {}
 
   void Push(Span span);
   // Ring contents ordered oldest-first (ingest order).
   std::vector<Span> Snapshot() const;
   size_t size() const;
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return ring_.capacity(); }
   // Spans evicted to honor the cap, and total ever ingested.
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
   uint64_t ingested() const { return ingested_.load(std::memory_order_relaxed); }
 
  private:
-  size_t capacity_;
   mutable std::mutex mu_;
-  std::deque<Span> ring_;
+  BoundedRing<Span> ring_;
   std::atomic<uint64_t> dropped_{0};
   std::atomic<uint64_t> ingested_{0};
 };
