@@ -337,12 +337,7 @@ RunOutcome Run(Scenario& s, const Options& opt, bool replicated,
           companions.push_back(std::move(parsed).value());
         }
       }
-      MapClassEnv artifact_env;
-      for (const ClassFile& companion : companions) {
-        artifact_env.Add(&companion);
-      }
-      artifact_env.Add(&main.value());
-      ChainedClassEnv reverify_env(&artifact_env, s.env);
+      const ArtifactEnv reverify_env(s.env, main.value(), companions);
       auto reverified = VerifyClass(main.value(), reverify_env);
       if (reverified.ok()) {
         out.reverify_checks += reverified->stats.TotalStaticChecks();

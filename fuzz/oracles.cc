@@ -214,13 +214,11 @@ std::string CheckCertificate(const Bytes& data) {
   }
   const ClassFile& cls = parsed.value();
 
-  // The class verifies against ITSELF plus the system library — the same
-  // environment the proxy's certificate plane uses. (The old syslib-only
-  // environment is why self-referential hierarchies never reached the
-  // resolution walks; see the cyclic_super regression.)
-  MapClassEnv self_env;
-  self_env.Add(&cls);
-  ChainedClassEnv env(&self_env, &GetSyslib().env);
+  // The class verifies against the system library plus ITSELF — the
+  // environment the proxy rewrites and proves every class in. (The old
+  // syslib-only environment is why self-referential hierarchies never
+  // reached the resolution walks; see the cyclic_super regression.)
+  const ArtifactEnv env(&GetSyslib().env, cls);
 
   ClassCertificate cert;
   auto verified = VerifyClass(cls, env, &cert);

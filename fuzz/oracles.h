@@ -28,9 +28,10 @@ namespace fuzz {
 // round-trip that is not byte-identical.
 std::string CheckRoundTrip(const Bytes& data);
 
-// FilterPipeline (verification filter over the system library) on the raw
-// bytes, then again on its own output. Violations: non-idempotent output or
-// second-pass failure on bytes the pipeline itself produced.
+// FilterPipeline (verification filter over the system library and the class
+// itself) on the raw bytes, then again on its own output. Violations:
+// non-idempotent output or second-pass failure on bytes the pipeline itself
+// produced.
 std::string CheckRewritePipeline(const Bytes& data);
 
 // Verifier↔interpreter differential oracle. Parses and verifies against the

@@ -65,41 +65,41 @@ Result<uint16_t> ComputeMaxStackDepth(const std::vector<Instr>& instrs,
     return static_cast<uint16_t>(0);
   }
   std::vector<int> depth_at(instrs.size(), -1);
-  // Each instruction's effect, computed on its first visit (pops < 0 before).
-  std::vector<StackEffect> effect(instrs.size(), StackEffect{-1, 0});
   StackEffects effects(pool);
   // A FIFO queue: entries before `head` are done. Visit order decides which
-  // error a malformed body reports first, so it stays breadth-first.
+  // error a malformed body reports first, so it stays breadth-first. Each
+  // instruction is queued at most once.
   std::vector<size_t> work;
+  work.reserve(instrs.size());
   size_t head = 0;
-  auto schedule = [&](size_t index, int depth) {
+  // Every path into an instruction must arrive at one depth (the JVM rule), so
+  // each instruction is walked once: a merge at another depth fails at once
+  // instead of rescheduling the instruction deeper, which a loop that grows
+  // the stack would do on every trip.
+  auto schedule = [&](size_t index, int depth) -> Status {
     if (index >= instrs.size()) {
-      return;
+      return Status::Ok();
     }
-    if (depth_at[index] < depth) {
+    if (depth_at[index] < 0) {
       depth_at[index] = depth;
       work.push_back(index);
+    } else if (depth_at[index] != depth) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "inconsistent stack depth at instruction " + std::to_string(index)};
     }
+    return Status::Ok();
   };
-  schedule(0, 0);
+  DVM_RETURN_IF_ERROR(schedule(0, 0));
   for (uint32_t entry : handler_entries) {
-    schedule(entry, 1);
+    DVM_RETURN_IF_ERROR(schedule(entry, 1));
   }
 
   int max_depth = 0;
   while (head < work.size()) {
     size_t index = work[head++];
-    if (head >= 4096 && head * 2 >= work.size()) {
-      work.erase(work.begin(), work.begin() + static_cast<std::ptrdiff_t>(head));
-      head = 0;
-    }
     int depth = depth_at[index];
     for (;;) {
-      StackEffect e = effect[index];
-      if (e.pops < 0) {
-        DVM_ASSIGN_OR_RETURN(e, effects.Of(instrs[index]));
-        effect[index] = e;
-      }
+      DVM_ASSIGN_OR_RETURN(const StackEffect e, effects.Of(instrs[index]));
       if (depth < e.pops) {
         if (underflow) {
           return underflow(index);
@@ -108,29 +108,26 @@ Result<uint16_t> ComputeMaxStackDepth(const std::vector<Instr>& instrs,
                      "rewritten code underflows stack at instruction " + std::to_string(index)};
       }
       const int next = depth + e.delta();
-      // A loop that grows the stack reschedules itself one slot deeper on
-      // every trip, so the walk would never drain: stop at the first depth
-      // past the limit rather than after the walk.
       if (next > kMaxDepth) {
         return Error{ErrorCode::kCapacity, "max stack exceeds 65535"};
       }
       max_depth = std::max(max_depth, std::max(depth, next));
       const Op op = instrs[index].op;
       if (IsBranch(op)) {
-        schedule(static_cast<size_t>(instrs[index].a), next);
+        DVM_RETURN_IF_ERROR(schedule(static_cast<size_t>(instrs[index].a), next));
       }
       if (IsTerminator(op)) {
         break;
       }
       // With nothing else queued, a fall-through entry would be the next one
       // popped: step to it directly, in the same order.
-      if (head == work.size() && index + 1 < instrs.size() && depth_at[index + 1] < next) {
+      if (head == work.size() && index + 1 < instrs.size() && depth_at[index + 1] < 0) {
         index++;
         depth_at[index] = next;
         depth = next;
         continue;
       }
-      schedule(index + 1, next);
+      DVM_RETURN_IF_ERROR(schedule(index + 1, next));
       break;
     }
   }

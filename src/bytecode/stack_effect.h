@@ -59,12 +59,14 @@ class StackEffects {
 };
 
 // Max operand-stack depth of a decoded body, by a breadth-first walk that
-// takes the deepest stack reaching each instruction. `handler_entries` are
-// instruction indices that start with one reference on the stack (exception
-// handler entry points). Fails with kCapacity at the first depth past 65535,
-// and at an instruction that pops more than the stack holds with
-// `underflow(index)`, or without one with kInvalidArgument "rewritten code
-// underflows stack at instruction <index>".
+// visits each instruction once. `handler_entries` are instruction indices that
+// start with one reference on the stack (exception handler entry points).
+// Fails with kCapacity at the first depth past 65535; with kInvalidArgument
+// "inconsistent stack depth at instruction <index>" when a path reaches an
+// instruction at another depth than the first one did; and at an instruction
+// that pops more than the stack holds with `underflow(index)`, or without one
+// with kInvalidArgument "rewritten code underflows stack at instruction
+// <index>".
 Result<uint16_t> ComputeMaxStackDepth(const std::vector<Instr>& instrs,
                                       const ConstantPool& pool,
                                       const std::vector<uint32_t>& handler_entries,

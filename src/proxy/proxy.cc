@@ -6,62 +6,6 @@
 #include "src/verifier/verifier.h"
 
 namespace dvm {
-namespace {
-
-// The environment a certificate is proved and checked in: the artifact's own
-// classes over the trusted library only, never a proxy's incidental history,
-// so every replica reaches the same verdict on the same artifact.
-struct ArtifactEnv {
-  ArtifactEnv(const ClassFile& main, const std::vector<ClassFile>& extras,
-              const ClassEnv* library)
-      : env(&own, library) {
-    for (const ClassFile& c : extras) {
-      own.Add(&c);
-    }
-    own.Add(&main);
-  }
-  // `env` points at `own`.
-  ArtifactEnv(const ArtifactEnv&) = delete;
-  ArtifactEnv& operator=(const ArtifactEnv&) = delete;
-
-  MapClassEnv own;
-  ChainedClassEnv env;
-};
-
-}  // namespace
-
-std::shared_ptr<const ClassFile> DvmProxy::SeenEnv::Find(const std::string& class_name) const {
-  if (lock_counter_ != nullptr) {
-    lock_counter_->Add();
-  }
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = seen_.find(class_name);
-  return it == seen_.end() ? nullptr : it->second;
-}
-
-void DvmProxy::SeenEnv::Add(ClassFile cls) {
-  if (lock_counter_ != nullptr) {
-    lock_counter_->Add();
-  }
-  std::string name = cls.name();
-  auto entry = std::make_shared<const ClassFile>(std::move(cls));
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  // The replaced class, if any, lives on in every view that pinned it.
-  seen_[name] = std::move(entry);
-}
-
-const ClassFile* DvmProxy::RewriteView::Lookup(const std::string& class_name) const {
-  // The trusted library answers first: no origin class, whatever it declares,
-  // can shadow a library type. It never changes, so it needs no memo.
-  if (const ClassFile* trusted = library_->Lookup(class_name)) {
-    return trusted;
-  }
-  auto [it, inserted] = memo_.try_emplace(class_name);
-  if (inserted) {
-    it->second = seen_->Find(class_name);
-  }
-  return it->second.get();
-}
 
 void AuditRing::Push(std::string event) {
   lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
@@ -119,9 +63,7 @@ DvmProxy::DvmProxy(ProxyConfig config, const ClassEnv* library_env, ClassProvide
       c_cert_validate_checks_(stats_.Counter("proxy.cert_validate_checks")),
       c_cert_rejects_(stats_.Counter("proxy.cert_rejects")),
       c_cert_missing_(stats_.Counter("proxy.cert_missing")),
-      h_request_cpu_nanos_(stats_.Histo("proxy.request_cpu_nanos")) {
-  seen_.SetLockCounter(&c_lock_acquisitions_);
-}
+      h_request_cpu_nanos_(stats_.Histo("proxy.request_cpu_nanos")) {}
 
 void DvmProxy::AddFilter(std::unique_ptr<CodeFilter> filter) {
   pipeline_.Add(std::move(filter));
@@ -210,8 +152,8 @@ std::optional<ProxyResponse> DvmProxy::TryServeGenerated(RequestContext& ctx) {
 
 Result<ProxyResponse> DvmProxy::Rewrite(RequestContext& ctx) {
   // Misses on different keys run all of this concurrently. Nothing here
-  // writes proxy state before the publish step except seen_, which each
-  // rewrite reads through its own stable RewriteView.
+  // reads another rewrite's classes or writes proxy state before the publish
+  // step: the filters see this class and the trusted library only.
   //
   // Sample the cache generation and policy epoch before doing any work. If
   // InvalidateCache (a policy change) lands while this rewrite is in flight,
@@ -242,13 +184,10 @@ Result<ProxyResponse> DvmProxy::Rewrite(RequestContext& ctx) {
     return Error{ErrorCode::kLinkError,
                  "origin class " + parsed.name() + " is not in the trusted library"};
   }
-  // Record what flowed through so later classes verify against it.
-  seen_.Add(parsed);
 
   // Run the stacked static services.
-  RewriteView view(library_env_, &seen_);
   DVM_ASSIGN_OR_RETURN(PipelineResult result,
-                       pipeline_.Run(std::move(parsed), view, ctx.platform));
+                       pipeline_.Run(std::move(parsed), *library_env_, ctx.platform));
   ctx.filter_nanos = result.checks_performed * config_.nanos_per_check;
 
   // Sign in memory, then generate each output binary once.
@@ -379,9 +318,9 @@ void DvmProxy::ApplyPolicyEpoch(uint64_t epoch) {
 }
 
 Bytes DvmProxy::EmitCertificate(const ClassFile& main, const std::vector<ClassFile>& extras) {
-  ArtifactEnv artifact(main, extras, library_env_);
+  const ArtifactEnv env(library_env_, main, extras);
   ClassCertificate cert;
-  Result<VerifiedClass> verified = VerifyClass(main, artifact.env, &cert);
+  Result<VerifiedClass> verified = VerifyClass(main, env, &cert);
   if (!verified.ok()) {
     c_cert_emit_failures_.Add();  // a filter emitted something the verifier rejects
     return {};
@@ -409,9 +348,9 @@ bool DvmProxy::ValidatePushedArtifact(const CommitRecord& record) {
     }
     companions.push_back(std::move(parsed.value()));
   }
-  ArtifactEnv artifact(main.value(), companions, library_env_);
   ValidateStats stats;
-  bool ok = ValidateCertificate(main.value(), artifact.env, cert.value(), &stats).ok();
+  const ArtifactEnv env(library_env_, main.value(), companions);
+  bool ok = ValidateCertificate(main.value(), env, cert.value(), &stats).ok();
   c_cert_validate_checks_.Add(stats.TotalChecks());
   return ok;
 }

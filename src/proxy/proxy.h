@@ -11,8 +11,8 @@
 // sharded; concurrent misses on one (class, platform) key are coalesced so
 // the filter pipeline runs once; and misses on different keys run the whole
 // rewrite in parallel: the stacked filters are stateless, each rewrite sees
-// its own stable view of the classes seen so far, and publishing is one
-// locked step that an invalidation cannot interleave.
+// only its own class and the trusted library, and publishing is one locked
+// step that an invalidation cannot interleave.
 #ifndef SRC_PROXY_PROXY_H_
 #define SRC_PROXY_PROXY_H_
 
@@ -22,9 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/proxy/cache.h"
@@ -226,8 +224,8 @@ class DvmProxy {
   uint64_t coalesced_requests() const { return flights_.coalesced_waits(); }
   // Named counters: proxy.{connection,parse,filter,emit,sign}_nanos,
   // proxy.coalesced, proxy.rewrites, proxy.generated_hits,
-  // proxy.lock_acquisitions (audit, generated/publish, seen-class and
-  // observer locks actually taken); the
+  // proxy.lock_acquisitions (generated/publish and observer locks actually
+  // taken; the audit ring counts its own); the
   // certificate plane: proxy.cert_emits / cert_emit_checks /
   // cert_emit_failures (fixpoint side) and proxy.cert_validations /
   // cert_validate_checks / cert_rejects / cert_missing (one-pass install
@@ -243,36 +241,6 @@ class DvmProxy {
   double ThrashFactor(size_t inflight_requests) const;
 
  private:
-  // Every class this proxy parsed, by name. Reader/writer locked: rewrites
-  // read it through a RewriteView, Add replaces. Entries are shared, so a
-  // replaced class stays alive while an in-flight view still pins it.
-  class SeenEnv {
-   public:
-    std::shared_ptr<const ClassFile> Find(const std::string& class_name) const;
-    void Add(ClassFile cls);
-    void SetLockCounter(StatCounter* counter) { lock_counter_ = counter; }
-
-   private:
-    mutable std::shared_mutex mu_;
-    StatCounter* lock_counter_ = nullptr;
-    std::map<std::string, std::shared_ptr<const ClassFile>> seen_;
-  };
-
-  // The environment one rewrite's filters verify against: the trusted
-  // library first, then SeenEnv. The first answer for each seen name, absent
-  // included, holds for the whole rewrite whatever concurrent misses Add
-  // meanwhile, and every class returned stays pinned until the view dies.
-  class RewriteView : public ClassEnv {
-   public:
-    RewriteView(const ClassEnv* library, const SeenEnv* seen) : library_(library), seen_(seen) {}
-    const ClassFile* Lookup(const std::string& class_name) const override;
-
-   private:
-    const ClassEnv* library_;
-    const SeenEnv* seen_;
-    mutable std::unordered_map<std::string, std::shared_ptr<const ClassFile>> memo_;
-  };
-
   // Serves a cache hit, filling the context's timing/audit state.
   std::optional<ProxyResponse> TryServeFromCache(RequestContext& ctx);
   // Serves a filter-synthesized class (e.g. a "$cold" split).
@@ -292,10 +260,9 @@ class DvmProxy {
   ProxyResponse Commit(RequestContext& ctx, ProxyResponse response);
 
   ProxyConfig config_;
-  SeenEnv seen_;
-  // The trusted library alone (no proxy-seen classes): certificates are
-  // emitted and validated against artifact + library only, so every replica
-  // reaches the same verdict regardless of what it happened to parse first.
+  // The trusted library. Every rewrite, certificate proof and pushed-artifact
+  // check sees it and the artifact's own classes only (ArtifactEnv), so every
+  // replica reaches the same bytes and verdicts whatever it served before.
   const ClassEnv* library_env_;
   ClassProvider* origin_;
   FilterPipeline pipeline_;

@@ -4,15 +4,18 @@
 
 namespace dvm {
 
-Result<PipelineResult> FilterPipeline::Run(const Bytes& class_bytes, const ClassEnv& env,
+Result<PipelineResult> FilterPipeline::Run(const Bytes& class_bytes, const ClassEnv& library,
                                            const std::string& platform) const {
   DVM_ASSIGN_OR_RETURN(ClassFile cls, ReadClassFile(class_bytes));
-  return Run(std::move(cls), env, platform);
+  return Run(std::move(cls), library, platform);
 }
 
-Result<PipelineResult> FilterPipeline::Run(ClassFile cls, const ClassEnv& env,
+Result<PipelineResult> FilterPipeline::Run(ClassFile cls, const ClassEnv& library,
                                            const std::string& platform) const {
   PipelineResult result;
+  // A replacement is moved into `cls`, which keeps its address until the
+  // end, so every filter resolves the class's own name to its current form.
+  const ArtifactEnv env(&library, cls);
   FilterContext ctx;
   ctx.env = &env;
   ctx.platform = platform;

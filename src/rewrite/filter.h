@@ -18,8 +18,9 @@
 namespace dvm {
 
 struct FilterContext {
-  // Classes the proxy knows about: the system library plus everything that has
-  // flowed through it. Never null inside Apply().
+  // The classes a filter may resolve: the trusted library, then the class
+  // being filtered (an ArtifactEnv). Never another application class. Never
+  // null inside Apply().
   const ClassEnv* env = nullptr;
   // Native format of the requesting client, reported during its handshake with
   // the remote administration service (paper section 3.4). Empty when the
@@ -72,16 +73,17 @@ class FilterPipeline {
   void Add(std::unique_ptr<CodeFilter> filter) { filters_.push_back(std::move(filter)); }
   size_t size() const { return filters_.size(); }
 
-  // Runs all filters over the serialized class, verifying against `env`. Any
-  // filter error aborts the run with that error (the proxy converts
-  // verification errors into replacement classes before this surfaces to
-  // clients). `platform` is the requesting client's native format (may be
-  // empty).
-  Result<PipelineResult> Run(const Bytes& class_bytes, const ClassEnv& env,
+  // Runs all filters over the serialized class, which they see against the
+  // trusted `library` and the class itself only, so the result depends on
+  // nothing else the caller has seen. Any filter error aborts the run with
+  // that error (the proxy converts verification errors into replacement
+  // classes before this surfaces to clients). `platform` is the requesting
+  // client's native format (may be empty).
+  Result<PipelineResult> Run(const Bytes& class_bytes, const ClassEnv& library,
                              const std::string& platform = "") const;
   // Same, starting from a parsed class (saves the parse when the caller
   // already has one).
-  Result<PipelineResult> Run(ClassFile cls, const ClassEnv& env,
+  Result<PipelineResult> Run(ClassFile cls, const ClassEnv& library,
                              const std::string& platform = "") const;
 
  private:

@@ -11,13 +11,15 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/bytecode/classfile.h"
 
 namespace dvm {
 
 // Read-only view of a set of classes. The static service implements this over
-// the classes it has seen; the runtime implements it over loaded classes.
+// the class it rewrites and the library (ArtifactEnv); the runtime implements
+// it over loaded classes.
 class ClassEnv {
  public:
   virtual ~ClassEnv() = default;
@@ -43,8 +45,7 @@ class MapClassEnv : public ClassEnv {
   std::map<std::string, const ClassFile*> classes_;
 };
 
-// Environment chaining: first hit wins. Lets the pipeline layer the class under
-// verification over the shipped system library.
+// Environment chaining: first hit wins.
 class ChainedClassEnv : public ClassEnv {
  public:
   ChainedClassEnv(const ClassEnv* first, const ClassEnv* second)
@@ -57,6 +58,37 @@ class ChainedClassEnv : public ClassEnv {
  private:
   const ClassEnv* first_;
   const ClassEnv* second_;
+};
+
+// The one environment a proxy verifies, proves and checks a class in: the
+// class answers for its own name, the trusted library for every other name,
+// then the companions a filter synthesized for the class. Nothing else: no
+// other application class and no request history, so a verdict depends only
+// on the class and the library, and no origin class, whatever it declares,
+// can shadow a library type it does not itself name. A rewritten library
+// class (say, java/lang/System with its natives wrapped) resolves its own
+// members in its rewritten form. Does not own the class files it serves.
+class ArtifactEnv : public ClassEnv {
+ public:
+  ArtifactEnv(const ClassEnv* library, const ClassFile& main,
+              const std::vector<ClassFile>& companions = {})
+      : library_(library), main_(&main) {
+    for (const ClassFile& c : companions) {
+      companions_.Add(&c);
+    }
+  }
+  const ClassFile* Lookup(const std::string& class_name) const override {
+    if (class_name == main_->name()) {
+      return main_;
+    }
+    const ClassFile* trusted = library_->Lookup(class_name);
+    return trusted != nullptr ? trusted : companions_.Lookup(class_name);
+  }
+
+ private:
+  const ClassEnv* library_;
+  const ClassFile* main_;
+  MapClassEnv companions_;
 };
 
 }  // namespace dvm

@@ -6,9 +6,9 @@
 //     CodeByteOffsets / OffsetIndex rebuild from the instructions;
 //   - the allocation-free descriptor scan accepts exactly what
 //     ParseMethodDescriptor accepts, with the same slot count;
-//   - ComputeMaxStackDepth returns the same depth, or the same error, as the
-//     plain breadth-first walk over StackDelta/StackPops-style effects it
-//     replaced (kept here as the oracle).
+//   - ComputeMaxStackDepth returns the same depth, or the same error, as a
+//     plain breadth-first walk over StackDelta/StackPops-style effects with
+//     the same merge rule (kept here as the oracle).
 // Inputs: the Figure 5 applications, an applet population, the system
 // library, the parseable fuzz corpus inputs, and malformed variants of them.
 #include <gtest/gtest.h>
@@ -225,11 +225,12 @@ TEST(MethodDescriptorScanTest, AgreesWithParserOnMalformedDescriptors) {
 // ComputeMaxStackDepth vs the reference walk.
 // ---------------------------------------------------------------------------
 
-// The walk ComputeMaxStackDepth replaced: a std::deque worklist, both halves
-// of the effect (net delta, then pops) recomputed from the pool on every
-// visit, and the 65535 limit checked once the worklist drains. A body whose
-// depth passes the limit is outside the comparison (a stack-growing loop
-// never drains): the reference stops and returns nullopt.
+// The plain form of ComputeMaxStackDepth's walk: a std::deque worklist, both
+// halves of the effect (net delta, then pops) recomputed from the pool on
+// every visit, and one depth per instruction: a path that reaches a scheduled
+// instruction at another depth fails there. A body whose depth passes the
+// 65535 limit is outside the comparison: the reference stops and returns
+// nullopt.
 std::optional<Result<uint16_t>> ReferenceMaxStack(const std::vector<Instr>& instrs,
                                                    const ConstantPool& pool,
                                                    const std::vector<uint32_t>& handler_entries) {
@@ -272,15 +273,24 @@ std::optional<Result<uint16_t>> ReferenceMaxStack(const std::vector<Instr>& inst
   };
   std::vector<int> depth_at(instrs.size(), -1);
   std::deque<size_t> work;
-  auto schedule = [&](size_t index, int depth) {
-    if (index < instrs.size() && depth_at[index] < depth) {
+  auto schedule = [&](size_t index, int depth) -> Status {
+    if (index >= instrs.size()) {
+      return Status::Ok();
+    }
+    if (depth_at[index] < 0) {
       depth_at[index] = depth;
       work.push_back(index);
+      return Status::Ok();
     }
+    if (depth_at[index] != depth) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "inconsistent stack depth at instruction " + std::to_string(index)};
+    }
+    return Status::Ok();
   };
-  schedule(0, 0);
+  DVM_RETURN_IF_ERROR(schedule(0, 0));
   for (uint32_t entry : handler_entries) {
-    schedule(entry, 1);
+    DVM_RETURN_IF_ERROR(schedule(entry, 1));
   }
   int max_depth = 0;
   while (!work.empty()) {
@@ -300,10 +310,10 @@ std::optional<Result<uint16_t>> ReferenceMaxStack(const std::vector<Instr>& inst
     }
     max_depth = std::max(max_depth, std::max(depth, next));
     if (IsBranch(instr.op)) {
-      schedule(static_cast<size_t>(instr.a), next);
+      DVM_RETURN_IF_ERROR(schedule(static_cast<size_t>(instr.a), next));
     }
     if (!IsTerminator(instr.op)) {
-      schedule(index + 1, next);
+      DVM_RETURN_IF_ERROR(schedule(index + 1, next));
     }
   }
   return Result<uint16_t>(static_cast<uint16_t>(max_depth));
@@ -413,7 +423,7 @@ TEST(MaxStackDepthTest, MatchesReferenceOnMalformedBodies) {
       variants++;
     }
     // A second path into a join one slot deeper: the walk order decides
-    // which depth the join is first seen at.
+    // which path reaches the join second and fails there.
     std::vector<Instr> join = body.instrs;
     join.insert(join.begin(), {{Op::kIconst0, 0, 0}, {Op::kIfeq, 3, 0}, {Op::kIconst1, 0, 0}});
     for (size_t i = 3; i < join.size(); i++) {
@@ -431,7 +441,7 @@ TEST(MaxStackDepthTest, MatchesReferenceOnMalformedBodies) {
 // fall-through path, and pops one slot. Breadth-first, the branch's entry is
 // popped first, so the walk reports the underflow there. A depth-first (LIFO)
 // walk, or a fall-through shortcut taken while the branch entry is still
-// queued, would see depth 2 first and accept the body.
+// queued, would see depth 2 first and report the merge at 4 instead.
 TEST(MaxStackDepthTest, VisitOrderIsBreadthFirst) {
   const std::vector<Instr> body = {
       {Op::kIconst0, 0, 0}, {Op::kIfeq, 4, 0}, {Op::kIconst1, 0, 0}, {Op::kIconst1, 0, 0},

@@ -21,8 +21,10 @@
 #include "src/bytecode/builder.h"
 #include "src/bytecode/serializer.h"
 #include "src/dvm/replication.h"
+#include "src/policy/xml.h"
 #include "src/proxy/proxy.h"
 #include "src/runtime/syslib.h"
+#include "src/services/security_service.h"
 #include "src/services/verify_service.h"
 #include "src/simnet/fault.h"
 #include "src/simnet/sim.h"
@@ -78,9 +80,7 @@ class CertificateTest : public ::testing::Test {
 
 TEST_F(CertificateTest, RoundTripIsByteIdentical) {
   ClassFile cls = BranchyApp();
-  MapClassEnv self;
-  self.Add(&cls);
-  ChainedClassEnv env(&self, &lib_env_);
+  const ArtifactEnv env(&lib_env_, cls);
 
   ClassCertificate cert;
   auto verified = VerifyClass(cls, env, &cert);
@@ -103,9 +103,7 @@ TEST_F(CertificateTest, RoundTripIsByteIdentical) {
 
 TEST_F(CertificateTest, ParserRejectsTrailingBytesAndBadMagic) {
   ClassFile cls = BranchyApp();
-  MapClassEnv self;
-  self.Add(&cls);
-  ChainedClassEnv env(&self, &lib_env_);
+  const ArtifactEnv env(&lib_env_, cls);
   ClassCertificate cert;
   ASSERT_TRUE(VerifyClass(cls, env, &cert).ok());
   Bytes wire = SerializeCertificate(cert);
@@ -167,9 +165,7 @@ TEST_F(CertificateTest, ValidatorAgreesOnFuzzCorpus) {
       continue;  // parse rejection is fail-closed; no certificate exists
     }
     const ClassFile& cls = parsed.value();
-    MapClassEnv self;
-    self.Add(&cls);
-    ChainedClassEnv env(&self, &lib_env_);
+    const ArtifactEnv env(&lib_env_, cls);
     ClassCertificate cert;
     if (!VerifyClass(cls, env, &cert).ok()) {
       continue;
@@ -189,9 +185,7 @@ TEST_F(CertificateTest, ValidatorAgreesOnFuzzCorpus) {
 // certificate must flip the validator to reject.
 TEST_F(CertificateTest, EverySingleFieldMutationIsRejected) {
   ClassFile cls = BranchyApp();
-  MapClassEnv self;
-  self.Add(&cls);
-  ChainedClassEnv env(&self, &lib_env_);
+  const ArtifactEnv env(&lib_env_, cls);
   ClassCertificate cert;
   ASSERT_TRUE(VerifyClass(cls, env, &cert).ok());
 
@@ -271,9 +265,7 @@ TEST_F(CertificateTest, EverySingleFieldMutationIsRejected) {
 // and differs in content must fail validation.
 TEST_F(CertificateTest, EveryParsingBitFlipIsRejected) {
   ClassFile cls = BranchyApp();
-  MapClassEnv self;
-  self.Add(&cls);
-  ChainedClassEnv env(&self, &lib_env_);
+  const ArtifactEnv env(&lib_env_, cls);
   ClassCertificate cert;
   ASSERT_TRUE(VerifyClass(cls, env, &cert).ok());
   Bytes wire = SerializeCertificate(cert);
@@ -436,6 +428,56 @@ TEST_F(CertificateReplicationTest, TamperedPushIsDroppedFailClosed) {
   cluster_->replica(1).ApplyCommitRecord(record);
   EXPECT_EQ(cluster_->replica(1).stats().Value("proxy.cert_missing"), 1u);
   EXPECT_EQ(cluster_->replica(1).replicated_installs(), 2u);
+}
+
+// The Fig. 6 hooks sit on native library methods, so serving java/lang/System
+// or java/io/File renames the native to __dvmSecured$<name> and adds a wrapper
+// that calls it. The proof must resolve the class's own name to that rewritten
+// form, not to the library's copy, or the artifact ships without a proof and
+// peers install it unchecked.
+TEST_F(CertificateReplicationTest, RewrittenLibraryClassCarriesProof) {
+  const SecurityPolicy policy = *ParseSecurityPolicy(R"(
+      <policy version="1">
+        <domain sid="user" code="app/*"/>
+        <allow sid="user" operation="*" target="*"/>
+        <hook class="java/io/File" method="open" operation="file.open" target-arg="0"/>
+        <hook class="java/lang/System" method="getProperty" operation="property.get"/>
+      </policy>)");
+  DvmProxy& rewriter = cluster_->replica(0);
+  rewriter.AddFilter(std::make_unique<SecurityFilter>(&policy));
+
+  const std::vector<std::pair<std::string, std::string>> hooked = {
+      {"java/lang/System", "getProperty"}, {"java/io/File", "open"}};
+  for (const auto& [name, method] : hooked) {
+    ASSERT_TRUE(rewriter.HandleRequest(name).ok()) << name;
+    const std::string key = DvmProxy::RewriteCacheKey(name, "");
+    auto cached = rewriter.cache().Peek(key);
+    ASSERT_TRUE(cached.has_value()) << name;
+    auto served = ReadClassFile(cached->main_class);
+    ASSERT_TRUE(served.ok()) << name;
+    bool wrapped = false;
+    for (const MethodInfo& m : served->methods) {
+      wrapped |= m.name == "__dvmSecured$" + method;
+    }
+    EXPECT_TRUE(wrapped) << name << " was not rewritten";
+    EXPECT_FALSE(cached->certificate.empty()) << name;
+
+    CommitRecord record;
+    record.type = CommitRecordType::kArtifact;
+    record.cache_key = key;
+    record.class_name = name;
+    record.main_class = cached->main_class;
+    record.extra_classes = cached->extra_classes;
+    record.certificate = cached->certificate;
+    cluster_->replica(1).ApplyCommitRecord(record);
+  }
+  EXPECT_EQ(rewriter.stats().Value("proxy.cert_emits"), hooked.size());
+  EXPECT_EQ(rewriter.stats().Value("proxy.cert_emit_failures"), 0u);
+  const StatsRegistry& peer = cluster_->replica(1).stats();
+  EXPECT_EQ(peer.Value("proxy.cert_validations"), hooked.size());
+  EXPECT_EQ(peer.Value("proxy.cert_rejects"), 0u);
+  EXPECT_EQ(peer.Value("proxy.cert_missing"), 0u);
+  EXPECT_EQ(cluster_->replica(1).replicated_installs(), hooked.size());
 }
 
 // A loop whose array local starts null and becomes String[] (the shape of

@@ -72,9 +72,7 @@ class VerifierBugCrop : public ::testing::Test {
       return parsed.error();
     }
     cls_ = std::move(parsed).value();
-    MapClassEnv self_env;
-    self_env.Add(&cls_);
-    ChainedClassEnv env(&self_env, &lib_env_);
+    const ArtifactEnv env(&lib_env_, cls_);
     return VerifyClass(cls_, env);
   }
 

@@ -1,17 +1,19 @@
 // Multi-threaded coverage for the concurrent proxy request path: the sharded
 // rewrite cache under mixed hit/miss/invalidate traffic, single-flight miss
 // coalescing (pipeline runs exactly once per key), misses on distinct keys
-// running in parallel (overlap, a stable per-rewrite view of the seen
-// classes, seen entries kept alive across replacement, concurrent artifacts
-// byte-equal to sequential ones, the publish gate), the bounded audit ring,
-// the generated-class invalidation regression, and the server worker pool.
+// running in parallel (overlap, a rewrite that resolves only its own class
+// and the library, artifacts byte-equal whatever the request order, history
+// or thread count, the publish gate), the bounded audit ring, the
+// generated-class invalidation regression, and the server worker pool.
 // The CI ThreadSanitizer and AddressSanitizer jobs run this binary.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -24,6 +26,7 @@
 #include "src/proxy/proxy.h"
 #include "src/runtime/syslib.h"
 #include "src/services/verify_service.h"
+#include "src/support/hash.h"
 #include "src/support/md5.h"
 #include "src/workloads/apps.h"
 
@@ -173,69 +176,36 @@ class MeetingFilter : public CodeFilter {
   std::atomic<int>* timeouts_;
 };
 
-// Looks up its own class in the environment, meets the concurrent rewrite of
-// the same class for the other platform (whose SeenEnv Add replaced the entry
-// in between), then reads the class it was handed.
-class SelfLookupFilter : public CodeFilter {
+// Resolves another application class, its own class and a library class
+// through the rewrite's environment, and records every answer that is not,
+// respectively: absent, the class being filtered, the library's copy.
+class EnvProbeFilter : public CodeFilter {
  public:
-  SelfLookupFilter(Barrier* barrier, std::atomic<int>* failures)
-      : barrier_(barrier), failures_(failures) {}
-  std::string name() const override { return "self-lookup"; }
+  EnvProbeFilter(std::string other, const ClassEnv* library, std::vector<std::string>* failures)
+      : other_(std::move(other)), library_(library), failures_(failures) {}
+  std::string name() const override { return "env-probe"; }
 
   Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) const override {
-    const ClassFile* seen = ctx.env->Lookup(cls.name());
-    if (!barrier_->Arrive() || seen == nullptr || seen->name() != cls.name() ||
-        seen->methods.size() != cls.methods.size()) {
-      failures_->fetch_add(1);
-    }
-    return FilterOutcome{};
-  }
-
- private:
-  Barrier* barrier_;
-  std::atomic<int>* failures_;
-};
-
-// The two Lookups of `target` one rewrite of `holder` makes, with a
-// concurrent miss adding `target` to SeenEnv in between.
-struct ViewProbe {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool block = true;
-  bool looked = false;
-  bool added = false;
-  std::vector<std::pair<const ClassFile*, const ClassFile*>> answers;
-};
-
-class TwoLookupsFilter : public CodeFilter {
- public:
-  TwoLookupsFilter(std::string holder, std::string target, ViewProbe* probe)
-      : holder_(std::move(holder)), target_(std::move(target)), probe_(probe) {}
-  std::string name() const override { return "two-lookups"; }
-
-  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) const override {
-    if (cls.name() != holder_) {
+    if (cls.name() == other_) {
       return FilterOutcome{};
     }
-    const ClassFile* first = ctx.env->Lookup(target_);
-    {
-      std::unique_lock<std::mutex> lock(probe_->mu);
-      probe_->looked = true;
-      probe_->cv.notify_all();
-      if (probe_->block) {
-        probe_->cv.wait_for(lock, kMeetTimeout, [&] { return probe_->added; });
-      }
+    const std::string object = "java/lang/Object";
+    if (ctx.env->Lookup(other_) != nullptr) {
+      failures_->push_back(cls.name() + " resolved " + other_);
     }
-    const ClassFile* second = ctx.env->Lookup(target_);
-    std::lock_guard<std::mutex> lock(probe_->mu);
-    probe_->answers.emplace_back(first, second);
+    if (ctx.env->Lookup(cls.name()) != &cls) {
+      failures_->push_back(cls.name() + " did not resolve to itself");
+    }
+    if (ctx.env->Lookup(object) == nullptr || ctx.env->Lookup(object) != library_->Lookup(object)) {
+      failures_->push_back(cls.name() + " did not resolve the library's " + object);
+    }
     return FilterOutcome{};
   }
 
  private:
-  std::string holder_;
-  std::string target_;
-  ViewProbe* probe_;
+  std::string other_;
+  const ClassEnv* library_;
+  std::vector<std::string>* failures_;
 };
 
 constexpr const char* kConfigAttr = "test.ConfigVersion";
@@ -479,61 +449,24 @@ TEST_F(ProxyConcurrencyTest, MissesOnDistinctKeysOverlap) {
   EXPECT_EQ(proxy.cache().entries(), static_cast<size_t>(kMisses));
 }
 
-TEST_F(ProxyConcurrencyTest, RewriteSeesOneStableViewOfSeenClasses) {
+// A rewrite resolves its own class and the trusted library, and nothing the
+// proxy served before: not even a class served earlier and served again
+// after an invalidation.
+TEST_F(ProxyConcurrencyTest, RewriteSeesOnlyItsClassAndTheLibrary) {
   DvmProxy proxy(ProxyConfig{}, &library_env_, &origin_);
   const std::string holder = ClassName(0);
-  const std::string target = ClassName(1);
-  ViewProbe probe;
-  proxy.AddFilter(std::make_unique<TwoLookupsFilter>(holder, target, &probe));
+  const std::string other = ClassName(1);
+  std::vector<std::string> failures;
+  proxy.AddFilter(std::make_unique<EnvProbeFilter>(other, &library_env_, &failures));
 
-  // The holder's rewrite looks the target up (not yet seen), then blocks.
-  std::thread rewrite([&] { EXPECT_TRUE(proxy.HandleRequest(holder).ok()); });
-  {
-    std::unique_lock<std::mutex> lock(probe.mu);
-    ASSERT_TRUE(probe.cv.wait_for(lock, kMeetTimeout, [&] { return probe.looked; }));
-  }
-  // Another miss adds the target to SeenEnv meanwhile.
-  EXPECT_TRUE(proxy.HandleRequest(target).ok());
-  {
-    std::lock_guard<std::mutex> lock(probe.mu);
-    probe.added = true;
-    probe.block = false;
-  }
-  probe.cv.notify_all();
-  rewrite.join();
-
-  // Within one rewrite the first answer held.
-  ASSERT_EQ(probe.answers.size(), 1u);
-  EXPECT_EQ(probe.answers[0].first, nullptr);
-  EXPECT_EQ(probe.answers[0].second, nullptr);
-
-  // The next rewrite of the holder sees the target.
-  proxy.InvalidateCache();
+  ASSERT_TRUE(proxy.HandleRequest(other).ok());
   ASSERT_TRUE(proxy.HandleRequest(holder).ok());
-  ASSERT_EQ(probe.answers.size(), 2u);
-  EXPECT_NE(probe.answers[1].first, nullptr);
-  EXPECT_EQ(probe.answers[1].first, probe.answers[1].second);
-}
+  proxy.InvalidateCache();
+  ASSERT_TRUE(proxy.HandleRequest(other).ok());
+  ASSERT_TRUE(proxy.HandleRequest(holder).ok());
 
-TEST_F(ProxyConcurrencyTest, SeenEntriesOutliveConcurrentReplacement) {
-  DvmProxy proxy(ProxyConfig{}, &library_env_, &origin_);
-  Barrier barrier(2);
-  std::atomic<int> failures{0};
-  proxy.AddFilter(std::make_unique<SelfLookupFilter>(&barrier, &failures));
-
-  // Each round, one class is rewritten for two platform keys at once. Both
-  // rewrites Add it to SeenEnv before either reads the entry it looked up,
-  // so one of them always reads a replaced entry.
-  for (int round = 0; round < 3; round++) {
-    for (int i = 0; i < kNumClasses; i++) {
-      std::thread alpha([&] { EXPECT_TRUE(proxy.HandleRequest(ClassName(i), "alpha").ok()); });
-      EXPECT_TRUE(proxy.HandleRequest(ClassName(i), "x86").ok());
-      alpha.join();
-      ASSERT_EQ(failures.load(), 0) << ClassName(i);
-    }
-    proxy.InvalidateCache();
-  }
-  EXPECT_EQ(proxy.stats().Value("proxy.rewrites"), 3u * 2u * kNumClasses);
+  EXPECT_EQ(proxy.stats().Value("proxy.rewrites"), 4u);
+  EXPECT_EQ(failures, std::vector<std::string>{});
 }
 
 TEST_F(ProxyConcurrencyTest, PublishGateKeepsRetiredConfigurationsOut) {
@@ -668,6 +601,14 @@ SecurityPolicy Fig6Policy() {
       </policy>)");
 }
 
+// A served artifact is a function of its declared inputs (origin bytes,
+// trusted library, policy, configuration, platform), never of request history
+// or thread interleaving: the proxy verifies each class against itself and the
+// library only. The 400 Fig. 5 classes are fetched from Fig. 6 servers four
+// ways: forward on a cold proxy (the reference), reversed on a cold proxy, on
+// the reference proxy again from three worker threads once it has served the
+// whole application, and from three worker threads on a cold proxy. Every
+// artifact, companion set and certificate must match, at a pinned digest.
 TEST(DvmServerAsyncTest, ConcurrentMissesMatchSequentialArtifacts) {
   MapClassProvider origin;
   std::vector<std::string> names;
@@ -677,61 +618,112 @@ TEST(DvmServerAsyncTest, ConcurrentMissesMatchSequentialArtifacts) {
       names.push_back(std::move(name));
     }
   }
+  ASSERT_EQ(names.size(), 400u);
   // Fig. 6 stack: reflection, verification, security, audit, and the
   // console's code-version observer.
-  DvmServerConfig config;
-  config.policy = Fig6Policy();
-  DvmServer server(std::move(config), &origin);
-  DvmProxy& proxy = server.proxy();
+  auto cold_server = [&origin] {
+    DvmServerConfig config;
+    config.policy = Fig6Policy();
+    return std::make_unique<DvmServer>(std::move(config), &origin);
+  };
   auto key = [](const std::string& name) { return DvmProxy::RewriteCacheKey(name, ""); };
+  auto fetch_in_order = [](DvmProxy& proxy, const std::vector<std::string>& order) {
+    for (const std::string& name : order) {
+      ASSERT_TRUE(proxy.HandleRequest(name).ok()) << name;
+    }
+  };
+  // Requests every class from the server's three workers; each is a miss.
+  auto fetch_pooled = [&names](DvmServer& server) {
+    std::vector<std::future<Result<ProxyResponse>>> futures;
+    for (const std::string& name : names) {
+      futures.push_back(server.HandleRequestAsync(name));
+    }
+    for (size_t i = 0; i < names.size(); i++) {
+      Result<ProxyResponse> response = futures[i].get();
+      ASSERT_TRUE(response.ok()) << names[i];
+      EXPECT_FALSE(response->cache_hit) << names[i];
+    }
+    server.workers()->Drain();
+  };
+  // What the proxy cached for every class: artifact, companions, certificate.
+  auto served = [&](const DvmProxy& proxy) {
+    std::map<std::string, CachedClass> cached_by_name;
+    for (const std::string& name : names) {
+      std::optional<CachedClass> cached = proxy.cache().Peek(key(name));
+      EXPECT_TRUE(cached.has_value()) << name;
+      if (cached.has_value()) {
+        cached_by_name[name] = std::move(*cached);
+      }
+    }
+    return cached_by_name;
+  };
 
-  // Prime: after one pass SeenEnv holds the whole population, so every later
-  // rewrite verifies against the same environment whatever the order.
+  // Forward order on a cold proxy: the reference.
+  std::unique_ptr<DvmServer> server = cold_server();
+  DvmProxy& proxy = server->proxy();
+  fetch_in_order(proxy, names);
+  const std::map<std::string, CachedClass> reference = served(proxy);
+  ASSERT_EQ(reference.size(), names.size());
+  Bytes artifacts;
   for (const std::string& name : names) {
-    ASSERT_TRUE(proxy.HandleRequest(name).ok()) << name;
+    const CachedClass& cached = reference.at(name);
+    EXPECT_FALSE(cached.certificate.empty()) << name;
+    artifacts.insert(artifacts.end(), cached.main_class.begin(), cached.main_class.end());
   }
+  // FNV-1a over the 400 artifacts in forward order. A cold proxy fetching in
+  // forward order served these same bytes back when a rewrite could still
+  // resolve classes the proxy had served before.
+  EXPECT_EQ(artifacts.size(), 1'765'364u);
+  EXPECT_EQ(Fnv1a(artifacts.data(), artifacts.size()), 0x26a34150131e28aaULL);
 
-  // Reference: one thread.
+  // Classes whose artifact, companions and certificate all equal the
+  // reference's.
+  auto matching = [&](const std::map<std::string, CachedClass>& got, const char* way) {
+    size_t equal = 0;
+    for (const std::string& name : names) {
+      auto have = got.find(name);
+      if (have == got.end()) {
+        continue;
+      }
+      const CachedClass& want = reference.at(name);
+      const bool same = want.main_class == have->second.main_class &&
+                        want.extra_classes == have->second.extra_classes &&
+                        want.certificate == have->second.certificate;
+      EXPECT_TRUE(same) << way << ": " << name;
+      equal += same ? 1 : 0;
+    }
+    return equal;
+  };
+
+  // Reversed order on a cold proxy.
+  std::unique_ptr<DvmServer> backward = cold_server();
+  fetch_in_order(backward->proxy(), std::vector<std::string>(names.rbegin(), names.rend()));
+  EXPECT_EQ(matching(served(backward->proxy()), "reversed"), names.size());
+
+  // The reference proxy again, after it served the whole application, from
+  // three worker threads.
   proxy.InvalidateCache();
-  std::map<std::string, CachedClass> sequential;
+  const uint64_t version_changes = server->console().code_version_changes();
+  server->StartWorkers(3);
+  fetch_pooled(*server);
+  EXPECT_EQ(matching(served(proxy), "primed, 3 threads"), names.size());
   for (const std::string& name : names) {
-    ASSERT_TRUE(proxy.HandleRequest(name).ok()) << name;
-    std::optional<CachedClass> cached = proxy.cache().Peek(key(name));
-    ASSERT_TRUE(cached.has_value()) << name;
-    sequential[name] = std::move(*cached);
-  }
-
-  // The same misses from three worker threads.
-  proxy.InvalidateCache();
-  const uint64_t version_changes = server.console().code_version_changes();
-  server.StartWorkers(3);
-  std::vector<std::future<Result<ProxyResponse>>> futures;
-  for (const std::string& name : names) {
-    futures.push_back(server.HandleRequestAsync(name));
-  }
-  for (size_t i = 0; i < names.size(); i++) {
-    Result<ProxyResponse> response = futures[i].get();
-    ASSERT_TRUE(response.ok()) << names[i];
-    EXPECT_FALSE(response->cache_hit) << names[i];
-    EXPECT_EQ(response->data, sequential[names[i]].main_class) << names[i];
-  }
-  server.workers()->Drain();
-
-  for (const std::string& name : names) {
-    std::optional<CachedClass> cached = proxy.cache().Peek(key(name));
-    ASSERT_TRUE(cached.has_value()) << name;
-    const CachedClass& expected = sequential[name];
-    EXPECT_EQ(cached->main_class, expected.main_class) << name;
-    EXPECT_EQ(cached->extra_classes, expected.extra_classes) << name;
-    EXPECT_FALSE(cached->certificate.empty()) << name;
-    EXPECT_EQ(cached->certificate, expected.certificate) << name;
     // The observer saw every served version, and each was the same bytes.
-    EXPECT_EQ(server.console().code_versions().at(name),
-              Md5::ToHex(Md5::Hash(expected.main_class)))
+    EXPECT_EQ(server->console().code_versions().at(name),
+              Md5::ToHex(Md5::Hash(reference.at(name).main_class)))
         << name;
   }
-  EXPECT_EQ(server.console().code_version_changes(), version_changes);
-  EXPECT_EQ(proxy.stats().Value("proxy.cert_emit_failures"), 0u);
+  EXPECT_EQ(server->console().code_version_changes(), version_changes);
+
+  // Three worker threads on a cold proxy: misses overlap in any order.
+  std::unique_ptr<DvmServer> pooled = cold_server();
+  pooled->StartWorkers(3);
+  fetch_pooled(*pooled);
+  EXPECT_EQ(matching(served(pooled->proxy()), "cold, 3 threads"), names.size());
+
+  for (DvmServer* each : {server.get(), backward.get(), pooled.get()}) {
+    EXPECT_EQ(each->proxy().stats().Value("proxy.cert_emit_failures"), 0u);
+  }
 }
 
 }  // namespace

@@ -176,9 +176,8 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-// `iconst_0; goto 0` reaches instruction 0 one slot deeper on every trip, so
-// a walk that keeps the deepest depth per instruction never drains: it must
-// stop at the 65535 limit instead of running until its counter overflows.
+// `iconst_0; goto 0` reaches instruction 0 one slot deeper than it entered,
+// so the walk fails at that merge instead of walking the loop again deeper.
 TEST(MethodEditorTest, StackGrowingLoopFailsPromptly) {
   const std::vector<Instr> loop = {{Op::kIconst0, 0, 0}, {Op::kGoto, 0, 0}};
   ConstantPool pool;
@@ -186,8 +185,8 @@ TEST(MethodEditorTest, StackGrowingLoopFailsPromptly) {
   auto depth = ComputeMaxStackDepth(loop, pool, {});
   EXPECT_LT(SecondsSince(start), 5.0);
   ASSERT_FALSE(depth.ok());
-  EXPECT_EQ(depth.error().code, ErrorCode::kCapacity);
-  EXPECT_EQ(depth.error().message, "max stack exceeds 65535");
+  EXPECT_EQ(depth.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_EQ(depth.error().message, "inconsistent stack depth at instruction 0");
 
   // Every rewrite of such a body recomputes max_stack in Commit.
   ClassFile cls = BuildLoopClass();
@@ -200,7 +199,24 @@ TEST(MethodEditorTest, StackGrowingLoopFailsPromptly) {
   Status committed = editor->Commit();
   EXPECT_LT(SecondsSince(start), 5.0);
   ASSERT_FALSE(committed.ok());
-  EXPECT_EQ(committed.error().code, ErrorCode::kCapacity);
+  EXPECT_EQ(committed.error().code, ErrorCode::kInvalidArgument);
+}
+
+// A loop body of ~30,000 instructions that pushes once per trip: a walk that
+// rescheduled each instruction whenever it arrived deeper would take up to
+// 65535 trips around it (about 2e9 visits) before failing. One visit per
+// instruction fails it at the back edge.
+TEST(MethodEditorTest, LongStackGrowingLoopFailsInOneWalk) {
+  std::vector<Instr> loop(30'000, Instr{Op::kNop, 0, 0});
+  loop.front() = {Op::kIconst0, 0, 0};
+  loop.back() = {Op::kGoto, 0, 0};
+  ConstantPool pool;
+  auto start = std::chrono::steady_clock::now();
+  auto depth = ComputeMaxStackDepth(loop, pool, {});
+  EXPECT_LT(SecondsSince(start), 1.0);
+  ASSERT_FALSE(depth.ok());
+  EXPECT_EQ(depth.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_EQ(depth.error().message, "inconsistent stack depth at instruction 0");
 }
 
 // Handler pcs are u16 on the wire. Growing a 65,534-byte body whose handler
@@ -208,7 +224,8 @@ TEST(MethodEditorTest, StackGrowingLoopFailsPromptly) {
 // 65535; Commit must refuse rather than truncate them to [8, 4) -> 4.
 TEST(MethodEditorTest, HandlerPcPastU16IsCapacityError) {
   std::vector<Instr> body(65532, Instr{Op::kNop, 0, 0});
-  body.push_back({Op::kPop, 0, 0});  // handler entry: drop the exception
+  body.back() = {Op::kReturn, 0, 0};  // no fall-through into the handler
+  body.push_back({Op::kPop, 0, 0});   // handler entry: drop the exception
   body.push_back({Op::kReturn, 0, 0});
   auto build = [&body] {
     ClassBuilder cb("rw/Big", "java/lang/Object");

@@ -11,6 +11,12 @@
 //                                      certificate adversary: emit a proof for
 //                                      every verifiable input and require that
 //                                      every tampered certificate is rejected
+//   dvm_fuzz order-independence <input>...
+//                                      serve every input through a proxy cold,
+//                                      after the rest of the inputs, and after
+//                                      them in reverse order; exit 1 on any
+//                                      difference in artifact, certificate or
+//                                      error
 //   dvm_fuzz min <file> <out>          greedy chunk-removal minimization that
 //                                      preserves the input's triage category
 //
@@ -22,6 +28,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,7 +37,11 @@
 #include "src/bytecode/builder.h"
 #include "src/bytecode/code.h"
 #include "src/bytecode/serializer.h"
+#include "src/proxy/proxy.h"
 #include "src/runtime/syslib.h"
+#include "src/services/monitor_service.h"
+#include "src/services/reflect_service.h"
+#include "src/services/verify_service.h"
 #include "src/verifier/certificate.h"
 #include "src/verifier/verifier.h"
 
@@ -440,9 +451,7 @@ int CmdMutateCerts(uint64_t seed, uint64_t count,
       continue;
     }
     const ClassFile& cls = parsed.value();
-    MapClassEnv self_env;
-    self_env.Add(&cls);
-    ChainedClassEnv env(&self_env, &lib_env);
+    const ArtifactEnv env(&lib_env, cls);
 
     ClassCertificate cert;
     if (!VerifyClass(cls, env, &cert).ok()) {
@@ -491,6 +500,95 @@ int CmdMutateCerts(uint64_t seed, uint64_t count,
   return accepted > 0 ? 1 : 0;
 }
 
+// Serves the staged input under any requested name; the proxy itself refuses
+// a class whose declared name is not the one requested.
+struct StagedOrigin : ClassProvider {
+  Result<Bytes> FetchClass(const std::string& /*class_name*/) override { return staged; }
+  Bytes staged;
+};
+
+// What one miss serves: the artifact, its companions and its certificate, or
+// the error.
+struct Served {
+  std::string error;
+  Bytes artifact;
+  std::vector<std::pair<std::string, Bytes>> companions;
+  Bytes certificate;
+  bool operator==(const Served&) const = default;
+};
+
+// One proxy (reflection, verification, audit) over a staged origin.
+struct OrderProxy {
+  explicit OrderProxy(const ClassEnv* library) : proxy(ProxyConfig{}, library, &origin) {
+    proxy.AddFilter(std::make_unique<ReflectionFilter>());
+    proxy.AddFilter(std::make_unique<VerificationFilter>());
+    proxy.AddFilter(std::make_unique<AuditFilter>());
+  }
+
+  // A miss on `data`, whatever the proxy cached before.
+  Served Serve(const Bytes& data) {
+    auto parsed = ReadClassFile(data);
+    const std::string name = parsed.ok() ? parsed->name() : "unparseable/Input";
+    origin.staged = data;
+    proxy.InvalidateCache();
+    auto response = proxy.HandleRequest(name);
+    Served served;
+    if (!response.ok()) {
+      served.error = response.error().ToString();
+      return served;
+    }
+    served.artifact = std::move(response->data);
+    served.companions = std::move(response->extra_classes);
+    if (auto cached = proxy.cache().Peek(DvmProxy::RewriteCacheKey(name, ""))) {
+      served.certificate = std::move(cached->certificate);
+    }
+    return served;
+  }
+
+  StagedOrigin origin;
+  DvmProxy proxy;
+};
+
+// A served artifact must not depend on what the proxy served before. Each
+// input is served by a cold proxy, by a proxy that first served every input
+// in order, and by one that first served them in reverse order; all three
+// must serve the same bytes or fail with the same error.
+int CmdOrderIndependence(const std::vector<std::filesystem::path>& inputs) {
+  std::vector<Bytes> corpus;
+  for (const auto& file : ExpandInputs(inputs)) {
+    corpus.push_back(ReadFileBytes(file));
+  }
+  std::vector<ClassFile> library = BuildSystemLibrary();
+  MapClassEnv lib_env;
+  for (const ClassFile& cls : library) {
+    lib_env.Add(&cls);
+  }
+
+  std::vector<Served> cold;
+  for (const Bytes& data : corpus) {
+    cold.push_back(OrderProxy(&lib_env).Serve(data));
+  }
+  OrderProxy forward(&lib_env);
+  OrderProxy backward(&lib_env);
+  for (size_t i = 0; i < corpus.size(); i++) {
+    forward.Serve(corpus[i]);
+    backward.Serve(corpus[corpus.size() - 1 - i]);
+  }
+  size_t differences = 0;
+  for (size_t i = 0; i < corpus.size(); i++) {
+    const Served primed = forward.Serve(corpus[i]);
+    const Served reverse = backward.Serve(corpus[i]);
+    if (primed != cold[i] || reverse != cold[i]) {
+      differences++;
+      std::fprintf(stderr, "FAIL: input %zu is served differently after other inputs%s%s\n", i,
+                   primed != cold[i] ? " (forward)" : "",
+                   reverse != cold[i] ? " (reverse)" : "");
+    }
+  }
+  std::printf("inputs=%zu differences=%zu\n", corpus.size(), differences);
+  return differences > 0 ? 1 : 0;
+}
+
 int CmdMin(const std::filesystem::path& in, const std::filesystem::path& out) {
   Bytes data = ReadFileBytes(in);
   std::string category = TriageCategory(data);
@@ -525,6 +623,7 @@ int Usage() {
                "       dvm_fuzz triage <file>...\n"
                "       dvm_fuzz mutate <out-dir> <seed> <count> [input]...\n"
                "       dvm_fuzz mutate-certs <seed> <count> [input]...\n"
+               "       dvm_fuzz order-independence <input>...\n"
                "       dvm_fuzz min <file> <out>\n");
   return 2;
 }
@@ -561,6 +660,9 @@ int main(int argc, char** argv) {
     uint64_t count = std::strtoull(rest[1].c_str(), nullptr, 10);
     return dvm::CmdMutateCerts(seed, count,
                                std::vector<std::filesystem::path>(rest.begin() + 2, rest.end()));
+  }
+  if (cmd == "order-independence" && !rest.empty()) {
+    return dvm::CmdOrderIndependence(rest);
   }
   if (cmd == "min" && rest.size() == 2) {
     return dvm::CmdMin(rest[0], rest[1]);
