@@ -9,24 +9,14 @@
 
 namespace dvm {
 
-Result<Bytes> ChainedClassProvider::FetchClass(const std::string& class_name) {
-  auto first = first_->FetchClass(class_name);
-  if (first.ok()) {
-    return first;
-  }
-  return second_->FetchClass(class_name);
-}
-
 DvmServer::DvmServer(DvmServerConfig config, ClassProvider* origin)
     : config_(std::move(config)),
       library_classes_(BuildSystemLibrary()),
-      chained_origin_(&library_provider_, origin),
       security_server_(config_.policy) {
   for (const ClassFile& cls : library_classes_) {
     library_env_.Add(&cls);
-    library_provider_.AddClassFile(cls);
   }
-  proxy_ = std::make_unique<DvmProxy>(config_.proxy, &library_env_, &chained_origin_);
+  proxy_ = std::make_unique<DvmProxy>(config_.proxy, &library_env_, origin);
 
   // Stack the static services. Order follows Figure 2: verify, security,
   // compile, optimize, profile/audit annotation. Reflection info goes first so
@@ -159,9 +149,7 @@ MonolithicClient::MonolithicClient(ClassProvider* origin, const SecurityPolicy& 
     : library_classes_(BuildSystemLibrary()), policy_(policy), link_(link) {
   for (const ClassFile& cls : library_classes_) {
     library_env_.Add(&cls);
-    library_provider_.AddClassFile(cls);
   }
-  chained_origin_ = std::make_unique<ChainedClassProvider>(&library_provider_, origin);
   // Null proxy: identical network path, no static services (paper: "For
   // monolithic virtual machines, the proxy acts as a null-proxy"). Relaying
   // is cheap compared to parse/rewrite/emit.
@@ -170,7 +158,7 @@ MonolithicClient::MonolithicClient(ClassProvider* origin, const SecurityPolicy& 
   null_config.nanos_per_request_base = 600'000;
   null_config.nanos_per_byte_parse = 120;
   null_config.nanos_per_byte_emit = 0;
-  null_proxy_ = std::make_unique<DvmProxy>(null_config, &library_env_, chained_origin_.get());
+  null_proxy_ = std::make_unique<DvmProxy>(null_config, &library_env_, origin);
 
   machine_ = std::make_unique<Machine>(machine_config, this);
   machine_->on_class_loaded = [this](RuntimeClass& cls) {

@@ -25,19 +25,6 @@ namespace dvm {
 
 class ProxyCluster;
 
-// Provider chaining: first provider wins, used to layer application origin
-// servers over the system library boot image.
-class ChainedClassProvider : public ClassProvider {
- public:
-  ChainedClassProvider(ClassProvider* first, ClassProvider* second)
-      : first_(first), second_(second) {}
-  Result<Bytes> FetchClass(const std::string& class_name) override;
-
- private:
-  ClassProvider* first_;
-  ClassProvider* second_;
-};
-
 struct DvmServerConfig {
   bool enable_verification = true;
   bool enable_security = true;
@@ -109,8 +96,6 @@ class DvmServer {
   DvmServerConfig config_;
   std::vector<ClassFile> library_classes_;
   MapClassEnv library_env_;
-  MapClassProvider library_provider_;
-  ChainedClassProvider chained_origin_;
   SecurityServer security_server_;
   AdministrationConsole console_;
   std::unique_ptr<DvmProxy> proxy_;
@@ -180,8 +165,6 @@ class MonolithicClient : public ClassProvider {
  private:
   std::vector<ClassFile> library_classes_;
   MapClassEnv library_env_;
-  MapClassProvider library_provider_;
-  std::unique_ptr<ChainedClassProvider> chained_origin_;
   std::unique_ptr<DvmProxy> null_proxy_;
   SecurityPolicy policy_;
   SimLink link_;

@@ -349,7 +349,9 @@ Result<Bytes> RedirectingClient::FetchViaCluster(const std::string& class_name,
 
 Result<CallOutcome> RedirectingClient::RunApp(const std::string& main_class) {
   enforcement_->SetThreadSid(server_->policy().DomainForClass(main_class));
-  return machine_->RunMain(main_class);
+  auto outcome = machine_->RunMain(main_class);
+  audit_->Flush();
+  return outcome;
 }
 
 ProxyCluster::ProxyCluster(size_t replicas, ProxyConfig config, const ClassEnv* library_env,

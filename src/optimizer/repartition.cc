@@ -37,49 +37,6 @@ Result<uint16_t> RemapCpIndex(uint16_t index, const ConstantPool& from, Constant
                                          std::to_string(index)};
 }
 
-// Builds the stub that remains in the hot class, forwarding to the static
-// cold-class implementation.
-Result<MethodInfo> BuildForwardingStub(const MethodInfo& original,
-                                       const std::string& class_name,
-                                       const std::string& cold_class,
-                                       const std::string& cold_descriptor,
-                                       ConstantPool& pool) {
-  DVM_ASSIGN_OR_RETURN(MethodSignature sig, ParseMethodDescriptor(original.descriptor));
-  std::vector<Instr> body;
-  int slot = 0;
-  if (!original.IsStatic()) {
-    body.push_back({Op::kAload, slot++, 0});
-  }
-  for (const auto& param : sig.params) {
-    Op load = param == "I" ? Op::kIload : param == "J" ? Op::kLload : Op::kAload;
-    body.push_back({load, slot++, 0});
-  }
-  body.push_back({Op::kInvokestatic,
-                  pool.AddMethodRef(cold_class, original.name, cold_descriptor), 0});
-  if (sig.ReturnsVoid()) {
-    body.push_back({Op::kReturn, 0, 0});
-  } else if (sig.return_type == "I") {
-    body.push_back({Op::kIreturn, 0, 0});
-  } else if (sig.return_type == "J") {
-    body.push_back({Op::kLreturn, 0, 0});
-  } else {
-    body.push_back({Op::kAreturn, 0, 0});
-  }
-
-  DVM_ASSIGN_OR_RETURN(Bytes encoded, EncodeCode(body));
-  DVM_ASSIGN_OR_RETURN(uint16_t max_stack, ComputeMaxStackDepth(body, pool, {}));
-  MethodInfo stub;
-  stub.access_flags = original.access_flags;
-  stub.name = original.name;
-  stub.descriptor = original.descriptor;
-  CodeAttr code;
-  code.max_stack = max_stack;
-  code.max_locals = static_cast<uint16_t>(slot);
-  code.code = std::move(encoded);
-  stub.code = std::move(code);
-  return stub;
-}
-
 }  // namespace
 
 TransferProfile::TransferProfile(const std::vector<std::string>& first_use_tags) {
@@ -188,10 +145,14 @@ Result<FilterOutcome> RepartitionFilter::Apply(ClassFile& cls, const FilterConte
     moved.code = std::move(moved_code);
     cold.methods.push_back(std::move(moved));
 
-    DVM_ASSIGN_OR_RETURN(
-        MethodInfo stub,
-        BuildForwardingStub(original, class_name, cold_class, cold_descriptor, cls.pool()));
-    original = std::move(stub);
+    // The stub that remains in the hot class forwards to the cold static.
+    std::vector<Instr> stub;
+    uint16_t stub_locals = AppendForwardingCall(
+        sig, original.IsStatic(), Op::kInvokestatic,
+        cls.pool().AddMethodRef(cold_class, original.name, cold_descriptor), &stub);
+    DVM_ASSIGN_OR_RETURN(original, AssembleMethod(original.access_flags, original.name,
+                                                  original.descriptor, stub, stub_locals,
+                                                  cls.pool()));
   }
 
   cold.SetAttribute(kAttrServiceStamp, Bytes{'c', 'o', 'l', 'd'});

@@ -1,16 +1,13 @@
 #include "src/proxy/cache.h"
 
-#include <algorithm>
-
 #include "src/support/hash.h"
 
 namespace dvm {
 
-RewriteCache::RewriteCache(size_t capacity_bytes, size_t num_shards) {
-  num_shards = std::max<size_t>(1, num_shards);
-  shard_capacity_bytes_ = capacity_bytes / num_shards;
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; i++) {
+RewriteCache::RewriteCache(size_t capacity_bytes)
+    : shard_capacity_bytes_(capacity_bytes / kShards) {
+  shards_.reserve(kShards);
+  for (size_t i = 0; i < kShards; i++) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }

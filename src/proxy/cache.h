@@ -42,11 +42,11 @@ struct CachedClass {
 
 class RewriteCache {
  public:
-  static constexpr size_t kDefaultShards = 8;
+  // The byte budget is spread evenly over this many shards, each an LRU of
+  // its own; a key hashes to one shard.
+  static constexpr size_t kShards = 8;
 
-  // `num_shards` of 1 gives the classic single-lock LRU (exact global
-  // eviction order); the default spreads the byte budget evenly over shards.
-  explicit RewriteCache(size_t capacity_bytes, size_t num_shards = kDefaultShards);
+  explicit RewriteCache(size_t capacity_bytes);
 
   // nullopt on miss. A hit refreshes LRU position and copies the entry out so
   // the caller holds no pointer into a shard.

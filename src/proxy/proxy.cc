@@ -43,7 +43,7 @@ DvmProxy::DvmProxy(ProxyConfig config, const ClassEnv* library_env, ClassProvide
     : config_(config),
       library_env_(library_env),
       origin_(origin),
-      cache_(config.cache_capacity_bytes, config.cache_shards),
+      cache_(config.cache_capacity_bytes),
       signer_(config.signing_key),
       audit_(config.audit_trail_capacity),
       c_connection_nanos_(stats_.Counter("proxy.connection_nanos")),
@@ -167,22 +167,29 @@ Result<ProxyResponse> DvmProxy::Rewrite(RequestContext& ctx) {
 
   ProxyResponse response;
   response.epoch = epoch;
-  DVM_ASSIGN_OR_RETURN(Bytes origin_bytes, origin_->FetchClass(ctx.class_name));
+  // The system namespace belongs to the trusted library: its classes are
+  // served from the library's bytes and never asked of the origin.
+  Bytes origin_bytes;
+  if (IsSystemClass(ctx.class_name)) {
+    const ClassFile* library_class = library_env_->Lookup(ctx.class_name);
+    if (library_class == nullptr) {
+      return Error{ErrorCode::kLinkError,
+                   "class " + ctx.class_name + " is not in the trusted library"};
+    }
+    DVM_ASSIGN_OR_RETURN(origin_bytes, WriteClassFile(*library_class));
+  } else {
+    DVM_ASSIGN_OR_RETURN(origin_bytes, origin_->FetchClass(ctx.class_name));
+  }
   response.origin_bytes = origin_bytes.size();
   ctx.connection_nanos = config_.nanos_per_request_base;
   ctx.parse_nanos = origin_bytes.size() * config_.nanos_per_byte_parse;
 
   // Parse once; the class stays in memory through filters, signing and proof.
   DVM_ASSIGN_OR_RETURN(ClassFile parsed, ReadClassFile(origin_bytes));
-  // Like the client registry, accept only the class that was asked for, and
-  // in the system namespace only what the trusted library ships.
+  // Like the client registry, accept only the class that was asked for.
   if (parsed.name() != ctx.class_name) {
     return Error{ErrorCode::kLinkError,
                  "origin returned class " + parsed.name() + " for request " + ctx.class_name};
-  }
-  if (IsSystemClass(parsed.name()) && !library_env_->IsKnown(parsed.name())) {
-    return Error{ErrorCode::kLinkError,
-                 "origin class " + parsed.name() + " is not in the trusted library"};
   }
 
   // Run the stacked static services.

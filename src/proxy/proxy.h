@@ -40,7 +40,6 @@ namespace dvm {
 struct ProxyConfig {
   bool enable_cache = true;
   size_t cache_capacity_bytes = 48 * 1024 * 1024;  // of the host's 64 MB
-  size_t cache_shards = RewriteCache::kDefaultShards;
   bool sign_output = false;
   std::string signing_key = "dvm-organization-key";
   // The audit trail is a capped ring (oldest entries dropped, with a counter)
@@ -138,8 +137,9 @@ class AuditRing {
 
 class DvmProxy {
  public:
-  // `origin` supplies untransformed class bytes (the web server / Internet);
-  // `library_env` is the trusted system library the verifier can see.
+  // `origin` supplies untransformed application class bytes (the web server /
+  // Internet); `library_env` is the trusted system library the verifier can
+  // see, and the only source of system-namespace classes.
   DvmProxy(ProxyConfig config, const ClassEnv* library_env, ClassProvider* origin);
 
   // The pipeline points at the internal environment; the proxy is pinned.
@@ -245,7 +245,7 @@ class DvmProxy {
   std::optional<ProxyResponse> TryServeFromCache(RequestContext& ctx);
   // Serves a filter-synthesized class (e.g. a "$cold" split).
   std::optional<ProxyResponse> TryServeGenerated(RequestContext& ctx);
-  // The miss path: fetch origin bytes, parse, run the stacked services, sign,
+  // The miss path: fetch origin bytes (the library's for a system class), parse, run the stacked services, sign,
   // emit, prove, publish synthesized classes, and populate the cache.
   Result<ProxyResponse> Rewrite(RequestContext& ctx);
   // Runs the full verifier over the final in-memory artifact (main +

@@ -120,4 +120,43 @@ Status MethodEditor::Commit() {
   return Status::Ok();
 }
 
+uint16_t AppendForwardingCall(const MethodSignature& sig, bool is_static, Op invoke,
+                              uint16_t target, std::vector<Instr>* body) {
+  int slot = 0;
+  if (!is_static) {
+    body->push_back({Op::kAload, slot++, 0});
+  }
+  for (const auto& param : sig.params) {
+    Op load = param == "I" ? Op::kIload : param == "J" ? Op::kLload : Op::kAload;
+    body->push_back({load, slot++, 0});
+  }
+  body->push_back({invoke, target, 0});
+  if (sig.ReturnsVoid()) {
+    body->push_back({Op::kReturn, 0, 0});
+  } else if (sig.return_type == "I") {
+    body->push_back({Op::kIreturn, 0, 0});
+  } else if (sig.return_type == "J") {
+    body->push_back({Op::kLreturn, 0, 0});
+  } else {
+    body->push_back({Op::kAreturn, 0, 0});
+  }
+  return static_cast<uint16_t>(slot);
+}
+
+Result<MethodInfo> AssembleMethod(uint16_t access_flags, const std::string& name,
+                                  const std::string& descriptor,
+                                  const std::vector<Instr>& body, uint16_t max_locals,
+                                  const ConstantPool& pool) {
+  MethodInfo method;
+  method.access_flags = access_flags;
+  method.name = name;
+  method.descriptor = descriptor;
+  CodeAttr code;
+  DVM_ASSIGN_OR_RETURN(code.code, EncodeCode(body));
+  DVM_ASSIGN_OR_RETURN(code.max_stack, ComputeMaxStackDepth(body, pool, {}));
+  code.max_locals = max_locals;
+  method.code = std::move(code);
+  return method;
+}
+
 }  // namespace dvm

@@ -16,6 +16,7 @@
 
 #include "src/bytecode/classfile.h"
 #include "src/bytecode/code.h"
+#include "src/bytecode/descriptor.h"
 #include "src/bytecode/stack_effect.h"  // ComputeMaxStackDepth
 #include "src/support/result.h"
 
@@ -59,6 +60,24 @@ class MethodEditor {
   int max_extra_local_ = -1;
   bool modified_ = false;
 };
+
+// Method synthesis, for services that add a method rather than edit one (the
+// security service's native wrappers, the repartitioner's forwarding stubs,
+// the verifier's injected <clinit>).
+
+// Appends a forwarding call to `body`: loads the receiver (unless
+// `is_static`) and each parameter of `sig` by its type, calls `target` (a
+// method-ref index) with `invoke`, and returns the result by its type.
+// Returns the number of local slots the loads read.
+uint16_t AppendForwardingCall(const MethodSignature& sig, bool is_static, Op invoke,
+                              uint16_t target, std::vector<Instr>* body);
+
+// A method whose code is the straight-line `body` (no exception handlers):
+// encoded, with max_stack computed against `pool`.
+Result<MethodInfo> AssembleMethod(uint16_t access_flags, const std::string& name,
+                                  const std::string& descriptor,
+                                  const std::vector<Instr>& body, uint16_t max_locals,
+                                  const ConstantPool& pool);
 
 }  // namespace dvm
 

@@ -555,32 +555,49 @@ Result<bool> Interpreter::ResolveFieldSite(ExecFrame& f, uint32_t site_ix, bool 
   return true;
 }
 
-Status Interpreter::Invoke(Op op, uint16_t cp_index, InlineCache& ic) {
-  ExecFrame& caller = frames_.back();
-  const ConstantPool& pool = caller.cls->file.pool();
+Result<Value> Interpreter::LoadConstant(const ConstantPool& pool, uint16_t index) {
+  if (pool.HasTag(index, CpTag::kInteger)) {
+    return Value::Int(pool.IntegerAt(index).value());
+  }
+  if (pool.HasTag(index, CpTag::kLong)) {
+    return Value::Long(pool.LongAt(index).value());
+  }
+  if (pool.HasTag(index, CpTag::kString)) {
+    // Interned strings are machine roots, so the quickened engine may cache
+    // the reference in the site.
+    DVM_ASSIGN_OR_RETURN(ObjRef str, machine_.InternString(pool.StringAt(index).value()));
+    return Value::Ref(str);
+  }
+  return HostErr("ldc on unsupported constant");
+}
 
-  // Quicken the call shape (argument slots, result arity) on first execution.
+Result<bool> Interpreter::ResolveCallSite(Op op, uint32_t site_ix) {
+  ExecFrame& caller = frames_.back();
+  InlineCache& ic = caller.prepared->cache[site_ix];
+  const ConstantPool& pool = caller.cls->file.pool();
+  const uint16_t cp_index = static_cast<uint16_t>(caller.prepared->code[site_ix].a);
+
   if (ic.arg_count < 0) {
     DVM_ASSIGN_OR_RETURN(MemberRef ref, pool.MethodRefAt(cp_index));
     DVM_ASSIGN_OR_RETURN(MethodSignature sig, ParseMethodDescriptor(ref.descriptor));
     ic.arg_count = sig.ArgSlots() + (op == Op::kInvokestatic ? 0 : 1);
     ic.has_result = !sig.ReturnsVoid();
   }
-  uint32_t arg_count = static_cast<uint32_t>(ic.arg_count);
-  if (caller.sp - caller.stack_base < arg_count) {
+  const uint32_t argc = static_cast<uint32_t>(ic.arg_count);
+  if (caller.sp - caller.stack_base < argc) {
     return HostErr("operand stack underflow on invoke in " + caller.method->Id());
   }
-  std::vector<Value> args(arena_.begin() + static_cast<ptrdiff_t>(caller.sp - arg_count),
-                          arena_.begin() + static_cast<ptrdiff_t>(caller.sp));
-  caller.sp -= arg_count;
-
+  // The arguments stay on the caller's stack, rooted, through resolution and
+  // any <clinit> it runs; a failed resolution pops them before it throws.
+  const Value* args = arena_.data() + (caller.sp - argc);
+  auto fail = [&](const char* exception_class, const std::string& message) {
+    caller.sp -= argc;
+    machine_.ThrowGuest(exception_class, message);
+    return false;
+  };
   if (op != Op::kInvokestatic && args[0].IsNullRef()) {
-    machine_.ThrowGuest("java/lang/NullPointerException", "invoke on null receiver");
-    return Status::Ok();
+    return fail("java/lang/NullPointerException", "invoke on null receiver");
   }
-
-  RuntimeClass* owner = nullptr;
-  const MethodInfo* method = nullptr;
 
   if (op == Op::kInvokevirtual) {
     const HeapObject* receiver = machine_.heap().Get(args[0].AsRef());
@@ -588,82 +605,85 @@ Status Interpreter::Invoke(Op op, uint16_t cp_index, InlineCache& ic) {
       return HostErr("dangling receiver reference");
     }
     if (ic.invoke_method != nullptr && ic.receiver_sym == receiver->class_sym) {
-      // Monomorphic fast path.
-      ic.hits++;
-      owner = ic.invoke_owner;
-      method = ic.invoke_method;
-    } else {
-      ic.misses++;
-      if (ic.receiver_sym != 0 && ic.receiver_sym != receiver->class_sym) {
-        ic.transitions++;
-      }
-      DVM_ASSIGN_OR_RETURN(MemberRef ref, pool.MethodRefAt(cp_index));
-      uint32_t method_sym = InternSymbol(ref.member_name);
-      uint32_t desc_sym = InternSymbol(ref.descriptor);
-      std::string dynamic_class = receiver->class_name;
-      if (!dynamic_class.empty() && dynamic_class[0] == '[') {
-        dynamic_class = "java/lang/Object";
-      }
-      DVM_ASSIGN_OR_RETURN(RuntimeClass * dispatch_cls,
-                           machine_.registry().GetClass(dynamic_class));
-      const RuntimeClass::MethodEntry* entry =
-          dispatch_cls->FindMethodEntry(method_sym, desc_sym);
-      if (entry == nullptr) {
-        // Fall back to the static type (e.g. interface-typed receivers).
-        DVM_ASSIGN_OR_RETURN(RuntimeClass * ref_cls,
-                             machine_.registry().GetClass(ref.class_name));
-        entry = ref_cls->FindMethodEntry(method_sym, desc_sym);
-      }
-      if (entry == nullptr) {
-        machine_.ThrowGuest("java/lang/NoSuchMethodError", ref.ToString());
-        return Status::Ok();
-      }
-      owner = entry->owner;
-      method = entry->method;
-      if (method->IsStatic()) {
-        machine_.ThrowGuest("java/lang/IncompatibleClassChangeError",
-                            ref.ToString() + " is static");
-        return Status::Ok();
-      }
-      // Install the monomorphic cache entry (last receiver type wins).
-      ic.Retarget(owner, method);
-      ic.receiver_sym = receiver->class_sym;
+      ic.hits++;  // monomorphic hit
+      return true;
     }
-  } else if (ic.invoke_method != nullptr) {
-    // invokestatic / invokespecial resolve statically: cache is always valid
-    // (and for statics implies the owner finished initialization).
-    owner = ic.invoke_owner;
-    method = ic.invoke_method;
-  } else {
+    // A receiver symbol change is the transition the megamorphic threshold
+    // watches.
+    ic.misses++;
+    if (ic.receiver_sym != 0 && ic.receiver_sym != receiver->class_sym) {
+      ic.transitions++;
+    }
     DVM_ASSIGN_OR_RETURN(MemberRef ref, pool.MethodRefAt(cp_index));
-    DVM_ASSIGN_OR_RETURN(RuntimeClass * ref_cls,
-                         machine_.registry().GetClass(ref.class_name));
+    uint32_t method_sym = InternSymbol(ref.member_name);
+    uint32_t desc_sym = InternSymbol(ref.descriptor);
+    std::string dynamic_class = receiver->class_name;
+    if (!dynamic_class.empty() && dynamic_class[0] == '[') {
+      dynamic_class = "java/lang/Object";
+    }
+    DVM_ASSIGN_OR_RETURN(RuntimeClass * dispatch_cls,
+                         machine_.registry().GetClass(dynamic_class));
     const RuntimeClass::MethodEntry* entry =
-        ref_cls->FindMethodEntry(InternSymbol(ref.member_name), InternSymbol(ref.descriptor));
+        dispatch_cls->FindMethodEntry(method_sym, desc_sym);
     if (entry == nullptr) {
-      machine_.ThrowGuest("java/lang/NoSuchMethodError", ref.ToString());
-      return Status::Ok();
+      // Fall back to the static type (e.g. interface-typed receivers).
+      DVM_ASSIGN_OR_RETURN(RuntimeClass * ref_cls,
+                           machine_.registry().GetClass(ref.class_name));
+      entry = ref_cls->FindMethodEntry(method_sym, desc_sym);
     }
-    owner = entry->owner;
-    method = entry->method;
-    if (op == Op::kInvokestatic) {
-      if (!method->IsStatic()) {
-        machine_.ThrowGuest("java/lang/IncompatibleClassChangeError",
-                            ref.ToString() + " is not static");
-        return Status::Ok();
-      }
-      DVM_RETURN_IF_ERROR(EnsureInitialized(owner));
-      if (machine_.HasPendingException()) {
-        return Status::Ok();
-      }
-    } else if (method->IsStatic()) {
-      machine_.ThrowGuest("java/lang/IncompatibleClassChangeError",
-                          ref.ToString() + " is static");
-      return Status::Ok();
+    if (entry == nullptr) {
+      return fail("java/lang/NoSuchMethodError", ref.ToString());
     }
-    ic.Retarget(owner, method);
+    if (entry->method->IsStatic()) {
+      return fail("java/lang/IncompatibleClassChangeError", ref.ToString() + " is static");
+    }
+    // Install the monomorphic cache entry (last receiver type wins).
+    ic.Retarget(entry->owner, entry->method);
+    ic.receiver_sym = receiver->class_sym;
+    return true;
   }
 
+  if (ic.invoke_method != nullptr) {
+    // invokestatic / invokespecial bind statically: the cache is always valid
+    // (and for statics implies the owner finished initialization).
+    return true;
+  }
+  DVM_ASSIGN_OR_RETURN(MemberRef ref, pool.MethodRefAt(cp_index));
+  DVM_ASSIGN_OR_RETURN(RuntimeClass * ref_cls, machine_.registry().GetClass(ref.class_name));
+  const RuntimeClass::MethodEntry* entry =
+      ref_cls->FindMethodEntry(InternSymbol(ref.member_name), InternSymbol(ref.descriptor));
+  if (entry == nullptr) {
+    return fail("java/lang/NoSuchMethodError", ref.ToString());
+  }
+  if (op == Op::kInvokestatic) {
+    if (!entry->method->IsStatic()) {
+      return fail("java/lang/IncompatibleClassChangeError", ref.ToString() + " is not static");
+    }
+    DVM_RETURN_IF_ERROR(EnsureInitialized(entry->owner));
+    if (machine_.HasPendingException()) {
+      caller.sp -= argc;
+      return false;
+    }
+  } else if (entry->method->IsStatic()) {
+    return fail("java/lang/IncompatibleClassChangeError", ref.ToString() + " is static");
+  }
+  ic.Retarget(entry->owner, entry->method);
+  return true;
+}
+
+Status Interpreter::Invoke(Op op, uint32_t site_ix) {
+  DVM_ASSIGN_OR_RETURN(bool resolved, ResolveCallSite(op, site_ix));
+  if (!resolved) {
+    return Status::Ok();
+  }
+  ExecFrame& caller = frames_.back();
+  const InlineCache& ic = caller.prepared->cache[site_ix];
+  RuntimeClass* owner = ic.invoke_owner;
+  const MethodInfo* method = ic.invoke_method;
+  const uint32_t argc = static_cast<uint32_t>(ic.arg_count);
+  std::vector<Value> args(arena_.begin() + static_cast<ptrdiff_t>(caller.sp - argc),
+                          arena_.begin() + static_cast<ptrdiff_t>(caller.sp));
+  caller.sp -= argc;
   if (method->IsAbstract()) {
     machine_.ThrowGuest("java/lang/AbstractMethodError", owner->name + "." + method->Id());
     return Status::Ok();
@@ -729,18 +749,8 @@ Status Interpreter::Step() {
       DVM_RETURN_IF_ERROR(push(Value::Int(instr.a)));
       break;
     case Op::kLdc: {
-      uint16_t index = static_cast<uint16_t>(instr.a);
-      if (pool.HasTag(index, CpTag::kInteger)) {
-        DVM_RETURN_IF_ERROR(push(Value::Int(pool.IntegerAt(index).value())));
-      } else if (pool.HasTag(index, CpTag::kLong)) {
-        DVM_RETURN_IF_ERROR(push(Value::Long(pool.LongAt(index).value())));
-      } else if (pool.HasTag(index, CpTag::kString)) {
-        DVM_ASSIGN_OR_RETURN(ObjRef str,
-                             machine_.InternString(pool.StringAt(index).value()));
-        DVM_RETURN_IF_ERROR(push(Value::Ref(str)));
-      } else {
-        return HostErr("ldc on unsupported constant");
-      }
+      DVM_ASSIGN_OR_RETURN(Value v, LoadConstant(pool, static_cast<uint16_t>(instr.a)));
+      DVM_RETURN_IF_ERROR(push(v));
       break;
     }
     case Op::kIload:
@@ -1032,11 +1042,9 @@ Status Interpreter::Step() {
     }
     case Op::kInvokestatic:
     case Op::kInvokevirtual:
-    case Op::kInvokespecial: {
-      InlineCache& ic = f.prepared->cache[f.pc - 1];
-      DVM_RETURN_IF_ERROR(Invoke(instr.op, static_cast<uint16_t>(instr.a), ic));
+    case Op::kInvokespecial:
+      DVM_RETURN_IF_ERROR(Invoke(instr.op, f.pc - 1));
       break;
-    }
     case Op::kNew: {
       DVM_ASSIGN_OR_RETURN(std::string class_name,
                            pool.ClassNameAt(static_cast<uint16_t>(instr.a)));
@@ -1195,130 +1203,6 @@ Status Interpreter::InvokeResolved(InlineCache& ic, uint32_t argc) {
   return PushFrameSliced(ic, argc);
 }
 
-Status Interpreter::QuickInvokeSlow(Op op, uint32_t site_ix) {
-  ExecFrame& caller = frames_.back();  // sp/pc synced by the caller
-  Instr& site = caller.prepared->code[site_ix];
-  InlineCache& ic = caller.prepared->cache[site_ix];
-  const ConstantPool& pool = caller.cls->file.pool();
-  uint16_t cp_index = static_cast<uint16_t>(site.a);
-
-  if (ic.arg_count < 0) {
-    DVM_ASSIGN_OR_RETURN(MemberRef ref, pool.MethodRefAt(cp_index));
-    DVM_ASSIGN_OR_RETURN(MethodSignature sig, ParseMethodDescriptor(ref.descriptor));
-    ic.arg_count = sig.ArgSlots() + (op == Op::kInvokestatic ? 0 : 1);
-    ic.has_result = !sig.ReturnsVoid();
-  }
-  uint32_t argc = static_cast<uint32_t>(ic.arg_count);
-  if (caller.sp - caller.stack_base < argc) {
-    return HostErr("operand stack underflow on invoke in " + caller.method->Id());
-  }
-  // Args stay live on the caller's stack (rooted) throughout resolution and
-  // any <clinit> it triggers; they are only consumed at the actual transfer.
-  const Value* args = arena_.data() + (caller.sp - argc);
-
-  if (op != Op::kInvokestatic && args[0].IsNullRef()) {
-    caller.sp -= argc;
-    machine_.ThrowGuest("java/lang/NullPointerException", "invoke on null receiver");
-    return Status::Ok();
-  }
-
-  RuntimeClass* owner = nullptr;
-  const MethodInfo* method = nullptr;
-
-  if (op == Op::kInvokevirtual) {
-    const HeapObject* receiver = machine_.heap().Get(args[0].AsRef());
-    if (receiver == nullptr) {
-      return HostErr("dangling receiver reference");
-    }
-    // Any slow-path entry (cold or after a quickened fast-path failure) is a
-    // monomorphic cache miss; a receiver symbol change is the transition the
-    // megamorphic threshold watches.
-    ic.misses++;
-    if (ic.receiver_sym != 0 && ic.receiver_sym != receiver->class_sym) {
-      ic.transitions++;
-    }
-    DVM_ASSIGN_OR_RETURN(MemberRef ref, pool.MethodRefAt(cp_index));
-    uint32_t method_sym = InternSymbol(ref.member_name);
-    uint32_t desc_sym = InternSymbol(ref.descriptor);
-    std::string dynamic_class = receiver->class_name;
-    if (!dynamic_class.empty() && dynamic_class[0] == '[') {
-      dynamic_class = "java/lang/Object";
-    }
-    DVM_ASSIGN_OR_RETURN(RuntimeClass * dispatch_cls,
-                         machine_.registry().GetClass(dynamic_class));
-    const RuntimeClass::MethodEntry* entry =
-        dispatch_cls->FindMethodEntry(method_sym, desc_sym);
-    if (entry == nullptr) {
-      // Fall back to the static type (e.g. interface-typed receivers).
-      DVM_ASSIGN_OR_RETURN(RuntimeClass * ref_cls,
-                           machine_.registry().GetClass(ref.class_name));
-      entry = ref_cls->FindMethodEntry(method_sym, desc_sym);
-    }
-    if (entry == nullptr) {
-      caller.sp -= argc;
-      machine_.ThrowGuest("java/lang/NoSuchMethodError", ref.ToString());
-      return Status::Ok();
-    }
-    owner = entry->owner;
-    method = entry->method;
-    if (method->IsStatic()) {
-      caller.sp -= argc;
-      machine_.ThrowGuest("java/lang/IncompatibleClassChangeError",
-                          ref.ToString() + " is static");
-      return Status::Ok();
-    }
-    // Install / refresh the monomorphic cache entry (last receiver type wins).
-    ic.Retarget(owner, method);
-    ic.receiver_sym = receiver->class_sym;
-    if (site.op != Op::kInvokevirtualQuick) {
-      site.op = Op::kInvokevirtualQuick;
-      machine_.counters().quickened_sites++;
-    }
-  } else {
-    DVM_ASSIGN_OR_RETURN(MemberRef ref, pool.MethodRefAt(cp_index));
-    DVM_ASSIGN_OR_RETURN(RuntimeClass * ref_cls,
-                         machine_.registry().GetClass(ref.class_name));
-    const RuntimeClass::MethodEntry* entry =
-        ref_cls->FindMethodEntry(InternSymbol(ref.member_name), InternSymbol(ref.descriptor));
-    if (entry == nullptr) {
-      caller.sp -= argc;
-      machine_.ThrowGuest("java/lang/NoSuchMethodError", ref.ToString());
-      return Status::Ok();
-    }
-    owner = entry->owner;
-    method = entry->method;
-    if (op == Op::kInvokestatic) {
-      if (!method->IsStatic()) {
-        caller.sp -= argc;
-        machine_.ThrowGuest("java/lang/IncompatibleClassChangeError",
-                            ref.ToString() + " is not static");
-        return Status::Ok();
-      }
-      DVM_RETURN_IF_ERROR(EnsureInitialized(owner));
-      if (machine_.HasPendingException()) {
-        caller.sp -= argc;
-        return Status::Ok();
-      }
-      ic.Retarget(owner, method);
-      // Rewritten only after initialization succeeds: the quick form implies
-      // an initialized owner.
-      site.op = Op::kInvokestaticQuick;
-      machine_.counters().quickened_sites++;
-    } else {
-      if (method->IsStatic()) {
-        caller.sp -= argc;
-        machine_.ThrowGuest("java/lang/IncompatibleClassChangeError",
-                            ref.ToString() + " is static");
-        return Status::Ok();
-      }
-      ic.Retarget(owner, method);
-      site.op = Op::kInvokespecialQuick;
-      machine_.counters().quickened_sites++;
-    }
-  }
-  return InvokeResolved(ic, argc);
-}
-
 // X-macro over every opcode the quickened engine handles; used to populate the
 // computed-goto jump table. A missing handler label is a compile error.
 #define DVM_INTERP_OPS(X)                                                      \
@@ -1431,6 +1315,23 @@ Status Interpreter::QuickInvokeSlow(Op op, uint32_t site_ix) {
       ProfileBackedge(f->prepared);                                           \
     }                                                                         \
     pc = target_;                                                             \
+  } while (0)
+// First execution of a resolving opcode: a resolution that raised a guest
+// exception leaves for Loop() with the site unquickened; otherwise QQUICKEN
+// rewrites the site to its quick form, counts it, and runs the quick form's
+// handler on the same dispatch (no second fetch, count or budget check).
+#define QRESOLVE(call)                           \
+  do {                                           \
+    DVM_ASSIGN_OR_RETURN(bool resolved_, call);  \
+    if (!resolved_) {                            \
+      return Status::Ok();                       \
+    }                                            \
+  } while (0)
+#define QQUICKEN(quick)                          \
+  do {                                           \
+    f->prepared->code[pc - 1].op = Op::quick;    \
+    counters.quickened_sites++;                  \
+    goto L_##quick;                              \
   } while (0)
 // After a call that may have pushed or popped frames, run a native or
 // raised an exception: leave for Loop() or resume in the top frame.
@@ -1557,11 +1458,14 @@ Status Interpreter::RunQuick() {
     goto* jump[static_cast<uint8_t>(inst.op)];                                \
   } while (0)
 #define OP(name) L_##name:
+#define QUICK_OP(name) OP(name)
 #define NEXT() QFETCH()
 
   QFETCH();
 #else
 #define OP(name) case Op::name:
+// A quick form's handler, which its first execution also jumps to.
+#define QUICK_OP(name) case Op::name: L_##name:
 #define NEXT() continue
 
   for (;;) {
@@ -1596,34 +1500,13 @@ Status Interpreter::RunQuick() {
   } NEXT();
 
   OP(kLdc) {
-    // Slow path: materialize the constant once, park it in the cache slot and
-    // rewrite the site to ldc_quick.
-    const ConstantPool& pool = f->cls->file.pool();
-    uint16_t index = static_cast<uint16_t>(inst.a);
-    Value v;
-    if (pool.HasTag(index, CpTag::kInteger)) {
-      v = Value::Int(pool.IntegerAt(index).value());
-    } else if (pool.HasTag(index, CpTag::kLong)) {
-      v = Value::Long(pool.LongAt(index).value());
-    } else if (pool.HasTag(index, CpTag::kString)) {
-      QSYNC();  // interning may allocate and collect
-      auto str = machine_.InternString(pool.StringAt(index).value());
-      if (!str.ok()) {
-        return str.error();
-      }
-      v = Value::Ref(str.value());
-    } else {
-      QHOST("ldc on unsupported constant");
-    }
-    InlineCache& ic = f->prepared->cache[pc - 1];
-    ic.const_value = v;  // interned strings are machine roots; safe to cache
-    f->prepared->code[pc - 1].op = Op::kLdcQuick;
-    counters.quickened_sites++;
-    QROOM();
-    *sp++ = v;
-  } NEXT();
+    QSYNC();  // a string constant is interned, which may allocate and collect
+    DVM_ASSIGN_OR_RETURN(f->prepared->cache[pc - 1].const_value,
+                         LoadConstant(f->cls->file.pool(), static_cast<uint16_t>(inst.a)));
+    QQUICKEN(kLdcQuick);
+  }
 
-  OP(kLdcQuick) {
+  QUICK_OP(kLdcQuick) {
     QROOM();
     *sp++ = f->prepared->cache[pc - 1].const_value;
   } NEXT();
@@ -1778,19 +1661,12 @@ Status Interpreter::RunQuick() {
 
   OP(kGetstatic) {
     QSYNC();  // resolution may run <clinit>
-    DVM_ASSIGN_OR_RETURN(bool resolved, ResolveFieldSite(*f, pc - 1, /*is_static=*/true));
-    if (!resolved) {
-      return Status::Ok();
-    }
+    QRESOLVE(ResolveFieldSite(*f, pc - 1, /*is_static=*/true));
     QREBUDGET();
-    f->prepared->code[pc - 1].op = Op::kGetstaticQuick;
-    counters.quickened_sites++;
-    InlineCache& ic = f->prepared->cache[pc - 1];
-    QROOM();
-    *sp++ = ic.field_owner->statics[ic.field_slot];
-  } NEXT();
+    QQUICKEN(kGetstaticQuick);
+  }
 
-  OP(kGetstaticQuick) {
+  QUICK_OP(kGetstaticQuick) {
     const InlineCache& ic = f->prepared->cache[pc - 1];
     QROOM();
     *sp++ = ic.field_owner->statics[ic.field_slot];
@@ -1798,51 +1674,43 @@ Status Interpreter::RunQuick() {
 
   OP(kPutstatic) {
     QSYNC();  // resolution may run <clinit>; the value stays rooted on-stack
-    DVM_ASSIGN_OR_RETURN(bool resolved, ResolveFieldSite(*f, pc - 1, /*is_static=*/true));
-    if (!resolved) {
-      return Status::Ok();
-    }
+    QRESOLVE(ResolveFieldSite(*f, pc - 1, /*is_static=*/true));
     QREBUDGET();
-    f->prepared->code[pc - 1].op = Op::kPutstaticQuick;
-    counters.quickened_sites++;
-    InlineCache& ic = f->prepared->cache[pc - 1];
-    QNEED(1);
-    ic.field_owner->statics[ic.field_slot] = *--sp;
-  } NEXT();
+    QQUICKEN(kPutstaticQuick);
+  }
 
-  OP(kPutstaticQuick) {
+  QUICK_OP(kPutstaticQuick) {
     const InlineCache& ic = f->prepared->cache[pc - 1];
     QNEED(1);
     ic.field_owner->statics[ic.field_slot] = *--sp;
   } NEXT();
 
-  OP(kGetfield) {
-    QNEED(1);
-    Value obj_ref = *--sp;
-    if (obj_ref.IsNullRef()) {
+  OP(kGetfield) OP(kPutfield) {
+    // As in the reference engine, the receiver is checked before resolution
+    // and the operands are popped while it runs.
+    const ptrdiff_t depth = inst.op == Op::kPutfield ? 2 : 1;
+    QNEED(depth);
+    sp -= depth;
+    if (sp->IsNullRef()) {
       QTHROW("java/lang/NullPointerException", "field access on null");
     }
-    HeapObject* obj = heap.Get(obj_ref.AsRef());
+    const HeapObject* obj = heap.Get(sp->AsRef());
     if (obj == nullptr || obj->kind != HeapObject::Kind::kInstance) {
       QHOST("field access on non-instance");
     }
     QSYNC();  // resolution may load classes
-    DVM_ASSIGN_OR_RETURN(bool resolved, ResolveFieldSite(*f, pc - 1, /*is_static=*/false));
-    if (!resolved) {
-      return Status::Ok();
+    QRESOLVE(ResolveFieldSite(*f, pc - 1, /*is_static=*/false));
+    sp += depth;
+    // The quick forms carry the resolved slot in-line.
+    inst.a = f->prepared->code[pc - 1].a =
+        static_cast<int32_t>(f->prepared->cache[pc - 1].field_slot);
+    if (inst.op == Op::kGetfield) {
+      QQUICKEN(kGetfieldQuick);
     }
-    InlineCache& ic = f->prepared->cache[pc - 1];
-    Instr& site = f->prepared->code[pc - 1];
-    site.op = Op::kGetfieldQuick;
-    site.a = static_cast<int32_t>(ic.field_slot);  // resolved slot in-line
-    counters.quickened_sites++;
-    if (ic.field_slot >= obj->fields.size()) {
-      QHOST_IN("field slot out of range in ");
-    }
-    *sp++ = obj->fields[ic.field_slot];
-  } NEXT();
+    QQUICKEN(kPutfieldQuick);
+  }
 
-  OP(kGetfieldQuick) {
+  QUICK_OP(kGetfieldQuick) {
     QNEED(1);
     Value obj_ref = *--sp;
     if (obj_ref.IsNullRef()) {
@@ -1859,34 +1727,7 @@ Status Interpreter::RunQuick() {
     *sp++ = obj->fields[slot];
   } NEXT();
 
-  OP(kPutfield) {
-    QNEED(2);
-    Value value = *--sp;
-    Value obj_ref = *--sp;
-    if (obj_ref.IsNullRef()) {
-      QTHROW("java/lang/NullPointerException", "field access on null");
-    }
-    HeapObject* obj = heap.Get(obj_ref.AsRef());
-    if (obj == nullptr || obj->kind != HeapObject::Kind::kInstance) {
-      QHOST("field access on non-instance");
-    }
-    QSYNC();  // resolution may load classes
-    DVM_ASSIGN_OR_RETURN(bool resolved, ResolveFieldSite(*f, pc - 1, /*is_static=*/false));
-    if (!resolved) {
-      return Status::Ok();
-    }
-    InlineCache& ic = f->prepared->cache[pc - 1];
-    Instr& site = f->prepared->code[pc - 1];
-    site.op = Op::kPutfieldQuick;
-    site.a = static_cast<int32_t>(ic.field_slot);
-    counters.quickened_sites++;
-    if (ic.field_slot >= obj->fields.size()) {
-      QHOST_IN("field slot out of range in ");
-    }
-    obj->fields[ic.field_slot] = value;
-  } NEXT();
-
-  OP(kPutfieldQuick) {
+  QUICK_OP(kPutfieldQuick) {
     QNEED(2);
     Value value = *--sp;
     Value obj_ref = *--sp;
@@ -1904,13 +1745,31 @@ Status Interpreter::RunQuick() {
     obj->fields[slot] = value;
   } NEXT();
 
-  OP(kInvokestatic) OP(kInvokevirtual) OP(kInvokespecial) {
-    QSYNC();
-    DVM_RETURN_IF_ERROR(QuickInvokeSlow(inst.op, pc - 1));
-    QRESUME();
-  } NEXT();
+  OP(kInvokestatic) {
+    QSYNC();  // resolution may load classes and run <clinit>
+    QRESOLVE(ResolveCallSite(Op::kInvokestatic, pc - 1));
+    QREBUDGET();
+    QQUICKEN(kInvokestaticQuick);
+  }
 
-  OP(kInvokestaticQuick) {
+  OP(kInvokespecial) {
+    QSYNC();  // resolution may load classes
+    QRESOLVE(ResolveCallSite(Op::kInvokespecial, pc - 1));
+    QQUICKEN(kInvokespecialQuick);
+  }
+
+  OP(kInvokevirtual) {
+    QSYNC();  // resolution may load classes
+    QRESOLVE(ResolveCallSite(Op::kInvokevirtual, pc - 1));
+    // Resolution counted this execution's miss and bound the target for this
+    // receiver; what invokevirtual_quick would do after its hit check is
+    // invokespecial_quick's direct call.
+    f->prepared->code[pc - 1].op = Op::kInvokevirtualQuick;
+    counters.quickened_sites++;
+    goto L_kInvokespecialQuick;
+  }
+
+  QUICK_OP(kInvokestaticQuick) {
     InlineCache& ic = f->prepared->cache[pc - 1];
     uint32_t argc = static_cast<uint32_t>(ic.arg_count);
     if (sp - floor < static_cast<ptrdiff_t>(argc)) {
@@ -1921,7 +1780,7 @@ Status Interpreter::RunQuick() {
     QRESUME();
   } NEXT();
 
-  OP(kInvokespecialQuick) {
+  QUICK_OP(kInvokespecialQuick) {
     InlineCache& ic = f->prepared->cache[pc - 1];
     uint32_t argc = static_cast<uint32_t>(ic.arg_count);
     if (sp - floor < static_cast<ptrdiff_t>(argc)) {
@@ -1957,16 +1816,18 @@ Status Interpreter::RunQuick() {
       ic.hits++;
       DVM_RETURN_IF_ERROR(InvokeResolved(ic, argc));
     } else {
-      DVM_RETURN_IF_ERROR(QuickInvokeSlow(Op::kInvokevirtual, pc - 1));
+      DVM_ASSIGN_OR_RETURN(bool resolved, ResolveCallSite(Op::kInvokevirtual, pc - 1));
+      if (resolved) {
+        DVM_RETURN_IF_ERROR(InvokeResolved(ic, argc));
+      }
     }
     QRESUME();
   } NEXT();
 
   OP(kNew) {
-    QSYNC();  // class load + <clinit> + allocation may all run here
-    const ConstantPool& pool = f->cls->file.pool();
+    QSYNC();  // class load and <clinit> may run here
     DVM_ASSIGN_OR_RETURN(std::string class_name,
-                         pool.ClassNameAt(static_cast<uint16_t>(inst.a)));
+                         f->cls->file.pool().ClassNameAt(static_cast<uint16_t>(inst.a)));
     DVM_ASSIGN_OR_RETURN(RuntimeClass * cls, machine_.registry().GetClass(class_name));
     DVM_RETURN_IF_ERROR(EnsureInitialized(cls));
     if (machine_.HasPendingException()) {
@@ -1974,17 +1835,10 @@ Status Interpreter::RunQuick() {
     }
     QREBUDGET();
     f->prepared->cache[pc - 1].klass = cls;
-    f->prepared->code[pc - 1].op = Op::kNewQuick;
-    counters.quickened_sites++;
-    auto obj = machine_.AllocInstance(cls);
-    if (!obj.ok()) {
-      return ThrowOutOfMemory(machine_, obj.error());
-    }
-    QROOM();
-    *sp++ = Value::Ref(obj.value());
-  } NEXT();
+    QQUICKEN(kNewQuick);
+  }
 
-  OP(kNewQuick) {
+  QUICK_OP(kNewQuick) {
     QSYNC();  // allocation may collect
     auto obj = machine_.AllocInstance(f->prepared->cache[pc - 1].klass);
     if (!obj.ok()) {
@@ -2013,28 +1867,14 @@ Status Interpreter::RunQuick() {
 
   OP(kAnewarray) {
     QSYNC();
-    const ConstantPool& pool = f->cls->file.pool();
     DVM_ASSIGN_OR_RETURN(std::string element,
-                         pool.ClassNameAt(static_cast<uint16_t>(inst.a)));
-    QNEED(1);
-    int32_t length = (--sp)->AsInt();
-    if (length < 0) {
-      QSYNC();
-      return ThrowNegativeArraySize(machine_, length);
-    }
-    InlineCache& ic = f->prepared->cache[pc - 1];
-    ic.array_desc_sym = InternSymbol("[" + DescriptorFromClassName(element));
-    f->prepared->code[pc - 1].op = Op::kAnewarrayQuick;
-    counters.quickened_sites++;
-    QSYNC();
-    auto arr = machine_.AllocRefArray(SymbolName(ic.array_desc_sym), ic.array_desc_sym, length);
-    if (!arr.ok()) {
-      return ThrowOutOfMemory(machine_, arr.error());
-    }
-    *sp++ = Value::Ref(arr.value());
-  } NEXT();
+                         f->cls->file.pool().ClassNameAt(static_cast<uint16_t>(inst.a)));
+    f->prepared->cache[pc - 1].array_desc_sym =
+        InternSymbol("[" + DescriptorFromClassName(element));
+    QQUICKEN(kAnewarrayQuick);
+  }
 
-  OP(kAnewarrayQuick) {
+  QUICK_OP(kAnewarrayQuick) {
     QNEED(1);
     int32_t length = (--sp)->AsInt();
     QSYNC();
@@ -2072,32 +1912,18 @@ Status Interpreter::RunQuick() {
     return Status::Ok();
   } NEXT();
 
-  OP(kCheckcast) {
-    QSYNC();  // the subtype test may load classes
-    const ConstantPool& pool = f->cls->file.pool();
+  OP(kCheckcast) OP(kInstanceof) {
+    QSYNC();
     DVM_ASSIGN_OR_RETURN(std::string target,
-                         pool.ClassNameAt(static_cast<uint16_t>(inst.a)));
-    QNEED(1);
-    InlineCache& ic = f->prepared->cache[pc - 1];
-    ic.cast_target_sym = InternSymbol(target);
-    f->prepared->code[pc - 1].op = Op::kCheckcastQuick;
-    counters.quickened_sites++;
-    Value v = sp[-1];
-    if (!v.IsNullRef()) {
-      const HeapObject* obj = heap.Get(v.AsRef());
-      if (obj == nullptr) {
-        QHOST("checkcast on dangling reference");
-      }
-      auto is_sub = machine_.registry().IsSubclassSym(obj->class_sym, ic.cast_target_sym);
-      if (!is_sub.ok() || !is_sub.value()) {
-        --sp;
-        QSYNC();
-        return ThrowClassCast(machine_, obj, ic.cast_target_sym);
-      }
+                         f->cls->file.pool().ClassNameAt(static_cast<uint16_t>(inst.a)));
+    f->prepared->cache[pc - 1].cast_target_sym = InternSymbol(target);
+    if (inst.op == Op::kCheckcast) {
+      QQUICKEN(kCheckcastQuick);
     }
-  } NEXT();
+    QQUICKEN(kInstanceofQuick);
+  }
 
-  OP(kCheckcastQuick) {
+  QUICK_OP(kCheckcastQuick) {
     QNEED(1);
     const InlineCache& ic = f->prepared->cache[pc - 1];
     Value v = sp[-1];
@@ -2116,30 +1942,7 @@ Status Interpreter::RunQuick() {
     }
   } NEXT();
 
-  OP(kInstanceof) {
-    QSYNC();  // the subtype test may load classes
-    const ConstantPool& pool = f->cls->file.pool();
-    DVM_ASSIGN_OR_RETURN(std::string target,
-                         pool.ClassNameAt(static_cast<uint16_t>(inst.a)));
-    QNEED(1);
-    InlineCache& ic = f->prepared->cache[pc - 1];
-    ic.cast_target_sym = InternSymbol(target);
-    f->prepared->code[pc - 1].op = Op::kInstanceofQuick;
-    counters.quickened_sites++;
-    Value v = *--sp;
-    if (v.IsNullRef()) {
-      *sp++ = Value::Int(0);
-    } else {
-      const HeapObject* obj = heap.Get(v.AsRef());
-      if (obj == nullptr) {
-        QHOST("instanceof on dangling reference");
-      }
-      auto is_sub = machine_.registry().IsSubclassSym(obj->class_sym, ic.cast_target_sym);
-      *sp++ = Value::Int(is_sub.ok() && is_sub.value() ? 1 : 0);
-    }
-  } NEXT();
-
-  OP(kInstanceofQuick) {
+  QUICK_OP(kInstanceofQuick) {
     QNEED(1);
     const InlineCache& ic = f->prepared->cache[pc - 1];
     Value v = *--sp;
@@ -2179,6 +1982,7 @@ L_unhandled:
 }
 
 #undef OP
+#undef QUICK_OP
 #undef NEXT
 #undef QFETCH
 #undef QFLUSH
@@ -2193,6 +1997,8 @@ L_unhandled:
 #undef QROOM
 #undef QLOCAL
 #undef QBRANCH
+#undef QRESOLVE
+#undef QQUICKEN
 #undef QRESUME
 #undef Q_ALU
 #undef Q_DIVREM

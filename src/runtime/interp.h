@@ -99,13 +99,20 @@ class Interpreter {
   // Returns false when a guest exception is now pending.
   Result<bool> ResolveFieldSite(ExecFrame& f, uint32_t site_ix, bool is_static);
 
-  // Reference-engine invocation helper shared by the three invoke opcodes.
-  // `ic` is the quickening cache slot of the invoke instruction.
-  Status Invoke(Op op, uint16_t cp_index, InlineCache& ic);
-  // Quickened-engine slow path: resolves the site at `site_ix` of the top
-  // frame, installs the quick form, and performs the call. Expects the top
-  // frame's sp/pc to be synced.
-  Status QuickInvokeSlow(Op op, uint32_t site_ix);
+  // Materializes the `ldc` constant at `index` of `pool` (shared by both
+  // engines): an int, a long, or an interned string.
+  Result<Value> LoadConstant(const ConstantPool& pool, uint16_t index);
+
+  // Resolves the invoke at `site_ix` of the top frame into its inline cache
+  // (shared by both engines; expects the frame's sp synced): the call shape,
+  // the null-receiver check, the target (virtual dispatch on the receiver,
+  // <clinit> for statics) and the site's hit/miss/transition counts. On true
+  // the arguments are still on the caller's stack; false means a guest
+  // exception is now pending and the arguments are popped.
+  Result<bool> ResolveCallSite(Op op, uint32_t site_ix);
+  // Reference-engine invoke: resolves the site, then copies the arguments
+  // out and pushes a fresh frame.
+  Status Invoke(Op op, uint32_t site_ix);
   // Transfers control to the target `ic` resolved: abstract check, native
   // trampoline, or sliced frame push. Args are the top `argc` caller slots.
   // Memoizes the callee's prepared body or native binding in `ic`.

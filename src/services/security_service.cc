@@ -136,44 +136,16 @@ Result<FilterOutcome> SecurityFilter::Apply(ClassFile& cls, const FilterContext&
       // original name.
       if (method.IsNative()) {
         std::string inner_name = "__dvmSecured$" + method.name;
-        MethodInfo inner = method;
-        inner.name = inner_name;
-        auto sig = ParseMethodDescriptor(method.descriptor);
-        if (!sig.ok()) {
-          return sig.error();
-        }
+        DVM_ASSIGN_OR_RETURN(MethodSignature sig, ParseMethodDescriptor(method.descriptor));
         std::vector<Instr> body = preamble;
-        int slot = method.IsStatic() ? 0 : 1;
-        if (!method.IsStatic()) {
-          body.push_back({Op::kAload, 0, 0});
-        }
-        for (const auto& param : sig->params) {
-          Op load = param == "I" ? Op::kIload : param == "J" ? Op::kLload : Op::kAload;
-          body.push_back({load, slot++, 0});
-        }
-        body.push_back({method.IsStatic() ? Op::kInvokestatic : Op::kInvokevirtual,
-                        pool.AddMethodRef(class_name, inner_name, method.descriptor), 0});
-        if (sig->ReturnsVoid()) {
-          body.push_back({Op::kReturn, 0, 0});
-        } else if (sig->return_type == "I") {
-          body.push_back({Op::kIreturn, 0, 0});
-        } else if (sig->return_type == "J") {
-          body.push_back({Op::kLreturn, 0, 0});
-        } else {
-          body.push_back({Op::kAreturn, 0, 0});
-        }
-        DVM_ASSIGN_OR_RETURN(Bytes encoded, EncodeCode(body));
-        DVM_ASSIGN_OR_RETURN(uint16_t max_stack, ComputeMaxStackDepth(body, pool, {}));
-        MethodInfo wrapper;
-        wrapper.access_flags = static_cast<uint16_t>(method.access_flags & ~AccessFlags::kNative);
-        wrapper.name = method.name;
-        wrapper.descriptor = method.descriptor;
-        CodeAttr code;
-        code.max_stack = max_stack;
-        code.max_locals = static_cast<uint16_t>(slot);
-        code.code = std::move(encoded);
-        wrapper.code = std::move(code);
-        method = std::move(inner);      // original slot becomes the renamed native
+        uint16_t max_locals = AppendForwardingCall(
+            sig, method.IsStatic(), method.IsStatic() ? Op::kInvokestatic : Op::kInvokevirtual,
+            pool.AddMethodRef(class_name, inner_name, method.descriptor), &body);
+        DVM_ASSIGN_OR_RETURN(
+            MethodInfo wrapper,
+            AssembleMethod(static_cast<uint16_t>(method.access_flags & ~AccessFlags::kNative),
+                           method.name, method.descriptor, body, max_locals, pool));
+        method.name = inner_name;  // original slot becomes the renamed native
         cls.methods.push_back(std::move(wrapper));
         outcome.modified = true;
         break;  // method reference invalidated by push_back; stop hook scan

@@ -95,17 +95,9 @@ Status InjectClassChecks(ClassFile& cls, const std::vector<const Assumption*>& a
   MethodInfo* clinit = cls.FindMethod("<clinit>", "()V");
   if (clinit == nullptr) {
     calls.push_back({Op::kReturn, 0, 0});
-    DVM_ASSIGN_OR_RETURN(Bytes encoded, EncodeCode(calls));
-    DVM_ASSIGN_OR_RETURN(uint16_t max_stack, ComputeMaxStackDepth(calls, pool, {}));
-    MethodInfo method;
-    method.access_flags = AccessFlags::kStatic;
-    method.name = "<clinit>";
-    method.descriptor = "()V";
-    CodeAttr code;
-    code.max_stack = max_stack;
-    code.max_locals = 0;
-    code.code = std::move(encoded);
-    method.code = std::move(code);
+    DVM_ASSIGN_OR_RETURN(MethodInfo method,
+                         AssembleMethod(AccessFlags::kStatic, "<clinit>", "()V", calls,
+                                        /*max_locals=*/0, pool));
     cls.methods.push_back(std::move(method));
     return Status::Ok();
   }

@@ -332,15 +332,6 @@ TEST(MachineEdgeTest, HeapRejectsWhenExhausted) {
 
 // --- providers / cache / signer edges -----------------------------------------------
 
-TEST(ProviderEdgeTest, ChainedProviderFallsBack) {
-  MapClassProvider first, second;
-  ClassBuilder cb("chain/Only", "java/lang/Object");
-  second.AddClassFile(cb.Build().value());
-  ChainedClassProvider chained(&first, &second);
-  EXPECT_TRUE(chained.FetchClass("chain/Only").ok());
-  EXPECT_FALSE(chained.FetchClass("chain/Missing").ok());
-}
-
 TEST(ProviderEdgeTest, RewriteCacheClear) {
   RewriteCache cache(1 << 20);
   cache.Put("a", CachedClass{Bytes{1}, {}});

@@ -102,6 +102,16 @@ TEST_F(RedirectTest, TamperedDirectCodeRedirects) {
   ASSERT_EQ(client.machine().printed().size(), 1u);
 }
 
+TEST_F(RedirectTest, RunAppFlushesEveryAuditEventToTheConsole) {
+  RedirectingClient client(server_.get(), nullptr, DvmMachineConfig(), MakeEthernet10Mb());
+  const uint64_t before = server_->console().events_received();  // incl. session-start
+  auto out = client.RunApp("app/Main");
+  ASSERT_TRUE(out.ok()) << out.error().ToString();
+  const uint64_t audited = client.machine().counters().audit_events;
+  ASSERT_GT(audited, 0u);
+  EXPECT_EQ(server_->console().events_received() - before, audited);
+}
+
 // --- proxy replication -------------------------------------------------------------
 
 TEST(ProxyClusterTest, RoutesStablyAndSharesNothing) {

@@ -313,7 +313,6 @@ TEST_F(ProxyConcurrencyTest, SingleFlightRunsPipelineOncePerKey) {
 TEST_F(ProxyConcurrencyTest, StressMixedHitMissInvalidateStaysWithinBudget) {
   ProxyConfig config;
   config.cache_capacity_bytes = 16 * 1024;
-  config.cache_shards = 8;
   config.audit_trail_capacity = 256;
   DvmProxy proxy(config, &library_env_, &origin_);
   auto counting = std::make_unique<CountingFilter>();
@@ -351,7 +350,7 @@ TEST_F(ProxyConcurrencyTest, StressMixedHitMissInvalidateStaysWithinBudget) {
   // The sharded cache never exceeds its byte budget, globally or per shard.
   EXPECT_LE(proxy.cache().size_bytes(), config.cache_capacity_bytes);
   for (const auto& shard : proxy.cache().PerShardStats()) {
-    EXPECT_LE(shard.bytes, config.cache_capacity_bytes / config.cache_shards);
+    EXPECT_LE(shard.bytes, config.cache_capacity_bytes / RewriteCache::kShards);
   }
   // The audit ring respected its cap.
   EXPECT_LE(proxy.audit_trail().size(), config.audit_trail_capacity);

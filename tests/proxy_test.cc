@@ -74,30 +74,62 @@ TEST(RewriteCacheTest, HitMissAccounting) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-// One shard gives the classic global LRU order, which this test pins down.
+// A cache entry whose main class is `bytes` long.
+CachedClass EntryOf(size_t bytes) {
+  CachedClass entry;
+  entry.main_class = Bytes(bytes, 0);
+  return entry;
+}
+
+// The first `n` keys "k0", "k1", ... that hash to the same shard as "k0".
+std::vector<std::string> KeysInOneShard(size_t n) {
+  auto shard_of = [](const std::string& key) {
+    RewriteCache probe(1 << 20);
+    probe.Put(key, EntryOf(1));
+    std::vector<RewriteCache::ShardStats> stats = probe.PerShardStats();
+    for (size_t i = 0; i < stats.size(); i++) {
+      if (stats[i].entries > 0) {
+        return i;
+      }
+    }
+    return stats.size();
+  };
+  std::vector<std::string> keys;
+  const size_t shard = shard_of("k0");
+  for (int i = 0; keys.size() < n; i++) {
+    std::string key = "k" + std::to_string(i);
+    if (shard_of(key) == shard) {
+      keys.push_back(key);
+    }
+  }
+  return keys;
+}
+
+// Eviction is least-recently-used within a shard.
 TEST(RewriteCacheTest, EvictsLruUnderPressure) {
-  RewriteCache cache(400, /*num_shards=*/1);
-  cache.Put("a", CachedClass{Bytes(100, 0), {}});
-  cache.Put("b", CachedClass{Bytes(100, 0), {}});
-  ASSERT_TRUE(cache.Get("a").has_value());  // refresh a
-  cache.Put("c", CachedClass{Bytes(100, 0), {}});  // must evict b (LRU)
-  EXPECT_TRUE(cache.Get("a").has_value());
-  EXPECT_FALSE(cache.Get("b").has_value());
-  EXPECT_TRUE(cache.Get("c").has_value());
+  const std::vector<std::string> keys = KeysInOneShard(3);
+  RewriteCache cache(RewriteCache::kShards * 400);  // 400 bytes a shard
+  cache.Put(keys[0], EntryOf(100));
+  cache.Put(keys[1], EntryOf(100));
+  ASSERT_TRUE(cache.Get(keys[0]).has_value());  // refresh the first
+  cache.Put(keys[2], EntryOf(100));  // must evict the second (LRU)
+  EXPECT_TRUE(cache.Get(keys[0]).has_value());
+  EXPECT_FALSE(cache.Get(keys[1]).has_value());
+  EXPECT_TRUE(cache.Get(keys[2]).has_value());
 }
 
 TEST(RewriteCacheTest, OversizeEntriesAreNotCached) {
-  RewriteCache cache(100, /*num_shards=*/1);
+  RewriteCache cache(RewriteCache::kShards * 100);
   cache.Put("big", CachedClass{Bytes(500, 0), {}});
   EXPECT_EQ(cache.entries(), 0u);
 }
 
 TEST(RewriteCacheTest, ShardedKeepsEveryShardWithinItsBudget) {
-  RewriteCache cache(8 * 400, /*num_shards=*/8);
+  RewriteCache cache(RewriteCache::kShards * 400);
   for (int i = 0; i < 200; i++) {
     cache.Put("cls/" + std::to_string(i), CachedClass{Bytes(100, 0), {}});
   }
-  EXPECT_LE(cache.size_bytes(), 8u * 400u);
+  EXPECT_LE(cache.size_bytes(), RewriteCache::kShards * 400u);
   size_t shard_entries = 0;
   for (const auto& shard : cache.PerShardStats()) {
     EXPECT_LE(shard.bytes, 400u);
@@ -280,8 +312,17 @@ TEST_F(ProxyTest, LibraryNamespaceBelongsToTheTrustedLibrary) {
   ClassBuilder forged("java/lang/Forged", "java/lang/Object");
   origin_.AddClassFile(MustBuild(forged));
 
+  // A system class is served from the trusted library's bytes, never the
+  // origin's: the forged evil()V does not reach a client.
   auto proxy = MakeProxyPtr();
-  EXPECT_TRUE(proxy->HandleRequest("java/lang/Thread").ok());
+  auto thread = proxy->HandleRequest("java/lang/Thread");
+  ASSERT_TRUE(thread.ok()) << thread.error().ToString();
+  const ClassFile* library_thread = library_env_.Lookup("java/lang/Thread");
+  ASSERT_NE(library_thread, nullptr);
+  EXPECT_EQ(thread->data, MustWriteClassFile(*library_thread));
+  auto served = ReadClassFile(thread->data);
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served->FindMethod("evil", "()V"), nullptr);
   auto after = proxy->HandleRequest("app/User");
   ASSERT_TRUE(after.ok()) << after.error().ToString();
   EXPECT_EQ(after->data, clean->data);

@@ -14,6 +14,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 
 #include "fuzz/oracles.h"
@@ -213,6 +214,102 @@ TEST_F(QuickenRegressionTest, CacheMissRedispatchesOnReceiverChange) {
     ASSERT_TRUE(outcome.ok()) << outcome.error().ToString();
     ASSERT_FALSE(outcome->threw);
     EXPECT_EQ(outcome->value.AsInt(), 12) << "quicken=" << quicken;
+  }
+}
+
+// The first execution of each resolving opcode, run into each of its faults:
+// a null receiver whose field does not resolve (the NPE must win), a missing
+// class, a throwing <clinit> reached from getstatic and from new, a negative
+// array length and a failing cast. Each method runs once on a fresh machine,
+// so the faulting instruction is its site's first execution; both engines
+// must end the same way at the same instruction count and virtual time.
+TEST_F(QuickenRegressionTest, FirstExecutionFaultsAreEngineIdentical) {
+  for (const char* name : {"app/BadInitGet", "app/BadInitNew"}) {
+    ClassBuilder bad(name, "java/lang/Object");
+    bad.AddField(AccessFlags::kStatic, "x", "I");
+    bad.AddDefaultConstructor();
+    bad.AddMethod(AccessFlags::kStatic, "<clinit>", "()V")
+        .PushInt(1).PushInt(0).Emit(Op::kIdiv).PutStatic(name, "x", "I").Emit(Op::kReturn);
+    AddClass(bad);
+  }
+  ClassBuilder target("app/Target", "java/lang/Object");
+  target.AddDefaultConstructor();
+  AddClass(target);
+
+  struct Case {
+    const char* method;
+    std::function<void(MethodBuilder&)> body;
+    const char* exception_class;  // null: the run ends in a host error
+  };
+  const std::vector<Case> cases = {
+      {"getfieldNull",
+       [](MethodBuilder& m) { m.PushNull().GetField("app/Faults", "missing", "I").Emit(Op::kPop); },
+       "java/lang/NullPointerException"},
+      {"putfieldNull",
+       [](MethodBuilder& m) { m.PushNull().PushInt(1).PutField("app/Faults", "missing", "I"); },
+       "java/lang/NullPointerException"},
+      {"newMissing", [](MethodBuilder& m) { m.New("app/Missing").Emit(Op::kPop); }, nullptr},
+      {"getstaticClinit",
+       [](MethodBuilder& m) { m.GetStatic("app/BadInitGet", "x", "I").Emit(Op::kPop); },
+       "java/lang/ExceptionInInitializerError"},
+      {"newClinit", [](MethodBuilder& m) { m.New("app/BadInitNew").Emit(Op::kPop); },
+       "java/lang/ExceptionInInitializerError"},
+      {"anewarrayNegative",
+       [](MethodBuilder& m) { m.PushInt(-1).ANewArray("app/Target").Emit(Op::kPop); },
+       "java/lang/NegativeArraySizeException"},
+      {"checkcastFails",
+       [](MethodBuilder& m) {
+         m.New("app/Target").Emit(Op::kDup).InvokeSpecial("app/Target", "<init>", "()V")
+             .CheckCast("app/Faults").Emit(Op::kPop);
+       },
+       "java/lang/ClassCastException"},
+  };
+  ClassBuilder cb("app/Faults", "java/lang/Object");
+  for (const Case& c : cases) {
+    MethodBuilder& m = cb.AddMethod(AccessFlags::kStatic, c.method, "()V");
+    c.body(m);
+    m.Emit(Op::kReturn);
+  }
+  AddClass(cb);
+
+  struct Run {
+    bool ok = false;
+    std::string error;
+    std::string exception_class;
+    std::string exception_message;
+    uint64_t instructions = 0;
+    uint64_t virtual_nanos = 0;
+  };
+  for (const Case& c : cases) {
+    auto run = [&](bool quicken) {
+      Machine machine(EngineConfig(quicken), &provider_);
+      auto outcome = machine.CallStatic("app/Faults", c.method, "()V");
+      Run r;
+      r.ok = outcome.ok();
+      if (!outcome.ok()) {
+        r.error = outcome.error().message;
+      } else if (outcome->threw) {
+        r.exception_class = outcome->exception_class;
+        r.exception_message = outcome->exception_message;
+      }
+      r.instructions = machine.counters().instructions;
+      r.virtual_nanos = machine.virtual_nanos();
+      return r;
+    };
+    const Run q = run(true);
+    const Run r = run(false);
+    EXPECT_EQ(q.ok, r.ok) << c.method;
+    EXPECT_EQ(q.error, r.error) << c.method;
+    EXPECT_EQ(q.exception_class, r.exception_class) << c.method;
+    EXPECT_EQ(q.exception_message, r.exception_message) << c.method;
+    EXPECT_EQ(q.instructions, r.instructions) << c.method;
+    EXPECT_EQ(q.virtual_nanos, r.virtual_nanos) << c.method;
+    if (c.exception_class == nullptr) {
+      EXPECT_FALSE(r.ok) << c.method;
+    } else {
+      EXPECT_TRUE(r.ok) << c.method << ": " << r.error;
+      EXPECT_EQ(r.exception_class, c.exception_class) << c.method;
+    }
   }
 }
 
