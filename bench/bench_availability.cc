@@ -189,7 +189,7 @@ int main() {
   // Message-drop sweep on the client's access link.
   for (double drop : {0.05, 0.20, 0.40}) {
     FaultPlan lossy = healthy;
-    lossy.links["client-proxy"] = LinkFaults{drop, 0, 2 * kMillisecond};
+    lossy.links["client-proxy"] = LinkFaults{drop, 0, 2 * kMillisecond, /*outages=*/{}};
     RunResult r = RunSweep(scenario, lossy);
     PrintResult("drop-" + FmtDouble(drop, 2), r);
   }

@@ -16,7 +16,9 @@
 #include "src/services/monitor_service.h"
 #include "src/services/security_service.h"
 #include "src/services/verify_service.h"
+#include "src/services/reflect_service.h"
 #include "src/support/md5.h"
+#include "src/verifier/certificate.h"
 #include "src/verifier/verifier.h"
 #include "src/workloads/apps.h"
 
@@ -149,6 +151,62 @@ void BM_VerificationFilterPipeline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VerificationFilterPipeline);
+
+// The BM_AuditFilter class after the Fig. 6 filter stack (reflection,
+// verification, security, audit): the artifact, the verification filter's
+// proof of the origin, and the edits made after it.
+struct Fig6Artifact {
+  Fig6Artifact() {
+    for (const auto& cls : Library()) {
+      library.Add(&cls);
+    }
+    FilterPipeline pipeline;
+    pipeline.Add(std::make_unique<ReflectionFilter>());
+    pipeline.Add(std::make_unique<VerificationFilter>());
+    pipeline.Add(std::make_unique<SecurityFilter>(&policy));
+    pipeline.Add(std::make_unique<AuditFilter>());
+    result = pipeline.Run(JlexBundle().classes[1], library).value();
+  }
+  SecurityPolicy policy = bench::PermissivePolicy();
+  MapClassEnv library;
+  PipelineResult result;
+};
+
+const Fig6Artifact& JlexArtifact() {
+  static const auto* artifact = new Fig6Artifact();
+  return *artifact;
+}
+
+// The proxy's certificate by fixpoint: prove the artifact, serialize.
+void BM_EmitCertificate(benchmark::State& state) {
+  const Fig6Artifact& a = JlexArtifact();
+  const ArtifactEnv env(&a.library, a.result.cls);
+  for (auto _ : state) {
+    ClassCertificate cert;
+    auto verified = VerifyClass(a.result.cls, env, &cert);
+    Bytes wire = SerializeCertificate(cert);
+    benchmark::DoNotOptimize(verified);
+    benchmark::DoNotOptimize(wire);
+  }
+}
+BENCHMARK(BM_EmitCertificate);
+
+// The proxy's certificate by derivation: transform the verification filter's
+// proof through the edits, serialize. The proxy hands the proof over; the
+// copy made here for each iteration is not timed.
+void BM_DeriveCertificate(benchmark::State& state) {
+  const Fig6Artifact& a = JlexArtifact();
+  const ArtifactEnv env(&a.library, a.result.cls);
+  for (auto _ : state) {
+    state.PauseTiming();
+    ClassProof proof = *a.result.proof;
+    state.ResumeTiming();
+    auto cert = TransformCertificate(std::move(proof), a.result.code_edits, a.result.cls, env);
+    Bytes wire = SerializeCertificate(cert.value());
+    benchmark::DoNotOptimize(wire);
+  }
+}
+BENCHMARK(BM_DeriveCertificate);
 
 void BM_InterpreterDispatch(benchmark::State& state) {
   MapClassProvider provider;

@@ -1,22 +1,25 @@
 #include "src/bytecode/code.h"
 
+#include <algorithm>
+
 namespace dvm {
 
-Result<DecodedCode> DecodeCode(const Bytes& code) {
+Result<DecodedCode> DecodeCode(const Bytes& code, size_t length) {
+  const size_t end = std::min(code.size(), length);
   // Every instruction takes at least one byte, so one allocation per output
   // covers any body. (A second pass counting instructions first would cost as
   // much as decoding: each length depends on the previous one.)
   DecodedCode out;
   std::vector<Instr>& instrs = out.instrs;
   std::vector<uint32_t>& offsets = out.offsets;
-  instrs.reserve(code.size());
-  offsets.reserve(code.size() + 1);
+  instrs.reserve(end);
+  offsets.reserve(end + 1);
   // Branch operands hold the target *byte offset* until every instruction
   // start is known, then the target's index.
   bool has_branches = false;
 
   size_t pos = 0;
-  while (pos < code.size()) {
+  while (pos < end) {
     uint32_t offset = static_cast<uint32_t>(pos);
     Op op = static_cast<Op>(code[pos]);
     if (IsQuickOp(op)) {
@@ -34,7 +37,7 @@ Result<DecodedCode> DecodeCode(const Bytes& code) {
                        std::to_string(pos)};
     }
     int len = EncodedLength(info->operands);
-    if (pos + static_cast<size_t>(len) > code.size()) {
+    if (pos + static_cast<size_t>(len) > end) {
       return Error{ErrorCode::kVerifyError,
                    "truncated instruction at offset " + std::to_string(pos)};
     }
@@ -78,7 +81,8 @@ Result<DecodedCode> DecodeCode(const Bytes& code) {
     pos += static_cast<size_t>(len);
   }
 
-  offsets.push_back(static_cast<uint32_t>(code.size()));
+  // Branch targets past the end of a prefix find no index below.
+  offsets.push_back(static_cast<uint32_t>(end));
   out.off_to_ix = OffsetIndex(offsets);
   if (has_branches) {
     for (Instr& instr : instrs) {

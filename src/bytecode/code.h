@@ -5,6 +5,7 @@
 #ifndef SRC_BYTECODE_CODE_H_
 #define SRC_BYTECODE_CODE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -68,7 +69,13 @@ struct DecodedCode {
 // boundary within the method (these are the instruction-integrity checks of
 // verification phase 2; the decoder performs them because nothing downstream
 // can operate on code that fails them).
-Result<DecodedCode> DecodeCode(const Bytes& code);
+//
+// With `length` below the body's size, decodes only its first `length`
+// bytes, which must end on an instruction boundary: the result describes
+// that prefix, whose end offset maps to its instruction count, and a branch
+// may target any instruction start in the prefix or the prefix's end (where
+// the rest of the body begins), nothing further.
+Result<DecodedCode> DecodeCode(const Bytes& code, size_t length = SIZE_MAX);
 
 // Encodes a decoded stream back to bytes. Fails if a branch displacement does
 // not fit in 16 bits (methods that large are rejected at build time). When

@@ -34,9 +34,12 @@ struct CachedClass {
   // client (and the replication layer) can prove an artifact is current.
   uint64_t epoch = 0;
   // Serialized verification certificate (verifier/certificate.h) for the
-  // rewritten main class, emitted by the verify filter's fixpoint. Empty when
-  // certificate emission failed or the pipeline ran without the verifier;
-  // replicas receiving the artifact then fall back to full re-verification.
+  // rewritten main class: derived from the verification filter's proof of
+  // the origin class, or, when the filters' edits cannot be mapped, proved
+  // by the fixpoint on the artifact (DvmProxy::EmitCertificate). Either way
+  // it is byte-identical to the fixpoint's proof. Empty only when the
+  // fixpoint rejects the artifact; replicas receiving it then install it on
+  // the pusher's authority (proxy.cert_missing).
   Bytes certificate;
 };
 

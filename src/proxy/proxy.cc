@@ -59,6 +59,8 @@ DvmProxy::DvmProxy(ProxyConfig config, const ClassEnv* library_env, ClassProvide
       c_cert_emits_(stats_.Counter("proxy.cert_emits")),
       c_cert_emit_checks_(stats_.Counter("proxy.cert_emit_checks")),
       c_cert_emit_failures_(stats_.Counter("proxy.cert_emit_failures")),
+      c_cert_derived_(stats_.Counter("proxy.cert_derived")),
+      c_cert_fixpoint_fallbacks_(stats_.Counter("proxy.cert_fixpoint_fallbacks")),
       c_cert_validations_(stats_.Counter("proxy.cert_validations")),
       c_cert_validate_checks_(stats_.Counter("proxy.cert_validate_checks")),
       c_cert_rejects_(stats_.Counter("proxy.cert_rejects")),
@@ -218,16 +220,16 @@ Result<ProxyResponse> DvmProxy::Rewrite(RequestContext& ctx) {
 
   CachedClass entry;
   if (config_.enable_cache) {
-    // Prove the artifact once here so replicas receiving it over the
+    // Certify the artifact once here so replicas receiving it over the
     // replication push never re-run the fixpoint. Certificate work is real
     // CPU on the fleet but is deliberately not charged to the virtual CPU
     // model: the Figure 8/10 calibration predates certificates and the
     // counters (cert_emits / cert_emit_checks) carry the cost signal.
-    // Proving before the large artifact copies below lets the allocator
-    // reclaim the proof's small scratch blocks within this miss; proved
+    // Certifying before the large artifact copies below lets the allocator
+    // reclaim the proof's small scratch blocks within this miss; certified
     // last, the next request on this thread paid for it (perfbench
     // parallel_fetch: first hit after a miss ~1.6x slower).
-    entry.certificate = EmitCertificate(result.cls, result.extra_classes);
+    entry.certificate = EmitCertificate(result);
     entry.main_class = response.data;
     entry.extra_classes = response.extra_classes;
     entry.epoch = epoch;
@@ -324,10 +326,23 @@ void DvmProxy::ApplyPolicyEpoch(uint64_t epoch) {
   policy_epoch_.store(epoch, std::memory_order_release);
 }
 
-Bytes DvmProxy::EmitCertificate(const ClassFile& main, const std::vector<ClassFile>& extras) {
-  const ArtifactEnv env(library_env_, main, extras);
+Bytes DvmProxy::EmitCertificate(PipelineResult& result) {
+  const ArtifactEnv env(library_env_, result.cls, result.extra_classes);
+  if (result.proof.has_value()) {
+    uint64_t checks = 0;
+    Result<ClassCertificate> derived = TransformCertificate(
+        std::move(*result.proof), result.code_edits, result.cls, env, &checks);
+    result.proof.reset();
+    if (derived.ok()) {
+      c_cert_derived_.Add();
+      c_cert_emits_.Add();
+      c_cert_emit_checks_.Add(checks);
+      return SerializeCertificate(derived.value());
+    }
+  }
+  c_cert_fixpoint_fallbacks_.Add();
   ClassCertificate cert;
-  Result<VerifiedClass> verified = VerifyClass(main, env, &cert);
+  Result<VerifiedClass> verified = VerifyClass(result.cls, env, &cert);
   if (!verified.ok()) {
     c_cert_emit_failures_.Add();  // a filter emitted something the verifier rejects
     return {};

@@ -227,7 +227,8 @@ class DvmProxy {
   // proxy.lock_acquisitions (generated/publish and observer locks actually
   // taken; the audit ring counts its own); the
   // certificate plane: proxy.cert_emits / cert_emit_checks /
-  // cert_emit_failures (fixpoint side) and proxy.cert_validations /
+  // cert_emit_failures / cert_derived / cert_fixpoint_fallbacks (emit side,
+  // see EmitCertificate) and proxy.cert_validations /
   // cert_validate_checks / cert_rejects / cert_missing (one-pass install
   // side); plus the proxy.request_cpu_nanos histogram (per-request CPU,
   // p50/p99/max).
@@ -245,14 +246,19 @@ class DvmProxy {
   std::optional<ProxyResponse> TryServeFromCache(RequestContext& ctx);
   // Serves a filter-synthesized class (e.g. a "$cold" split).
   std::optional<ProxyResponse> TryServeGenerated(RequestContext& ctx);
-  // The miss path: fetch origin bytes (the library's for a system class), parse, run the stacked services, sign,
-  // emit, prove, publish synthesized classes, and populate the cache.
+  // The miss path: fetch origin bytes (the library's for a system class),
+  // parse, run the stacked services, sign, emit, certify, publish synthesized
+  // classes, and populate the cache.
   Result<ProxyResponse> Rewrite(RequestContext& ctx);
-  // Runs the full verifier over the final in-memory artifact (main +
-  // companions against the system library) and serializes its stack-map
-  // certificate. Empty, counted in proxy.cert_emit_failures, only when the
-  // verifier rejects the proxy's own output.
-  Bytes EmitCertificate(const ClassFile& main, const std::vector<ClassFile>& extras);
+  // The serialized certificate of the pipeline's artifact. It is derived
+  // from the verification filter's proof and the filters' code edits
+  // (TransformCertificate), counted in proxy.cert_derived. When no proof
+  // came through or the edits cannot be mapped, the full verifier proves the
+  // artifact (main + companions against the library) instead, counted in
+  // proxy.cert_fixpoint_fallbacks. proxy.cert_emit_checks adds up the checks
+  // either path spent. Empty, counted in proxy.cert_emit_failures, only when
+  // the verifier rejects the proxy's own output.
+  Bytes EmitCertificate(PipelineResult& result);
   // One-pass check of a pushed artifact against its certificate.
   bool ValidatePushedArtifact(const CommitRecord& record);
   // Commits accounting (stage counters, audit ring, CPU totals) and stamps
@@ -305,6 +311,8 @@ class DvmProxy {
   StatCounter& c_cert_emits_;
   StatCounter& c_cert_emit_checks_;
   StatCounter& c_cert_emit_failures_;
+  StatCounter& c_cert_derived_;
+  StatCounter& c_cert_fixpoint_fallbacks_;
   StatCounter& c_cert_validations_;
   StatCounter& c_cert_validate_checks_;
   StatCounter& c_cert_rejects_;

@@ -25,14 +25,26 @@ Result<PipelineResult> FilterPipeline::Run(ClassFile cls, const ClassEnv& librar
     result.filters_run.push_back(filter->name());
     result.checks_performed += outcome.checks_performed;
     result.modified |= outcome.modified;
+    if (outcome.proof.has_value()) {
+      result.proof = std::move(outcome.proof);
+      result.code_edits.clear();
+    }
+    result.code_edits.insert(result.code_edits.end(), outcome.code_edits.begin(),
+                             outcome.code_edits.end());
     if (outcome.replacement.has_value()) {
       cls = std::move(*outcome.replacement);
       result.modified = true;
+      result.proof.reset();
     }
     for (auto& extra : outcome.extra_classes) {
       result.extra_classes.push_back(std::move(extra));
       result.modified = true;
     }
+  }
+  // The proof saw the class alone; companions join the artifact's
+  // environment, so it no longer describes what the artifact is checked in.
+  if (!result.extra_classes.empty()) {
+    result.proof.reset();
   }
 
   result.cls = std::move(cls);

@@ -13,6 +13,7 @@
 
 #include "src/bytecode/classfile.h"
 #include "src/support/result.h"
+#include "src/verifier/certificate.h"
 #include "src/verifier/class_env.h"
 
 namespace dvm {
@@ -45,6 +46,15 @@ struct FilterOutcome {
   // (compiler); 0 from every other filter. Filters keep no counters of their
   // own: a caller that reports a service's effect reads it here.
   uint64_t sites_rewritten = 0;
+  // The verification filter's proof of the class as it received it, from
+  // which the proxy derives the artifact's certificate.
+  std::optional<ClassProof> proof;
+  // Every insertion the filter made into method bodies, in order (as
+  // MethodEditor::Commit reports them), plus any method it added. A filter
+  // that changes code any other way reports nothing; the derivation then
+  // finds a body that is not its proved body and the proxy proves the
+  // artifact itself.
+  std::vector<CodeEdit> code_edits;
 };
 
 // A static service. Apply is const: a filter holds only its configuration,
@@ -64,6 +74,11 @@ struct PipelineResult {
   uint64_t checks_performed = 0;
   // Names of filters that ran, in order (audit trail).
   std::vector<std::string> filters_run;
+  // The last proof a filter reported, and the code edits every filter made
+  // after it. Dropped when a later filter replaces the class, or when any
+  // filter adds companions: a derivation can follow neither.
+  std::optional<ClassProof> proof;
+  std::vector<CodeEdit> code_edits;
 };
 
 // Parse-once filter stack; the caller emits the result once. Run is safe to

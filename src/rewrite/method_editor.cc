@@ -7,7 +7,14 @@ Result<MethodEditor> MethodEditor::Open(ClassFile* cls, MethodInfo* method) {
     return Error{ErrorCode::kInvalidArgument,
                  "cannot edit bodyless method " + method->Id()};
   }
-  MethodEditor editor(cls, method);
+  size_t position = 0;
+  while (position < cls->methods.size() && &cls->methods[position] != method) {
+    position++;
+  }
+  if (position == cls->methods.size()) {
+    return Error{ErrorCode::kInvalidArgument, method->Id() + " is not a method of " + cls->name()};
+  }
+  MethodEditor editor(cls, method, static_cast<uint32_t>(position));
   DVM_ASSIGN_OR_RETURN(DecodedCode decoded, DecodeCode(method->code->code));
   editor.code_ = std::move(decoded.instrs);
 
@@ -49,6 +56,15 @@ void MethodEditor::ShiftTargets(size_t at, size_t count) {
 }
 
 Status MethodEditor::InsertBefore(size_t index, const std::vector<Instr>& instrs) {
+  DVM_RETURN_IF_ERROR(Insert(index, instrs));
+  if (!instrs.empty()) {
+    edits_.push_back(
+        {position_, static_cast<uint32_t>(index), static_cast<uint32_t>(instrs.size())});
+  }
+  return Status::Ok();
+}
+
+Status MethodEditor::Insert(size_t index, const std::vector<Instr>& instrs) {
   if (index > code_.size()) {
     return Error{ErrorCode::kInvalidArgument, "insert position out of range"};
   }
@@ -77,12 +93,12 @@ Status MethodEditor::Replace(size_t index, const std::vector<Instr>& instrs) {
   code_[index] = instrs[0];
   modified_ = true;
   if (instrs.size() > 1) {
-    return InsertBefore(index + 1, std::vector<Instr>(instrs.begin() + 1, instrs.end()));
+    return Insert(index + 1, std::vector<Instr>(instrs.begin() + 1, instrs.end()));
   }
   return Status::Ok();
 }
 
-Status MethodEditor::Commit() {
+Status MethodEditor::Commit(std::vector<CodeEdit>* edits) {
   if (!modified_) {
     return Status::Ok();
   }
@@ -117,6 +133,9 @@ Status MethodEditor::Commit() {
   attr.max_stack = std::max(attr.max_stack, max_stack);
   attr.max_locals = std::max(attr.max_locals,
                              static_cast<uint16_t>(max_extra_local_ + 1));
+  if (edits != nullptr) {
+    edits->insert(edits->end(), edits_.begin(), edits_.end());
+  }
   return Status::Ok();
 }
 

@@ -17,8 +17,9 @@ constexpr uint64_t kProfileEventNanos = 900;
 constexpr size_t kAuditFlushBatch = 64;
 
 // Instruments one method: `enter_exit` adds an exit call before every return
-// and athrow as well.
-Status Instrument(ClassFile& cls, MethodInfo& method, const char* rt_class, bool enter_exit) {
+// and athrow as well. The insertions go to `edits`.
+Status Instrument(ClassFile& cls, MethodInfo& method, const char* rt_class, bool enter_exit,
+                  std::vector<CodeEdit>* edits) {
   ConstantPool& pool = cls.pool();
   std::string method_tag = cls.name() + "." + method.name;
   uint16_t tag_ref = pool.AddString(method_tag);
@@ -39,7 +40,7 @@ Status Instrument(ClassFile& cls, MethodInfo& method, const char* rt_class, bool
       }
     }
   }
-  return editor.Commit();
+  return editor.Commit(edits);
 }
 
 }  // namespace
@@ -175,7 +176,8 @@ Result<FilterOutcome> AuditFilter::Apply(ClassFile& cls, const FilterContext& ct
     }
     // Entry events suffice for resource accounting and usage analysis; exits
     // would double the event rate for no additional audit value.
-    DVM_RETURN_IF_ERROR(Instrument(cls, method, kRtAuditorClass, /*enter_exit=*/false));
+    DVM_RETURN_IF_ERROR(Instrument(cls, method, kRtAuditorClass, /*enter_exit=*/false,
+                                   &outcome.code_edits));
     outcome.checks_performed++;
     outcome.modified = true;
   }
@@ -191,7 +193,8 @@ Result<FilterOutcome> ProfileFilter::Apply(ClassFile& cls, const FilterContext& 
     if (!method.code.has_value() || method.IsClassInitializer()) {
       continue;
     }
-    DVM_RETURN_IF_ERROR(Instrument(cls, method, kRtProfilerClass, /*enter_exit=*/true));
+    DVM_RETURN_IF_ERROR(Instrument(cls, method, kRtProfilerClass, /*enter_exit=*/true,
+                                   &outcome.code_edits));
     outcome.checks_performed++;
     outcome.modified = true;
   }

@@ -147,13 +147,15 @@ Result<FilterOutcome> SecurityFilter::Apply(ClassFile& cls, const FilterContext&
                            method.name, method.descriptor, body, max_locals, pool));
         method.name = inner_name;  // original slot becomes the renamed native
         cls.methods.push_back(std::move(wrapper));
+        outcome.code_edits.push_back({static_cast<uint32_t>(cls.methods.size() - 1), 0,
+                                      static_cast<uint32_t>(body.size())});
         outcome.modified = true;
         break;  // method reference invalidated by push_back; stop hook scan
       }
 
       DVM_ASSIGN_OR_RETURN(MethodEditor editor, MethodEditor::Open(&cls, &method));
       DVM_RETURN_IF_ERROR(editor.InsertBefore(0, preamble));
-      DVM_RETURN_IF_ERROR(editor.Commit());
+      DVM_RETURN_IF_ERROR(editor.Commit(&outcome.code_edits));
       outcome.modified = true;
     }
   }

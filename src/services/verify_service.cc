@@ -6,6 +6,7 @@
 #include "src/bytecode/descriptor.h"
 #include "src/rewrite/method_editor.h"
 #include "src/runtime/syslib.h"
+#include "src/verifier/certificate.h"
 #include "src/verifier/link_checker.h"
 #include "src/verifier/verifier.h"
 
@@ -59,7 +60,8 @@ void EmitCheckCall(const Assumption& a, ConstantPool& pool, std::vector<Instr>* 
 // Injects a guarded check preamble into one method (the Figure 3 pattern):
 //   if (!__dvmVerified$k) { RTVerifier.Check...(...); __dvmVerified$k = true; }
 Status InjectMethodGuard(ClassFile& cls, MethodInfo& method, size_t guard_index,
-                         const std::vector<const Assumption*>& assumptions) {
+                         const std::vector<const Assumption*>& assumptions,
+                         std::vector<CodeEdit>* edits) {
   ConstantPool& pool = cls.pool();
   std::string guard_name = kGuardFieldPrefix + std::to_string(guard_index);
   cls.fields.push_back(FieldInfo{
@@ -81,11 +83,12 @@ Status InjectMethodGuard(ClassFile& cls, MethodInfo& method, size_t guard_index,
 
   DVM_ASSIGN_OR_RETURN(MethodEditor editor, MethodEditor::Open(&cls, &method));
   DVM_RETURN_IF_ERROR(editor.InsertBefore(0, preamble));
-  return editor.Commit();
+  return editor.Commit(edits);
 }
 
 // Appends class-scoped checks to <clinit>, creating it if absent.
-Status InjectClassChecks(ClassFile& cls, const std::vector<const Assumption*>& assumptions) {
+Status InjectClassChecks(ClassFile& cls, const std::vector<const Assumption*>& assumptions,
+                         std::vector<CodeEdit>* edits) {
   ConstantPool& pool = cls.pool();
   std::vector<Instr> calls;
   for (const Assumption* a : assumptions) {
@@ -99,11 +102,13 @@ Status InjectClassChecks(ClassFile& cls, const std::vector<const Assumption*>& a
                          AssembleMethod(AccessFlags::kStatic, "<clinit>", "()V", calls,
                                         /*max_locals=*/0, pool));
     cls.methods.push_back(std::move(method));
+    edits->push_back({static_cast<uint32_t>(cls.methods.size() - 1), 0,
+                      static_cast<uint32_t>(calls.size())});
     return Status::Ok();
   }
   DVM_ASSIGN_OR_RETURN(MethodEditor editor, MethodEditor::Open(&cls, clinit));
   DVM_RETURN_IF_ERROR(editor.InsertBefore(0, calls));
-  return editor.Commit();
+  return editor.Commit(edits);
 }
 
 }  // namespace
@@ -147,7 +152,8 @@ Result<FilterOutcome> VerificationFilter::Apply(ClassFile& cls, const FilterCont
     return outcome;  // the shipped library is trusted and pre-verified
   }
 
-  auto verified = VerifyClass(cls, *ctx.env);
+  ClassCertificate cert;
+  auto verified = VerifyClass(cls, *ctx.env, &cert);
   if (!verified.ok()) {
     if (verified.error().code != ErrorCode::kVerifyError) {
       return verified.error();
@@ -159,6 +165,9 @@ Result<FilterOutcome> VerificationFilter::Apply(ClassFile& cls, const FilterCont
   }
 
   outcome.checks_performed = verified->stats.TotalStaticChecks();
+  // Kept before any guard goes in: the proof is of the class as verified,
+  // and the guards below are its first reported edits.
+  outcome.proof = ClassProof::Of(cls, std::move(cert));
 
   // Partition assumptions by scope.
   std::vector<const Assumption*> class_scoped;
@@ -172,7 +181,7 @@ Result<FilterOutcome> VerificationFilter::Apply(ClassFile& cls, const FilterCont
   }
 
   if (!class_scoped.empty()) {
-    DVM_RETURN_IF_ERROR(InjectClassChecks(cls, class_scoped));
+    DVM_RETURN_IF_ERROR(InjectClassChecks(cls, class_scoped, &outcome.code_edits));
     outcome.sites_rewritten += class_scoped.size();
     outcome.modified = true;
   }
@@ -182,7 +191,8 @@ Result<FilterOutcome> VerificationFilter::Apply(ClassFile& cls, const FilterCont
     if (it == by_method.end() || !method.code.has_value()) {
       continue;
     }
-    DVM_RETURN_IF_ERROR(InjectMethodGuard(cls, method, guard_index++, it->second));
+    DVM_RETURN_IF_ERROR(
+        InjectMethodGuard(cls, method, guard_index++, it->second, &outcome.code_edits));
     outcome.sites_rewritten += it->second.size();
     outcome.modified = true;
   }

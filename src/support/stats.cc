@@ -28,58 +28,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double SampleSet::Mean() const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  double sum = 0.0;
-  for (double s : samples_) {
-    sum += s;
-  }
-  return sum / static_cast<double>(samples_.size());
-}
-
-double SampleSet::Stddev() const {
-  if (samples_.size() < 2) {
-    return 0.0;
-  }
-  double mean = Mean();
-  double m2 = 0.0;
-  for (double s : samples_) {
-    m2 += (s - mean) * (s - mean);
-  }
-  return std::sqrt(m2 / static_cast<double>(samples_.size() - 1));
-}
-
-double SampleSet::Percentile(double p) const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  if (p <= 0.0) {
-    return sorted.front();
-  }
-  if (p >= 100.0) {
-    return sorted.back();
-  }
-  double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= sorted.size()) {
-    return sorted.back();
-  }
-  return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
-}
-
-double SampleSet::Min() const {
-  return samples_.empty() ? 0.0 : *std::min_element(samples_.begin(), samples_.end());
-}
-
-double SampleSet::Max() const {
-  return samples_.empty() ? 0.0 : *std::max_element(samples_.begin(), samples_.end());
-}
-
 namespace {
 
 // Bucket bounds: start at 1 and grow by 1.5x, bumped by at least 1 so the

@@ -1,8 +1,7 @@
 // Lightweight statistics accumulators for the benchmark harnesses: running
-// mean/stddev (Welford) and percentile extraction over stored samples, plus
-// thread-safe named counters and log-bucketed latency histograms
-// (StatsRegistry) that the concurrent proxy request path uses to surface
-// per-stage work, coalescing, lock traffic, and tail latency.
+// mean/stddev (Welford), plus thread-safe named counters and log-bucketed
+// latency histograms (StatsRegistry) that the concurrent proxy request path
+// uses to surface per-stage work, coalescing, lock traffic, and tail latency.
 #ifndef SRC_SUPPORT_STATS_H_
 #define SRC_SUPPORT_STATS_H_
 
@@ -42,23 +41,6 @@ class RunningStats {
   double sum_ = 0.0;
 };
 
-// Stores samples; supports exact percentiles. Used where the paper reports
-// averages of five runs and standard deviations.
-class SampleSet {
- public:
-  void Add(double x) { samples_.push_back(x); }
-  size_t count() const { return samples_.size(); }
-  double Mean() const;
-  double Stddev() const;
-  // p in [0, 100]; linear interpolation between closest ranks.
-  double Percentile(double p) const;
-  double Min() const;
-  double Max() const;
-
- private:
-  std::vector<double> samples_;
-};
-
 // A single monotonically increasing counter, safe to bump from any thread.
 class StatCounter {
  public:
@@ -74,8 +56,8 @@ class StatCounter {
 // upper bounds grow by ~1.5x per step (1, 2, 3, 4, 5, 7, 11, ... ~1e11), so a
 // nanosecond-scale latency distribution spanning six decades fits with bounded
 // relative error. Percentiles interpolate within the winning bucket and are
-// accurate to one bucket width (asserted against exact SampleSet percentiles
-// in trace_test).
+// accurate to one bucket width (asserted against exact percentiles in
+// trace_test).
 class Histogram {
  public:
   static constexpr size_t kBuckets = 64;

@@ -1,5 +1,6 @@
 #include "src/verifier/certificate.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "src/verifier/dataflow.h"
@@ -408,6 +409,331 @@ Status ValidateCertificate(const ClassFile& cls, const ClassEnv& env,
     }
   }
   return Status::Ok();
+}
+
+namespace {
+
+// True when `id` is MethodInfo::Id() of `method`, without building it.
+bool IsIdOf(const std::string& id, const MethodInfo& method) {
+  const std::string& name = method.name;
+  return id.size() == name.size() + 1 + method.descriptor.size() &&
+         id.compare(0, name.size(), name) == 0 && id[name.size()] == ':' &&
+         id.compare(name.size() + 1, std::string::npos, method.descriptor) == 0;
+}
+
+// One local walk over the first `count` instructions of `mc`, the code a
+// rewrite inserted, from `entry`. Only forward branches within the walked
+// code are allowed and every walked instruction must be reachable, so one
+// pass in index order reaches the fixpoint: the frame at each instruction is
+// final when the walk gets there.
+struct SnippetWalk {
+  // The frame the walked code hands to instruction `count`, and whether a
+  // walked branch targets it.
+  std::optional<Frame> handover;
+  bool handover_is_target = false;
+  // Certificate assertions at the branch targets inside the walked code.
+  std::vector<FrameAssertion> assertions;
+};
+
+Status WalkSnippet(AbstractInterpreter& interp, const ClassFile& cls, const MethodInfo& method,
+                   const DecodedCode& mc, size_t count, const Frame& entry, TypeEnv& types,
+                   VerifyStats* stats, SnippetWalk* walk) {
+  walk->handover.reset();
+  walk->handover_is_target = false;
+  walk->assertions.clear();
+  // Frames of the branches taken so far, by target; the fall-through frame
+  // is `current`, stepped in place.
+  std::vector<std::pair<size_t, Frame>> pending;
+  Frame current = entry;
+  bool live = true;
+  for (size_t i = 0; i <= count; i++) {
+    bool target = false;
+    for (auto it = pending.begin(); it != pending.end();) {
+      if (it->first != i) {
+        ++it;
+        continue;
+      }
+      target = true;
+      if (!live) {
+        current = std::move(it->second);
+        live = true;
+      } else if (current.stack.size() != it->second.stack.size()) {
+        return Verr(method.Id() + ": inserted code merges stack depths " +
+                    std::to_string(current.stack.size()) + " and " +
+                    std::to_string(it->second.stack.size()) + " at @" + std::to_string(i));
+      } else {
+        bool changed = false;
+        MergeFrames(current, it->second, types, &changed);
+      }
+      it = pending.erase(it);
+    }
+    if (i == count) {
+      walk->handover_is_target = target;
+      break;
+    }
+    if (!live) {
+      return Verr(method.Id() + ": inserted instruction @" + std::to_string(i) +
+                  " is unreachable");
+    }
+    if (target) {
+      walk->assertions.push_back(
+          {static_cast<uint32_t>(i), SpellFrame(current.locals, current.stack, types)});
+    }
+    DVM_RETURN_IF_ERROR(CheckOperands(cls.pool(), method, mc.instrs[i], stats));
+    DVM_ASSIGN_OR_RETURN(AbstractInterpreter::StepResult out, interp.Step(i, current));
+    if (out.branch_target.has_value()) {
+      const size_t to = *out.branch_target;
+      if (to <= i || to > count) {
+        return Verr(method.Id() + ": inserted branch @" + std::to_string(i) +
+                    " leaves the inserted code or goes backward");
+      }
+      pending.emplace_back(to, current);
+    }
+    live = out.fallthrough;
+  }
+  if (live) {
+    walk->handover = std::move(current);
+  }
+  return Status::Ok();
+}
+
+// Moves an origin slot behind `shift` inserted instructions.
+void Shift(NamedType& t, uint32_t shift) {
+  if (t.kind == VType::Kind::kUninit) {
+    t.site += static_cast<int>(shift);
+  }
+}
+
+// The members `artifact` declares that the proved class did not: a field or
+// method whose position is past the proved list, or holds another member.
+struct AddedMembers {
+  std::vector<const FieldInfo*> fields;
+  std::vector<const MethodInfo*> methods;
+};
+
+AddedMembers FindAddedMembers(const ClassFile& artifact, const ClassProof& proof) {
+  AddedMembers added;
+  for (size_t i = 0; i < artifact.fields.size(); i++) {
+    if (i >= proof.field_names.size() || artifact.fields[i].name != proof.field_names[i]) {
+      added.fields.push_back(&artifact.fields[i]);
+    }
+  }
+  for (size_t i = 0; i < artifact.methods.size(); i++) {
+    if (i >= proof.method_ids.size() || !IsIdOf(proof.method_ids[i], artifact.methods[i])) {
+      added.methods.push_back(&artifact.methods[i]);
+    }
+  }
+  return added;
+}
+
+// Does an added member answer the member assumption `a`? Resolving it would
+// then find that member, so the assumption would not carry over.
+bool AnswersAssumption(const Assumption& a, const AddedMembers& added) {
+  switch (a.kind) {
+    case AssumptionKind::kFieldExists:
+      return std::any_of(added.fields.begin(), added.fields.end(),
+                         [&a](const FieldInfo* f) { return f->name == a.member_name; });
+    case AssumptionKind::kMethodExists:
+      return std::any_of(added.methods.begin(), added.methods.end(), [&a](const MethodInfo* m) {
+        return m->name == a.member_name && m->descriptor == a.descriptor;
+      });
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+ClassProof ClassProof::Of(const ClassFile& cls, ClassCertificate cert) {
+  ClassProof proof;
+  proof.cert = std::move(cert);
+  proof.super_class = cls.super_class;
+  proof.interfaces = cls.interfaces;
+  proof.field_names.reserve(cls.fields.size());
+  for (const FieldInfo& field : cls.fields) {
+    proof.field_names.push_back(field.name);
+  }
+  proof.method_ids.reserve(cls.methods.size());
+  proof.bodies.reserve(proof.cert.methods.size());
+  for (size_t m = 0; m < cls.methods.size(); m++) {
+    const MethodInfo& method = cls.methods[m];
+    proof.method_ids.push_back(method.Id());
+    if (!method.code.has_value()) {
+      continue;
+    }
+    Body body;
+    body.method = static_cast<uint32_t>(m);
+    body.is_static = method.IsStatic();
+    body.max_stack = method.code->max_stack;
+    body.max_locals = method.code->max_locals;
+    body.code = method.code->code;
+    body.handlers = method.code->handlers;
+    proof.bodies.push_back(std::move(body));
+  }
+  return proof;
+}
+
+Result<ClassCertificate> TransformCertificate(ClassProof proof, std::span<const CodeEdit> edits,
+                                              const ClassFile& artifact, const ClassEnv& env,
+                                              uint64_t* checks) {
+  const std::string& name = artifact.name();
+  if (proof.cert.class_name != name || proof.bodies.size() != proof.cert.methods.size() ||
+      artifact.super_class != proof.super_class || artifact.interfaces != proof.interfaces) {
+    return Verr(name + ": the artifact is not the proved class");
+  }
+  const AddedMembers added = FindAddedMembers(artifact, proof);
+  for (const Assumption& a : proof.cert.assumptions) {
+    if (AnswersAssumption(a, added)) {
+      return Verr(name + ": an added member answers assumption " + a.ToString());
+    }
+  }
+
+  const size_t method_count = artifact.methods.size();
+  std::vector<uint32_t> inserted(method_count, 0);
+  for (const CodeEdit& edit : edits) {
+    if (edit.method >= method_count || edit.index != 0) {
+      return Verr(name + ": an edit inserts code other than at a method's entry");
+    }
+    inserted[edit.method] += edit.count;
+  }
+  std::vector<int32_t> body_at(method_count, -1);
+  for (size_t k = 0; k < proof.bodies.size(); k++) {
+    const uint32_t m = proof.bodies[k].method;
+    if (m >= method_count || !artifact.methods[m].code.has_value() ||
+        !IsIdOf(proof.cert.methods[k].method_id, artifact.methods[m]) ||
+        artifact.methods[m].IsStatic() != proof.bodies[k].is_static) {
+      return Verr(name + ": proved method " + proof.cert.methods[k].method_id +
+                  " is gone or changed");
+    }
+    body_at[m] = static_cast<int32_t>(k);
+  }
+
+  // Inserted code is walked in the artifact's own lattice; the scope is made
+  // on first use, since a class whose methods gained no code needs none.
+  VerifyStats stats;
+  std::vector<Assumption> inserted_assumptions;
+  std::optional<TypeEnv> types;
+  std::optional<ClassScope> scope;
+  SnippetWalk walk;
+  auto walk_inserted = [&](const MethodInfo& method, const DecodedCode& mc,
+                           size_t count) -> Result<Frame> {
+    if (!types.has_value()) {
+      types.emplace(env);
+      scope.emplace(artifact, *types);
+    }
+    AbstractInterpreter interp(*scope, method, mc, &stats.phase3_checks, &inserted_assumptions);
+    Frame entry = interp.EntryFrame();
+    DVM_RETURN_IF_ERROR(
+        WalkSnippet(interp, artifact, method, mc, count, entry, *types, &stats, &walk));
+    return entry;
+  };
+
+  ClassCertificate out;
+  out.class_name = name;
+  out.assumptions = std::move(proof.cert.assumptions);
+  out.methods.reserve(proof.cert.methods.size());
+  for (size_t m = 0; m < method_count; m++) {
+    const MethodInfo& method = artifact.methods[m];
+    const uint32_t count = inserted[m];
+    if (!method.code.has_value()) {
+      if (count != 0) {
+        return Verr(name + ": an edit inserts code into bodyless " + method.Id());
+      }
+      continue;
+    }
+    const CodeAttr& code = *method.code;
+
+    if (body_at[m] < 0) {
+      // A method a filter added: all of it is inserted code.
+      DVM_ASSIGN_OR_RETURN(DecodedCode mc, Phase2(artifact, method, &stats));
+      if (count != mc.instrs.size() || !code.handlers.empty()) {
+        return Verr(name + ": " + method.Id() + " is neither proved nor a reported addition");
+      }
+      DVM_RETURN_IF_ERROR(walk_inserted(method, mc, count));
+      MethodCertificate mcert;
+      mcert.method_id = method.Id();
+      mcert.assertions = std::move(walk.assertions);
+      out.methods.push_back(std::move(mcert));
+      continue;
+    }
+
+    const ClassProof::Body& body = proof.bodies[static_cast<size_t>(body_at[m])];
+    MethodCertificate& mcert = proof.cert.methods[static_cast<size_t>(body_at[m])];
+    if (code.max_locals < body.max_locals || code.max_stack < body.max_stack ||
+        code.handlers.size() != body.handlers.size()) {
+      return Verr(name + ": " + method.Id() + " lost locals, stack or handlers");
+    }
+    // Branch offsets are relative, so code inserted in front leaves the
+    // proved bytes as they were, behind it; handlers move by its length.
+    if (code.code.size() < body.code.size() ||
+        !std::equal(body.code.begin(), body.code.end(),
+                    code.code.end() - static_cast<std::ptrdiff_t>(body.code.size()))) {
+      return Verr(name + ": " + method.Id() + " does not end in its proved body");
+    }
+    const size_t prefix_bytes = code.code.size() - body.code.size();
+    for (size_t h = 0; h < body.handlers.size(); h++) {
+      const ExceptionHandler& was = body.handlers[h];
+      const ExceptionHandler& now = code.handlers[h];
+      if (now.start_pc != was.start_pc + prefix_bytes || now.end_pc != was.end_pc + prefix_bytes ||
+          now.handler_pc != was.handler_pc + prefix_bytes || now.catch_type != was.catch_type) {
+        return Verr(name + ": " + method.Id() + " has handlers the proof does not cover");
+      }
+    }
+    // Proved frames grow by the slots past the proved max_locals, holding
+    // what inserted code left there (Top when nothing was inserted).
+    std::vector<NamedType> padding(code.max_locals - body.max_locals, NamedType::Top());
+    if (count > 0 || prefix_bytes > 0) {
+      DVM_ASSIGN_OR_RETURN(DecodedCode mc, DecodeCode(code.code, prefix_bytes));
+      if (mc.instrs.size() != count) {
+        return Verr(name + ": " + method.Id() + " has code in front that is not its insertions");
+      }
+      DVM_ASSIGN_OR_RETURN(Frame entry, walk_inserted(method, mc, count));
+      // The proved code must start from the frame it was proved from.
+      const std::optional<Frame>& handover = walk.handover;
+      if (!handover.has_value() || !handover->stack.empty() ||
+          !std::equal(entry.locals.begin(), entry.locals.begin() + body.max_locals,
+                      handover->locals.begin())) {
+        return Verr(name + ": inserted code in " + method.Id() + " changes the entry frame");
+      }
+      padding =
+          SpellFrame(std::span(handover->locals).subspan(body.max_locals), {}, *types).locals;
+      // The hand-over point is a merge point when inserted code branches to
+      // it or the proved entry already was one; the latter's frame is the
+      // proved join, which the hand-over frame equals on the proved slots.
+      if (walk.handover_is_target &&
+          (mcert.assertions.empty() || mcert.assertions.front().index != 0)) {
+        walk.assertions.push_back({count, SpellFrame(handover->locals, {}, *types)});
+      }
+    }
+    for (FrameAssertion& a : mcert.assertions) {
+      stats.phase3_checks++;
+      a.index += count;
+      for (NamedType& t : a.frame.locals) {
+        Shift(t, count);
+      }
+      for (NamedType& t : a.frame.stack) {
+        Shift(t, count);
+      }
+      a.frame.locals.insert(a.frame.locals.end(), padding.begin(), padding.end());
+    }
+    if (count > 0 && !walk.assertions.empty()) {
+      // Inserted code's assertions all precede the proved ones.
+      walk.assertions.insert(walk.assertions.end(),
+                             std::make_move_iterator(mcert.assertions.begin()),
+                             std::make_move_iterator(mcert.assertions.end()));
+      mcert.assertions = std::move(walk.assertions);
+    }
+    out.methods.push_back(std::move(mcert));
+  }
+
+  if (!inserted_assumptions.empty()) {
+    return Verr(name + ": inserted code makes assumption " +
+                inserted_assumptions.front().ToString());
+  }
+  if (checks != nullptr) {
+    *checks = stats.TotalStaticChecks();
+  }
+  return out;
 }
 
 }  // namespace dvm

@@ -1,10 +1,12 @@
 // Proof-carrying verification certificates (ROADMAP: "certificates instead of
 // re-checking"). The proxy that rewrites a class runs the full phase-3
-// fixpoint once and emits the typestate frame at every merge point; a replica
-// receiving the artifact re-checks it against the certificate in ONE forward
-// pass — no worklist, no frame merging into a fixpoint — and gets the same
-// accept/reject verdict and the same link-time assumptions the full verifier
-// would produce.
+// fixpoint once, on the class as its verification filter receives it, and
+// derives the artifact's certificate — the typestate frame at every merge
+// point — from that proof and the code the later filters inserted
+// (TransformCertificate); a replica receiving the artifact re-checks it
+// against the certificate in ONE forward pass — no worklist, no frame merging
+// into a fixpoint — and gets the same accept/reject verdict and the same
+// link-time assumptions the full verifier would produce.
 //
 // Validation is fail-closed and exact:
 //   * every control-flow edge's frame must fit (⊑) the asserted frame at its
@@ -23,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "src/bytecode/classfile.h"
 #include "src/support/bytes.h"
 #include "src/support/result.h"
 #include "src/verifier/assumptions.h"
@@ -112,6 +115,64 @@ struct ValidateStats {
     return verify.phase1_checks + verify.phase2_checks + validate_checks;
   }
 };
+
+// One insertion a rewriting filter made after a class was proved: `count`
+// instructions placed before the instruction then at `index` of the method at
+// position `method` of ClassFile::methods (MethodEditor::InsertBefore).
+// Branches that targeted that instruction still target it. A method a filter
+// adds is recorded as an insertion of its whole body at index 0.
+struct CodeEdit {
+  uint32_t method = 0;
+  uint32_t index = 0;
+  uint32_t count = 0;
+};
+
+// The verification filter's certificate for the class it verified, with what
+// TransformCertificate checks an edited copy of the class against: every
+// proved body as it was proved, and the class facts the proof read.
+struct ClassProof {
+  struct Body {
+    uint32_t method = 0;  // position in ClassFile::methods
+    bool is_static = false;
+    uint16_t max_stack = 0;
+    uint16_t max_locals = 0;
+    Bytes code;
+    std::vector<ExceptionHandler> handlers;
+  };
+
+  // Keeps `cert`, which must be VerifyClass's certificate for `cls`.
+  static ClassProof Of(const ClassFile& cls, ClassCertificate cert);
+
+  ClassCertificate cert;
+  std::vector<Body> bodies;  // one per cert.methods entry, in the same order
+  uint16_t super_class = 0;
+  std::vector<uint16_t> interfaces;
+  std::vector<std::string> field_names;  // every declared field
+  std::vector<std::string> method_ids;   // every declared method
+};
+
+// Derives the certificate of `artifact`, the proved class after `edits`, from
+// `proof` without running the fixpoint (DESIGN.md §15). It holds when every
+// edit inserted straight-line code at index 0 of a proved method, or added a
+// whole method, and left the rest of the class as proved:
+//   * assertions move by the instructions inserted in front of them, and so do
+//     the allocation sites of Uninit slots;
+//   * locals are padded to the artifact's max_locals with the slot values the
+//     inserted code leaves behind;
+//   * merge points inside inserted code (the verification guard's skip
+//     target) get the frames of one local walk over that code, which starts
+//     at the method's entry frame and must hand the proved code that same
+//     frame on the proved slots;
+//   * the assumptions carry over unchanged: inserted code may add none.
+// Anything else is an error, and the caller proves the artifact with the
+// fixpoint instead: a body that is not its proved body behind the reported
+// insertions, an insertion anywhere but index 0, a backward branch or a
+// changed frame in inserted code, a changed superclass or interface list, or
+// an added member that an assumption names. `checks` (optional) receives the
+// work done. `env` must resolve the artifact's name to `artifact`.
+Result<ClassCertificate> TransformCertificate(ClassProof proof, std::span<const CodeEdit> edits,
+                                              const ClassFile& artifact, const ClassEnv& env,
+                                              uint64_t* checks = nullptr);
 
 // Checks `cls` against `cert` in a single forward pass per method. Ok() means
 // the class is exactly as safe as the full verifier would find it, with

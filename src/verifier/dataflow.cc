@@ -22,6 +22,64 @@ Error Verr(const std::string& message) { return Error{ErrorCode::kVerifyError, m
 // Phase 2: instruction integrity.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// CheckOperands, inlined into Phase2's per-instruction loop.
+[[gnu::always_inline]] inline Status CheckInstrOperands(const ConstantPool& pool,
+                                                        const MethodInfo& method,
+                                                        const Instr& instr, VerifyStats* stats) {
+  const CodeAttr& code = *method.code;
+  auto check = [&stats] { stats->phase2_checks++; };
+  const OpInfo* info = GetOpInfo(instr.op);
+  switch (info->operands) {
+    case OperandKind::kU8:
+    case OperandKind::kLocalIncr:
+      check();
+      if (instr.a >= code.max_locals) {
+        return Verr("local index " + std::to_string(instr.a) + " out of bounds in " +
+                    method.Id());
+      }
+      break;
+    case OperandKind::kArrayKind:
+      check();
+      if (instr.a != static_cast<int>(ArrayKind::kInt) &&
+          instr.a != static_cast<int>(ArrayKind::kLong)) {
+        return Verr("bad newarray kind in " + method.Id());
+      }
+      break;
+    case OperandKind::kCpIndex: {
+      check();
+      uint16_t index = static_cast<uint16_t>(instr.a);
+      bool ok = false;
+      if (instr.op == Op::kLdc) {
+        ok = pool.HasTag(index, CpTag::kInteger) || pool.HasTag(index, CpTag::kLong) ||
+             pool.HasTag(index, CpTag::kString);
+      } else if (IsInvoke(instr.op)) {
+        ok = pool.HasTag(index, CpTag::kMethodRef);
+      } else if (IsFieldAccess(instr.op)) {
+        ok = pool.HasTag(index, CpTag::kFieldRef);
+      } else {  // new / anewarray / checkcast / instanceof
+        ok = pool.HasTag(index, CpTag::kClass);
+      }
+      if (!ok) {
+        return Verr(std::string(info->name) + " references wrong constant pool tag in " +
+                    method.Id());
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status CheckOperands(const ConstantPool& pool, const MethodInfo& method, const Instr& instr,
+                     VerifyStats* stats) {
+  return CheckInstrOperands(pool, method, instr, stats);
+}
+
 Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats) {
   const CodeAttr& code = *method.code;
   auto check = [&stats] { stats->phase2_checks++; };
@@ -54,46 +112,7 @@ Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verif
   const ConstantPool& pool = cls.pool();
   for (size_t i = 0; i < instrs.size(); i++) {
     const Instr& instr = instrs[i];
-    const OpInfo* info = GetOpInfo(instr.op);
-    switch (info->operands) {
-      case OperandKind::kU8:
-      case OperandKind::kLocalIncr:
-        check();
-        if (instr.a >= code.max_locals) {
-          return Verr("local index " + std::to_string(instr.a) + " out of bounds in " +
-                      method.Id());
-        }
-        break;
-      case OperandKind::kArrayKind:
-        check();
-        if (instr.a != static_cast<int>(ArrayKind::kInt) &&
-            instr.a != static_cast<int>(ArrayKind::kLong)) {
-          return Verr("bad newarray kind in " + method.Id());
-        }
-        break;
-      case OperandKind::kCpIndex: {
-        check();
-        uint16_t index = static_cast<uint16_t>(instr.a);
-        bool ok = false;
-        if (instr.op == Op::kLdc) {
-          ok = pool.HasTag(index, CpTag::kInteger) || pool.HasTag(index, CpTag::kLong) ||
-               pool.HasTag(index, CpTag::kString);
-        } else if (IsInvoke(instr.op)) {
-          ok = pool.HasTag(index, CpTag::kMethodRef);
-        } else if (IsFieldAccess(instr.op)) {
-          ok = pool.HasTag(index, CpTag::kFieldRef);
-        } else {  // new / anewarray / checkcast / instanceof
-          ok = pool.HasTag(index, CpTag::kClass);
-        }
-        if (!ok) {
-          return Verr(std::string(info->name) + " references wrong constant pool tag in " +
-                      method.Id());
-        }
-        break;
-      }
-      default:
-        break;
-    }
+    DVM_RETURN_IF_ERROR(CheckInstrOperands(pool, method, instr, stats));
     // Control may not fall off the end of the method.
     check();
     if (i + 1 == instrs.size() && !IsTerminator(instr.op)) {

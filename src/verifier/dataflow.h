@@ -33,6 +33,13 @@ Status Phase1(const ClassFile& cls, VerifyStats* stats);
 // fall-off-the-end). Bumps stats->phase2_checks / instructions_verified.
 Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats);
 
+// Phase 2's operand checks on one instruction of `method` (local indices
+// within max_locals, array kinds, constant-pool tags). Phase2 runs them on
+// every instruction; certificate derivation on the instructions a rewrite
+// inserted.
+Status CheckOperands(const ConstantPool& pool, const MethodInfo& method, const Instr& instr,
+                     VerifyStats* stats);
+
 // Per instruction index: is it a branch target or handler entry? Certificates
 // assert frames at the reachable ones and nowhere else (one proof per class).
 std::vector<bool> MergePoints(const MethodInfo& method, const DecodedCode& mc);

@@ -1,7 +1,7 @@
 // Verification type lattice and abstract frames for the phase-3 dataflow pass.
 //
 //            Top (unusable / conflict)
-//           /  |   \
+//           /  |   \___________
 //        Int  Long  Ref(C) ... Ref(Object)
 //                     |
 //                    Null        (bottom of the reference sub-lattice)

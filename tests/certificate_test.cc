@@ -20,16 +20,20 @@
 
 #include "src/bytecode/builder.h"
 #include "src/bytecode/serializer.h"
+#include "src/dvm/dvm.h"
 #include "src/dvm/replication.h"
 #include "src/policy/xml.h"
+#include "src/rewrite/method_editor.h"
 #include "src/proxy/proxy.h"
 #include "src/runtime/syslib.h"
+#include "src/services/monitor_service.h"
 #include "src/services/security_service.h"
 #include "src/services/verify_service.h"
 #include "src/simnet/fault.h"
 #include "src/simnet/sim.h"
 #include "src/verifier/certificate.h"
 #include "src/verifier/verifier.h"
+#include "src/workloads/applets.h"
 #include "src/workloads/apps.h"
 
 namespace dvm {
@@ -517,6 +521,345 @@ TEST_F(CertificateReplicationTest, NullSeededArrayLoadCarriesProof) {
   EXPECT_EQ(cluster_->replica(1).stats().Value("proxy.cert_missing"), 0u);
   EXPECT_EQ(cluster_->replica(1).stats().Value("proxy.cert_rejects"), 0u);
   EXPECT_EQ(cluster_->replica(1).replicated_installs(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Derivation: the proxy's certificate comes from the verification filter's
+// proof, and must be exactly what the fixpoint proves of the artifact.
+// ---------------------------------------------------------------------------
+
+// The organization policy of the Figure 6 end-to-end runs.
+SecurityPolicy Fig6Policy() {
+  return ParseSecurityPolicy(R"(
+    <policy version="1">
+      <domain sid="user" code="app/*"/>
+      <domain sid="user" code="ui/*"/>
+      <domain sid="user" code="applet/*"/>
+      <allow sid="user" operation="*" target="*"/>
+      <hook class="java/io/File" method="open" operation="file.open" target-arg="0"/>
+      <hook class="java/lang/System" method="getProperty" operation="property.get"/>
+    </policy>)")
+      .value();
+}
+
+// Inserts code at the entry of every method that stores into a fresh local,
+// raising max_locals, and branches within itself, making a merge point of its
+// own; it reports the insertion or, with `report` false, hides it.
+class LocalStoringFilter : public CodeFilter {
+ public:
+  explicit LocalStoringFilter(bool report = true) : report_(report) {}
+  std::string name() const override { return "test-local-store"; }
+  Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) const override {
+    FilterOutcome outcome;
+    for (MethodInfo& method : cls.methods) {
+      if (!method.code.has_value()) {
+        continue;
+      }
+      const int fresh = method.code->max_locals;
+      DVM_ASSIGN_OR_RETURN(MethodEditor editor, MethodEditor::Open(&cls, &method));
+      DVM_RETURN_IF_ERROR(editor.InsertBefore(0, {{Op::kIconst1, 0, 0},
+                                                  {Op::kIstore, fresh, 0},
+                                                  {Op::kIload, fresh, 0},
+                                                  {Op::kIfeq, 5, 0},
+                                                  {Op::kNop, 0, 0},
+                                                  {Op::kNop, 0, 0}}));
+      DVM_RETURN_IF_ERROR(editor.Commit(report_ ? &outcome.code_edits : nullptr));
+      outcome.modified = true;
+    }
+    return outcome;
+  }
+
+ private:
+  bool report_;
+};
+
+class CertificateDerivationTest : public CertificateTest {
+ protected:
+  struct Served {
+    Bytes artifact;
+    Bytes certificate;
+    bool derived = false;
+    bool fell_back = false;
+  };
+
+  // One miss on `name`: the artifact, its certificate, and which path
+  // certified it.
+  static Served Serve(DvmProxy& proxy, const std::string& name) {
+    const uint64_t derived = proxy.stats().Value("proxy.cert_derived");
+    const uint64_t fallbacks = proxy.stats().Value("proxy.cert_fixpoint_fallbacks");
+    Served served;
+    auto response = proxy.HandleRequest(name);
+    EXPECT_TRUE(response.ok()) << name << ": " << response.error().ToString();
+    if (!response.ok()) {
+      return served;
+    }
+    EXPECT_FALSE(response->cache_hit) << name;
+    auto cached = proxy.cache().Peek(DvmProxy::RewriteCacheKey(name, ""));
+    EXPECT_TRUE(cached.has_value()) << name;
+    served.artifact = response->data;
+    served.certificate = cached.has_value() ? cached->certificate : Bytes{};
+    served.derived = proxy.stats().Value("proxy.cert_derived") == derived + 1;
+    served.fell_back = proxy.stats().Value("proxy.cert_fixpoint_fallbacks") == fallbacks + 1;
+    EXPECT_NE(served.derived, served.fell_back) << name;
+    return served;
+  }
+
+  // The fixpoint's proof of `artifact`: what the proxy served before
+  // certificates were derived. Empty when the verifier rejects it.
+  Bytes Prove(const Bytes& artifact) const {
+    auto cls = ReadClassFile(artifact);
+    EXPECT_TRUE(cls.ok());
+    if (!cls.ok()) {
+      return {};
+    }
+    const ArtifactEnv env(&lib_env_, cls.value());
+    ClassCertificate cert;
+    return VerifyClass(cls.value(), env, &cert).ok() ? SerializeCertificate(cert) : Bytes{};
+  }
+
+  // A proxy stacking `filters` in front of the verification filter's proof.
+  std::unique_ptr<DvmProxy> ProxyWith(std::vector<std::unique_ptr<CodeFilter>> filters) {
+    auto proxy = std::make_unique<DvmProxy>(ProxyConfig{}, &lib_env_, &origin_);
+    proxy->AddFilter(std::make_unique<VerificationFilter>());
+    for (auto& filter : filters) {
+      proxy->AddFilter(std::move(filter));
+    }
+    return proxy;
+  }
+
+  // The frames of the certificate `wire`, for looking inside one.
+  static std::vector<NamedFrame> Frames(const Bytes& wire) {
+    std::vector<NamedFrame> frames;
+    auto cert = ParseCertificate(wire);
+    EXPECT_TRUE(cert.ok());
+    if (cert.ok()) {
+      for (const MethodCertificate& m : cert->methods) {
+        for (const FrameAssertion& a : m.assertions) {
+          frames.push_back(a.frame);
+        }
+      }
+    }
+    return frames;
+  }
+
+  MapClassProvider origin_;
+};
+
+// Every class of the Fig. 5 applications and of 100 applets, served by a
+// Fig. 6 server, carries a derived certificate byte-equal to the fixpoint's
+// proof of the served artifact, with no fallback; so does every corpus input
+// the verifier accepts (a rejected one is served as a VerifyError stand-in,
+// which the fixpoint certifies).
+TEST_F(CertificateDerivationTest, DerivedCertificateEqualsFixpoint) {
+  std::vector<std::string> names;
+  for (const auto& bundles : {BuildFig5Apps(1), BuildAppletPopulation(100, 1999)}) {
+    for (const AppBundle& bundle : bundles) {
+      bundle.InstallInto(&origin_);
+      for (std::string& name : bundle.ClassNames()) {
+        names.push_back(std::move(name));
+      }
+    }
+  }
+  ASSERT_GE(names.size(), 500u);
+  DvmServerConfig config;
+  config.policy = Fig6Policy();
+  DvmServer server(config, &origin_);
+  for (const std::string& name : names) {
+    const Served served = Serve(server.proxy(), name);
+    EXPECT_TRUE(served.derived) << name;
+    EXPECT_EQ(served.certificate, Prove(served.artifact)) << name;
+  }
+  EXPECT_EQ(server.proxy().stats().Value("proxy.cert_derived"), names.size());
+  EXPECT_EQ(server.proxy().stats().Value("proxy.cert_fixpoint_fallbacks"), 0u);
+  EXPECT_EQ(server.proxy().stats().Value("proxy.cert_emits"), names.size());
+
+  std::filesystem::path dir(DVM_CORPUS_DIR);
+  size_t corpus_derived = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const Bytes data = ReadFileBytes(entry.path());
+    auto parsed = ReadClassFile(data);
+    if (!parsed.ok()) {
+      continue;
+    }
+    MapClassProvider staged;
+    staged.Add(parsed->name(), data);
+    DvmServer corpus_server(config, &staged);
+    const Served served = Serve(corpus_server.proxy(), parsed->name());
+    EXPECT_EQ(served.certificate, Prove(served.artifact)) << entry.path().filename();
+    const ArtifactEnv origin_env(&lib_env_, parsed.value());
+    const bool accepted = VerifyClass(parsed.value(), origin_env).ok();
+    EXPECT_EQ(served.derived, accepted) << entry.path().filename();
+    corpus_derived += served.derived ? 1 : 0;
+  }
+  EXPECT_GT(corpus_derived, 0u);
+}
+
+// Instruction 0 of the origin is a loop head, and the verification guard's
+// skip branch lands on the same instruction: one assertion there, the
+// origin's loop-head frame, behind both inserted snippets.
+TEST_F(CertificateDerivationTest, LoopHeadAtEntryStaysOneAssertion) {
+  ClassBuilder cb("app/Spin", "java/lang/Object");
+  MethodBuilder& m = cb.AddMethod(AccessFlags::kPublic | AccessFlags::kStatic, "spin", "(I)I");
+  Label loop = m.NewLabel();
+  Label done = m.NewLabel();
+  m.Bind(loop);
+  m.LoadLocal("I", 0).Branch(Op::kIfeq, done);
+  m.InvokeStatic("app/Helper", "tick", "()V");  // an assumption, so a guard
+  m.Emit(Op::kIinc, 0, -1).Branch(Op::kGoto, loop);
+  m.Bind(done);
+  m.PushInt(0).Emit(Op::kIreturn);
+  origin_.AddClassFile(cb.Build().value());
+
+  std::vector<std::unique_ptr<CodeFilter>> filters;
+  filters.push_back(std::make_unique<AuditFilter>());
+  auto proxy = ProxyWith(std::move(filters));
+  const Served served = Serve(*proxy, "app/Spin");
+  EXPECT_TRUE(served.derived);
+  EXPECT_EQ(served.certificate, Prove(served.artifact));
+  auto cert = ParseCertificate(served.certificate);
+  ASSERT_TRUE(cert.ok());
+  ASSERT_EQ(cert->methods.size(), 1u);
+  // Audit prologue (2) + guard; the loop head and the guard's target coincide.
+  const auto& assertions = cert->methods[0].assertions;
+  ASSERT_FALSE(assertions.empty());
+  EXPECT_GT(assertions.front().index, 2u);
+  EXPECT_EQ(assertions.front().frame.locals[0], NamedType::Int());
+}
+
+// A `new` before a branch leaves its Uninit value on the stack at the join:
+// the allocation site is an instruction index and moves with the insertion.
+TEST_F(CertificateDerivationTest, UninitSitesMoveWithTheirNew) {
+  ClassBuilder cb("app/Maker", "java/lang/Object");
+  MethodBuilder& init = cb.AddMethod(AccessFlags::kPublic, "<init>", "(I)V");
+  init.LoadLocal("Lapp/Maker;", 0).InvokeSpecial("java/lang/Object", "<init>", "()V");
+  init.Emit(Op::kReturn);
+  MethodBuilder& m =
+      cb.AddMethod(AccessFlags::kPublic | AccessFlags::kStatic, "make", "(I)Ljava/lang/Object;");
+  Label zero = m.NewLabel();
+  Label join = m.NewLabel();
+  m.New("app/Maker").Emit(Op::kDup);
+  m.LoadLocal("I", 0).Branch(Op::kIfeq, zero);
+  m.PushInt(1).Branch(Op::kGoto, join);
+  m.Bind(zero);
+  m.PushInt(0);
+  m.Bind(join);
+  m.InvokeSpecial("app/Maker", "<init>", "(I)V").Emit(Op::kAreturn);
+  origin_.AddClassFile(cb.Build().value());
+
+  std::vector<std::unique_ptr<CodeFilter>> filters;
+  filters.push_back(std::make_unique<AuditFilter>());
+  auto proxy = ProxyWith(std::move(filters));
+  const Served served = Serve(*proxy, "app/Maker");
+  EXPECT_TRUE(served.derived);
+  EXPECT_EQ(served.certificate, Prove(served.artifact));
+  bool moved_site = false;
+  for (const NamedFrame& frame : Frames(served.certificate)) {
+    for (const NamedType& t : frame.stack) {
+      // The `new` was instruction 0; the audit prologue put two in front.
+      moved_site |= t == NamedType::Uninit("app/Maker", 2);
+    }
+  }
+  EXPECT_TRUE(moved_site);
+}
+
+// A loop over locals only: no assumption, so no verification guard.
+ClassFile LoopOnlyApp() {
+  ClassBuilder cb("app/LoopOnly", "java/lang/Object");
+  cb.AddDefaultConstructor();
+  MethodBuilder& m = cb.AddMethod(AccessFlags::kPublic | AccessFlags::kStatic, "count", "(I)I");
+  Label loop = m.NewLabel();
+  Label done = m.NewLabel();
+  m.PushInt(0).StoreLocal("I", 1);
+  m.Bind(loop);
+  m.LoadLocal("I", 0).Branch(Op::kIfeq, done);
+  m.Emit(Op::kIinc, 1, 1).Emit(Op::kIinc, 0, -1).Branch(Op::kGoto, loop);
+  m.Bind(done);
+  m.LoadLocal("I", 1).Emit(Op::kIreturn);
+  return cb.Build().value();
+}
+
+// Inserted code that stores into a fresh local widens every frame; the new
+// slot holds what the inserted code left there, not Top. Its own branch
+// target, in front of the verification guard, is a merge point too.
+TEST_F(CertificateDerivationTest, InsertedLocalsPadEveryFrame) {
+  origin_.AddClassFile(BranchyApp());
+  std::vector<std::unique_ptr<CodeFilter>> filters;
+  filters.push_back(std::make_unique<LocalStoringFilter>());
+  auto proxy = ProxyWith(std::move(filters));
+  const Served served = Serve(*proxy, "app/Branchy");
+  EXPECT_TRUE(served.derived);
+  EXPECT_EQ(served.certificate, Prove(served.artifact));
+  auto artifact = ReadClassFile(served.artifact);
+  ASSERT_TRUE(artifact.ok());
+  const MethodInfo* run = artifact->FindMethod("run", "()I");
+  ASSERT_NE(run, nullptr);
+  const size_t fresh = run->code->max_locals - 1u;
+  bool padded = false;
+  for (const NamedFrame& frame : Frames(served.certificate)) {
+    if (frame.locals.size() == run->code->max_locals) {
+      EXPECT_EQ(frame.locals[fresh], NamedType::Int());
+      padded = true;
+    }
+  }
+  EXPECT_TRUE(padded);
+  // The inserted branch's target, instruction 5 of every method.
+  auto cert = ParseCertificate(served.certificate);
+  ASSERT_TRUE(cert.ok());
+  for (const MethodCertificate& m : cert->methods) {
+    ASSERT_FALSE(m.assertions.empty()) << m.method_id;
+    EXPECT_EQ(m.assertions.front().index, 5u) << m.method_id;
+  }
+}
+
+// A filter that edits a body without reporting it: the derivation finds a
+// body that is not the proved one, and the proxy proves the artifact itself.
+// The class needs no guard, so nothing but the body's bytes shows the edit.
+TEST_F(CertificateDerivationTest, UnreportedEditFallsBackToTheFixpoint) {
+  origin_.AddClassFile(LoopOnlyApp());
+  std::vector<std::unique_ptr<CodeFilter>> filters;
+  filters.push_back(std::make_unique<LocalStoringFilter>(/*report=*/false));
+  auto proxy = ProxyWith(std::move(filters));
+  const Served served = Serve(*proxy, "app/LoopOnly");
+  EXPECT_TRUE(served.fell_back);
+  EXPECT_FALSE(served.certificate.empty());
+  EXPECT_EQ(served.certificate, Prove(served.artifact));
+  EXPECT_EQ(proxy->stats().Value("proxy.cert_emits"), 1u);
+}
+
+// Security preambles (one passing a String argument) and the wrapper that
+// replaces a hooked native are derived too.
+TEST_F(CertificateDerivationTest, SecurityPreamblesAndWrappersDerive) {
+  ClassBuilder cb("app/Guarded", "java/lang/Object");
+  cb.AddDefaultConstructor();
+  MethodBuilder& open = cb.AddMethod(AccessFlags::kPublic | AccessFlags::kStatic, "open",
+                                     "(Ljava/lang/String;)I");
+  Label done = open.NewLabel();
+  open.LoadLocal("Ljava/lang/String;", 0).Branch(Op::kIfnull, done);
+  open.PushInt(1).Emit(Op::kIreturn);
+  open.Bind(done);
+  open.PushInt(0).Emit(Op::kIreturn);
+  cb.AddNativeMethod(AccessFlags::kPublic | AccessFlags::kStatic, "poke", "(I)I");
+  origin_.AddClassFile(cb.Build().value());
+
+  static const SecurityPolicy policy = ParseSecurityPolicy(R"(
+    <policy version="1">
+      <allow operation="*" target="*"/>
+      <hook class="app/Guarded" method="open" operation="file.open" target-arg="0"/>
+      <hook class="app/Guarded" method="poke" operation="poke"/>
+    </policy>)")
+                                           .value();
+  std::vector<std::unique_ptr<CodeFilter>> filters;
+  filters.push_back(std::make_unique<SecurityFilter>(&policy));
+  filters.push_back(std::make_unique<AuditFilter>());
+  auto proxy = ProxyWith(std::move(filters));
+  const Served served = Serve(*proxy, "app/Guarded");
+  EXPECT_TRUE(served.derived);
+  EXPECT_EQ(served.certificate, Prove(served.artifact));
+  auto artifact = ReadClassFile(served.artifact);
+  ASSERT_TRUE(artifact.ok());
+  const MethodInfo* wrapper = artifact->FindMethod("poke", "(I)I");
+  ASSERT_NE(wrapper, nullptr);
+  EXPECT_TRUE(wrapper->code.has_value());
 }
 
 }  // namespace

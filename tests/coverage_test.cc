@@ -334,7 +334,7 @@ TEST(MachineEdgeTest, HeapRejectsWhenExhausted) {
 
 TEST(ProviderEdgeTest, RewriteCacheClear) {
   RewriteCache cache(1 << 20);
-  cache.Put("a", CachedClass{Bytes{1}, {}});
+  cache.Put("a", CachedClass{Bytes{1}, {}, /*epoch=*/0, /*certificate=*/{}});
   EXPECT_EQ(cache.entries(), 1u);
   cache.Clear();
   EXPECT_EQ(cache.entries(), 0u);

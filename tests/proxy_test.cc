@@ -63,22 +63,24 @@ TEST(CodeSignerTest, RejectsUnsignedAndWrongKey) {
 
 // --- cache ------------------------------------------------------------------------
 
-TEST(RewriteCacheTest, HitMissAccounting) {
-  RewriteCache cache(1 << 20);
-  EXPECT_FALSE(cache.Get("a").has_value());
-  cache.Put("a", CachedClass{Bytes{1, 2, 3}, {}});
-  std::optional<CachedClass> hit = cache.Get("a");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->main_class, (Bytes{1, 2, 3}));
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-}
-
 // A cache entry whose main class is `bytes` long.
 CachedClass EntryOf(size_t bytes) {
   CachedClass entry;
   entry.main_class = Bytes(bytes, 0);
   return entry;
+}
+
+TEST(RewriteCacheTest, HitMissAccounting) {
+  RewriteCache cache(1 << 20);
+  EXPECT_FALSE(cache.Get("a").has_value());
+  CachedClass entry;
+  entry.main_class = Bytes{1, 2, 3};
+  cache.Put("a", std::move(entry));
+  std::optional<CachedClass> hit = cache.Get("a");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->main_class, (Bytes{1, 2, 3}));
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
 }
 
 // The first `n` keys "k0", "k1", ... that hash to the same shard as "k0".
@@ -120,14 +122,14 @@ TEST(RewriteCacheTest, EvictsLruUnderPressure) {
 
 TEST(RewriteCacheTest, OversizeEntriesAreNotCached) {
   RewriteCache cache(RewriteCache::kShards * 100);
-  cache.Put("big", CachedClass{Bytes(500, 0), {}});
+  cache.Put("big", EntryOf(500));
   EXPECT_EQ(cache.entries(), 0u);
 }
 
 TEST(RewriteCacheTest, ShardedKeepsEveryShardWithinItsBudget) {
   RewriteCache cache(RewriteCache::kShards * 400);
   for (int i = 0; i < 200; i++) {
-    cache.Put("cls/" + std::to_string(i), CachedClass{Bytes(100, 0), {}});
+    cache.Put("cls/" + std::to_string(i), EntryOf(100));
   }
   EXPECT_LE(cache.size_bytes(), RewriteCache::kShards * 400u);
   size_t shard_entries = 0;
@@ -141,9 +143,9 @@ TEST(RewriteCacheTest, ShardedKeepsEveryShardWithinItsBudget) {
 
 TEST(RewriteCacheTest, ReplacementUpdatesBytes) {
   RewriteCache cache(1 << 20);
-  cache.Put("a", CachedClass{Bytes(100, 0), {}});
+  cache.Put("a", EntryOf(100));
   size_t first = cache.size_bytes();
-  cache.Put("a", CachedClass{Bytes(300, 0), {}});
+  cache.Put("a", EntryOf(300));
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_GT(cache.size_bytes(), first);
 }

@@ -382,7 +382,7 @@ uint64_t RunLossyScenario(uint64_t seed) {
   }
   FaultPlan plan;
   plan.seed = seed;
-  plan.default_link = LinkFaults{0.2, 0, kMillisecond};
+  plan.default_link = LinkFaults{0.2, 0, kMillisecond, /*outages=*/{}};
   FaultInjector injector(plan);
   cluster.SetFaultInjector(&injector);
   cluster.EnableReplication();

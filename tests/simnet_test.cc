@@ -88,8 +88,8 @@ TEST(SimLinkTest, IdleLinkAddsNoQueueingDelay) {
 FaultPlan LossyPlan(uint64_t seed) {
   FaultPlan plan;
   plan.seed = seed;
-  plan.links["uplink"] = LinkFaults{0.3, 1 * kMillisecond, 9 * kMillisecond};
-  plan.default_link = LinkFaults{0.1, 0, 0};
+  plan.links["uplink"] = LinkFaults{0.3, 1 * kMillisecond, 9 * kMillisecond, /*outages=*/{}};
+  plan.default_link = LinkFaults{0.1, 0, 0, /*outages=*/{}};
   plan.replica_outages[1] = {{10 * kSecond, 20 * kSecond}};
   return plan;
 }

@@ -254,16 +254,6 @@ TEST(StatsTest, RunningStatsBasics) {
   EXPECT_NEAR(s.stddev(), 1.2909944, 1e-6);
 }
 
-TEST(StatsTest, PercentileInterpolates) {
-  SampleSet s;
-  for (int i = 1; i <= 100; i++) {
-    s.Add(i);
-  }
-  EXPECT_DOUBLE_EQ(s.Percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(100), 100.0);
-  EXPECT_NEAR(s.Percentile(50), 50.5, 1e-9);
-}
-
 TEST(StringsTest, SplitAndJoin) {
   auto parts = Split("a.b.c", '.');
   ASSERT_EQ(parts.size(), 3u);

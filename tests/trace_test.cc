@@ -4,8 +4,10 @@
 // spans that account for every nanosecond of ProxyResponse::cpu_nanos.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "src/dvm/redirect_client.h"
 #include "src/runtime/syslib.h"
@@ -146,6 +148,47 @@ TEST(HistogramTest, CountSumMinMax) {
   EXPECT_EQ(snap.min, 0u);
   EXPECT_EQ(snap.max, 0u);
   EXPECT_EQ(snap.Percentile(50), 0.0);
+}
+
+// Exact percentiles over stored samples, linearly interpolated between the
+// closest ranks: the reference the histogram's estimates are checked against.
+class SampleSet {
+ public:
+  void Add(double x) { samples_.push_back(x); }
+  // p in [0, 100].
+  double Percentile(double p) const {
+    if (samples_.empty()) {
+      return 0.0;
+    }
+    std::vector<double> sorted = samples_;
+    std::sort(sorted.begin(), sorted.end());
+    if (p <= 0.0) {
+      return sorted.front();
+    }
+    if (p >= 100.0) {
+      return sorted.back();
+    }
+    double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+    size_t lo = static_cast<size_t>(rank);
+    double frac = rank - static_cast<double>(lo);
+    if (lo + 1 >= sorted.size()) {
+      return sorted.back();
+    }
+    return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
+  }
+
+ private:
+  std::vector<double> samples_;
+};
+
+TEST(StatsTest, PercentileInterpolates) {
+  SampleSet s;
+  for (int i = 1; i <= 100; i++) {
+    s.Add(i);
+  }
+  EXPECT_DOUBLE_EQ(s.Percentile(0), 1.0);
+  EXPECT_DOUBLE_EQ(s.Percentile(100), 100.0);
+  EXPECT_NEAR(s.Percentile(50), 50.5, 1e-9);
 }
 
 // Quantile accuracy against the exact SampleSet on a heavy-tailed workload:
@@ -298,7 +341,7 @@ TraceRun RunTracedWorkload(uint64_t seed) {
   }
   FaultPlan plan;
   plan.seed = seed;
-  plan.links["client-proxy"] = LinkFaults{0.05, 0, kMillisecond};
+  plan.links["client-proxy"] = LinkFaults{0.05, 0, kMillisecond, /*outages=*/{}};
   FaultInjector injector(plan);
   cluster.SetFaultInjector(&injector);
 

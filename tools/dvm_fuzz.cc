@@ -17,6 +17,11 @@
 //                                      them in reverse order; exit 1 on any
 //                                      difference in artifact, certificate or
 //                                      error
+//   dvm_fuzz derive-certs <input>...   serve every input through a proxy whose
+//                                      filters insert code into every method
+//                                      and compare each derived certificate
+//                                      with the fixpoint's proof of the same
+//                                      artifact; exit 1 on any difference
 //   dvm_fuzz min <file> <out>          greedy chunk-removal minimization that
 //                                      preserves the input's triage category
 //
@@ -41,6 +46,7 @@
 #include "src/runtime/syslib.h"
 #include "src/services/monitor_service.h"
 #include "src/services/reflect_service.h"
+#include "src/services/security_service.h"
 #include "src/services/verify_service.h"
 #include "src/verifier/certificate.h"
 #include "src/verifier/verifier.h"
@@ -589,6 +595,77 @@ int CmdOrderIndependence(const std::vector<std::filesystem::path>& inputs) {
   return differences > 0 ? 1 : 0;
 }
 
+// A certificate derived from the verification filter's proof must be the
+// fixpoint's proof of the same artifact, byte for byte. Each input is served
+// by a proxy stacking reflection, verification, a security hook on every
+// method (a preamble in each body, a wrapper for each native) and audit; a
+// miss whose edits the derivation cannot map falls back to the fixpoint and
+// is counted, not compared.
+int CmdDeriveCerts(const std::vector<std::filesystem::path>& inputs) {
+  std::vector<ClassFile> library = BuildSystemLibrary();
+  MapClassEnv lib_env;
+  for (const ClassFile& cls : library) {
+    lib_env.Add(&cls);
+  }
+  auto policy = ParseSecurityPolicy(R"(
+    <policy version="1">
+      <allow operation="*" target="*"/>
+      <hook class="*" method="*" operation="fuzz.call"/>
+    </policy>)");
+  if (!policy.ok()) {
+    std::fprintf(stderr, "derive-certs: %s\n", policy.error().ToString().c_str());
+    return 2;
+  }
+  StagedOrigin origin;
+  DvmProxy proxy(ProxyConfig{}, &lib_env, &origin);
+  proxy.AddFilter(std::make_unique<ReflectionFilter>());
+  proxy.AddFilter(std::make_unique<VerificationFilter>());
+  proxy.AddFilter(std::make_unique<SecurityFilter>(&policy.value()));
+  proxy.AddFilter(std::make_unique<AuditFilter>());
+
+  size_t inputs_served = 0;
+  size_t differences = 0;
+  for (const auto& file : ExpandInputs(inputs)) {
+    const Bytes data = ReadFileBytes(file);
+    auto parsed = ReadClassFile(data);
+    if (!parsed.ok()) {
+      continue;
+    }
+    const std::string name = parsed->name();
+    origin.staged = data;
+    proxy.InvalidateCache();
+    const uint64_t derived_before = proxy.stats().Value("proxy.cert_derived");
+    auto response = proxy.HandleRequest(name);
+    auto cached = proxy.cache().Peek(DvmProxy::RewriteCacheKey(name, ""));
+    if (!response.ok() || !cached.has_value()) {
+      continue;
+    }
+    inputs_served++;
+    if (proxy.stats().Value("proxy.cert_derived") == derived_before) {
+      continue;  // a fallback: the certificate is the fixpoint's already
+    }
+    auto artifact = ReadClassFile(response->data);
+    ClassCertificate proved;
+    bool same = artifact.ok();
+    if (same) {
+      const ArtifactEnv env(&lib_env, artifact.value());
+      same = VerifyClass(artifact.value(), env, &proved).ok() &&
+             SerializeCertificate(proved) == cached->certificate;
+    }
+    if (!same) {
+      differences++;
+      std::fprintf(stderr, "FAIL: %s: derived certificate differs from the fixpoint's\n",
+                   file.c_str());
+    }
+  }
+  const uint64_t derived = proxy.stats().Value("proxy.cert_derived");
+  std::printf("inputs=%zu derived=%llu fallbacks=%llu differences=%zu\n", inputs_served,
+              static_cast<unsigned long long>(derived),
+              static_cast<unsigned long long>(proxy.stats().Value("proxy.cert_fixpoint_fallbacks")),
+              differences);
+  return differences > 0 ? 1 : 0;
+}
+
 int CmdMin(const std::filesystem::path& in, const std::filesystem::path& out) {
   Bytes data = ReadFileBytes(in);
   std::string category = TriageCategory(data);
@@ -624,6 +701,7 @@ int Usage() {
                "       dvm_fuzz mutate <out-dir> <seed> <count> [input]...\n"
                "       dvm_fuzz mutate-certs <seed> <count> [input]...\n"
                "       dvm_fuzz order-independence <input>...\n"
+               "       dvm_fuzz derive-certs <input>...\n"
                "       dvm_fuzz min <file> <out>\n");
   return 2;
 }
@@ -663,6 +741,9 @@ int main(int argc, char** argv) {
   }
   if (cmd == "order-independence" && !rest.empty()) {
     return dvm::CmdOrderIndependence(rest);
+  }
+  if (cmd == "derive-certs" && !rest.empty()) {
+    return dvm::CmdDeriveCerts(rest);
   }
   if (cmd == "min" && rest.size() == 2) {
     return dvm::CmdMin(rest[0], rest[1]);

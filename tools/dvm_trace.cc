@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
   if (opts.replicas > 1) {
     plan.replica_outages[1] = {{3 * kSecond, 10 * kSecond}};
   }
-  plan.links["client-proxy"] = LinkFaults{0.03, 0, kMillisecond};
+  plan.links["client-proxy"] = LinkFaults{0.03, 0, kMillisecond, /*outages=*/{}};
   FaultInjector injector(plan);
   cluster.SetFaultInjector(&injector);
 
