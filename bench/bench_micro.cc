@@ -208,6 +208,28 @@ void BM_DeriveCertificate(benchmark::State& state) {
 }
 BENCHMARK(BM_DeriveCertificate);
 
+// A replica's install check: the one-pass validation of the artifact against
+// its parsed certificate.
+void BM_ValidateCertificate(benchmark::State& state) {
+  const Fig6Artifact& a = JlexArtifact();
+  const ArtifactEnv env(&a.library, a.result.cls);
+  ClassCertificate cert;
+  if (!VerifyClass(a.result.cls, env, &cert).ok()) {
+    state.SkipWithError("artifact does not verify");
+    return;
+  }
+  uint64_t instructions = 0;
+  for (auto _ : state) {
+    ValidateStats stats;
+    Status validated = ValidateCertificate(a.result.cls, env, cert, &stats);
+    instructions += stats.instructions_validated;
+    benchmark::DoNotOptimize(validated);
+  }
+  state.counters["instrs/s"] = benchmark::Counter(static_cast<double>(instructions),
+                                                  benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ValidateCertificate);
+
 void BM_InterpreterDispatch(benchmark::State& state) {
   MapClassProvider provider;
   InstallSystemLibrary(provider);

@@ -116,6 +116,7 @@ struct RunOutcome {
   bool fleet_merge_ok = false;
   uint64_t snapshots_published = 0;
   uint64_t snapshots_dropped = 0;
+  uint64_t snapshot_bytes = 0;  // carried by the control mesh, outside control_fingerprint
   size_t slo_firing_at_end = 0;
 };
 
@@ -279,6 +280,7 @@ RunOutcome Run(Scenario& s, const Options& opt, bool replicated,
     out.slo_log = slo.TransitionLog();
     out.snapshots_published = publisher.published();
     out.snapshots_dropped = publisher.dropped();
+    out.snapshot_bytes = publisher.bytes_shipped();
     out.slo_firing_at_end = slo.firing_count();
   }
 
@@ -423,8 +425,9 @@ int main(int argc, char** argv) {
               " lagger_validate_checks=%" PRIu64 " reverify_checks=%" PRIu64 "\n",
               repl.cert_validations, repl.cert_rejects, repl.cert_missing,
               repl.lagger_validate_checks, repl.reverify_checks);
-  std::printf("fleet: snapshots=%" PRIu64 " dropped_in_partition=%" PRIu64 "\n",
-              repl.snapshots_published, repl.snapshots_dropped);
+  std::printf("fleet: snapshots=%" PRIu64 " dropped_in_partition=%" PRIu64
+              " snapshot_bytes=%" PRIu64 "\n",
+              repl.snapshots_published, repl.snapshots_dropped, repl.snapshot_bytes);
   std::printf("slo transitions (virtual nanos):\n%s", repl.slo_log.c_str());
 
   bool ok = true;

@@ -5,13 +5,21 @@
 namespace dvm {
 
 Result<DecodedCode> DecodeCode(const Bytes& code, size_t length) {
+  DecodedCode out;
+  DVM_RETURN_IF_ERROR(DecodeCodeInto(code, &out, length));
+  return out;
+}
+
+Status DecodeCodeInto(const Bytes& code, DecodedCode* decoded, size_t length) {
   const size_t end = std::min(code.size(), length);
   // Every instruction takes at least one byte, so one allocation per output
   // covers any body. (A second pass counting instructions first would cost as
   // much as decoding: each length depends on the previous one.)
-  DecodedCode out;
+  DecodedCode& out = *decoded;
   std::vector<Instr>& instrs = out.instrs;
   std::vector<uint32_t>& offsets = out.offsets;
+  instrs.clear();
+  offsets.clear();
   instrs.reserve(end);
   offsets.reserve(end + 1);
   // Branch operands hold the target *byte offset* until every instruction
@@ -83,7 +91,7 @@ Result<DecodedCode> DecodeCode(const Bytes& code, size_t length) {
 
   // Branch targets past the end of a prefix find no index below.
   offsets.push_back(static_cast<uint32_t>(end));
-  out.off_to_ix = OffsetIndex(offsets);
+  out.off_to_ix.Assign(offsets);
   if (has_branches) {
     for (Instr& instr : instrs) {
       if (!IsBranch(instr.op)) {
@@ -97,7 +105,7 @@ Result<DecodedCode> DecodeCode(const Bytes& code, size_t length) {
       instr.a = index;
     }
   }
-  return out;
+  return Status::Ok();
 }
 
 std::vector<uint32_t> CodeByteOffsets(const std::vector<Instr>& instrs) {
@@ -112,8 +120,8 @@ std::vector<uint32_t> CodeByteOffsets(const std::vector<Instr>& instrs) {
   return offsets;
 }
 
-OffsetIndex::OffsetIndex(const std::vector<uint32_t>& offsets)
-    : ix_(offsets.empty() ? 0 : offsets.back() + 1, kNone) {
+void OffsetIndex::Assign(const std::vector<uint32_t>& offsets) {
+  ix_.assign(offsets.empty() ? 0 : offsets.back() + 1, kNone);
   for (size_t i = 0; i < offsets.size(); i++) {
     ix_[offsets[i]] = static_cast<int32_t>(i);
   }

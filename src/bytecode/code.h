@@ -40,7 +40,11 @@ class OffsetIndex {
   static constexpr int32_t kNone = -1;
 
   OffsetIndex() = default;
-  explicit OffsetIndex(const std::vector<uint32_t>& offsets);
+  explicit OffsetIndex(const std::vector<uint32_t>& offsets) { Assign(offsets); }
+
+  // Rebuilds the table for `offsets` in the storage it already holds.
+  void Assign(const std::vector<uint32_t>& offsets);
+  size_t CapacityBytes() const { return ix_.capacity() * sizeof(int32_t); }
 
   // Index of the instruction starting at `offset`, the instruction count for
   // the code length, and kNone for a mid-instruction or out-of-range offset.
@@ -76,6 +80,11 @@ struct DecodedCode {
 // may target any instruction start in the prefix or the prefix's end (where
 // the rest of the body begins), nothing further.
 Result<DecodedCode> DecodeCode(const Bytes& code, size_t length = SIZE_MAX);
+
+// The same, into `out`, reusing the storage it holds: a caller decoding many
+// bodies (the verifier's per-thread workspace) allocates only for the
+// largest. `out` is unspecified after an error.
+Status DecodeCodeInto(const Bytes& code, DecodedCode* out, size_t length = SIZE_MAX);
 
 // Encodes a decoded stream back to bytes. Fails if a branch displacement does
 // not fit in 16 bits (methods that large are rejected at build time). When

@@ -84,7 +84,7 @@ RoundResult ReplicationCoordinator::RunRound(size_t coordinator, CommitRecord re
     if (m == coordinator) {
       continue;
     }
-    ControlDelivery prep = control_.Send(coordinator, m, prepare_bytes, now);
+    ControlDelivery prep = Send(coordinator, m, prepare_bytes, now);
     if (!prep.delivered || prep.at > deadline) {
       abort = true;
       timed_out = true;
@@ -96,7 +96,7 @@ RoundResult ReplicationCoordinator::RunRound(size_t coordinator, CommitRecord re
     if (nak) {
       c_naks_.Add();
     }
-    ControlDelivery vote = control_.Send(m, coordinator, config_.vote_bytes, prep.at);
+    ControlDelivery vote = Send(m, coordinator, config_.vote_bytes, prep.at);
     if (!vote.delivered || vote.at > deadline) {
       abort = true;
       timed_out = true;
@@ -126,7 +126,7 @@ RoundResult ReplicationCoordinator::RunRound(size_t coordinator, CommitRecord re
   // replays the outcome from the log.
   result.completed_at = votes_done;
   for (size_t m : prepared) {
-    ControlDelivery decision = control_.Send(coordinator, m, config_.decision_bytes, votes_done);
+    ControlDelivery decision = Send(coordinator, m, config_.decision_bytes, votes_done);
     if (!decision.delivered) {
       stale_[m] = true;
       c_stale_marks_.Add();
@@ -248,6 +248,18 @@ size_t ReplicationCoordinator::Rejoin(size_t index, SimTime now) {
   return replayed;
 }
 
+ControlDelivery ReplicationCoordinator::Send(size_t from, size_t to, uint64_t bytes,
+                                             SimTime now) {
+  ControlDelivery delivery = control_.Send(from, to, bytes, now);
+  sent_messages_++;
+  if (delivery.delivered) {
+    sent_bytes_ += bytes;
+  } else {
+    sent_dropped_++;
+  }
+  return delivery;
+}
+
 uint64_t ReplicationCoordinator::Fingerprint() const {
   uint64_t h = 0xcbf29ce484222325ULL;
   auto fold = [&h](uint64_t value) { h = (h ^ value) * 0x100000001b3ULL; };
@@ -260,9 +272,9 @@ uint64_t ReplicationCoordinator::Fingerprint() const {
     fold(applied_epoch_[i]);
     fold(stale_[i] ? 1 : 0);
   }
-  fold(control_.messages());
-  fold(control_.dropped());
-  fold(control_.bytes_carried());
+  fold(sent_messages_);
+  fold(sent_dropped_);
+  fold(sent_bytes_);
   return h;
 }
 

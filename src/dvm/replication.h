@@ -110,8 +110,10 @@ class ReplicationCoordinator {
   // Test hook: the next prepare delivered to `index` votes NAK.
   void ForceNakOnce(size_t index) { force_nak_.insert(index); }
 
-  // Order-sensitive digest of the whole control-plane state: cluster log,
-  // per-replica logs/positions/staleness, epoch state, mesh counters. Two
+  // Order-sensitive digest of the whole replication state: cluster log,
+  // per-replica logs/positions/staleness, epoch state, and the messages,
+  // drops and bytes of the coordinator's own control-plane traffic. Other
+  // senders on the plane (the fleet metrics publisher) do not move it. Two
   // same-seed runs must produce identical values on both event-queue
   // backends.
   uint64_t Fingerprint() const;
@@ -132,10 +134,16 @@ class ReplicationCoordinator {
   // Appends to the member's log (sequence stays in lockstep with the cluster
   // log by the in-sync invariant) and advances its applied position.
   void AppendLog(size_t index, const CommitRecord& record);
+  // control_.Send, counted as replication traffic.
+  ControlDelivery Send(size_t from, size_t to, uint64_t bytes, SimTime now);
 
   ProxyCluster* cluster_;
   ReplicationConfig config_;
   ControlPlane control_;
+  // The coordinator's share of control_'s traffic.
+  uint64_t sent_messages_ = 0;
+  uint64_t sent_dropped_ = 0;
+  uint64_t sent_bytes_ = 0;
 
   CommitLog cluster_log_;
   std::vector<CommitLog> logs_;

@@ -234,103 +234,119 @@ Result<ClassCertificate> ParseCertificate(const Bytes& data) {
 
 namespace {
 
-// One forward pass over one method. `current`/`live` track the frame flowing
-// into the next instruction; every control-flow edge is checked at its source
-// against the certificate's assertion for the target, and folded into a
-// shadow join that must land exactly on the asserted frame.
-Status ValidateMethod(ClassScope& scope, const MethodInfo& method, const DecodedCode& mc,
+// One forward pass over one method, in the validator buffers of `ws`, whose
+// `code` holds the method's decoded body. `current`/`live` track the frame
+// flowing into the next instruction; every control-flow edge is checked at
+// its source against the certificate's assertion for the target, and folded
+// into a shadow join that must land exactly on the asserted frame.
+Status ValidateMethod(ClassScope& scope, const MethodInfo& method, VerifierWorkspace& ws,
                       const MethodCertificate& mcert, ValidateStats* stats,
                       std::vector<Assumption>* assumptions) {
   const ClassFile& cls = scope.cls();
   TypeEnv& types = scope.types();
+  const DecodedCode& mc = ws.code;
   const size_t count = mc.instrs.size();
-  const std::vector<bool> merge = MergePoints(method, mc);
-  std::vector<Frame> frames(mcert.assertions.size());
-  std::vector<const Frame*> asserted(count, nullptr);
-  for (size_t a = 0; a < mcert.assertions.size(); a++) {
+  const size_t assertions = mcert.assertions.size();
+  MergePoints(method, mc, &ws.merge);
+  std::vector<Frame>& asserted = ws.asserted;
+  std::vector<int32_t>& assertion_at = ws.assertion_at;
+  asserted.resize(assertions);
+  assertion_at.assign(count, -1);
+  for (size_t a = 0; a < assertions; a++) {
     const FrameAssertion& assertion = mcert.assertions[a];
     stats->validate_checks++;
-    if (assertion.index >= count || !merge[assertion.index] ||
-        asserted[assertion.index] != nullptr) {
+    if (assertion.index >= count || !ws.merge[assertion.index] ||
+        assertion_at[assertion.index] >= 0) {
       return Verr(cls.name() + "." + method.Id() + ": certificate assertion @" +
                   std::to_string(assertion.index) + " is not at a unique merge point");
     }
     // The interpreter indexes locals by slot, so a frame of another width
     // must not be adopted (it could never be the exact join anyway).
-    if (!UnspellFrame(assertion.frame, types, &frames[a]) ||
-        frames[a].locals.size() != method.code->max_locals) {
+    if (!UnspellFrame(assertion.frame, types, &asserted[a]) ||
+        asserted[a].locals.size() != method.code->max_locals) {
       return Verr(cls.name() + "." + method.Id() + ": certificate assertion @" +
                   std::to_string(assertion.index) + " is not a well-formed frame");
     }
-    asserted[assertion.index] = &frames[a];
+    assertion_at[assertion.index] = static_cast<int32_t>(a);
   }
 
   AbstractInterpreter interp(scope, method, mc, &stats->validate_checks, assumptions);
-  std::vector<std::optional<Frame>> shadow(count);
+  // The join of the edges into each assertion so far; shadow[a] is stale
+  // until shadow_set[a].
+  std::vector<Frame>& shadow = ws.shadow;
+  std::vector<bool>& shadow_set = ws.shadow_set;
+  shadow.resize(assertions);
+  shadow_set.assign(assertions, false);
 
   auto fold = [&](size_t target, const Frame& frame) -> Status {
     stats->validate_checks++;
-    if (target >= count || asserted[target] == nullptr) {
+    if (target >= count || assertion_at[target] < 0) {
       return Verr(cls.name() + "." + method.Id() + ": control-flow edge into @" +
                   std::to_string(target) + " has no certificate assertion");
     }
+    const size_t a = static_cast<size_t>(assertion_at[target]);
     stats->validate_checks++;
-    if (!FrameFits(frame, *asserted[target], types)) {
+    if (!FrameFits(frame, asserted[a], types)) {
       return Verr(cls.name() + "." + method.Id() + ": edge frame does not fit certificate "
                   "assertion @" + std::to_string(target));
     }
-    if (!shadow[target].has_value()) {
-      shadow[target] = frame;
+    if (!shadow_set[a]) {
+      shadow[a] = frame;
+      shadow_set[a] = true;
     } else {
       bool changed = false;
-      MergeFrames(*shadow[target], frame, types, &changed);
+      MergeFrames(shadow[a], frame, types, &changed);
     }
     return Status::Ok();
   };
 
-  Frame current = interp.EntryFrame();
-  Frame handler_entry;
-  std::vector<AbstractInterpreter::HandlerEdge> handler_edges;
+  Frame& current = ws.current;
+  Frame& handler_entry = ws.handler_entry;
+  interp.EntryFrame(current);
   bool live = true;
   for (size_t i = 0; i < count; i++) {
-    if (asserted[i] != nullptr) {
+    if (assertion_at[i] >= 0) {
       if (live) {
         DVM_RETURN_IF_ERROR(fold(i, current));
       }
       // Adopting the assertion is sound: every edge into it (including this
       // fall-through) is checked to fit it, and the final exactness check
       // rejects an assertion wider than the true join.
-      current = *asserted[i];
+      current = asserted[static_cast<size_t>(assertion_at[i])];
       live = true;
     }
     if (!live) {
       continue;  // unreachable and unasserted — the verifier never looked at it
     }
     stats->instructions_validated++;
-    DVM_RETURN_IF_ERROR(interp.HandlerEdges(i, &handler_edges));
-    for (const auto& edge : handler_edges) {
+    DVM_RETURN_IF_ERROR(interp.HandlerEdges(i, &ws.handler_edges));
+    for (const auto& edge : ws.handler_edges) {
       handler_entry.locals = current.locals;
       handler_entry.stack.assign(1, edge.thrown);
       DVM_RETURN_IF_ERROR(fold(edge.target, handler_entry));
     }
-    DVM_ASSIGN_OR_RETURN(AbstractInterpreter::StepResult out, interp.Step(i, current));
-    if (out.branch_target.has_value()) {
-      DVM_RETURN_IF_ERROR(fold(*out.branch_target, current));
+    DVM_RETURN_IF_ERROR(interp.Step(i, current));
+    const Instr& instr = mc.instrs[i];
+    const OpEdges edges = EdgesOf(instr.op);
+    if (edges.branch) {
+      DVM_RETURN_IF_ERROR(fold(static_cast<size_t>(instr.a), current));
     }
     // A terminator leaves `current` dead until the next assertion replaces it.
-    live = out.fallthrough;
+    live = edges.fallthrough;
   }
 
+  // In instruction order, which an in-memory certificate need not follow.
   for (size_t i = 0; i < count; i++) {
-    if (asserted[i] == nullptr) {
+    if (assertion_at[i] < 0) {
       continue;
     }
+    const size_t a = static_cast<size_t>(assertion_at[i]);
     stats->validate_checks++;
-    if (!shadow[i].has_value()) {
+    if (!shadow_set[a]) {
       return Verr(cls.name() + "." + method.Id() + ": certificate assertion @" +
                   std::to_string(i) + " is justified by no control-flow edge");
     }
-    if (!(*shadow[i] == *asserted[i])) {
+    if (!(shadow[a] == asserted[a])) {
       return Verr(cls.name() + "." + method.Id() + ": certificate assertion @" +
                   std::to_string(i) + " is not the exact join of its incoming edges");
     }
@@ -369,6 +385,7 @@ Status ValidateCertificate(const ClassFile& cls, const ClassEnv& env,
 
   TypeEnv types(env);
   ClassScope scope(cls, types);
+  WorkspaceLease ws;
 
   size_t next_method = 0;
   for (const auto& method : cls.methods) {
@@ -380,9 +397,9 @@ Status ValidateCertificate(const ClassFile& cls, const ClassEnv& env,
         cert.methods[next_method].method_id != method.Id()) {
       return Verr(cls.name() + ": certificate method list does not match class");
     }
-    DVM_ASSIGN_OR_RETURN(DecodedCode mc, Phase2(cls, method, &stats->verify));
+    DVM_RETURN_IF_ERROR(Phase2(cls, method, &stats->verify, &ws->code));
     DVM_RETURN_IF_ERROR(
-        ValidateMethod(scope, method, mc, cert.methods[next_method], stats, &derived));
+        ValidateMethod(scope, method, *ws, cert.methods[next_method], stats, &derived));
     next_method++;
   }
   stats->validate_checks++;
@@ -479,17 +496,19 @@ Status WalkSnippet(AbstractInterpreter& interp, const ClassFile& cls, const Meth
       walk->assertions.push_back(
           {static_cast<uint32_t>(i), SpellFrame(current.locals, current.stack, types)});
     }
-    DVM_RETURN_IF_ERROR(CheckOperands(cls.pool(), method, mc.instrs[i], stats));
-    DVM_ASSIGN_OR_RETURN(AbstractInterpreter::StepResult out, interp.Step(i, current));
-    if (out.branch_target.has_value()) {
-      const size_t to = *out.branch_target;
+    const Instr& instr = mc.instrs[i];
+    DVM_RETURN_IF_ERROR(CheckOperands(cls.pool(), method, instr, stats));
+    DVM_RETURN_IF_ERROR(interp.Step(i, current));
+    const OpEdges edges = EdgesOf(instr.op);
+    if (edges.branch) {
+      const size_t to = static_cast<size_t>(instr.a);
       if (to <= i || to > count) {
         return Verr(method.Id() + ": inserted branch @" + std::to_string(i) +
                     " leaves the inserted code or goes backward");
       }
       pending.emplace_back(to, current);
     }
-    live = out.fallthrough;
+    live = edges.fallthrough;
   }
   if (live) {
     walk->handover = std::move(current);
@@ -622,7 +641,8 @@ Result<ClassCertificate> TransformCertificate(ClassProof proof, std::span<const 
       scope.emplace(artifact, *types);
     }
     AbstractInterpreter interp(*scope, method, mc, &stats.phase3_checks, &inserted_assumptions);
-    Frame entry = interp.EntryFrame();
+    Frame entry;
+    interp.EntryFrame(entry);
     DVM_RETURN_IF_ERROR(
         WalkSnippet(interp, artifact, method, mc, count, entry, *types, &stats, &walk));
     return entry;
@@ -645,7 +665,8 @@ Result<ClassCertificate> TransformCertificate(ClassProof proof, std::span<const 
 
     if (body_at[m] < 0) {
       // A method a filter added: all of it is inserted code.
-      DVM_ASSIGN_OR_RETURN(DecodedCode mc, Phase2(artifact, method, &stats));
+      DecodedCode mc;
+      DVM_RETURN_IF_ERROR(Phase2(artifact, method, &stats, &mc));
       if (count != mc.instrs.size() || !code.handlers.empty()) {
         return Verr(name + ": " + method.Id() + " is neither proved nor a reported addition");
       }

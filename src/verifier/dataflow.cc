@@ -1,5 +1,6 @@
 #include "src/verifier/dataflow.h"
 
+#include <cstring>
 #include <set>
 
 #include "src/bytecode/serializer.h"
@@ -80,7 +81,8 @@ Status CheckOperands(const ConstantPool& pool, const MethodInfo& method, const I
   return CheckInstrOperands(pool, method, instr, stats);
 }
 
-Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats) {
+Status Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats,
+              DecodedCode* mc) {
   const CodeAttr& code = *method.code;
   auto check = [&stats] { stats->phase2_checks++; };
 
@@ -93,11 +95,11 @@ Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verif
   // a hostile max_locals smaller than that would make those writes land out
   // of bounds, so it is rejected here before any frame is materialized.
   check();
-  auto sig = ParseMethodDescriptor(method.descriptor);
-  if (!sig.ok()) {
+  const std::optional<MethodShape> shape = ScanMethodDescriptor(method.descriptor);
+  if (!shape.has_value()) {
     return Verr("method " + method.Id() + " has malformed descriptor");
   }
-  size_t entry_slots = (method.IsStatic() ? 0 : 1) + sig->params.size();
+  size_t entry_slots = (method.IsStatic() ? 0 : 1) + static_cast<size_t>(shape->arg_slots);
   if (entry_slots > code.max_locals) {
     return Verr("max_locals " + std::to_string(code.max_locals) + " cannot hold " +
                 std::to_string(entry_slots) + " parameter slots in " + method.Id());
@@ -105,8 +107,8 @@ Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verif
 
   // DecodeCode performs opcode validity, truncation and branch-boundary checks.
   check();
-  DVM_ASSIGN_OR_RETURN(DecodedCode mc, DecodeCode(code.code));
-  const std::vector<Instr>& instrs = mc.instrs;
+  DVM_RETURN_IF_ERROR(DecodeCodeInto(code.code, mc));
+  const std::vector<Instr>& instrs = mc->instrs;
   stats->instructions_verified += instrs.size();
 
   const ConstantPool& pool = cls.pool();
@@ -122,13 +124,13 @@ Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verif
 
   // Exception-table pcs come off the wire and may lie anywhere in u16 range.
   auto starts_instr = [&](uint16_t pc) {
-    int32_t ix = mc.off_to_ix.At(pc);
+    int32_t ix = mc->off_to_ix.At(pc);
     return ix != OffsetIndex::kNone && static_cast<size_t>(ix) < instrs.size();
   };
   for (const auto& h : code.handlers) {
     check();
     if (!starts_instr(h.start_pc) || !starts_instr(h.handler_pc) ||
-        mc.off_to_ix.At(h.end_pc) == OffsetIndex::kNone || h.start_pc >= h.end_pc) {
+        mc->off_to_ix.At(h.end_pc) == OffsetIndex::kNone || h.start_pc >= h.end_pc) {
       return Verr("exception handler has invalid code range in " + method.Id());
     }
     check();
@@ -137,21 +139,32 @@ Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verif
     }
   }
 
-  return mc;
+  return Status::Ok();
 }
 
-std::vector<bool> MergePoints(const MethodInfo& method, const DecodedCode& mc) {
-  std::vector<bool> merge(mc.instrs.size(), false);
+void MergePoints(const MethodInfo& method, const DecodedCode& mc, std::vector<bool>* merge) {
+  merge->assign(mc.instrs.size(), false);
   for (const Instr& instr : mc.instrs) {
-    if (IsBranch(instr.op)) {
-      merge[static_cast<size_t>(instr.a)] = true;
+    if (EdgesOf(instr.op).branch) {
+      (*merge)[static_cast<size_t>(instr.a)] = true;
     }
   }
   for (const auto& h : method.code->handlers) {
-    merge[static_cast<size_t>(mc.off_to_ix.At(h.handler_pc))] = true;
+    (*merge)[static_cast<size_t>(mc.off_to_ix.At(h.handler_pc))] = true;
   }
-  return merge;
 }
+
+// Built from the opcode table (constant-initialized, so ready before this).
+const std::array<OpEdges, 256> kOpEdges = [] {
+  std::array<OpEdges, 256> edges{};
+  for (size_t byte = 0; byte < edges.size(); byte++) {
+    const Op op = static_cast<Op>(byte);
+    if (GetOpInfo(op) != nullptr) {
+      edges[byte] = {IsBranch(op), !IsTerminator(op)};
+    }
+  }
+  return edges;
+}();
 
 Status CheckSuperclass(const ClassFile& cls, const ClassEnv& env, uint64_t* checks,
                        std::vector<Assumption>* assumptions) {
@@ -332,7 +345,7 @@ AbstractInterpreter::AbstractInterpreter(ClassScope& scope, const MethodInfo& me
                                          const DecodedCode& mc, uint64_t* checks,
                                          std::vector<Assumption>* assumptions)
     : scope_(scope), types_(scope.types()), method_(method), mc_(mc), checks_(checks),
-      assumptions_(assumptions), method_id_(method.Id()),
+      assumptions_(assumptions), max_stack_(method.code->max_stack),
       // Phase 2 already rejected malformed descriptors.
       sig_(ParseMethodDescriptor(method.descriptor).value()),
       return_type_(types_.FromDescriptor(sig_.return_type)) {
@@ -353,6 +366,9 @@ AbstractInterpreter::AbstractInterpreter(ClassScope& scope, const MethodInfo& me
 }
 
 void AbstractInterpreter::Assume(Assumption a) {
+  if (method_id_.empty()) {
+    method_id_ = method_.Id();
+  }
   a.method_id = method_id_;
   assumptions_->push_back(std::move(a));
 }
@@ -386,43 +402,83 @@ Status AbstractInterpreter::Replay(size_t index, const ClassScope::Resolution& r
 }
 
 Error AbstractInterpreter::Fail(size_t index, const std::string& message) const {
-  return Verr(scope_.cls().name() + "." + method_id_ + " @" + std::to_string(index) + ": " +
+  return Verr(scope_.cls().name() + "." + method_.Id() + " @" + std::to_string(index) + ": " +
               message);
 }
 
-Result<VType> AbstractInterpreter::Pop(Frame& frame, size_t index) {
-  Check();
-  if (frame.stack.empty()) {
-    return Fail(index, "operand stack underflow");
-  }
-  VType t = frame.stack.back();
-  frame.stack.pop_back();
-  return t;
+Error AbstractInterpreter::UnderflowError(size_t index) const {
+  return Fail(index, "operand stack underflow");
 }
 
-Status AbstractInterpreter::PopKind(Frame& frame, size_t index, VType::Kind kind,
-                                    const char* what) {
-  DVM_ASSIGN_OR_RETURN(VType t, Pop(frame, index));
+Error AbstractInterpreter::OverflowError(size_t index) const {
+  return Fail(index, "operand stack overflow (max_stack=" + std::to_string(max_stack_) + ")");
+}
+
+Error AbstractInterpreter::KindError(size_t index, const char* what, const VType& found) const {
+  return Fail(index, std::string("expected ") + what + ", found " + Str(found));
+}
+
+Error AbstractInterpreter::LocalError(size_t index, int slot, const char* what,
+                                      const VType& found) const {
+  return Fail(index, "local " + std::to_string(slot) + " is not " + what + " (found " +
+                         Str(found) + ")");
+}
+
+inline Status AbstractInterpreter::Pop(Frame& frame, size_t index, VType* out) {
   Check();
-  if (t.kind != kind) {
-    return Fail(index, std::string("expected ") + what + ", found " + Str(t));
+  if (frame.stack.empty()) [[unlikely]] {
+    return UnderflowError(index);
+  }
+  *out = frame.stack.back();
+  frame.stack.pop_back();
+  return Status::Ok();
+}
+
+inline Status AbstractInterpreter::PopKind(Frame& frame, size_t index, VType::Kind kind,
+                                           const char* what) {
+  VType t;
+  DVM_RETURN_IF_ERROR(Pop(frame, index, &t));
+  Check();
+  if (t.kind != kind) [[unlikely]] {
+    return KindError(index, what, t);
   }
   return Status::Ok();
 }
 
-Status AbstractInterpreter::PopRefLike(Frame& frame, size_t index, VType* out) {
-  DVM_ASSIGN_OR_RETURN(VType t, Pop(frame, index));
+inline Status AbstractInterpreter::PopRefLike(Frame& frame, size_t index, VType* out) {
+  VType t;
+  DVM_RETURN_IF_ERROR(Pop(frame, index, &t));
   Check();
-  if (!t.IsRefLike()) {
-    return Fail(index, "expected reference, found " + Str(t));
+  if (!t.IsRefLike()) [[unlikely]] {
+    return KindError(index, "reference", t);
   }
   *out = t;
   return Status::Ok();
 }
 
+inline Status AbstractInterpreter::Push(Frame& frame, size_t index, VType t) {
+  Check();
+  if (frame.stack.size() >= max_stack_) [[unlikely]] {
+    return OverflowError(index);
+  }
+  frame.stack.push_back(t);
+  return Status::Ok();
+}
+
+inline Status AbstractInterpreter::GetLocal(const Frame& frame, size_t index, int slot,
+                                            VType::Kind want, const char* what) {
+  Check();
+  const VType& t = frame.locals[static_cast<size_t>(slot)];
+  if (t.kind != want) [[unlikely]] {
+    return LocalError(index, slot, what, t);
+  }
+  return Status::Ok();
+}
+
 Status AbstractInterpreter::PopAssignable(Frame& frame, size_t index, const VType& want,
                                           const std::string& desc) {
-  DVM_ASSIGN_OR_RETURN(VType t, Pop(frame, index));
+  VType t;
+  DVM_RETURN_IF_ERROR(Pop(frame, index, &t));
   Check();
   switch (want.kind) {
     case VType::Kind::kInt:
@@ -451,30 +507,9 @@ Status AbstractInterpreter::PopAssignable(Frame& frame, size_t index, const VTyp
   }
 }
 
-Status AbstractInterpreter::Push(Frame& frame, size_t index, VType t) {
-  Check();
-  if (frame.stack.size() >= method_.code->max_stack) {
-    return Fail(index, "operand stack overflow (max_stack=" +
-                           std::to_string(method_.code->max_stack) + ")");
-  }
-  frame.stack.push_back(t);
-  return Status::Ok();
-}
-
-Result<VType> AbstractInterpreter::GetLocal(const Frame& frame, size_t index, int slot,
-                                            VType::Kind want, const char* what) {
-  Check();
-  const VType& t = frame.locals[static_cast<size_t>(slot)];
-  if (t.kind != want) {
-    return Fail(index, std::string("local ") + std::to_string(slot) + " is not " + what +
-                           " (found " + Str(t) + ")");
-  }
-  return t;
-}
-
-Frame AbstractInterpreter::EntryFrame() const {
-  Frame frame;
+void AbstractInterpreter::EntryFrame(Frame& frame) const {
   frame.locals.assign(method_.code->max_locals, VType::Top());
+  frame.stack.clear();
   size_t slot = 0;
   if (!method_.IsStatic()) {
     frame.locals[slot++] = types_.Ref(scope_.cls().name());
@@ -482,11 +517,9 @@ Frame AbstractInterpreter::EntryFrame() const {
   for (const auto& param : sig_.params) {
     frame.locals[slot++] = types_.FromDescriptor(param);
   }
-  return frame;
 }
 
-Status AbstractInterpreter::HandlerEdges(size_t index, std::vector<HandlerEdge>* edges) {
-  edges->clear();
+Status AbstractInterpreter::CoveringHandlers(size_t index, std::vector<HandlerEdge>* edges) {
   uint32_t offset = mc_.offsets[index];
   for (const Handler& h : handlers_) {
     if (offset < h.start_pc || offset >= h.end_pc) {
@@ -519,56 +552,56 @@ Status AbstractInterpreter::HandlerEdges(size_t index, std::vector<HandlerEdge>*
   return Status::Ok();
 }
 
-Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, Frame& frame) {
+Status AbstractInterpreter::Step(size_t index, Frame& frame) {
   const Instr& instr = mc_.instrs[index];
   const uint16_t cp_index = static_cast<uint16_t>(instr.a);
-
-  StepResult out;
-  out.fallthrough = !IsTerminator(instr.op);
-  if (IsBranch(instr.op)) {
-    out.branch_target = static_cast<size_t>(instr.a);
-  }
+  // What the instruction pushes, in order. Every case pushes after all its
+  // pops and checks, so the cases only name the values and the one loop
+  // after the switch pushes them, with Push's checks.
+  struct {
+    VType slot[3];
+    size_t count = 0;
+    void Add(VType t) { slot[count++] = t; }
+  } pushes;
 
   switch (instr.op) {
     case Op::kNop:
       break;
     case Op::kAconstNull:
-      DVM_RETURN_IF_ERROR(Push(frame, index, VType::Null()));
+      pushes.Add(VType::Null());
       break;
     case Op::kIconst0:
     case Op::kIconst1:
     case Op::kBipush:
     case Op::kSipush:
-      DVM_RETURN_IF_ERROR(Push(frame, index, VType::Int()));
+      pushes.Add(VType::Int());
       break;
     case Op::kLdc: {
       const ConstantPool& pool = scope_.cls().pool();
       if (pool.HasTag(cp_index, CpTag::kInteger)) {
-        DVM_RETURN_IF_ERROR(Push(frame, index, VType::Int()));
+        pushes.Add(VType::Int());
       } else if (pool.HasTag(cp_index, CpTag::kLong)) {
-        DVM_RETURN_IF_ERROR(Push(frame, index, VType::Long()));
+        pushes.Add(VType::Long());
       } else {
-        DVM_RETURN_IF_ERROR(Push(frame, index, VType::Ref(scope_.string_id)));
+        pushes.Add(VType::Ref(scope_.string_id));
       }
       break;
     }
-    case Op::kIload: {
-      DVM_ASSIGN_OR_RETURN(VType t, GetLocal(frame, index, instr.a, VType::Kind::kInt, "int"));
-      DVM_RETURN_IF_ERROR(Push(frame, index, t));
+    case Op::kIload:
+      DVM_RETURN_IF_ERROR(GetLocal(frame, index, instr.a, VType::Kind::kInt, "int"));
+      pushes.Add(frame.locals[static_cast<size_t>(instr.a)]);
       break;
-    }
-    case Op::kLload: {
-      DVM_ASSIGN_OR_RETURN(VType t, GetLocal(frame, index, instr.a, VType::Kind::kLong, "long"));
-      DVM_RETURN_IF_ERROR(Push(frame, index, t));
+    case Op::kLload:
+      DVM_RETURN_IF_ERROR(GetLocal(frame, index, instr.a, VType::Kind::kLong, "long"));
+      pushes.Add(frame.locals[static_cast<size_t>(instr.a)]);
       break;
-    }
     case Op::kAload: {
       Check();
       const VType t = frame.locals[static_cast<size_t>(instr.a)];
       if (!t.IsRefLike() && t.kind != VType::Kind::kUninit) {
         return Fail(index, "aload of non-reference local " + std::to_string(instr.a));
       }
-      DVM_RETURN_IF_ERROR(Push(frame, index, t));
+      pushes.Add(t);
       break;
     }
     case Op::kIstore:
@@ -580,7 +613,8 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       frame.locals[static_cast<size_t>(instr.a)] = VType::Long();
       break;
     case Op::kAstore: {
-      DVM_ASSIGN_OR_RETURN(VType t, Pop(frame, index));
+      VType t;
+      DVM_RETURN_IF_ERROR(Pop(frame, index, &t));
       Check();
       if (!t.IsRefLike() && t.kind != VType::Kind::kUninit) {
         return Fail(index, "astore of non-reference " + Str(t));
@@ -598,8 +632,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       if (arr.kind == VType::Kind::kRef && arr.name != want) {
         return Fail(index, "array load type mismatch: " + Str(arr));
       }
-      DVM_RETURN_IF_ERROR(
-          Push(frame, index, instr.op == Op::kIaload ? VType::Int() : VType::Long()));
+      pushes.Add(instr.op == Op::kIaload ? VType::Int() : VType::Long());
       break;
     }
     case Op::kAaload: {
@@ -617,7 +650,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
         }
         element = types_.FromDescriptor(ArrayElementDescriptor(name));
       }
-      DVM_RETURN_IF_ERROR(Push(frame, index, element));
+      pushes.Add(element);
       break;
     }
     case Op::kIastore:
@@ -663,28 +696,35 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       }
       break;
     }
-    case Op::kPop:
-      DVM_RETURN_IF_ERROR(Pop(frame, index));
+    case Op::kPop: {
+      VType t;
+      DVM_RETURN_IF_ERROR(Pop(frame, index, &t));
       break;
+    }
     case Op::kDup: {
-      DVM_ASSIGN_OR_RETURN(VType t, Pop(frame, index));
-      DVM_RETURN_IF_ERROR(Push(frame, index, t));
-      DVM_RETURN_IF_ERROR(Push(frame, index, t));
+      VType t;
+      DVM_RETURN_IF_ERROR(Pop(frame, index, &t));
+      pushes.Add(t);
+      pushes.Add(t);
       break;
     }
     case Op::kDupX1: {
-      DVM_ASSIGN_OR_RETURN(VType v1, Pop(frame, index));
-      DVM_ASSIGN_OR_RETURN(VType v2, Pop(frame, index));
-      DVM_RETURN_IF_ERROR(Push(frame, index, v1));
-      DVM_RETURN_IF_ERROR(Push(frame, index, v2));
-      DVM_RETURN_IF_ERROR(Push(frame, index, v1));
+      VType v1;
+      DVM_RETURN_IF_ERROR(Pop(frame, index, &v1));
+      VType v2;
+      DVM_RETURN_IF_ERROR(Pop(frame, index, &v2));
+      pushes.Add(v1);
+      pushes.Add(v2);
+      pushes.Add(v1);
       break;
     }
     case Op::kSwap: {
-      DVM_ASSIGN_OR_RETURN(VType v1, Pop(frame, index));
-      DVM_ASSIGN_OR_RETURN(VType v2, Pop(frame, index));
-      DVM_RETURN_IF_ERROR(Push(frame, index, v1));
-      DVM_RETURN_IF_ERROR(Push(frame, index, v2));
+      VType v1;
+      DVM_RETURN_IF_ERROR(Pop(frame, index, &v1));
+      VType v2;
+      DVM_RETURN_IF_ERROR(Pop(frame, index, &v2));
+      pushes.Add(v1);
+      pushes.Add(v2);
       break;
     }
     case Op::kIadd:
@@ -700,7 +740,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
     case Op::kIxor:
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "int"));
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "int"));
-      DVM_RETURN_IF_ERROR(Push(frame, index, VType::Int()));
+      pushes.Add(VType::Int());
       break;
     case Op::kLadd:
     case Op::kLsub:
@@ -709,33 +749,31 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
     case Op::kLrem:
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kLong, "long"));
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kLong, "long"));
-      DVM_RETURN_IF_ERROR(Push(frame, index, VType::Long()));
+      pushes.Add(VType::Long());
       break;
     case Op::kIneg:
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "int"));
-      DVM_RETURN_IF_ERROR(Push(frame, index, VType::Int()));
+      pushes.Add(VType::Int());
       break;
     case Op::kLneg:
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kLong, "long"));
-      DVM_RETURN_IF_ERROR(Push(frame, index, VType::Long()));
+      pushes.Add(VType::Long());
       break;
-    case Op::kIinc: {
-      DVM_ASSIGN_OR_RETURN(VType t, GetLocal(frame, index, instr.a, VType::Kind::kInt, "int"));
-      (void)t;
+    case Op::kIinc:
+      DVM_RETURN_IF_ERROR(GetLocal(frame, index, instr.a, VType::Kind::kInt, "int"));
       break;
-    }
     case Op::kI2l:
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "int"));
-      DVM_RETURN_IF_ERROR(Push(frame, index, VType::Long()));
+      pushes.Add(VType::Long());
       break;
     case Op::kL2i:
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kLong, "long"));
-      DVM_RETURN_IF_ERROR(Push(frame, index, VType::Int()));
+      pushes.Add(VType::Int());
       break;
     case Op::kLcmp:
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kLong, "long"));
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kLong, "long"));
-      DVM_RETURN_IF_ERROR(Push(frame, index, VType::Int()));
+      pushes.Add(VType::Int());
       break;
     case Op::kIfeq:
     case Op::kIfne:
@@ -806,7 +844,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       }
       DVM_RETURN_IF_ERROR(
           Replay(index, scope_.ResolveField(site, instr.op == Op::kGetstatic)));
-      DVM_RETURN_IF_ERROR(Push(frame, index, site.type));
+      pushes.Add(site.type);
       break;
     }
     case Op::kPutstatic:
@@ -834,7 +872,8 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
             PopAssignable(frame, index, site.param_types[p - 1], site.params[p - 1]));
       }
       if (instr.op != Op::kInvokestatic) {
-        DVM_ASSIGN_OR_RETURN(VType receiver, Pop(frame, index));
+        VType receiver;
+        DVM_RETURN_IF_ERROR(Pop(frame, index, &receiver));
         Check();
         if (instr.op == Op::kInvokespecial && site.ref.member_name == "<init>" &&
             receiver.kind == VType::Kind::kUninit) {
@@ -862,7 +901,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       DVM_RETURN_IF_ERROR(
           Replay(index, scope_.ResolveMethod(site, instr.op == Op::kInvokestatic)));
       if (!site.returns_void) {
-        DVM_RETURN_IF_ERROR(Push(frame, index, site.return_type));
+        pushes.Add(site.return_type);
       }
       break;
     }
@@ -872,16 +911,13 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       if (!site.known) {
         AssumeClass(site.name);
       }
-      DVM_RETURN_IF_ERROR(Push(
-          frame, index, VType::Uninit(site.type.name, static_cast<uint32_t>(index))));
+      pushes.Add(VType::Uninit(site.type.name, static_cast<uint32_t>(index)));
       break;
     }
     case Op::kNewarray:
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "array length"));
-      DVM_RETURN_IF_ERROR(Push(frame, index,
-                               VType::Ref(instr.a == static_cast<int>(ArrayKind::kLong)
-                                              ? scope_.long_array_id
-                                              : scope_.int_array_id)));
+      pushes.Add(VType::Ref(instr.a == static_cast<int>(ArrayKind::kLong) ? scope_.long_array_id
+                                                                          : scope_.int_array_id));
       break;
     case Op::kAnewarray: {
       const ClassScope::ClassSite& site = scope_.Class(cp_index);
@@ -890,7 +926,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
         AssumeClass(site.name);
       }
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "array length"));
-      DVM_RETURN_IF_ERROR(Push(frame, index, site.array_of));
+      pushes.Add(site.array_of);
       break;
     }
     case Op::kArraylength: {
@@ -900,7 +936,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       if (arr.kind == VType::Kind::kRef && !types_.IsArray(arr)) {
         return Fail(index, "arraylength on non-array " + Str(arr));
       }
-      DVM_RETURN_IF_ERROR(Push(frame, index, VType::Int()));
+      pushes.Add(VType::Int());
       break;
     }
     case Op::kAthrow: {
@@ -928,8 +964,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       if (site.name[0] != '[' && !site.known) {
         AssumeClass(site.name);
       }
-      DVM_RETURN_IF_ERROR(
-          Push(frame, index, instr.op == Op::kCheckcast ? site.type : VType::Int()));
+      pushes.Add(instr.op == Op::kCheckcast ? site.type : VType::Int());
       break;
     }
     case Op::kMonitorenter:
@@ -954,7 +989,114 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
     case Op::kInstanceofQuick:
       return Fail(index, "quick opcode in class file");
   }
-  return out;
+  for (size_t i = 0; i < pushes.count; i++) {
+    DVM_RETURN_IF_ERROR(Push(frame, index, pushes.slot[i]));
+  }
+  return Status::Ok();
+}
+
+// ---------------------------------------------------------------------------
+// The per-thread workspace.
+// ---------------------------------------------------------------------------
+
+void SlotArena::Grow(size_t capacity) {
+  VType* next = std::allocator<VType>().allocate(capacity);
+  if (data_ != nullptr) {
+    if (used_ > 0) {
+      std::memcpy(next, data_, used_ * sizeof(VType));
+    }
+    std::allocator<VType>().deallocate(data_, capacity_);
+  }
+  data_ = next;
+  capacity_ = capacity;
+}
+
+namespace {
+
+template <typename T>
+size_t Held(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+size_t Held(const Frame& frame) { return Held(frame.locals) + Held(frame.stack); }
+
+size_t Held(const std::vector<Frame>& frames) {
+  size_t bytes = frames.capacity() * sizeof(Frame);
+  for (const Frame& frame : frames) {
+    bytes += Held(frame);
+  }
+  return bytes;
+}
+
+// Frees the storage of `v` when it alone holds more than `limit` bytes.
+template <typename T>
+void ReleaseAbove(std::vector<T>& v, size_t limit) {
+  if (Held(v) > limit) {
+    std::vector<T>().swap(v);
+  }
+}
+
+void ReleaseAbove(Frame& frame, size_t limit) {
+  ReleaseAbove(frame.locals, limit);
+  ReleaseAbove(frame.stack, limit);
+}
+
+struct ThreadWorkspace {
+  VerifierWorkspace ws;
+  bool lent = false;
+};
+thread_local ThreadWorkspace thread_workspace;
+
+}  // namespace
+
+size_t VerifierWorkspace::CapacityBytes() const {
+  return Held(code.instrs) + Held(code.offsets) + code.off_to_ix.CapacityBytes() +
+         merge.capacity() / 8 + Held(handler_edges) + arena.capacity() * sizeof(VType) +
+         Held(in) + Held(worklist) + Held(log) + Held(scratch) + Held(asserted) + Held(shadow) +
+         shadow_set.capacity() / 8 + Held(assertion_at) + Held(current) + Held(handler_entry);
+}
+
+void VerifierWorkspace::Trim() {
+  if (CapacityBytes() <= kMaxKeptBytes) {
+    return;
+  }
+  // A large method grew a few buffers; free those and keep the rest warm.
+  constexpr size_t kLimit = kMaxKeptBytes / 8;
+  ReleaseAbove(code.instrs, kLimit);
+  ReleaseAbove(code.offsets, kLimit);
+  if (code.off_to_ix.CapacityBytes() > kLimit) {
+    code.off_to_ix = OffsetIndex();
+  }
+  if (arena.capacity() * sizeof(VType) > kLimit) {
+    arena = SlotArena();
+  }
+  ReleaseAbove(in, kLimit);
+  ReleaseAbove(worklist, kLimit);
+  ReleaseAbove(log, kLimit);
+  ReleaseAbove(assertion_at, kLimit);
+  for (Frame* frame : {&scratch, &current, &handler_entry}) {
+    ReleaseAbove(*frame, kLimit);
+  }
+  if (CapacityBytes() > kMaxKeptBytes) {
+    *this = VerifierWorkspace();
+  }
+}
+
+WorkspaceLease::WorkspaceLease() {
+  if (thread_workspace.lent) {
+    own_ = std::make_unique<VerifierWorkspace>();
+    ws_ = own_.get();
+  } else {
+    thread_workspace.lent = true;
+    ws_ = &thread_workspace.ws;
+  }
+}
+
+WorkspaceLease::~WorkspaceLease() {
+  if (own_ == nullptr) {
+    ws_->Trim();
+    thread_workspace.lent = false;
+  }
 }
 
 }  // namespace dvm

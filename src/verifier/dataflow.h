@@ -7,10 +7,14 @@
 #ifndef SRC_VERIFIER_DATAFLOW_H_
 #define SRC_VERIFIER_DATAFLOW_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/bytecode/classfile.h"
@@ -30,8 +34,10 @@ namespace dvm {
 Status Phase1(const ClassFile& cls, VerifyStats* stats);
 
 // Phase 2: instruction integrity (decode, operand validity, handler ranges,
-// fall-off-the-end). Bumps stats->phase2_checks / instructions_verified.
-Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats);
+// fall-off-the-end) into `mc`, whose storage is reused. Bumps
+// stats->phase2_checks / instructions_verified.
+Status Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats,
+              DecodedCode* mc);
 
 // Phase 2's operand checks on one instruction of `method` (local indices
 // within max_locals, array kinds, constant-pool tags). Phase2 runs them on
@@ -40,9 +46,21 @@ Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verif
 Status CheckOperands(const ConstantPool& pool, const MethodInfo& method, const Instr& instr,
                      VerifyStats* stats);
 
-// Per instruction index: is it a branch target or handler entry? Certificates
-// assert frames at the reachable ones and nowhere else (one proof per class).
-std::vector<bool> MergePoints(const MethodInfo& method, const DecodedCode& mc);
+// Per instruction index, into `merge`: is it a branch target or handler
+// entry? Certificates assert frames at the reachable ones and nowhere else
+// (one proof per class).
+void MergePoints(const MethodInfo& method, const DecodedCode& mc, std::vector<bool>* merge);
+
+// The control-flow edges out of an instruction, which its opcode alone
+// decides: a branch to the instruction index in its operand, and/or
+// fall-through to the next index. Step does not report them; each of its
+// drivers reads them here, one table load per instruction.
+struct OpEdges {
+  bool branch = false;
+  bool fallthrough = false;
+};
+extern const std::array<OpEdges, 256> kOpEdges;  // by opcode byte; none for unassigned bytes
+inline OpEdges EdgesOf(Op op) { return kOpEdges[static_cast<uint8_t>(op)]; }
 
 // Class-level inheritance check shared by VerifyClass and the certificate
 // validator: extending a known-final class is rejected; an unknown superclass
@@ -122,13 +140,6 @@ class ClassScope {
 // on top of it.
 class AbstractInterpreter {
  public:
-  // The edges stepping an instruction feeds: an explicit branch target
-  // and/or fall-through to index+1.
-  struct StepResult {
-    std::optional<size_t> branch_target;
-    bool fallthrough = false;
-  };
-
   // One exception edge: the handler's entry frame is the covered
   // instruction's locals with the stack exactly [thrown].
   struct HandlerEdge {
@@ -139,26 +150,29 @@ class AbstractInterpreter {
   // `checks` counts discrete phase-3 checks (the verifier points it at
   // phase3_checks, the validator at its own counter); `assumptions` receives
   // link-time assumptions stamped with this method's id. Both must outlive
-  // the interpreter; the sink can be swapped per visit.
+  // the interpreter.
   AbstractInterpreter(ClassScope& scope, const MethodInfo& method, const DecodedCode& mc,
                       uint64_t* checks, std::vector<Assumption>* assumptions);
 
-  // Frame on entry to instruction 0: receiver + parameters in locals.
-  Frame EntryFrame() const;
+  // Sets `frame` to the frame on entry to instruction 0: receiver +
+  // parameters in locals, an empty stack.
+  void EntryFrame(Frame& frame) const;
 
   // Abstractly executes instruction `index`, turning `frame` from its entry
-  // frame into its outgoing frame in place. A returned error is a
-  // verification failure, and leaves `frame` unspecified.
-  Result<StepResult> Step(size_t index, Frame& frame);
+  // frame into its outgoing frame in place; EdgesOf(its opcode) names the
+  // edges that frame flows along. A returned error is a verification
+  // failure, and leaves `frame` unspecified.
+  Status Step(size_t index, Frame& frame);
 
   // Exception edges out of instruction `index`, one per handler covering the
   // pc, into `edges` (cleared first). Rejects a handler whose thrown
   // reference cannot fit on the operand stack (max_stack == 0) or whose catch
   // type is provably not a Throwable; an unknown catch type becomes an
   // assignability assumption.
-  Status HandlerEdges(size_t index, std::vector<HandlerEdge>* edges);
-
-  void set_assumption_sink(std::vector<Assumption>* sink) { assumptions_ = sink; }
+  Status HandlerEdges(size_t index, std::vector<HandlerEdge>* edges) {
+    edges->clear();
+    return handlers_.empty() ? Status::Ok() : CoveringHandlers(index, edges);
+  }
 
  private:
   // One exception-table entry, resolved once per method.
@@ -169,21 +183,34 @@ class AbstractInterpreter {
     VType catch_type;
   };
 
+  Status CoveringHandlers(size_t index, std::vector<HandlerEdge>* edges);
   void Check() { (*checks_)++; }
   void Assume(Assumption a);
   void AssumeClass(const std::string& class_name);
   void AssumeAssignable(const VType& src, uint32_t dst);
   Status Replay(size_t index, const ClassScope::Resolution& resolution);
-  Error Fail(size_t index, const std::string& message) const;
   std::string Str(const VType& t) const { return types_.ToString(t); }
 
-  Result<VType> Pop(Frame& frame, size_t index);
-  Status PopKind(Frame& frame, size_t index, VType::Kind kind, const char* what);
-  Status PopRefLike(Frame& frame, size_t index, VType* out);
+  // Failures are the cold path: their messages are built out of line, so
+  // the inlined stack and local helpers below carry none of that code.
+  [[gnu::cold, gnu::noinline]] Error Fail(size_t index, const std::string& message) const;
+  [[gnu::cold, gnu::noinline]] Error UnderflowError(size_t index) const;
+  [[gnu::cold, gnu::noinline]] Error OverflowError(size_t index) const;
+  [[gnu::cold, gnu::noinline]] Error KindError(size_t index, const char* what,
+                                               const VType& found) const;
+  [[gnu::cold, gnu::noinline]] Error LocalError(size_t index, int slot, const char* what,
+                                                const VType& found) const;
+
+  // Step's operand-stack and local-slot accesses, each with its checks.
+  // Defined in dataflow.cc, the one file that calls them.
+  [[gnu::always_inline]] inline Status Pop(Frame& frame, size_t index, VType* out);
+  [[gnu::always_inline]] inline Status PopKind(Frame& frame, size_t index, VType::Kind kind,
+                                               const char* what);
+  [[gnu::always_inline]] inline Status PopRefLike(Frame& frame, size_t index, VType* out);
+  [[gnu::always_inline]] inline Status Push(Frame& frame, size_t index, VType t);
+  [[gnu::always_inline]] inline Status GetLocal(const Frame& frame, size_t index, int slot,
+                                                VType::Kind want, const char* what);
   Status PopAssignable(Frame& frame, size_t index, const VType& want, const std::string& desc);
-  Status Push(Frame& frame, size_t index, VType t);
-  Result<VType> GetLocal(const Frame& frame, size_t index, int slot, VType::Kind want,
-                         const char* what);
 
   ClassScope& scope_;
   TypeEnv& types_;
@@ -191,10 +218,131 @@ class AbstractInterpreter {
   const DecodedCode& mc_;
   uint64_t* checks_;
   std::vector<Assumption>* assumptions_;
-  const std::string method_id_;
+  const size_t max_stack_;
+  std::string method_id_;  // method_.Id(), built for the first assumption
   MethodSignature sig_;
   VType return_type_;
   std::vector<Handler> handlers_;
+};
+
+// Append-only frame-slot storage that never initializes a slot: each one is
+// copied in before it is read, so the value-initialization a growing
+// std::vector would do is wasted work.
+class SlotArena {
+ public:
+  SlotArena() = default;
+  SlotArena(SlotArena&& other) noexcept { Swap(other); }
+  SlotArena& operator=(SlotArena&& other) noexcept {
+    SlotArena(std::move(other)).Swap(*this);
+    return *this;
+  }
+  ~SlotArena() {
+    if (data_ != nullptr) {
+      std::allocator<VType>().deallocate(data_, capacity_);
+    }
+  }
+
+  VType* data() { return data_; }
+  const VType* data() const { return data_; }
+  size_t capacity() const { return capacity_; }
+
+  // Drops every slot, keeping the storage.
+  void Clear() { used_ = 0; }
+  void Reserve(size_t slots) {
+    if (slots > capacity_) {
+      Grow(slots);
+    }
+  }
+  // Room for `slots` more slots; returns the offset of the first.
+  size_t Append(size_t slots) {
+    if (used_ + slots > capacity_) {
+      Grow(std::max(used_ + slots, 2 * capacity_));
+    }
+    size_t at = used_;
+    used_ += slots;
+    return at;
+  }
+
+ private:
+  void Swap(SlotArena& other) {
+    std::swap(data_, other.data_);
+    std::swap(capacity_, other.capacity_);
+    std::swap(used_, other.used_);
+  }
+  void Grow(size_t capacity);
+
+  VType* data_ = nullptr;
+  size_t capacity_ = 0;
+  size_t used_ = 0;
+};
+
+// The buffers a verification call decodes and steps its methods in: Phase
+// 2's decoded code, the fixpoint's frames, worklist and assumption log
+// (verifier.cc), and the certificate validator's frames (certificate.cc).
+// Every method clears what it uses and keeps the storage, so a thread that
+// verifies one class after another allocates only for the largest method it
+// has seen. Trim, run as each lease ends, bounds what stays behind.
+struct VerifierWorkspace {
+  // What one fixpoint keeps per instruction: where its in-frame lives
+  // (kNoFrame before the first visit), that frame's stack depth, and the
+  // range of the assumption log its most recent visit recorded.
+  struct InFrame {
+    static constexpr size_t kNoFrame = SIZE_MAX;
+    size_t slab = kNoFrame;
+    uint32_t depth = 0;
+    uint32_t log_begin = 0;
+    uint32_t log_end = 0;
+  };
+
+  // Capacity kept after a verification call. Larger methods still verify;
+  // their storage is freed when the call is done, so a hostile method cannot
+  // pin memory on a worker thread.
+  static constexpr size_t kMaxKeptBytes = size_t{256} << 10;
+
+  // Bytes of storage held.
+  size_t CapacityBytes() const;
+  // When CapacityBytes() exceeds kMaxKeptBytes, frees each buffer holding
+  // more than an eighth of it, then everything if that is not enough.
+  void Trim();
+
+  // Phase 2.
+  DecodedCode code;
+  std::vector<bool> merge;  // MergePoints
+  std::vector<AbstractInterpreter::HandlerEdge> handler_edges;
+  // The fixpoint.
+  SlotArena arena;
+  std::vector<InFrame> in;
+  std::vector<uint32_t> worklist;
+  std::vector<Assumption> log;
+  Frame scratch;
+  // The validator: per assertion, its frame and the join of the edges into
+  // it (shadow_set says whether any edge has arrived); per instruction, the
+  // assertion there or -1.
+  std::vector<Frame> asserted;
+  std::vector<Frame> shadow;
+  std::vector<bool> shadow_set;
+  std::vector<int32_t> assertion_at;
+  Frame current;
+  Frame handler_entry;
+};
+
+// Borrows the calling thread's workspace for as long as it lives, and trims
+// it on return. A lease taken while the thread's workspace is already lent (a
+// verification nested in another) gets a fresh one of its own instead, so
+// both run the same code.
+class WorkspaceLease {
+ public:
+  WorkspaceLease();
+  ~WorkspaceLease();
+  WorkspaceLease(const WorkspaceLease&) = delete;
+  WorkspaceLease& operator=(const WorkspaceLease&) = delete;
+
+  VerifierWorkspace& operator*() const { return *ws_; }
+  VerifierWorkspace* operator->() const { return ws_; }
+
+ private:
+  std::unique_ptr<VerifierWorkspace> own_;  // set for a nested lease
+  VerifierWorkspace* ws_;
 };
 
 }  // namespace dvm

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <deque>
-#include <memory>
 #include <set>
 #include <span>
 
@@ -28,54 +26,6 @@ void CopySlots(VType* to, std::span<const VType> from) {
     std::memcpy(to, from.data(), from.size() * sizeof(VType));
   }
 }
-
-// Append-only frame-slot storage that never initializes a slot: each one is
-// copied in (CopySlots) before it is read, so the value-initialization a
-// growing std::vector would do is wasted work.
-class SlotArena {
- public:
-  SlotArena() = default;
-  SlotArena(const SlotArena&) = delete;
-  SlotArena& operator=(const SlotArena&) = delete;
-  ~SlotArena() {
-    if (data_ != nullptr) {
-      std::allocator<VType>().deallocate(data_, capacity_);
-    }
-  }
-
-  VType* data() { return data_; }
-  const VType* data() const { return data_; }
-
-  void Reserve(size_t slots) {
-    if (slots > capacity_) {
-      Grow(slots);
-    }
-  }
-  // Room for `slots` more slots; returns the offset of the first.
-  size_t Append(size_t slots) {
-    if (used_ + slots > capacity_) {
-      Grow(std::max(used_ + slots, 2 * capacity_));
-    }
-    size_t at = used_;
-    used_ += slots;
-    return at;
-  }
-
- private:
-  void Grow(size_t capacity) {
-    VType* next = std::allocator<VType>().allocate(capacity);
-    if (data_ != nullptr) {
-      CopySlots(next, {data_, used_});
-      std::allocator<VType>().deallocate(data_, capacity_);
-    }
-    data_ = next;
-    capacity_ = capacity;
-  }
-
-  VType* data_ = nullptr;
-  size_t capacity_ = 0;
-  size_t used_ = 0;
-};
 
 // Slots reserved for a method's frames before its fixpoint starts: an
 // estimate of max_locals + 2 per instruction, capped so that a hostile
@@ -132,7 +82,7 @@ Status Phase1(const ClassFile& cls, VerifyStats* stats) {
   std::set<std::string> method_ids;
   for (const auto& m : cls.methods) {
     check();
-    if (!ParseMethodDescriptor(m.descriptor).ok()) {
+    if (!ScanMethodDescriptor(m.descriptor).has_value()) {
       return Verr("method " + m.name + " has malformed descriptor " + m.descriptor);
     }
     check();
@@ -166,24 +116,27 @@ Status Phase1(const ClassFile& cls, VerifyStats* stats) {
 
 namespace {
 
-// The phase-3 fixpoint over one method. In-frames live in one flat arena:
-// an instruction's frame is a slab of max_locals locals followed by its
-// operand stack, appended on the instruction's first visit. A later edge with
-// a different stack depth is a verification failure, so a slab never
-// changes width and the arena holds one slot per frame slot of a reached
-// instruction, however large a hostile max_stack is. Each visit steps one
-// reused scratch frame, so the fixpoint allocates nothing per instruction;
-// frames move in and out of the arena by memcpy.
+// The phase-3 fixpoint over one method, in the buffers of a VerifierWorkspace.
+// In-frames live in one flat arena: an instruction's frame is a slab of
+// max_locals locals followed by its operand stack, appended on the
+// instruction's first visit. A later edge with a different stack depth is a
+// verification failure, so a slab never changes width and the arena holds
+// one slot per frame slot of a reached instruction, however large a hostile
+// max_stack is. Each visit steps one reused scratch frame, so the fixpoint
+// allocates nothing per instruction; frames move in and out of the arena by
+// memcpy.
 class MethodVerifier {
  public:
+  using InFrame = VerifierWorkspace::InFrame;
+
   MethodVerifier(ClassScope& scope, const MethodInfo& method, const DecodedCode& mc,
-                 VerifyStats* stats, std::vector<Assumption>* assumptions)
-      : method_(method), mc_(mc), types_(scope.types()), stats_(stats),
-        assumptions_(assumptions),
-        interp_(scope, method, mc, &stats->phase3_checks, assumptions),
+                 VerifyStats* stats, VerifierWorkspace& ws)
+      : method_(method), mc_(mc), types_(scope.types()), stats_(stats), ws_(ws),
+        interp_(scope, method, mc, &stats->phase3_checks, &ws.log),
         max_locals_(method.code->max_locals) {}
 
-  Status Run();
+  // Runs the fixpoint, appending the method's assumptions to `assumptions`.
+  Status Run(std::vector<Assumption>* assumptions);
 
   // Fills `out` with the fixpoint frame at every reachable merge point, in
   // strictly increasing index order as the canonical certificate encoding
@@ -191,19 +144,20 @@ class MethodVerifier {
   void EmitAssertions(MethodCertificate* out) const;
 
  private:
-  static constexpr size_t kNoFrame = SIZE_MAX;
-
   void Check() { stats_->phase3_checks++; }
 
-  Error Fail(size_t index, const std::string& message) const {
-    return Verr("merge @" + std::to_string(index) + ": " + message);
+  [[gnu::cold, gnu::noinline]] Error DepthError(size_t index, size_t depth) const {
+    return Verr("merge @" + std::to_string(index) +
+                ": inconsistent stack depth at merge point (" +
+                std::to_string(ws_.in[index].depth) + " vs " + std::to_string(depth) + ")");
   }
 
   std::span<const VType> Locals(size_t index) const {
-    return {arena_.data() + slab_[index], max_locals_};
+    return {ws_.arena.data() + ws_.in[index].slab, max_locals_};
   }
   std::span<const VType> Stack(size_t index) const {
-    return {arena_.data() + slab_[index] + max_locals_, depth_[index]};
+    const InFrame& in = ws_.in[index];
+    return {ws_.arena.data() + in.slab + max_locals_, in.depth};
   }
 
   Status Transfer(size_t index);
@@ -213,111 +167,115 @@ class MethodVerifier {
   const DecodedCode& mc_;
   TypeEnv& types_;
   VerifyStats* stats_;
-  std::vector<Assumption>* assumptions_;
-  AbstractInterpreter interp_;
-
-  const size_t max_locals_;
-  SlotArena arena_;
-  std::vector<size_t> slab_;    // arena offset of each in-frame, kNoFrame before the first visit
-  std::vector<size_t> depth_;   // operand-stack depth of each in-frame
-  Frame scratch_;               // the visited instruction's frame, stepped in place
-  std::vector<AbstractInterpreter::HandlerEdge> handler_edges_;
-  // Assumptions recorded by the most recent visit of each instruction. The
-  // final visit always runs at the fixpoint in-frame (any later change would
-  // re-enqueue it), so flattening the buckets in instruction order yields
+  VerifierWorkspace& ws_;
+  // Records into ws_.log. The final visit of an instruction always runs at
+  // the fixpoint in-frame (any later change would re-enqueue it), so the log
+  // ranges of each instruction's last visit, in instruction order, hold
   // exactly the assumptions a single pass over the fixpoint derives — the
   // certificate validator recomputes and compares them.
-  std::vector<std::vector<Assumption>> buckets_;
-  std::deque<size_t> worklist_;
+  AbstractInterpreter interp_;
+  const size_t max_locals_;
 };
 
 Status MethodVerifier::MergeInto(size_t target, std::span<const VType> locals,
                                  std::span<const VType> stack) {
-  if (slab_[target] == kNoFrame) {
-    const size_t at = arena_.Append(locals.size() + stack.size());
-    slab_[target] = at;
-    depth_[target] = stack.size();
-    CopySlots(arena_.data() + at, locals);
-    CopySlots(arena_.data() + at + locals.size(), stack);
-    worklist_.push_back(target);
+  InFrame& in = ws_.in[target];
+  if (in.slab == InFrame::kNoFrame) {
+    const size_t at = ws_.arena.Append(locals.size() + stack.size());
+    in.slab = at;
+    in.depth = static_cast<uint32_t>(stack.size());
+    CopySlots(ws_.arena.data() + at, locals);
+    CopySlots(ws_.arena.data() + at + locals.size(), stack);
+    ws_.worklist.push_back(static_cast<uint32_t>(target));
     return Status::Ok();
   }
   Check();
-  if (depth_[target] != stack.size()) {
-    return Fail(target, "inconsistent stack depth at merge point (" +
-                            std::to_string(depth_[target]) + " vs " +
-                            std::to_string(stack.size()) + ")");
+  if (in.depth != stack.size()) [[unlikely]] {
+    return DepthError(target, stack.size());
   }
-  VType* slab = arena_.data() + slab_[target];
+  VType* slab = ws_.arena.data() + in.slab;
   bool changed = MergeSlots({slab, max_locals_}, locals, types_);
-  changed |= MergeSlots({slab + max_locals_, depth_[target]}, stack, types_);
+  changed |= MergeSlots({slab + max_locals_, in.depth}, stack, types_);
   if (changed) {
-    worklist_.push_back(target);
+    ws_.worklist.push_back(static_cast<uint32_t>(target));
   }
   return Status::Ok();
 }
 
 Status MethodVerifier::Transfer(size_t index) {
-  // Last-visit semantics: this visit's assumptions replace the previous
-  // visit's for this instruction.
-  buckets_[index].clear();
-  interp_.set_assumption_sink(&buckets_[index]);
+  Frame& scratch = ws_.scratch;
   // Step never resizes the locals, which Run() sized once. The stack is a
   // few slots: pushing them into the capacity earlier visits left behind
   // beats a resize call.
-  CopySlots(scratch_.locals.data(), Locals(index));
-  scratch_.stack.clear();
+  CopySlots(scratch.locals.data(), Locals(index));
+  scratch.stack.clear();
   for (const VType& slot : Stack(index)) {
-    scratch_.stack.push_back(slot);
+    scratch.stack.push_back(slot);
   }
+  const size_t log_begin = ws_.log.size();
 
   // Any instruction inside a protected range contributes its locals to the
   // handler entry state (the stack is replaced by the thrown reference). A
   // failed handler merge is a verification failure — the old code swallowed
   // it, accepting methods whose handler entry state was inconsistent with
   // normal control flow into the same pc.
-  DVM_RETURN_IF_ERROR(interp_.HandlerEdges(index, &handler_edges_));
-  for (const auto& edge : handler_edges_) {
-    DVM_RETURN_IF_ERROR(MergeInto(edge.target, scratch_.locals, {&edge.thrown, 1}));
+  DVM_RETURN_IF_ERROR(interp_.HandlerEdges(index, &ws_.handler_edges));
+  for (const auto& edge : ws_.handler_edges) {
+    DVM_RETURN_IF_ERROR(MergeInto(edge.target, scratch.locals, {&edge.thrown, 1}));
   }
 
-  DVM_ASSIGN_OR_RETURN(AbstractInterpreter::StepResult out, interp_.Step(index, scratch_));
-  if (out.branch_target.has_value()) {
-    DVM_RETURN_IF_ERROR(MergeInto(*out.branch_target, scratch_.locals, scratch_.stack));
+  DVM_RETURN_IF_ERROR(interp_.Step(index, scratch));
+  // Last-visit semantics: this visit's assumptions replace the previous
+  // visit's for this instruction.
+  InFrame& in = ws_.in[index];
+  in.log_begin = static_cast<uint32_t>(log_begin);
+  in.log_end = static_cast<uint32_t>(ws_.log.size());
+
+  const Instr& instr = mc_.instrs[index];
+  const OpEdges edges = EdgesOf(instr.op);
+  if (edges.branch) {
+    DVM_RETURN_IF_ERROR(MergeInto(static_cast<size_t>(instr.a), scratch.locals, scratch.stack));
   }
-  if (out.fallthrough) {
-    DVM_RETURN_IF_ERROR(MergeInto(index + 1, scratch_.locals, scratch_.stack));
+  if (edges.fallthrough) {
+    DVM_RETURN_IF_ERROR(MergeInto(index + 1, scratch.locals, scratch.stack));
   }
   return Status::Ok();
 }
 
-Status MethodVerifier::Run() {
-  slab_.assign(mc_.instrs.size(), kNoFrame);
-  depth_.assign(mc_.instrs.size(), 0);
-  buckets_.resize(mc_.instrs.size());
-  scratch_.locals.resize(max_locals_);
-  arena_.Reserve(std::min(mc_.instrs.size() * (max_locals_ + 2), kMaxInitialArenaSlots));
-  const Frame entry = interp_.EntryFrame();
-  DVM_RETURN_IF_ERROR(MergeInto(0, entry.locals, entry.stack));
+Status MethodVerifier::Run(std::vector<Assumption>* assumptions) {
+  const size_t count = mc_.instrs.size();
+  ws_.in.assign(count, InFrame{});
+  ws_.worklist.clear();
+  ws_.log.clear();
+  ws_.arena.Clear();
+  ws_.arena.Reserve(std::min(count * (max_locals_ + 2), kMaxInitialArenaSlots));
+  interp_.EntryFrame(ws_.scratch);
+  DVM_RETURN_IF_ERROR(MergeInto(0, ws_.scratch.locals, ws_.scratch.stack));
 
-  while (!worklist_.empty()) {
-    size_t index = worklist_.front();
-    worklist_.pop_front();
+  // FIFO: visits pop from `head`; the queue restarts from the front of its
+  // storage whenever it drains.
+  std::vector<uint32_t>& worklist = ws_.worklist;
+  for (size_t head = 0; head < worklist.size();) {
+    const size_t index = worklist[head++];
+    if (head == worklist.size()) {
+      worklist.clear();
+      head = 0;
+    }
     DVM_RETURN_IF_ERROR(Transfer(index));
   }
 
-  for (auto& bucket : buckets_) {
-    for (auto& a : bucket) {
-      assumptions_->push_back(std::move(a));
+  for (const InFrame& in : ws_.in) {
+    for (uint32_t i = in.log_begin; i < in.log_end; i++) {
+      assumptions->push_back(std::move(ws_.log[i]));
     }
   }
   return Status::Ok();
 }
 
 void MethodVerifier::EmitAssertions(MethodCertificate* out) const {
-  const std::vector<bool> merge = MergePoints(method_, mc_);
-  for (size_t target = 0; target < merge.size(); target++) {
-    if (!merge[target] || slab_[target] == kNoFrame) {
+  MergePoints(method_, mc_, &ws_.merge);
+  for (size_t target = 0; target < ws_.merge.size(); target++) {
+    if (!ws_.merge[target] || ws_.in[target].slab == InFrame::kNoFrame) {
       continue;  // not a merge point, or one the fixpoint never reached
     }
     FrameAssertion assertion;
@@ -352,13 +310,14 @@ Result<VerifiedClass> VerifyClass(const ClassFile& cls, TypeEnv& types,
   }
 
   ClassScope scope(cls, types);
+  WorkspaceLease ws;
   for (const auto& method : cls.methods) {
     if (!method.code.has_value()) {
       continue;
     }
-    DVM_ASSIGN_OR_RETURN(DecodedCode mc, Phase2(cls, method, &out.stats));
-    MethodVerifier verifier(scope, method, mc, &out.stats, &out.assumptions);
-    DVM_RETURN_IF_ERROR(verifier.Run());
+    DVM_RETURN_IF_ERROR(Phase2(cls, method, &out.stats, &ws->code));
+    MethodVerifier verifier(scope, method, ws->code, &out.stats, *ws);
+    DVM_RETURN_IF_ERROR(verifier.Run(&out.assumptions));
     if (cert_out != nullptr) {
       MethodCertificate mcert;
       mcert.method_id = method.Id();

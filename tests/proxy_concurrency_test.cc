@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -723,6 +724,71 @@ TEST(DvmServerAsyncTest, ConcurrentMissesMatchSequentialArtifacts) {
   for (DvmServer* each : {server.get(), backward.get(), pooled.get()}) {
     EXPECT_EQ(each->proxy().stats().Value("proxy.cert_emit_failures"), 0u);
   }
+}
+
+// The console's code-version inventory for the Fig. 6 fetches: every Fig. 5
+// class served cold from three worker threads, then again after a policy
+// update hooks every app's `main`, which changes the rewrite of the classes
+// declaring one. The digests the served-code observer records, and the
+// code-version-change events it raises, are pinned.
+TEST(DvmServerAsyncTest, CodeVersionInventoryIsPinned) {
+  MapClassProvider origin;
+  std::vector<std::string> names;
+  for (const AppBundle& app : BuildFig5Apps()) {
+    app.InstallInto(&origin);
+    for (std::string& name : app.ClassNames()) {
+      names.push_back(std::move(name));
+    }
+  }
+  DvmServerConfig config;
+  config.policy = Fig6Policy();
+  DvmServer server(std::move(config), &origin);
+  server.StartWorkers(3);
+  auto fetch_all = [&] {
+    std::vector<std::future<Result<ProxyResponse>>> futures;
+    for (const std::string& name : names) {
+      futures.push_back(server.HandleRequestAsync(name));
+    }
+    for (size_t i = 0; i < names.size(); i++) {
+      ASSERT_TRUE(futures[i].get().ok()) << names[i];
+    }
+    server.workers()->Drain();
+  };
+  auto inventory = [&server] {
+    std::string text;
+    for (const auto& [name, digest] : server.console().code_versions()) {
+      text += name + "=" + digest + "\n";
+    }
+    return Fnv1a(text);
+  };
+
+  fetch_all();
+  EXPECT_EQ(server.console().code_versions().size(), names.size());
+  EXPECT_EQ(inventory(), 0x23bd5b8cad33dde6ULL);
+  EXPECT_EQ(server.console().code_version_changes(), 0u);
+
+  SecurityPolicy hooked = Fig6Policy();
+  SecurityHook hook;
+  hook.class_pattern = "*";
+  hook.method_pattern = "main";
+  hook.operation = "app.run";
+  hooked.hooks.push_back(hook);
+  server.UpdateSecurityPolicy(std::move(hooked));
+  fetch_all();
+  EXPECT_EQ(inventory(), 0xfd5f285099a25ef4ULL);
+  // In any order: the workers serve the second round in parallel.
+  std::set<std::string> changes;
+  for (const AuditEvent& event : server.console().log()) {
+    if (event.kind == "code-version-change") {
+      changes.insert(event.detail);
+    }
+  }
+  EXPECT_EQ(server.console().code_version_changes(), 5u);
+  EXPECT_EQ(changes, (std::set<std::string>{"app/cassowary/Main 0b867d36 -> 7c3a0849",
+                                            "app/instantdb/Main b036781b -> 6f062da7",
+                                            "app/javacup/Main 5992c138 -> 27089fa7",
+                                            "app/jlex/Main 4e794185 -> d56432e8",
+                                            "app/pizza/Main a4765a5c -> 97f945c3"}));
 }
 
 }  // namespace

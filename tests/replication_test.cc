@@ -16,6 +16,8 @@
 #include "src/policy/xml.h"
 #include "src/proxy/proxy.h"
 #include "src/runtime/syslib.h"
+#include "src/services/fleet_metrics.h"
+#include "src/services/monitor_service.h"
 #include "src/services/verify_service.h"
 #include "src/simnet/fault.h"
 #include "src/simnet/multicast.h"
@@ -361,11 +363,15 @@ TEST_F(ReplicationTest, PolicyUpdateWithoutReplicationClearsEveryReplica) {
   EXPECT_EQ(TotalRewrites(), rewrites_before + 1);
 }
 
+// How RunLossyScenario's replicas publish fleet metrics over the control
+// mesh: not at all, their registries, or their registries plus one counter.
+enum class FleetPublishing { kNone, kRegistries, kExtraCounter };
+
 // Builds a fresh 3-replica cluster over a lossy, jittery control mesh, runs a
 // fixed script (pushes, epoch rounds with retries, rejoins), and returns the
 // coordinator fingerprint. Same seed must give bit-identical control-plane
 // state.
-uint64_t RunLossyScenario(uint64_t seed) {
+uint64_t RunLossyScenario(uint64_t seed, FleetPublishing fleet = FleetPublishing::kNone) {
   MapClassProvider origin;
   InstallSystemLibrary(origin);
   for (int i = 0; i < 6; i++) {
@@ -387,6 +393,17 @@ uint64_t RunLossyScenario(uint64_t seed) {
   cluster.SetFaultInjector(&injector);
   cluster.EnableReplication();
   ReplicationCoordinator* repl = cluster.replication();
+  AdministrationConsole console;
+  FleetMetricsPublisher publisher(&repl->control_plane(), &console);
+  auto publish = [&](SimTime at) {
+    for (size_t r = 0; r < cluster.size() && fleet != FleetPublishing::kNone; r++) {
+      StatsSnapshot snap = cluster.replica(r).stats().FullSnapshot();
+      if (fleet == FleetPublishing::kExtraCounter) {
+        snap.counters.emplace_back("zz.extra", r);  // sorts last
+      }
+      publisher.PublishSnapshot(r, std::move(snap), at);
+    }
+  };
 
   SimTime now = kMillisecond;
   for (int i = 0; i < 3; i++) {
@@ -395,6 +412,10 @@ uint64_t RunLossyScenario(uint64_t seed) {
     repl->ReplicateArtifact(source, Cls(i), "", now);
     now += kMillisecond;
   }
+  // The snapshots leave between rounds, as bench_replication's do.
+  now += 100 * kMillisecond;
+  publish(now);
+  now += 100 * kMillisecond;
   for (int attempt = 0; attempt < 4; attempt++) {
     if (repl->CommitPolicyEpoch(now).committed) {
       break;
@@ -413,6 +434,14 @@ TEST(ReplicationDeterminismTest, SameSeedRunsProduceIdenticalFingerprints) {
   const uint64_t a = RunLossyScenario(5);
   const uint64_t b = RunLossyScenario(5);
   EXPECT_EQ(a, b);
+}
+
+// The fingerprint folds the coordinator's own traffic only: a fleet metric
+// snapshot that grows by one counter crosses the same mesh in more bytes and
+// must not move it.
+TEST(ReplicationDeterminismTest, FleetMetricCountersDoNotMoveTheFingerprint) {
+  const uint64_t registries = RunLossyScenario(5, FleetPublishing::kRegistries);
+  EXPECT_EQ(RunLossyScenario(5, FleetPublishing::kExtraCounter), registries);
 }
 
 }  // namespace
