@@ -14,9 +14,11 @@
 //   shed-tight — same, quarter-size queue (earlier, harder shedding).
 //
 // Stdout is byte-deterministic for a given seed (the --check mode asserts it
-// by running the shed policy twice); wall-clock and RSS go to stderr. The
-// CI scale-smoke job runs --clients=100000 --check under a time budget and
-// an RSS ceiling.
+// by running the shed policy twice); wall-clock and RSS go to stderr. Every
+// run also checks the event queue's order: the timer wheel aborts if it
+// would run an event out of (when, sequence) order or lose one (DESIGN.md
+// §12). The CI scale-smoke job runs --clients=100000 --check under a time
+// budget and an RSS ceiling.
 #include <cinttypes>
 #include <cstring>
 #include <ctime>
@@ -236,11 +238,9 @@ int main(int argc, char** argv) {
 
   Calibration cal = Calibrate(opt.seed);
   std::printf("\nclients=%" PRIu64 " replicas=%zu seed=%" PRIu64
-              " hit_cpu=%" PRIu64 "ns response=%" PRIu64 "B rewrite_once=%" PRIu64 "ns\n"
-              "event_queue=%s\n\n",
+              " hit_cpu=%" PRIu64 "ns response=%" PRIu64 "B rewrite_once=%" PRIu64 "ns\n\n",
               opt.clients, opt.replicas, opt.seed, cal.hit_cpu_nanos, cal.response_bytes,
-              cal.rewrite_cpu_nanos,
-              EventQueue::DefaultBackend() == EventQueue::Backend::kHeap ? "heap" : "wheel");
+              cal.rewrite_cpu_nanos);
   std::printf("%-11s %-13s %9s %9s %8s %10s %12s\n", "policy", "traffic", "started",
               "success", "failed", "p50(ms)", "p99(ms)");
 

@@ -24,8 +24,10 @@
 // recompute (0 post-rejoin rewrites vs > 0 baseline); and a same-seed rerun
 // reproduces bit-identical control-plane and fault-trace fingerprints.
 //
-// Stdout is byte-deterministic for a given seed; the CI replication-smoke job
-// diffs it across the timer-wheel and binary-heap EventQueue backends.
+// Stdout is byte-deterministic for a given seed (--check reruns it), and the
+// EventQueue checks its own (when, sequence) order on every event it runs
+// (DESIGN.md §12). The CI replication-smoke job runs --check under a time
+// budget.
 #include <cinttypes>
 #include <cstring>
 #include <memory>
@@ -396,11 +398,9 @@ int main(int argc, char** argv) {
   Scenario scenario{&origin, &env, &server, classes, mains};
 
   std::printf("\n%zu classes, %zu replicas, replica %zu dark [%" PRIu64 "s, %" PRIu64
-              "s), seed=%" PRIu64 "\n"
-              "event_queue=%s\n\n",
+              "s), seed=%" PRIu64 "\n\n",
               classes.size(), kReplicas, kLagger, kOutageStart / kSecond,
-              kOutageEnd / kSecond, opt.seed,
-              EventQueue::DefaultBackend() == EventQueue::Backend::kHeap ? "heap" : "wheel");
+              kOutageEnd / kSecond, opt.seed);
 
   std::vector<std::vector<std::string>> rows;
   RunOutcome repl = Run(scenario, opt, /*replicated=*/true, &rows);

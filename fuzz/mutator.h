@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "src/support/bytes.h"
+#include "src/support/hash.h"
 
 namespace dvm {
 namespace fuzz {
@@ -23,12 +24,7 @@ class Rng {
  public:
   explicit Rng(uint64_t seed) : state_(seed) {}
 
-  uint64_t Next() {
-    uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
+  uint64_t Next() { return Mix64(state_ += 0x9e3779b97f4a7c15ULL); }
   // Uniform-ish in [0, bound); bound must be > 0.
   uint32_t Below(uint32_t bound) { return static_cast<uint32_t>(Next() % bound); }
   bool Coin() { return (Next() & 1) != 0; }

@@ -4,20 +4,9 @@
 #include <string>
 
 #include "src/dvm/retry.h"
+#include "src/support/hash.h"
 
 namespace dvm {
-
-namespace {
-
-// splitmix64 finalizer: per-client replica affinity mixer (same family as the
-// rendezvous mixer in redirect_client.cc).
-uint64_t Mix64(uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 ClientPool::ClientPool(ClientPoolConfig config, EventQueue* queue,
                        std::vector<CpuServer>* replicas,

@@ -17,13 +17,6 @@ constexpr uint64_t kSignatureCheckNanosPerByte = 35;
 // Size of a class-request message (headers + name), for failed round trips.
 constexpr uint64_t kRequestMessageBytes = 256;
 
-// splitmix64 finalizer: the rendezvous weight mixer.
-uint64_t Mix64(uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 RedirectingClient::RedirectingClient(DvmServer* server, ClassProvider* direct,
@@ -90,18 +83,15 @@ Result<Bytes> RedirectingClient::FetchClassTraced(const std::string& class_name,
       TraceEmit(tracer_, "signature.check", span.id(), check_start, machine_->virtual_nanos(),
                 "client");
       if (valid.ok()) {
-        direct_hits_++;
         stats_.Counter("redirect.direct_hits").Add();
         span.Annotate("source", "direct");
         return direct_bytes;
       }
-      rejected_signatures_++;
       stats_.Counter("redirect.rejected_signatures").Add();
       span.Annotate("signature", "rejected");
     } else {
       // A miss is not free: the client still pays the request out and the
       // not-found reply back before it can redirect.
-      direct_misses_++;
       stats_.Counter("redirect.direct_misses").Add();
       span.Annotate("direct", "miss");
       SimTime now = machine_->virtual_nanos();
@@ -116,7 +106,6 @@ Result<Bytes> RedirectingClient::FetchClassTraced(const std::string& class_name,
   }
 
   // Redirect to the centralized services (single-proxy deployment).
-  redirects_++;
   stats_.Counter("redirect.redirects").Add();
   span.Annotate("source", "proxy");
   SimTime request_at = machine_->virtual_nanos();
@@ -145,7 +134,6 @@ Result<Bytes> RedirectingClient::FetchViaCluster(const std::string& class_name,
   SimTime retry_after = 0;
   for (uint64_t attempt = 0; attempt < rc.retry_budget; attempt++) {
     if (attempt > 0) {
-      retries_++;
       stats_.Counter("redirect.retries").Add();
       SimTime backoff_start = machine_->virtual_nanos();
       // A shed rejection's retry-after hint overrides a shorter exponential
@@ -170,7 +158,6 @@ Result<Bytes> RedirectingClient::FetchViaCluster(const std::string& class_name,
     for (size_t probes = 0;
          probes < ranked.size() && replica_avoid_until_[ranked[rank]] > now; probes++) {
       rank = (rank + 1) % ranked.size();
-      failovers_++;
       stats_.Counter("redirect.failovers").Add();
     }
     size_t replica = ranked[rank];
@@ -182,7 +169,6 @@ Result<Bytes> RedirectingClient::FetchViaCluster(const std::string& class_name,
 
     if (!cluster_->ReplicaUp(replica, now)) {
       // Dead replica: the request goes unanswered until the deadline fires.
-      timeouts_++;
       stats_.Counter("redirect.timeouts").Add();
       machine_->AddNanos(rc.request_deadline);
       TraceEmit(tracer_, "deadline.wait", attempt_span, now, machine_->virtual_nanos(),
@@ -191,7 +177,6 @@ Result<Bytes> RedirectingClient::FetchViaCluster(const std::string& class_name,
       TraceEnd(tracer_, attempt_span, machine_->virtual_nanos());
       replica_avoid_until_[replica] = now + rc.request_deadline + kReplicaAvoidTtl;
       rank = (rank + 1) % ranked.size();
-      failovers_++;
       stats_.Counter("redirect.failovers").Add();
       continue;
     }
@@ -199,7 +184,6 @@ Result<Bytes> RedirectingClient::FetchViaCluster(const std::string& class_name,
     // Request leg: a dropped message looks exactly like a dead replica until
     // the deadline fires, but is worth retrying on the same replica.
     if (faults != nullptr && faults->ShouldDrop(rc.link_name, now)) {
-      timeouts_++;
       stats_.Counter("redirect.timeouts").Add();
       stats_.Counter("redirect.dropped").Add();
       machine_->AddNanos(rc.request_deadline);
@@ -216,14 +200,12 @@ Result<Bytes> RedirectingClient::FetchViaCluster(const std::string& class_name,
     // a small control answer, not a deadline timeout — and the client
     // avoid-lists it and fails over.
     if (repl != nullptr && !repl->CanServe(replica, now)) {
-      stale_epoch_rejections_++;
       stats_.Counter("redirect.stale_epoch").Add();
       machine_->AddNanos(2 * link_.latency());
       TraceAnnotate(tracer_, attempt_span, "outcome", "stale-epoch");
       TraceEnd(tracer_, attempt_span, machine_->virtual_nanos());
       replica_avoid_until_[replica] = now + kReplicaAvoidTtl;
       rank = (rank + 1) % ranked.size();
-      failovers_++;
       stats_.Counter("redirect.failovers").Add();
       continue;
     }
@@ -234,7 +216,6 @@ Result<Bytes> RedirectingClient::FetchViaCluster(const std::string& class_name,
     if (admission != nullptr) {
       AdmissionController::Decision decision = admission->Offer(rc.traffic_class, now);
       if (!decision.admitted) {
-        admission_sheds_++;
         shed_attempts++;
         stats_.Counter("redirect.shedded").Add();
         retry_after = decision.retry_after;
@@ -270,7 +251,6 @@ Result<Bytes> RedirectingClient::FetchViaCluster(const std::string& class_name,
       admission->Complete(respond_at);
     }
     if (faults != nullptr && faults->ShouldDrop(rc.link_name, respond_at)) {
-      timeouts_++;
       stats_.Counter("redirect.timeouts").Add();
       stats_.Counter("redirect.dropped").Add();
       machine_->AddNanos(response->cpu_nanos + rc.request_deadline);
@@ -286,13 +266,11 @@ Result<Bytes> RedirectingClient::FetchViaCluster(const std::string& class_name,
     // the cluster's committed epoch, the artifact may carry retired hooks —
     // discard it and fail over rather than run stale instrumentation.
     if (repl != nullptr && response->epoch != repl->committed_epoch()) {
-      stale_epoch_rejections_++;
       stats_.Counter("redirect.stale_epoch").Add();
       TraceAnnotate(tracer_, attempt_span, "outcome", "stale-epoch-response");
       TraceEnd(tracer_, attempt_span, machine_->virtual_nanos());
       replica_avoid_until_[replica] = now + kReplicaAvoidTtl;
       rank = (rank + 1) % ranked.size();
-      failovers_++;
       stats_.Counter("redirect.failovers").Add();
       continue;
     }
@@ -301,7 +279,6 @@ Result<Bytes> RedirectingClient::FetchViaCluster(const std::string& class_name,
     if (repl != nullptr && !response->cache_hit && !response->coalesced) {
       repl->ReplicateArtifact(replica, class_name, "", respond_at);
     }
-    redirects_++;
     stats_.Counter("redirect.redirects").Add();
     TraceAnnotate(tracer_, attempt_span, "outcome", "ok");
     TraceEnd(tracer_, attempt_span, machine_->virtual_nanos());
@@ -316,7 +293,6 @@ Result<Bytes> RedirectingClient::FetchViaCluster(const std::string& class_name,
   // caller to come back later rather than to fail over.
   span.Annotate("attempts", std::to_string(attempts_made));
   if (attempts_made > 0 && shed_attempts == attempts_made) {
-    overloaded_rejections_++;
     stats_.Counter("redirect.overloaded").Add();
     span.Annotate("deadline_outcome", "overloaded");
     return Error{ErrorCode::kOverloaded,
@@ -329,7 +305,6 @@ Result<Bytes> RedirectingClient::FetchViaCluster(const std::string& class_name,
       if (direct_bytes.ok()) {
         // Degraded serve: the code runs without the (observability-only)
         // services it would normally have been instrumented with.
-        fail_open_serves_++;
         stats_.Counter("redirect.fail_open_serves").Add();
         span.Annotate("deadline_outcome", "fail-open");
         ChargeDelivery(machine_->virtual_nanos(), direct_bytes->size(), span.id());
@@ -340,7 +315,6 @@ Result<Bytes> RedirectingClient::FetchViaCluster(const std::string& class_name,
     return Error{ErrorCode::kUnavailable,
                  "all proxy replicas unreachable and no direct source for " + class_name};
   }
-  fail_closed_rejections_++;
   stats_.Counter("redirect.fail_closed_rejections").Add();
   span.Annotate("deadline_outcome", "fail-closed");
   return Error{ErrorCode::kUnavailable,

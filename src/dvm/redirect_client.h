@@ -150,30 +150,32 @@ class RedirectingClient : public ClassProvider {
 
   Result<Bytes> FetchClass(const std::string& class_name) override;
 
-  uint64_t direct_hits() const { return direct_hits_; }
-  uint64_t direct_misses() const { return direct_misses_; }
-  uint64_t redirects() const { return redirects_; }
-  uint64_t rejected_signatures() const { return rejected_signatures_; }
-  uint64_t timeouts() const { return timeouts_; }
-  uint64_t retries() const { return retries_; }
-  uint64_t failovers() const { return failovers_; }
-  uint64_t fail_closed_rejections() const { return fail_closed_rejections_; }
-  uint64_t fail_open_serves() const { return fail_open_serves_; }
+  uint64_t direct_hits() const { return stats_.Value("redirect.direct_hits"); }
+  uint64_t direct_misses() const { return stats_.Value("redirect.direct_misses"); }
+  uint64_t redirects() const { return stats_.Value("redirect.redirects"); }
+  uint64_t rejected_signatures() const { return stats_.Value("redirect.rejected_signatures"); }
+  uint64_t timeouts() const { return stats_.Value("redirect.timeouts"); }
+  uint64_t retries() const { return stats_.Value("redirect.retries"); }
+  uint64_t failovers() const { return stats_.Value("redirect.failovers"); }
+  uint64_t fail_closed_rejections() const {
+    return stats_.Value("redirect.fail_closed_rejections");
+  }
+  uint64_t fail_open_serves() const { return stats_.Value("redirect.fail_open_serves"); }
   // Attempts turned away by a replica's admission controller (never happens
   // for verification/security traffic) and fetches that exhausted the retry
   // budget with every attempt shed (typed ErrorCode::kOverloaded).
-  uint64_t admission_sheds() const { return admission_sheds_; }
-  uint64_t overloaded_rejections() const { return overloaded_rejections_; }
+  uint64_t admission_sheds() const { return stats_.Value("redirect.shedded"); }
+  uint64_t overloaded_rejections() const { return stats_.Value("redirect.overloaded"); }
   // Attempts refused because the replica could not prove it was at the
   // cluster's committed policy epoch (replication's fail-closed gate), plus
   // responses discarded for carrying a non-committed epoch stamp.
-  uint64_t stale_epoch_rejections() const { return stale_epoch_rejections_; }
+  uint64_t stale_epoch_rejections() const { return stats_.Value("redirect.stale_epoch"); }
 
-  // Named counters mirroring the accessors above: redirect.{direct_hits,
-  // direct_misses,redirects,rejected_signatures,timeouts,retries,failovers,
-  // dropped,fail_closed_rejections,fail_open_serves,shedded,overloaded};
-  // plus the redirect.fetch_nanos histogram (end-to-end virtual fetch
-  // latency).
+  // The counters behind the accessors above, created on first use:
+  // redirect.{direct_hits,direct_misses,redirects,rejected_signatures,
+  // timeouts,retries,failovers,dropped,fail_closed_rejections,
+  // fail_open_serves,shedded,overloaded,stale_epoch}; plus the
+  // redirect.fetch_nanos histogram (end-to-end virtual fetch latency).
   const StatsRegistry& stats() const { return stats_; }
 
   // Observability: with a tracer installed, every FetchClass opens a root
@@ -205,18 +207,6 @@ class RedirectingClient : public ClassProvider {
   std::unique_ptr<EnforcementManager> enforcement_;
   std::unique_ptr<AuditSession> audit_;
   std::unique_ptr<ProfileCollector> profiler_;
-  uint64_t direct_hits_ = 0;
-  uint64_t direct_misses_ = 0;
-  uint64_t redirects_ = 0;
-  uint64_t rejected_signatures_ = 0;
-  uint64_t timeouts_ = 0;
-  uint64_t retries_ = 0;
-  uint64_t failovers_ = 0;
-  uint64_t fail_closed_rejections_ = 0;
-  uint64_t fail_open_serves_ = 0;
-  uint64_t admission_sheds_ = 0;
-  uint64_t overloaded_rejections_ = 0;
-  uint64_t stale_epoch_rejections_ = 0;
   StatsRegistry stats_;
   Histogram& h_fetch_nanos_;
   Tracer* tracer_ = nullptr;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace dvm {
 
@@ -20,20 +20,30 @@ inline int CountTrailingZeros(uint64_t x) {
   return __builtin_ctzll(x);
 }
 
-}  // namespace
+using ull = unsigned long long;
 
-EventQueue::Backend EventQueue::DefaultBackend() {
-  static const Backend backend = [] {
-    const char* env = std::getenv("DVM_EVENT_QUEUE");
-    if (env != nullptr && std::strcmp(env, "heap") == 0) {
-      return Backend::kHeap;
-    }
-    return Backend::kWheel;
-  }();
-  return backend;
+// Prints the diagnostic and aborts: a scenario bug or a broken queue must
+// fail loudly, not run on with a wrong clock.
+[[noreturn, gnu::cold, gnu::format(printf, 1, 2)]] void Fail(const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  std::vfprintf(stderr, format, args);
+  va_end(args);
+  std::abort();
 }
 
-EventQueue::EventQueue(Backend backend) : backend_(backend) {}
+}  // namespace
+
+uint32_t EventQueue::NewEvent(SimTime when) {
+  if (when < now_) [[unlikely]] {
+    Fail("EventQueue: event scheduled in the past — when=%llu ns is before now=%llu ns\n",
+         static_cast<ull>(when), static_cast<ull>(now_));
+  }
+  uint32_t index = AllocRecord();
+  pool_[index].when = when;
+  pool_[index].sequence = next_sequence_++;
+  return index;
+}
 
 uint32_t EventQueue::AllocRecord() {
   if (free_head_ != kNil) {
@@ -162,6 +172,10 @@ bool EventQueue::AdvanceWheel() {
       continue;
     }
     if (overflow_.empty()) {
+      if (pending_ != 0) [[unlikely]] {
+        Fail("EventQueue: %zu pending events lost — the wheel holds none at t=%llu ns\n",
+             pending_, static_cast<ull>(now_));
+      }
       return false;
     }
     // Everything left is beyond the old horizon. Rebase the wheel at the
@@ -186,33 +200,15 @@ bool EventQueue::AdvanceWheel() {
 }
 
 void EventQueue::Schedule(SimTime when, Callback callback) {
-  assert(when >= now_);
-  if (backend_ == Backend::kHeap) {
-    heap_.push_back(HeapEvent{when, next_sequence_++, std::move(callback)});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  } else {
-    uint32_t index = AllocRecord();
-    Event& event = pool_[index];
-    event.when = when;
-    event.sequence = next_sequence_++;
-    event.callback = std::move(callback);
-    InsertWheel(index);
-  }
+  uint32_t index = NewEvent(when);
+  pool_[index].callback = std::move(callback);
+  InsertWheel(index);
   pending_++;
 }
 
 void EventQueue::Schedule(SimTime when, RawCallback fn, void* ctx, uint64_t arg) {
-  assert(when >= now_);
-  if (backend_ == Backend::kHeap) {
-    // Reference backend: wrap into the std::function path (allocation is fine
-    // there; the raw path only needs to be allocation-free on the wheel).
-    Schedule(when, [fn, ctx, arg] { fn(ctx, arg); });
-    return;
-  }
-  uint32_t index = AllocRecord();
+  uint32_t index = NewEvent(when);
   Event& event = pool_[index];
-  event.when = when;
-  event.sequence = next_sequence_++;
   event.raw_fn = fn;
   event.raw_ctx = ctx;
   event.raw_arg = arg;
@@ -220,25 +216,38 @@ void EventQueue::Schedule(SimTime when, RawCallback fn, void* ctx, uint64_t arg)
   pending_++;
 }
 
-void EventQueue::CheckRunawayGuard() {
-  if (max_events_ != 0 && events_run_ > max_events_) {
-    std::fprintf(stderr,
-                 "EventQueue: runaway scenario — %llu events executed "
-                 "(max_events=%llu), aborting at t=%llu ns with %zu pending\n",
-                 static_cast<unsigned long long>(events_run_),
-                 static_cast<unsigned long long>(max_events_),
-                 static_cast<unsigned long long>(now_), pending_);
-    std::abort();
+void EventQueue::CheckOrder(const Event& event) const {
+  // now_ is the last event's time, or a later RunUntil deadline. Every event
+  // pending at that deadline is due after it, and every event scheduled since
+  // has a larger sequence, so comparing against now_ checks strict
+  // (when, sequence) order.
+  if (event.when < now_ || (event.when == now_ && event.sequence <= last_sequence_))
+      [[unlikely]] {
+    Fail("EventQueue: event (when=%llu ns, sequence=%llu) runs after "
+         "(when=%llu ns, sequence=%llu) — out of order, aborting with %zu pending\n",
+         static_cast<ull>(event.when), static_cast<ull>(event.sequence),
+         static_cast<ull>(now_), static_cast<ull>(last_sequence_), pending_);
   }
 }
 
-bool EventQueue::RunNextWheel() {
+void EventQueue::CheckRunawayGuard() const {
+  if (max_events_ != 0 && events_run_ > max_events_) [[unlikely]] {
+    Fail("EventQueue: runaway scenario — %llu events executed "
+         "(max_events=%llu), aborting at t=%llu ns with %zu pending\n",
+         static_cast<ull>(events_run_), static_cast<ull>(max_events_),
+         static_cast<ull>(now_), pending_);
+  }
+}
+
+bool EventQueue::RunNext() {
   if (ready_.empty() && !AdvanceWheel()) {
     return false;
   }
   uint32_t index = ReadyPop();
   Event& event = pool_[index];
+  CheckOrder(event);
   now_ = event.when;
+  last_sequence_ = event.sequence;
   pending_--;
   events_run_++;
   CheckRunawayGuard();
@@ -258,38 +267,12 @@ bool EventQueue::RunNextWheel() {
   return true;
 }
 
-bool EventQueue::RunNextHeap() {
-  if (heap_.empty()) {
-    return false;
-  }
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  HeapEvent event = std::move(heap_.back());
-  heap_.pop_back();
-  now_ = event.when;
-  pending_--;
-  events_run_++;
-  CheckRunawayGuard();
-  event.callback();
-  return true;
-}
-
-bool EventQueue::RunNext() {
-  return backend_ == Backend::kHeap ? RunNextHeap() : RunNextWheel();
-}
-
 void EventQueue::RunUntilEmpty() {
   while (RunNext()) {
   }
 }
 
 bool EventQueue::PeekNextWhen(SimTime* when) {
-  if (backend_ == Backend::kHeap) {
-    if (heap_.empty()) {
-      return false;
-    }
-    *when = heap_.front().when;
-    return true;
-  }
   if (ready_.empty() && !AdvanceWheel()) {
     return false;
   }

@@ -12,10 +12,11 @@
 // Scale: the north star demands 10^6+ simulated clients, so EventQueue is a
 // hierarchical timer wheel over a slab of fixed-size pooled event records
 // (freelist reuse, no per-event heap allocation on the raw-callback path).
-// The pre-refactor binary heap of std::function events is kept as a
-// runtime-selectable reference backend; both produce the exact same
-// (when, sequence) execution order, which timer_wheel_test checks
-// differentially on random schedules. See DESIGN.md §12.
+// Its contract is heap order: events run in strictly increasing
+// (when, sequence) order, ties in schedule order. The queue checks that
+// contract itself on every run and aborts when an event would run out of
+// order or when it finds nothing to run while events are still pending, so
+// every test and bench run is an oracle for the wheel. See DESIGN.md §12.
 #ifndef SRC_SIMNET_SIM_H_
 #define SRC_SIMNET_SIM_H_
 
@@ -60,26 +61,21 @@ class EventQueue {
   // no std::function (and no possible capture allocation) is involved.
   using RawCallback = void (*)(void* ctx, uint64_t arg);
 
-  enum class Backend {
-    kWheel,  // hierarchical timer wheel over a pooled slab (the default)
-    kHeap,   // pre-refactor binary heap, kept as a differential reference
-  };
-  // Default backend: kWheel, overridable with DVM_EVENT_QUEUE=heap|wheel so
-  // existing benches can be byte-diffed across backends without recompiling.
-  static Backend DefaultBackend();
-
-  explicit EventQueue(Backend backend = DefaultBackend());
-
+  // Scheduling before now() aborts: the event would run out of order and
+  // move the clock backwards.
   void Schedule(SimTime when, Callback callback);
   void Schedule(SimTime when, RawCallback fn, void* ctx, uint64_t arg);
 
-  // Runs the earliest pending event; returns false when none remain.
+  // Runs the earliest pending event; returns false when none remain. Aborts
+  // when the event's (when, sequence) is not strictly greater than the
+  // previous event's, or when no event is found while pending() != 0.
   bool RunNext();
   void RunUntilEmpty();
   // Runs every event with when <= deadline (in global order), then advances
   // the clock to max(now, deadline). Returns the number of events run.
   size_t RunUntil(SimTime deadline);
   // Earliest pending event time into *when; false when the queue is empty.
+  // Aborts, like RunNext, when no event is found while pending() != 0.
   bool PeekNextWhen(SimTime* when);
 
   // Runaway guard: once more than `limit` events have executed, the next
@@ -90,9 +86,8 @@ class EventQueue {
 
   SimTime now() const { return now_; }
   size_t pending() const { return pending_; }
-  Backend backend() const { return backend_; }
-  // Slab capacity in event records (wheel backend); bounded by the peak number
-  // of simultaneously pending events thanks to freelist reuse.
+  // Slab capacity in event records; bounded by the peak number of
+  // simultaneously pending events thanks to freelist reuse.
   size_t pool_capacity() const { return pool_.size(); }
 
  private:
@@ -125,16 +120,9 @@ class EventQueue {
     uint32_t tail = kNil;
   };
 
-  // Legacy heap backend event (std::push_heap/pop_heap over a vector).
-  struct HeapEvent {
-    SimTime when;
-    uint64_t sequence;
-    Callback callback;
-    bool operator>(const HeapEvent& other) const {
-      return when != other.when ? when > other.when : sequence > other.sequence;
-    }
-  };
-
+  // Pooled record for an event at `when` with the next sequence number;
+  // aborts when `when` is before now().
+  uint32_t NewEvent(SimTime when);
   uint32_t AllocRecord();
   void FreeRecord(uint32_t index);
   void InsertWheel(uint32_t index);
@@ -148,18 +136,18 @@ class EventQueue {
   bool AdvanceWheel();
   void ReadyPush(uint32_t index);
   uint32_t ReadyPop();
-  bool RunNextWheel();
-  bool RunNextHeap();
-  void CheckRunawayGuard();
+  // The order check: `event` must come strictly after the last event run.
+  void CheckOrder(const Event& event) const;
+  void CheckRunawayGuard() const;
 
-  Backend backend_;
   SimTime now_ = 0;
-  uint64_t next_sequence_ = 0;
+  // Sequence numbers start at 1, so 0 means no event has run yet.
+  uint64_t next_sequence_ = 1;
+  uint64_t last_sequence_ = 0;
   size_t pending_ = 0;
   uint64_t events_run_ = 0;
   uint64_t max_events_ = 0;
 
-  // Wheel backend state.
   std::vector<Event> pool_;
   uint32_t free_head_ = kNil;
   Slot wheel_[kLevels][kSlots];
@@ -167,9 +155,6 @@ class EventQueue {
   uint64_t current_tick_ = 0;
   std::vector<uint32_t> ready_;     // binary heap by (when, sequence)
   std::vector<uint32_t> overflow_;  // beyond the wheel horizon
-
-  // Heap backend state.
-  std::vector<HeapEvent> heap_;
 };
 
 // A duplex point-to-point link, modelled as two independent serializing pipes.

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "src/support/hash.h"
+
 namespace dvm {
 
 class Rng {
@@ -16,10 +18,7 @@ class Rng {
     uint64_t x = seed;
     for (auto& s : state_) {
       x += 0x9e3779b97f4a7c15ULL;
-      uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      s = z ^ (z >> 31);
+      s = Mix64(x);
     }
   }
 

@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/support/hash.h"
 #include "src/support/ring.h"
 #include "src/support/stats.h"
 
@@ -200,13 +201,7 @@ class TraceSampler {
       return true;
     }
     // splitmix64 finalizer over seed ^ id: uniform, cheap, stateless.
-    uint64_t x = seed_ ^ (unit_id * 0x9e3779b97f4a7c15ULL);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x % rate_ == 0;
+    return Mix64(seed_ ^ (unit_id * 0x9e3779b97f4a7c15ULL)) % rate_ == 0;
   }
 
   uint64_t rate() const { return rate_; }

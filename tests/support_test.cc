@@ -198,6 +198,15 @@ TEST(HashTest, Fnv1aStable) {
   EXPECT_NE(Fnv1a("a"), Fnv1a("b"));
 }
 
+TEST(HashTest, Mix64IsTheSplitmix64Finalizer) {
+  // The first two outputs of splitmix64 seeded with 0 (the published
+  // reference stream): rendezvous ranks, trace sampling, RNG streams and
+  // fuzz schedules all depend on these exact bits.
+  EXPECT_EQ(Mix64(0x9e3779b97f4a7c15ULL), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(Mix64(2 * 0x9e3779b97f4a7c15ULL), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(Mix64(0), 0u);
+}
+
 TEST(RngTest, Deterministic) {
   Rng a(7), b(7);
   for (int i = 0; i < 100; i++) {

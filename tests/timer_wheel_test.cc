@@ -1,11 +1,13 @@
-// Differential and unit tests for the scale layer: the hierarchical timer
-// wheel against the reference binary heap (identical execution order on
-// random schedules, by construction of the (when, sequence) contract), the
-// saturating time conversions, the runaway guard, the slab/freelist bound,
-// admission control's shed-priority policy, and the pooled million-client
-// ClientPool.
+// Tests for the scale layer: the hierarchical timer wheel against its
+// specification (every schedule runs as the stable sort of what was
+// scheduled, by (when, schedule order)), the queue's always-on order checks,
+// the saturating time conversions, the runaway guard, the slab/freelist
+// bound, admission control's shed-priority policy, and the pooled
+// million-client ClientPool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "src/dvm/admission.h"
@@ -17,165 +19,164 @@
 namespace dvm {
 namespace {
 
-// --- wheel vs heap differential --------------------------------------------------
+// --- wheel vs specification ------------------------------------------------------
 
-// Runs the same schedule on both backends and asserts identical execution
-// sequences (event id, firing time, clock reading).
 struct Recorded {
   uint64_t id;
   SimTime at;
   bool operator==(const Recorded& other) const { return id == other.id && at == other.at; }
 };
 
+// The specification each differential test checks the wheel against: heap
+// order is the stable sort of everything scheduled by firing time, so ties
+// run in schedule order, each at its own time.
+std::vector<Recorded> HeapOrder(std::vector<Recorded> scheduled) {
+  std::stable_sort(scheduled.begin(), scheduled.end(),
+                   [](const Recorded& a, const Recorded& b) { return a.at < b.at; });
+  return scheduled;
+}
+
+// Logs every event in schedule order and every execution (event id, clock
+// reading) in run order.
 class Recorder {
  public:
-  explicit Recorder(EventQueue::Backend backend) : queue_(backend) {}
-
-  void Add(SimTime when, uint64_t id) {
-    queue_.Schedule(when, [this, id] { events_.push_back({id, queue_.now()}); });
+  // Schedules event `id` at `when`; `then` (if any) runs inside the callback,
+  // after the execution is logged.
+  void Add(SimTime when, uint64_t id, std::function<void()> then = nullptr) {
+    scheduled_.push_back({id, when});
+    queue_.Schedule(when, [this, id, then = std::move(then)] {
+      ran_.push_back({id, queue_.now()});
+      if (then) {
+        then();
+      }
+    });
   }
 
+  std::vector<Recorded> Expected() const { return HeapOrder(scheduled_); }
+
   EventQueue& queue() { return queue_; }
-  const std::vector<Recorded>& events() const { return events_; }
+  const std::vector<Recorded>& ran() const { return ran_; }
 
  private:
   EventQueue queue_;
-  std::vector<Recorded> events_;
+  std::vector<Recorded> scheduled_;
+  std::vector<Recorded> ran_;
 };
 
 TEST(TimerWheelDifferentialTest, RandomScheduleMatchesHeapExactly) {
   // Mixed magnitudes: same-tick ties, nearby ticks, far ticks crossing many
-  // wheel levels. Both backends must run the identical sequence.
+  // wheel levels.
   Rng rng(2024);
-  Recorder wheel(EventQueue::Backend::kWheel);
-  Recorder heap(EventQueue::Backend::kHeap);
+  Recorder recorder;
   for (uint64_t id = 0; id < 4000; id++) {
     uint64_t magnitude = rng.Uniform(14);  // up to ~10^13 ns, beyond level 0-5
-    SimTime when = rng.Uniform(10) + (rng.Next() % (1ULL << (magnitude * 4 % 44)));
-    wheel.Add(when, id);
-    heap.Add(when, id);
+    recorder.Add(rng.Uniform(10) + (rng.Next() % (1ULL << (magnitude * 4 % 44))), id);
   }
-  wheel.queue().RunUntilEmpty();
-  heap.queue().RunUntilEmpty();
-  ASSERT_EQ(wheel.events().size(), 4000u);
-  EXPECT_EQ(wheel.events(), heap.events());
-  EXPECT_EQ(wheel.queue().now(), heap.queue().now());
+  recorder.queue().RunUntilEmpty();
+  ASSERT_EQ(recorder.ran().size(), 4000u);
+  EXPECT_EQ(recorder.ran(), recorder.Expected());
+  EXPECT_EQ(recorder.queue().now(), recorder.Expected().back().at);
 }
 
 TEST(TimerWheelDifferentialTest, NestedSchedulingFromCallbacksMatches) {
-  // Callbacks schedule follow-ups relative to the (shared) virtual clock —
-  // the pattern every simulation loop uses. Sequence numbers are assigned at
-  // Schedule time, so both backends must interleave identically.
-  for (auto backend : {EventQueue::Backend::kWheel, EventQueue::Backend::kHeap}) {
-    EventQueue queue(backend);
-    std::vector<Recorded> events;
-    Rng rng(7);
-    for (uint64_t id = 0; id < 64; id++) {
-      SimTime when = rng.Uniform(1000);
-      queue.Schedule(when, [&, id] {
-        events.push_back({id, queue.now()});
-        if (id % 3 != 0) {
-          // Two generations of follow-up events, some landing on tied times.
-          queue.Schedule(queue.now() + (id % 5) * 100, [&, id] {
-            events.push_back({id + 1000, queue.now()});
-            queue.Schedule(queue.now(), [&, id] { events.push_back({id + 2000, queue.now()}); });
-          });
-        }
-      });
-    }
-    queue.RunUntilEmpty();
-    static std::vector<Recorded> reference;
-    if (backend == EventQueue::Backend::kWheel) {
-      reference = events;
-    } else {
-      EXPECT_EQ(events, reference);
-    }
+  // Callbacks schedule follow-ups relative to the virtual clock — the pattern
+  // every simulation loop uses. Sequence numbers are assigned at Schedule
+  // time, so follow-ups tied with earlier events run after them.
+  Recorder recorder;
+  EventQueue& queue = recorder.queue();
+  Rng rng(7);
+  for (uint64_t id = 0; id < 64; id++) {
+    recorder.Add(rng.Uniform(1000), id, [&, id] {
+      if (id % 3 != 0) {
+        // Two generations of follow-up events, some landing on tied times.
+        recorder.Add(queue.now() + (id % 5) * 100, id + 1000,
+                     [&, id] { recorder.Add(queue.now(), id + 2000); });
+      }
+    });
   }
+  queue.RunUntilEmpty();
+  EXPECT_EQ(recorder.ran().size(), 64u + 2 * 42u);
+  EXPECT_EQ(recorder.ran(), recorder.Expected());
 }
 
 TEST(TimerWheelDifferentialTest, TiesRunInScheduleOrderAcrossLevels) {
   // Ties filed from different wheel levels (one direct, one cascaded from a
   // higher level) must still fire in schedule order.
-  EventQueue queue(EventQueue::Backend::kWheel);
-  std::vector<uint64_t> order;
+  Recorder recorder;
   SimTime far = 50'000'000;  // several level-1 rotations out
-  queue.Schedule(far, [&] { order.push_back(0); });
-  queue.Schedule(1000, [&] {
-    order.push_back(10);
-    queue.Schedule(far, [&] { order.push_back(1); });  // same time, later sequence
-  });
-  queue.RunUntilEmpty();
-  EXPECT_EQ(order, (std::vector<uint64_t>{10, 0, 1}));
+  recorder.Add(far, 0);
+  recorder.Add(1000, 10, [&] { recorder.Add(far, 1); });  // same time, later sequence
+  recorder.queue().RunUntilEmpty();
+  EXPECT_EQ(recorder.ran(), recorder.Expected());
+  EXPECT_EQ(recorder.ran(), (std::vector<Recorded>{{10, 1000}, {0, far}, {1, far}}));
 }
 
 TEST(TimerWheelDifferentialTest, FarFutureEventsBeyondHorizonOverflowAndRun) {
   // The wheel spans ~19.5 hours; these sit days out and exercise the
   // overflow list and the rebase path.
-  Recorder wheel(EventQueue::Backend::kWheel);
-  Recorder heap(EventQueue::Backend::kHeap);
+  Recorder recorder;
   const SimTime day = 86'400ULL * kSecond;
   std::vector<SimTime> whens = {5,          3 * day,      3 * day,  90 * day,
                                 2 * kSecond, 3 * day + 1, 400 * day};
   for (uint64_t id = 0; id < whens.size(); id++) {
-    wheel.Add(whens[id], id);
-    heap.Add(whens[id], id);
+    recorder.Add(whens[id], id);
   }
-  wheel.queue().RunUntilEmpty();
-  heap.queue().RunUntilEmpty();
-  EXPECT_EQ(wheel.events(), heap.events());
-  EXPECT_EQ(wheel.queue().now(), 400 * day);
+  recorder.queue().RunUntilEmpty();
+  EXPECT_EQ(recorder.ran(), recorder.Expected());
+  EXPECT_EQ(recorder.queue().now(), 400 * day);
 }
 
 TEST(TimerWheelDifferentialTest, RawCallbackPathMatchesFunctionPath) {
+  // Raw and std::function callbacks share one sequence, so ties between them
+  // run in schedule order too.
   struct Capture {
     EventQueue* queue;
-    std::vector<Recorded> events;
+    std::vector<Recorded>* ran;
   };
   auto fire = +[](void* ctx, uint64_t arg) {
     auto* capture = static_cast<Capture*>(ctx);
-    capture->events.push_back({arg, capture->queue->now()});
+    capture->ran->push_back({arg, capture->queue->now()});
   };
+  EventQueue queue;
+  std::vector<Recorded> scheduled;
+  std::vector<Recorded> ran;
+  Capture capture{&queue, &ran};
   Rng rng(99);
-  std::vector<SimTime> whens;
-  for (int i = 0; i < 512; i++) {
-    whens.push_back(rng.Uniform(1 << 20));
-  }
-  std::vector<Recorded> reference;
-  for (auto backend : {EventQueue::Backend::kWheel, EventQueue::Backend::kHeap}) {
-    EventQueue queue(backend);
-    Capture capture{&queue, {}};
-    for (uint64_t id = 0; id < whens.size(); id++) {
-      queue.Schedule(whens[id], fire, &capture, id);
-    }
-    queue.RunUntilEmpty();
-    ASSERT_EQ(capture.events.size(), whens.size());
-    if (backend == EventQueue::Backend::kWheel) {
-      reference = capture.events;
+  for (uint64_t id = 0; id < 512; id++) {
+    SimTime when = rng.Uniform(1 << 12);  // dense: many raw/function ties
+    scheduled.push_back({id, when});
+    if (id % 2 == 0) {
+      queue.Schedule(when, fire, &capture, id);
     } else {
-      EXPECT_EQ(capture.events, reference);
+      queue.Schedule(when, [&ran, &queue, id] { ran.push_back({id, queue.now()}); });
     }
   }
+  queue.RunUntilEmpty();
+  ASSERT_EQ(ran.size(), scheduled.size());
+  EXPECT_EQ(ran, HeapOrder(scheduled));
 }
 
 // --- RunUntil / guard / pool -----------------------------------------------------
 
 TEST(EventQueueRunUntilTest, RunsThroughDeadlineAndAdvancesClock) {
-  for (auto backend : {EventQueue::Backend::kWheel, EventQueue::Backend::kHeap}) {
-    EventQueue queue(backend);
-    std::vector<uint64_t> ran;
-    for (uint64_t id = 0; id < 10; id++) {
-      queue.Schedule(id * 100, [&ran, id] { ran.push_back(id); });
-    }
-    EXPECT_EQ(queue.RunUntil(450), 5u);  // ids 0..4 (when 0..400)
-    EXPECT_EQ(ran.size(), 5u);
-    EXPECT_EQ(queue.now(), 450u);  // clock lands on the deadline, not the last event
-    EXPECT_EQ(queue.pending(), 5u);
-    EXPECT_EQ(queue.RunUntil(10'000), 5u);
-    EXPECT_EQ(queue.now(), 10'000u);
-    // Idle window: no events, clock still advances.
-    EXPECT_EQ(queue.RunUntil(20'000), 0u);
-    EXPECT_EQ(queue.now(), 20'000u);
+  EventQueue queue;
+  std::vector<uint64_t> ran;
+  for (uint64_t id = 0; id < 10; id++) {
+    queue.Schedule(id * 100, [&ran, id] { ran.push_back(id); });
   }
+  EXPECT_EQ(queue.RunUntil(450), 5u);  // ids 0..4 (when 0..400)
+  EXPECT_EQ(ran.size(), 5u);
+  EXPECT_EQ(queue.now(), 450u);  // clock lands on the deadline, not the last event
+  EXPECT_EQ(queue.pending(), 5u);
+  // An event due exactly at the passed deadline runs after the ones already
+  // pending there.
+  queue.Schedule(450, [&ran] { ran.push_back(99); });
+  EXPECT_EQ(queue.RunUntil(10'000), 6u);
+  EXPECT_EQ(ran, (std::vector<uint64_t>{0, 1, 2, 3, 4, 99, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(queue.now(), 10'000u);
+  // Idle window: no events, clock still advances.
+  EXPECT_EQ(queue.RunUntil(20'000), 0u);
+  EXPECT_EQ(queue.now(), 20'000u);
 }
 
 TEST(EventQueueGuardDeathTest, RunawayScheduleAbortsLoudly) {
@@ -191,8 +192,25 @@ TEST(EventQueueGuardDeathTest, RunawayScheduleAbortsLoudly) {
   EXPECT_DEATH(runaway(), "runaway scenario");
 }
 
+TEST(EventQueueGuardDeathTest, SchedulingInThePastAbortsInEveryBuild) {
+  auto from_callback = [] {
+    EventQueue queue;
+    queue.Schedule(1000, [&queue] { queue.Schedule(999, [] {}); });
+    queue.RunUntilEmpty();
+  };
+  EXPECT_DEATH(from_callback(), "scheduled in the past — when=999 ns is before now=1000 ns");
+  // RunUntil moves the clock to its deadline even when no event was due, so
+  // an event before that deadline is in the past too.
+  auto before_deadline = [] {
+    EventQueue queue;
+    queue.RunUntil(5000);
+    queue.Schedule(4999, [] {});
+  };
+  EXPECT_DEATH(before_deadline(), "when=4999 ns is before now=5000 ns");
+}
+
 TEST(EventQueuePoolTest, FreelistBoundsSlabByPeakPendingNotTotal) {
-  EventQueue queue(EventQueue::Backend::kWheel);
+  EventQueue queue;
   // 64 events in flight at any moment, 64 * 256 scheduled in total: the slab
   // must track the peak, not the volume.
   uint64_t fired = 0;
@@ -348,8 +366,8 @@ struct PoolRun {
   SimTime end;
 };
 
-PoolRun RunSmallPool(EventQueue::Backend backend) {
-  EventQueue queue(backend);
+PoolRun RunSmallPool() {
+  EventQueue queue;
   std::vector<CpuServer> replicas(2);
   AdmissionConfig admission_config;
   admission_config.tokens_per_second = 2000.0;
@@ -378,23 +396,20 @@ PoolRun RunSmallPool(EventQueue::Backend backend) {
 }
 
 TEST(ClientPoolTest, VerificationSurvivesOverloadAndRunsAreDeterministic) {
-  PoolRun first = RunSmallPool(EventQueue::Backend::kWheel);
+  PoolRun first = RunSmallPool();
   EXPECT_EQ(first.verify_succeeded, 1000u);  // 100%: fail-closed never shed
   EXPECT_EQ(first.verify_failed, 0u);
   EXPECT_GT(first.shed_attempts, 0u);
   EXPECT_EQ(first.monitor_succeeded + first.monitor_failed, 1000u);
   EXPECT_LT(first.monitor_succeeded, 1000u);  // overload actually shed traffic
 
-  PoolRun wheel_again = RunSmallPool(EventQueue::Backend::kWheel);
-  PoolRun heap = RunSmallPool(EventQueue::Backend::kHeap);
-  for (const PoolRun& other : {wheel_again, heap}) {
-    EXPECT_EQ(first.verify_succeeded, other.verify_succeeded);
-    EXPECT_EQ(first.monitor_succeeded, other.monitor_succeeded);
-    EXPECT_EQ(first.monitor_failed, other.monitor_failed);
-    EXPECT_EQ(first.shed_attempts, other.shed_attempts);
-    EXPECT_EQ(first.events, other.events);
-    EXPECT_EQ(first.end, other.end);
-  }
+  PoolRun again = RunSmallPool();
+  EXPECT_EQ(first.verify_succeeded, again.verify_succeeded);
+  EXPECT_EQ(first.monitor_succeeded, again.monitor_succeeded);
+  EXPECT_EQ(first.monitor_failed, again.monitor_failed);
+  EXPECT_EQ(first.shed_attempts, again.shed_attempts);
+  EXPECT_EQ(first.events, again.events);
+  EXPECT_EQ(first.end, again.end);
 }
 
 }  // namespace
