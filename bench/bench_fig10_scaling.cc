@@ -7,20 +7,13 @@
 // the proxy's memory is exhausted and it starts paging; per-kB client latency
 // stays roughly flat (1.0-1.2 s/kB) while the proxy is healthy.
 //
-// Real-threads extension: the simulated run above models the paper's 1999
-// single-CPU host; the second section drives the SAME proxy code with a real
-// worker pool (1→8 threads) over a warmed cache, the configuration the
-// concurrent request path was built for. Each request carries a fixed
-// per-connection delivery wait (the response trickling out to its client), so
-// worker threads buy throughput by overlapping connections — cache-hit
-// handling itself stays a few microseconds thanks to the sharded cache.
+// Everything printed is virtual time, so the output is byte-identical from
+// run to run (bench/golden/bench_fig10_scaling.txt). Host-time throughput of
+// the concurrent request path is perfbench's `parallel_fetch` workload.
 #include <algorithm>
-#include <chrono>
 #include <queue>
-#include <thread>
 
 #include "bench/bench_util.h"
-#include "src/dvm/worker_pool.h"
 #include "src/proxy/proxy.h"
 #include "src/runtime/syslib.h"
 #include "src/services/monitor_service.h"
@@ -167,130 +160,6 @@ ScalingResult RunScaling(int num_clients, int fetches_per_client,
   return result;
 }
 
-// --- real-threads mode -------------------------------------------------------------
-
-struct RealThreadsResult {
-  double requests_per_sec = 0;
-  uint64_t coalesced = 0;
-  uint64_t rewrites = 0;
-};
-
-// Per-connection delivery wait: the worker holds the connection while the
-// response drains to the client. Kept small so the run is quick, but large
-// against the few-microsecond cache-hit handling, as in a real deployment.
-constexpr auto kDeliveryWait = std::chrono::microseconds(400);
-
-void PrintProxyCounters(const DvmProxy& proxy);
-
-RealThreadsResult RunRealThreads(int num_workers, int total_requests,
-                                 const std::vector<AppBundle>& applets,
-                                 bool print_counters = false) {
-  MapClassProvider origin;
-  InstallSystemLibrary(origin);
-  for (const auto& applet : applets) {
-    applet.InstallInto(&origin);
-  }
-  std::vector<ClassFile> library = BuildSystemLibrary();
-  MapClassEnv library_env;
-  for (const auto& cls : library) {
-    library_env.Add(&cls);
-  }
-  DvmProxy proxy(ProxyConfig{}, &library_env, &origin);
-  proxy.AddFilter(std::make_unique<VerificationFilter>());
-  proxy.AddFilter(std::make_unique<AuditFilter>());
-
-  // Warm the rewrite cache: the steady-state an organization proxy lives in.
-  std::vector<std::string> classes;
-  for (const auto& applet : applets) {
-    for (const auto& cls : applet.classes) {
-      classes.push_back(cls.name());
-      if (!proxy.HandleRequest(cls.name()).ok()) {
-        std::abort();
-      }
-    }
-  }
-
-  WorkerPool pool(static_cast<size_t>(num_workers));
-  auto start = std::chrono::steady_clock::now();
-  for (int r = 0; r < total_requests; r++) {
-    const std::string& cls = classes[static_cast<size_t>(r) % classes.size()];
-    pool.Submit([&proxy, &cls] {
-      if (!proxy.HandleRequest(cls).ok()) {
-        std::abort();
-      }
-      std::this_thread::sleep_for(kDeliveryWait);
-    });
-  }
-  pool.Drain();
-  auto elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start);
-
-  RealThreadsResult result;
-  result.requests_per_sec = total_requests / elapsed.count();
-  result.coalesced = proxy.coalesced_requests();
-  result.rewrites = proxy.stats().Value("proxy.rewrites");
-  if (print_counters) {
-    PrintProxyCounters(proxy);
-  }
-  return result;
-}
-
-// Cold-start burst against one key: every worker asks for the same class at
-// once; single-flight must run the pipeline exactly once.
-void RunColdBurst(int num_workers, int burst) {
-  MapClassProvider origin;
-  InstallSystemLibrary(origin);
-  auto applets = BuildAppletPopulation(1, /*seed=*/7);
-  applets[0].InstallInto(&origin);
-  std::vector<ClassFile> library = BuildSystemLibrary();
-  MapClassEnv library_env;
-  for (const auto& cls : library) {
-    library_env.Add(&cls);
-  }
-  DvmProxy proxy(ProxyConfig{}, &library_env, &origin);
-  proxy.AddFilter(std::make_unique<VerificationFilter>());
-  proxy.AddFilter(std::make_unique<AuditFilter>());
-
-  const std::string cls = applets[0].classes[0].name();
-  WorkerPool pool(static_cast<size_t>(num_workers));
-  for (int r = 0; r < burst; r++) {
-    pool.Submit([&proxy, &cls] {
-      if (!proxy.HandleRequest(cls).ok()) {
-        std::abort();
-      }
-    });
-  }
-  pool.Drain();
-
-  bench::PrintRow({"cold burst", std::to_string(burst) + " reqs",
-                   "rewrites=" + std::to_string(proxy.stats().Value("proxy.rewrites")),
-                   "coalesced=" + std::to_string(proxy.coalesced_requests()),
-                   "hits=" + std::to_string(proxy.cache().hits())});
-}
-
-void PrintProxyCounters(const DvmProxy& proxy) {
-  std::printf("\nPer-stage virtual CPU and concurrency counters (src/support/stats):\n");
-  for (const auto& [name, value] : proxy.stats().Snapshot()) {
-    std::printf("  %-28s %llu\n", name.c_str(), static_cast<unsigned long long>(value));
-  }
-  std::printf("  %-28s %llu\n", "cache.lock_acquisitions",
-              static_cast<unsigned long long>(proxy.cache().lock_acquisitions()));
-  std::printf("  %-28s %llu\n", "audit.lock_acquisitions",
-              static_cast<unsigned long long>(proxy.audit_ring().lock_acquisitions()));
-  std::printf("  %-28s %llu\n", "audit.dropped",
-              static_cast<unsigned long long>(proxy.audit_ring().dropped()));
-  std::printf("  cache shards: %zu   hits: %llu   misses: %llu\n",
-              proxy.cache().shard_count(),
-              static_cast<unsigned long long>(proxy.cache().hits()),
-              static_cast<unsigned long long>(proxy.cache().misses()));
-  std::printf("  per-shard (entries/bytes/hits/misses):");
-  for (const auto& shard : proxy.cache().PerShardStats()) {
-    std::printf(" %zu/%zu/%llu/%llu", shard.entries, shard.bytes,
-                static_cast<unsigned long long>(shard.hits),
-                static_cast<unsigned long long>(shard.misses));
-  }
-  std::printf("\n");
-}
-
 }  // namespace
 }  // namespace dvm
 
@@ -317,29 +186,5 @@ int main() {
               FmtHistPct(knee, 50, 1e9, 2).c_str(), FmtHistPct(knee, 99, 1e9, 2).c_str());
   std::printf("\nPaper shape: linear scaling to ~250 simultaneous clients, degradation\n"
               "after the proxy's 64 MB is exhausted; latency ~1.0-1.2 s/kB in range.\n");
-
-  PrintHeader("Real-thread proxy throughput, warmed cache (worker pool 1-8)",
-              "Figure 10 extension: concurrent request path");
-  PrintRow({"Workers", "Req/s", "Speedup", "Coalesced", "Rewrites"});
-  auto thread_applets = BuildAppletPopulation(8, /*seed=*/11);
-  const int kRequests = 2000;
-  double base_rps = 0;
-  for (int workers : {1, 2, 4, 8}) {
-    RealThreadsResult r = RunRealThreads(workers, kRequests, thread_applets);
-    if (workers == 1) {
-      base_rps = r.requests_per_sec;
-    }
-    PrintRow({std::to_string(workers), FmtDouble(r.requests_per_sec, 0),
-              FmtDouble(r.requests_per_sec / base_rps, 2) + "x",
-              std::to_string(r.coalesced), std::to_string(r.rewrites)});
-  }
-  // One more instrumented 8-worker pass to surface the observability counters.
-  (void)RunRealThreads(8, kRequests, thread_applets, /*print_counters=*/true);
-
-  std::printf("\nSingle-flight under a cold-start burst (8 workers, one key):\n");
-  RunColdBurst(/*num_workers=*/8, /*burst=*/64);
-  std::printf("\nExpected: cache-hit throughput scales with workers (>=3x at 8) because\n"
-              "each connection's delivery wait overlaps; the sharded cache keeps hit\n"
-              "handling off one global lock, and a cold burst rewrites exactly once.\n");
   return 0;
 }

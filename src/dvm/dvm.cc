@@ -46,39 +46,10 @@ DvmServer::DvmServer(DvmServerConfig config, ClassProvider* origin)
   // Feed the console's code-version inventory from what the proxy serves.
   // The proxy serializes its observer calls under a lock of their own, so the
   // console's maps see one writer at a time even while misses run in
-  // parallel on worker threads.
+  // parallel on the callers' threads.
   proxy_->SetServedObserver([this](const std::string& class_name, const Bytes& data) {
     console_.RecordCodeVersion(class_name, Md5::ToHex(Md5::Hash(data)));
   });
-
-  if (config_.proxy_worker_threads > 0) {
-    StartWorkers(config_.proxy_worker_threads);
-  }
-}
-
-void DvmServer::StartWorkers(size_t num_threads) {
-  if (workers_ && workers_->size() == num_threads) {
-    return;
-  }
-  workers_.reset();  // join the old pool before replacing it
-  if (num_threads > 0) {
-    workers_ = std::make_unique<WorkerPool>(num_threads);
-  }
-}
-
-std::future<Result<ProxyResponse>> DvmServer::HandleRequestAsync(
-    const std::string& class_name, const std::string& platform) {
-  auto promise = std::make_shared<std::promise<Result<ProxyResponse>>>();
-  std::future<Result<ProxyResponse>> future = promise->get_future();
-  auto serve = [this, class_name, platform, promise] {
-    promise->set_value(proxy_->HandleRequest(class_name, platform));
-  };
-  if (workers_) {
-    workers_->Submit(std::move(serve));
-  } else {
-    serve();
-  }
-  return future;
 }
 
 bool DvmServer::UpdateSecurityPolicy(SecurityPolicy policy, SimTime now) {

@@ -6,14 +6,12 @@
 #ifndef SRC_DVM_DVM_H_
 #define SRC_DVM_DVM_H_
 
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/dvm/availability.h"
-#include "src/dvm/worker_pool.h"
 #include "src/optimizer/repartition.h"
 #include "src/proxy/proxy.h"
 #include "src/runtime/machine.h"
@@ -45,10 +43,6 @@ struct DvmServerConfig {
   // copy this into their RedirectConfig.
   AvailabilityPolicy availability;
   std::string target_platform = "x86";
-  // Server-side request workers. 0 = serve synchronously on the caller's
-  // thread (the classic configuration); N > 0 starts N real threads so many
-  // clients can fetch concurrently (HandleRequestAsync).
-  size_t proxy_worker_threads = 0;
 };
 
 // The organization-wide server side: proxy + static services + policy server +
@@ -80,18 +74,6 @@ class DvmServer {
   // every replica. `now` is the virtual time the update is issued at.
   bool UpdateSecurityPolicy(SecurityPolicy policy, SimTime now = 0);
 
-  // Concurrent entry point: runs the request on the server's worker pool and
-  // returns a future. With no pool configured the request is served inline on
-  // the caller's thread and the future is already ready. Virtual-clock cost
-  // accounting is identical to HandleRequest — threads buy throughput only.
-  std::future<Result<ProxyResponse>> HandleRequestAsync(const std::string& class_name,
-                                                        const std::string& platform = "");
-
-  // Starts (or resizes) the worker pool; idempotent for an equal size. Only
-  // call while no requests are in flight.
-  void StartWorkers(size_t num_threads);
-  WorkerPool* workers() { return workers_.get(); }
-
  private:
   DvmServerConfig config_;
   std::vector<ClassFile> library_classes_;
@@ -99,7 +81,6 @@ class DvmServer {
   SecurityServer security_server_;
   AdministrationConsole console_;
   std::unique_ptr<DvmProxy> proxy_;
-  std::unique_ptr<WorkerPool> workers_;
   ProxyCluster* cluster_ = nullptr;
 };
 

@@ -21,7 +21,6 @@ size_t RewriteCache::SizeOf(const CachedClass& value) {
 }
 
 RewriteCache::Shard& RewriteCache::ShardFor(const std::string& key) {
-  lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
   return *shards_[Fnv1a(key) % shards_.size()];
 }
 
@@ -81,7 +80,6 @@ void RewriteCache::EvictTo(Shard& shard, size_t budget) {
 
 void RewriteCache::Clear() {
   for (auto& shard : shards_) {
-    lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->entries.clear();
     shard->lru.clear();

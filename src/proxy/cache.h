@@ -38,8 +38,8 @@ struct CachedClass {
   // the origin class, or, when the filters' edits cannot be mapped, proved
   // by the fixpoint on the artifact (DvmProxy::EmitCertificate). Either way
   // it is byte-identical to the fixpoint's proof. Empty only when the
-  // fixpoint rejects the artifact; replicas receiving it then install it on
-  // the pusher's authority (proxy.cert_missing).
+  // fixpoint rejects the artifact; replicas receiving it then refuse to
+  // install it (proxy.cert_missing).
   Bytes certificate;
 };
 
@@ -65,9 +65,6 @@ class RewriteCache {
   size_t entries() const;
   uint64_t hits() const;
   uint64_t misses() const;
-  // Shard mutex acquisitions (Get + Put + Clear), for the contention report.
-  uint64_t lock_acquisitions() const { return lock_acquisitions_.load(std::memory_order_relaxed); }
-  size_t shard_count() const { return shards_.size(); }
 
   struct ShardStats {
     size_t entries = 0;
@@ -97,7 +94,6 @@ class RewriteCache {
   Shard& ShardFor(const std::string& key);
 
   size_t shard_capacity_bytes_;
-  mutable std::atomic<uint64_t> lock_acquisitions_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

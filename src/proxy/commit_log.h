@@ -37,8 +37,8 @@ struct CommitRecord {
   std::vector<std::pair<std::string, Bytes>> extra_classes;
   // Serialized verification certificate for main_class (certificate.h). A
   // receiving replica validates the artifact against it in one pass instead of
-  // re-running the phase-3 fixpoint; empty means "no proof attached" and the
-  // install is accepted on the pusher's authority, as before certificates.
+  // re-running the phase-3 fixpoint; empty means "no proof attached", and the
+  // receiver refuses the install (proxy.cert_missing).
   Bytes certificate;
 };
 

@@ -8,7 +8,6 @@
 namespace dvm {
 
 void AuditRing::Push(std::string event) {
-  lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   if (ring_.Push(std::move(event))) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -19,7 +18,6 @@ void AuditRing::PushAll(std::vector<std::string> events) {
   if (events.empty()) {
     return;
   }
-  lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& event : events) {
     if (ring_.Push(std::move(event))) {
@@ -29,7 +27,6 @@ void AuditRing::PushAll(std::vector<std::string> events) {
 }
 
 std::vector<std::string> AuditRing::Snapshot() const {
-  lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   return ring_.Snapshot();
 }
@@ -383,22 +380,23 @@ void DvmProxy::ApplyCommitRecord(const CommitRecord& record) {
     return;
   }
   // Artifact install: the pushed bytes already went through a peer's pipeline
-  // (and signer), so they land directly in the shared structures. Replay
-  // applies records in log order, so an artifact is always installed after
-  // the epoch record it was rewritten under.
-  //
-  // With a certificate attached, installing is conditional on the one-pass
-  // proof check; a pushed artifact whose certificate does not prove it is
-  // dropped fail-closed before touching any shared structure.
+  // (and signer), and install is conditional on the one-pass check of the
+  // certificate that travels with them. A record without a certificate, or
+  // whose certificate does not prove it, is dropped fail-closed before it
+  // touches any shared structure. Replay applies records in log order, so an
+  // artifact is always installed after the epoch record it was rewritten
+  // under.
   if (record.certificate.empty()) {
     c_cert_missing_.Add();
-  } else if (ValidatePushedArtifact(record)) {
-    c_cert_validations_.Add();
-  } else {
+    audit_.Push("REPL-REJECT " + record.class_name);
+    return;
+  }
+  if (!ValidatePushedArtifact(record)) {
     c_cert_rejects_.Add();
     audit_.Push("REPL-REJECT " + record.class_name);
     return;
   }
+  c_cert_validations_.Add();
   if (!record.extra_classes.empty()) {
     c_lock_acquisitions_.Add();
     std::lock_guard<std::mutex> lock(generated_mu_);

@@ -124,13 +124,9 @@ class AuditRing {
   size_t size() const;
   size_t capacity() const { return ring_.capacity(); }
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  uint64_t lock_acquisitions() const {
-    return lock_acquisitions_.load(std::memory_order_relaxed);
-  }
 
  private:
   mutable std::mutex mu_;
-  mutable std::atomic<uint64_t> lock_acquisitions_{0};
   BoundedRing<std::string> ring_;
   std::atomic<uint64_t> dropped_{0};
 };
@@ -201,11 +197,11 @@ class DvmProxy {
   // pipeline. In-order replay of a peer's log converges the replica to
   // byte-identical state.
   //
-  // An artifact carrying a verification certificate is validated against it
-  // in one pass (certificate.h) before installing; a certificate that does
-  // not prove the pushed bytes is rejected fail-closed (no install, counted
-  // in proxy.cert_rejects, audited as REPL-REJECT). Certificate-less
-  // artifacts install on the pusher's authority as before.
+  // An artifact is validated against its verification certificate in one
+  // pass (certificate.h) before installing. It is refused fail-closed (no
+  // install, audited as REPL-REJECT) when it carries no certificate
+  // (proxy.cert_missing) or one that does not prove the pushed bytes
+  // (proxy.cert_rejects).
   void ApplyCommitRecord(const CommitRecord& record);
 
   // Artifacts installed via ApplyCommitRecord (pushed or replayed), as
@@ -225,7 +221,7 @@ class DvmProxy {
   // Named counters: proxy.{connection,parse,filter,emit,sign}_nanos,
   // proxy.coalesced, proxy.rewrites, proxy.generated_hits,
   // proxy.lock_acquisitions (generated/publish and observer locks actually
-  // taken; the audit ring counts its own); the
+  // taken); the
   // certificate plane: proxy.cert_emits / cert_emit_checks /
   // cert_emit_failures / cert_derived / cert_fixpoint_fallbacks (emit side,
   // see EmitCertificate) and proxy.cert_validations /

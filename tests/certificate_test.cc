@@ -425,20 +425,24 @@ TEST_F(CertificateReplicationTest, TamperedPushIsDroppedFailClosed) {
   EXPECT_EQ(cluster_->replica(1).replicated_installs(), 1u);
   EXPECT_TRUE(cluster_->replica(1).cache().Peek(key).has_value());
 
-  // A certificate-less record keeps the legacy trusted-install path.
+  // A certificate-less record is refused too: no proof, no install.
   record.certificate.clear();
   record.cache_key = DvmProxy::RewriteCacheKey("app/C1", "");
   record.class_name = "app/C1";
   cluster_->replica(1).ApplyCommitRecord(record);
   EXPECT_EQ(cluster_->replica(1).stats().Value("proxy.cert_missing"), 1u);
-  EXPECT_EQ(cluster_->replica(1).replicated_installs(), 2u);
+  EXPECT_EQ(cluster_->replica(1).replicated_installs(), 1u);
+  EXPECT_FALSE(cluster_->replica(1).cache().Peek(record.cache_key).has_value());
+  const std::vector<std::string> trail = cluster_->replica(1).audit_trail();
+  ASSERT_FALSE(trail.empty());
+  EXPECT_EQ(trail.back(), "REPL-REJECT app/C1");
 }
 
 // The Fig. 6 hooks sit on native library methods, so serving java/lang/System
 // or java/io/File renames the native to __dvmSecured$<name> and adds a wrapper
 // that calls it. The proof must resolve the class's own name to that rewritten
 // form, not to the library's copy, or the artifact ships without a proof and
-// peers install it unchecked.
+// peers refuse it.
 TEST_F(CertificateReplicationTest, RewrittenLibraryClassCarriesProof) {
   const SecurityPolicy policy = *ParseSecurityPolicy(R"(
       <policy version="1">

@@ -4,17 +4,19 @@
 // running in parallel (overlap, a rewrite that resolves only its own class
 // and the library, artifacts byte-equal whatever the request order, history
 // or thread count, the publish gate), the bounded audit ring, the
-// generated-class invalidation regression, and the server worker pool.
-// The CI ThreadSanitizer and AddressSanitizer jobs run this binary.
+// generated-class invalidation regression, and a whole DvmServer called from
+// plain threads (DvmServerThreadsTest: served bytes and the console's
+// code-version inventory). The CI ThreadSanitizer and AddressSanitizer jobs
+// run this binary.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -542,10 +544,37 @@ TEST_F(ProxyConcurrencyTest, AuditRingIsBoundedAndCountsDrops) {
   EXPECT_EQ(trail.back(), "HIT " + ClassName(19 % kNumClasses));
 }
 
-TEST(DvmServerAsyncTest, WorkerPoolServesManyClientsConcurrently) {
+// Serves `names` from `num_threads` plain threads sharing one cursor, the way
+// any multi-threaded front end calls the proxy: the server has no threads of
+// its own. Responses come back in `names` order.
+std::vector<Result<ProxyResponse>> FetchOnThreads(DvmProxy& proxy,
+                                                  const std::vector<std::string>& names,
+                                                  int num_threads) {
+  std::vector<std::optional<Result<ProxyResponse>>> served(names.size());
+  std::atomic<size_t> next{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < num_threads; t++) {
+    threads.emplace_back([&] {
+      for (size_t i = next.fetch_add(1); i < names.size(); i = next.fetch_add(1)) {
+        served[i].emplace(proxy.HandleRequest(names[i]));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  std::vector<Result<ProxyResponse>> responses;
+  responses.reserve(names.size());
+  for (std::optional<Result<ProxyResponse>>& response : served) {
+    responses.push_back(std::move(*response));
+  }
+  return responses;
+}
+
+TEST(DvmServerThreadsTest, ThreadsServeManyClientsConcurrently) {
   MapClassProvider origin;
   for (int i = 0; i < 8; i++) {
-    origin.AddClassFile(TrivialApp("app/Async" + std::to_string(i)));
+    origin.AddClassFile(TrivialApp("app/Threads" + std::to_string(i)));
   }
   DvmServerConfig config;
   config.policy = *ParseSecurityPolicy(R"(
@@ -553,40 +582,25 @@ TEST(DvmServerAsyncTest, WorkerPoolServesManyClientsConcurrently) {
         <domain sid="user" code="app/*"/>
         <allow sid="user" operation="*" target="*"/>
       </policy>)");
-  config.proxy_worker_threads = 4;
   DvmServer server(std::move(config), &origin);
-  ASSERT_NE(server.workers(), nullptr);
-  EXPECT_EQ(server.workers()->size(), 4u);
 
-  std::vector<std::future<Result<ProxyResponse>>> futures;
+  std::vector<std::string> requests;
   constexpr int kRounds = 4;
   for (int round = 0; round < kRounds; round++) {
     for (int i = 0; i < 8; i++) {
-      futures.push_back(server.HandleRequestAsync("app/Async" + std::to_string(i)));
+      requests.push_back("app/Threads" + std::to_string(i));
     }
   }
   int hits = 0;
-  for (auto& f : futures) {
-    auto response = f.get();
+  for (const Result<ProxyResponse>& response : FetchOnThreads(server.proxy(), requests, 4)) {
     ASSERT_TRUE(response.ok()) << response.error().ToString();
     hits += response->cache_hit ? 1 : 0;
   }
-  EXPECT_EQ(server.proxy().requests_served(), static_cast<uint64_t>(futures.size()));
-  // f.get() returns when the promise is set, which precedes the worker's own
-  // bookkeeping; Drain() waits for the pool to go quiescent.
-  server.workers()->Drain();
-  EXPECT_EQ(server.workers()->tasks_executed(), futures.size());
+  EXPECT_EQ(server.proxy().requests_served(), static_cast<uint64_t>(requests.size()));
   // Every class was rewritten exactly once; every other response was served
   // from the cache (directly or after coalescing onto the in-flight rewrite).
   EXPECT_EQ(server.proxy().stats().Value("proxy.rewrites"), 8u);
-  EXPECT_EQ(hits, static_cast<int>(futures.size()) - 8);
-
-  // The synchronous fallback (no pool) still works and returns ready futures.
-  server.StartWorkers(0);
-  EXPECT_EQ(server.workers(), nullptr);
-  auto inline_response = server.HandleRequestAsync("app/Async0").get();
-  ASSERT_TRUE(inline_response.ok());
-  EXPECT_TRUE(inline_response->cache_hit);
+  EXPECT_EQ(hits, static_cast<int>(requests.size()) - 8);
 }
 
 // The Fig. 6 organization policy: every app class in a user domain, with
@@ -606,10 +620,10 @@ SecurityPolicy Fig6Policy() {
 // or thread interleaving: the proxy verifies each class against itself and the
 // library only. The 400 Fig. 5 classes are fetched from Fig. 6 servers four
 // ways: forward on a cold proxy (the reference), reversed on a cold proxy, on
-// the reference proxy again from three worker threads once it has served the
-// whole application, and from three worker threads on a cold proxy. Every
-// artifact, companion set and certificate must match, at a pinned digest.
-TEST(DvmServerAsyncTest, ConcurrentMissesMatchSequentialArtifacts) {
+// the reference proxy again from three threads once it has served the whole
+// application, and from three threads on a cold proxy. Every artifact,
+// companion set and certificate must match, at a pinned digest.
+TEST(DvmServerThreadsTest, ConcurrentMissesMatchSequentialArtifacts) {
   MapClassProvider origin;
   std::vector<std::string> names;
   for (const AppBundle& app : BuildFig5Apps()) {
@@ -632,18 +646,13 @@ TEST(DvmServerAsyncTest, ConcurrentMissesMatchSequentialArtifacts) {
       ASSERT_TRUE(proxy.HandleRequest(name).ok()) << name;
     }
   };
-  // Requests every class from the server's three workers; each is a miss.
-  auto fetch_pooled = [&names](DvmServer& server) {
-    std::vector<std::future<Result<ProxyResponse>>> futures;
-    for (const std::string& name : names) {
-      futures.push_back(server.HandleRequestAsync(name));
-    }
+  // Requests every class from three threads; each is a miss.
+  auto fetch_on_three_threads = [&names](DvmServer& server) {
+    std::vector<Result<ProxyResponse>> responses = FetchOnThreads(server.proxy(), names, 3);
     for (size_t i = 0; i < names.size(); i++) {
-      Result<ProxyResponse> response = futures[i].get();
-      ASSERT_TRUE(response.ok()) << names[i];
-      EXPECT_FALSE(response->cache_hit) << names[i];
+      ASSERT_TRUE(responses[i].ok()) << names[i];
+      EXPECT_FALSE(responses[i]->cache_hit) << names[i];
     }
-    server.workers()->Drain();
   };
   // What the proxy cached for every class: artifact, companions, certificate.
   auto served = [&](const DvmProxy& proxy) {
@@ -701,11 +710,10 @@ TEST(DvmServerAsyncTest, ConcurrentMissesMatchSequentialArtifacts) {
   EXPECT_EQ(matching(served(backward->proxy()), "reversed"), names.size());
 
   // The reference proxy again, after it served the whole application, from
-  // three worker threads.
+  // three threads.
   proxy.InvalidateCache();
   const uint64_t version_changes = server->console().code_version_changes();
-  server->StartWorkers(3);
-  fetch_pooled(*server);
+  fetch_on_three_threads(*server);
   EXPECT_EQ(matching(served(proxy), "primed, 3 threads"), names.size());
   for (const std::string& name : names) {
     // The observer saw every served version, and each was the same bytes.
@@ -715,23 +723,22 @@ TEST(DvmServerAsyncTest, ConcurrentMissesMatchSequentialArtifacts) {
   }
   EXPECT_EQ(server->console().code_version_changes(), version_changes);
 
-  // Three worker threads on a cold proxy: misses overlap in any order.
-  std::unique_ptr<DvmServer> pooled = cold_server();
-  pooled->StartWorkers(3);
-  fetch_pooled(*pooled);
-  EXPECT_EQ(matching(served(pooled->proxy()), "cold, 3 threads"), names.size());
+  // Three threads on a cold proxy: misses overlap in any order.
+  std::unique_ptr<DvmServer> threaded = cold_server();
+  fetch_on_three_threads(*threaded);
+  EXPECT_EQ(matching(served(threaded->proxy()), "cold, 3 threads"), names.size());
 
-  for (DvmServer* each : {server.get(), backward.get(), pooled.get()}) {
+  for (DvmServer* each : {server.get(), backward.get(), threaded.get()}) {
     EXPECT_EQ(each->proxy().stats().Value("proxy.cert_emit_failures"), 0u);
   }
 }
 
 // The console's code-version inventory for the Fig. 6 fetches: every Fig. 5
-// class served cold from three worker threads, then again after a policy
+// class served cold from three threads, then again after a policy
 // update hooks every app's `main`, which changes the rewrite of the classes
 // declaring one. The digests the served-code observer records, and the
 // code-version-change events it raises, are pinned.
-TEST(DvmServerAsyncTest, CodeVersionInventoryIsPinned) {
+TEST(DvmServerThreadsTest, CodeVersionInventoryIsPinned) {
   MapClassProvider origin;
   std::vector<std::string> names;
   for (const AppBundle& app : BuildFig5Apps()) {
@@ -743,16 +750,11 @@ TEST(DvmServerAsyncTest, CodeVersionInventoryIsPinned) {
   DvmServerConfig config;
   config.policy = Fig6Policy();
   DvmServer server(std::move(config), &origin);
-  server.StartWorkers(3);
   auto fetch_all = [&] {
-    std::vector<std::future<Result<ProxyResponse>>> futures;
-    for (const std::string& name : names) {
-      futures.push_back(server.HandleRequestAsync(name));
-    }
+    std::vector<Result<ProxyResponse>> responses = FetchOnThreads(server.proxy(), names, 3);
     for (size_t i = 0; i < names.size(); i++) {
-      ASSERT_TRUE(futures[i].get().ok()) << names[i];
+      ASSERT_TRUE(responses[i].ok()) << names[i];
     }
-    server.workers()->Drain();
   };
   auto inventory = [&server] {
     std::string text;
@@ -776,7 +778,7 @@ TEST(DvmServerAsyncTest, CodeVersionInventoryIsPinned) {
   server.UpdateSecurityPolicy(std::move(hooked));
   fetch_all();
   EXPECT_EQ(inventory(), 0xfd5f285099a25ef4ULL);
-  // In any order: the workers serve the second round in parallel.
+  // In any order: three threads serve the second round in parallel.
   std::set<std::string> changes;
   for (const AuditEvent& event : server.console().log()) {
     if (event.kind == "code-version-change") {
