@@ -10,6 +10,7 @@
 #include "src/bytecode/serializer.h"
 #include "src/bytecode/stack_effect.h"
 #include "src/dvm/dvm.h"
+#include "src/rewrite/method_editor.h"
 #include "src/proxy/signature.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/syslib.h"
@@ -135,6 +136,73 @@ void BM_AuditFilter(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AuditFilter);
+
+// The editor's share of an entry-instrumenting filter, over every Fig. 5
+// body: open, insert the audit prologue at index 0, commit. Arg 0 opens with
+// the verification proof and splices; arg 1 decodes the body first (code()),
+// the path of an unproved body or a mid-body edit. Each session starts from
+// the origin body (a copy of the CodeAttr, made on both paths).
+void BM_EntryInsertCommit(benchmark::State& state) {
+  struct Prepared {
+    ClassFile cls;
+    ClassProof proof;
+    std::vector<CodeAttr> bodies;  // per method; empty optional bodies skipped
+    std::vector<Instr> prologue;
+  };
+  static const std::vector<Prepared>* prepared = [] {
+    auto* out = new std::vector<Prepared>();
+    MapClassEnv library;
+    for (const auto& cls : Library()) {
+      library.Add(&cls);
+    }
+    for (const AppBundle& app : BuildFig5Apps(1)) {
+      for (const ClassFile& cls : app.classes) {
+        const ArtifactEnv env(&library, cls);
+        ClassCertificate cert;
+        if (!VerifyClass(cls, env, &cert).ok()) {
+          continue;
+        }
+        Prepared p{cls, ClassProof::Of(cls, std::move(cert)), {}, {}};
+        p.prologue = {{Op::kLdc, p.cls.pool().AddString(cls.name()), 0},
+                      {Op::kInvokestatic,
+                       p.cls.pool().AddMethodRef("dvm/rt/Auditor", "enter",
+                                                 "(Ljava/lang/String;)V"),
+                       0}};
+        for (const MethodInfo& method : cls.methods) {
+          p.bodies.push_back(method.code.value_or(CodeAttr{}));
+        }
+        out->push_back(std::move(p));
+      }
+    }
+    return out;
+  }();
+  const bool decode_first = state.range(0) != 0;
+  std::vector<Prepared> work = *prepared;
+  size_t methods = 0;
+  for (auto _ : state) {
+    for (Prepared& p : work) {
+      for (size_t m = 0; m < p.cls.methods.size(); m++) {
+        MethodInfo& method = p.cls.methods[m];
+        if (!method.code.has_value()) {
+          continue;
+        }
+        *method.code = p.bodies[m];
+        auto editor = MethodEditor::Open(&p.cls, &method, &p.proof);
+        if (decode_first) {
+          benchmark::DoNotOptimize(editor->code().data());
+        }
+        Status inserted = editor->InsertBefore(0, p.prologue);
+        Status committed = editor->Commit();
+        benchmark::DoNotOptimize(inserted);
+        benchmark::DoNotOptimize(committed);
+        methods++;
+      }
+    }
+  }
+  state.counters["methods/s"] = benchmark::Counter(static_cast<double>(methods),
+                                                   benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_EntryInsertCommit)->Arg(0)->Arg(1);
 
 void BM_VerificationFilterPipeline(benchmark::State& state) {
   MapClassEnv env;
@@ -371,7 +439,9 @@ void BM_Md5(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Md5)->Arg(1024)->Arg(65536);
+// 6860 bytes: about the size of a served Fig. 5 artifact, which the console
+// hashes on every miss.
+BENCHMARK(BM_Md5)->Arg(1024)->Arg(6860)->Arg(65536);
 
 void BM_SignClass(benchmark::State& state) {
   CodeSigner signer("org-key");

@@ -7,8 +7,12 @@
 #include "src/bytecode/descriptor.h"
 #include "src/bytecode/serializer.h"
 #include "src/rewrite/filter.h"
+#include "src/rewrite/method_editor.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/syslib.h"
+#include "src/services/monitor_service.h"
+#include "src/services/reflect_service.h"
+#include "src/services/security_service.h"
 #include "src/services/verify_service.h"
 #include "src/support/hash.h"
 #include "src/verifier/certificate.h"
@@ -269,6 +273,147 @@ std::string CheckCertificate(const Bytes& data) {
     if (ValidateCertificate(cls, env, mparsed.value(), &mstats).ok()) {
       return "validator accepted a tampered certificate for " + cls.name() +
              " (mutation attempt " + std::to_string(attempt) + ")";
+    }
+  }
+  return "";
+}
+
+namespace {
+
+// A method body after one editor session, as the two paths are compared.
+std::string DescribeBody(const Status& status, const CodeAttr& code) {
+  if (!status.ok()) {
+    return "error " + status.error().ToString();
+  }
+  std::string out = "max_stack=" + std::to_string(code.max_stack) +
+                    " max_locals=" + std::to_string(code.max_locals) +
+                    " code=" + std::to_string(code.code.size()) + "B/" +
+                    std::to_string(Fnv1a(code.code.data(), code.code.size())) +
+                    " handlers=";
+  for (const ExceptionHandler& h : code.handlers) {
+    out += "[" + std::to_string(h.start_pc) + "," + std::to_string(h.end_pc) + ")->" +
+           std::to_string(h.handler_pc) + ":" + std::to_string(h.catch_type) + " ";
+  }
+  return out;
+}
+
+// Inserts `snippet` at the entry of method `position` of `cls`, whose body
+// is taken from and written back to `*body`; `cls` is left as it was.
+// Returns the commit's status; `*decoded` reports the editor's path.
+Status ReplayEntryInsert(ClassFile& cls, uint32_t position, const ClassProof& proof,
+                         bool decode_first, const std::vector<Instr>& snippet, CodeAttr* body,
+                         bool* decoded) {
+  MethodInfo& method = cls.methods[position];
+  std::swap(*method.code, *body);
+  Status status = [&]() -> Status {
+    DVM_ASSIGN_OR_RETURN(MethodEditor editor, MethodEditor::Open(&cls, &method, &proof));
+    if (decode_first) {
+      editor.code();
+    }
+    Status inserted = editor.InsertBefore(0, snippet);
+    Status committed = inserted.ok() ? editor.Commit() : inserted;
+    *decoded = editor.decoded();
+    return committed;
+  }();
+  std::swap(*method.code, *body);
+  return status;
+}
+
+}  // namespace
+
+std::string CheckEditorPaths(const Bytes& data, EditorPathsCounts* counts) {
+  auto parsed = ReadClassFile(data);
+  if (!parsed.ok()) {
+    return "";
+  }
+  static const SecurityPolicy* policy = new SecurityPolicy(ParseSecurityPolicy(R"(
+    <policy version="1">
+      <allow operation="*" target="*"/>
+      <hook class="*" method="*" operation="fuzz.call"/>
+    </policy>)").value());
+  FilterPipeline pipeline;
+  pipeline.Add(std::make_unique<ReflectionFilter>());
+  pipeline.Add(std::make_unique<VerificationFilter>());
+  pipeline.Add(std::make_unique<SecurityFilter>(policy));
+  pipeline.Add(std::make_unique<AuditFilter>());
+  auto result = pipeline.Run(std::move(parsed).value(), GetSyslib().env);
+  if (!result.ok() || !result->proof.has_value()) {
+    return "";  // rejected or replaced: no proved body was edited
+  }
+  const ClassProof& proof = *result->proof;
+  ClassFile& artifact = result->cls;
+
+  for (const ClassProof::Body& body : proof.bodies) {
+    std::vector<CodeEdit> edits;
+    bool entry_only = true;
+    for (const CodeEdit& edit : result->code_edits) {
+      if (edit.method == body.method) {
+        edits.push_back(edit);
+        entry_only &= edit.index == 0;
+      }
+    }
+    if (edits.empty() || !entry_only) {
+      continue;
+    }
+    const MethodInfo& method = artifact.methods[body.method];
+    const std::string where = artifact.name() + "." + method.Id();
+    const CodeAttr& served = *method.code;
+    const std::optional<size_t> offset = ProvedBodyOffset(body, served);
+    if (!offset.has_value()) {
+      return where + ": served body does not end in its proved body";
+    }
+    size_t total = 0;
+    for (const CodeEdit& edit : edits) {
+      total += edit.count;
+    }
+    auto front = DecodeCode(served.code, *offset);
+    if (!front.ok() || front->instrs.size() != total) {
+      return where + ": the code in front of the proved body is not the reported insertions";
+    }
+
+    // Later insertions go in front of earlier ones: the first edit's code
+    // ends the front, and each edit's branches are in the coordinates of its
+    // own call, before the later code was put in front of it.
+    CodeAttr proved;
+    proved.max_stack = body.max_stack;
+    proved.max_locals = body.max_locals;
+    proved.code = body.code;
+    proved.handlers = body.handlers;
+    CodeAttr spliced = proved;
+    CodeAttr decoded = proved;
+    size_t end = total;
+    for (const CodeEdit& edit : edits) {
+      const size_t begin = end - edit.count;
+      std::vector<Instr> snippet(front->instrs.begin() + static_cast<long>(begin),
+                                 front->instrs.begin() + static_cast<long>(end));
+      for (Instr& instr : snippet) {
+        if (IsBranch(instr.op)) {
+          instr.a -= static_cast<int32_t>(begin);
+        }
+      }
+      end = begin;
+      bool splice_decoded = false;
+      bool forced_decoded = false;
+      const Status a = ReplayEntryInsert(artifact, body.method, proof, /*decode_first=*/false,
+                                         snippet, &spliced, &splice_decoded);
+      const Status b = ReplayEntryInsert(artifact, body.method, proof, /*decode_first=*/true,
+                                         snippet, &decoded, &forced_decoded);
+      if (counts != nullptr) {
+        counts->commits++;
+        counts->spliced += splice_decoded ? 0 : 1;
+      }
+      const std::string got = DescribeBody(a, spliced);
+      const std::string want = DescribeBody(b, decoded);
+      if (got != want) {
+        return where + ": splice path gives " + got + "; decoding path gives " + want;
+      }
+      if (!a.ok()) {
+        return where + ": replaying an insertion fails where the filter's succeeded: " + got;
+      }
+    }
+    if (DescribeBody(Status::Ok(), spliced) != DescribeBody(Status::Ok(), served)) {
+      return where + ": replayed insertions give " + DescribeBody(Status::Ok(), spliced) +
+             "; the filters gave " + DescribeBody(Status::Ok(), served);
     }
   }
   return "";

@@ -16,6 +16,7 @@
 #ifndef FUZZ_ORACLES_H_
 #define FUZZ_ORACLES_H_
 
+#include <cstddef>
 #include <string>
 
 #include "src/support/bytes.h"
@@ -54,6 +55,23 @@ std::string CheckDifferential(const Bytes& data);
 // emitter's own validator rejects, round-trip drift, or a tampered
 // certificate that validates.
 std::string CheckCertificate(const Bytes& data);
+
+// What CheckEditorPaths replayed: entry insertions into proved bodies, and
+// how many of them the editor spliced without decoding the body.
+struct EditorPathsCounts {
+  size_t commits = 0;
+  size_t spliced = 0;
+};
+
+// Editor-paths oracle: MethodEditor's splice path against its decoding path.
+// Runs reflection, verification, a security hook on every method and audit
+// over the class, then replays every insertion those filters made at the
+// entry of a proved method, in order from the proved body: once through an
+// editor opened with the proof (which splices) and once through one that
+// decodes the body first. Violations: any difference in returned status,
+// code bytes, handlers, max_stack or max_locals after a commit, or a splice
+// replay that does not end where the filters did. Not part of CheckAll.
+std::string CheckEditorPaths(const Bytes& data, EditorPathsCounts* counts);
 
 // All four in sequence; first violation wins.
 std::string CheckAll(const Bytes& data);

@@ -1,7 +1,11 @@
 // Decoded instruction stream. The on-disk form is a byte stream with relative
 // branch offsets; the decoded form is a vector of Instr whose branch operands are
-// instruction *indices*, which is what the verifier's dataflow pass and the
-// binary rewriter operate on. Encode/Decode round-trip exactly.
+// instruction *indices*, which is what the verifier's dataflow pass, the
+// interpreter's preparation and the binary rewriter's mid-body edits operate
+// on. Encode/Decode round-trip exactly. Because offsets are relative, code
+// put in front of a body leaves its bytes valid: the rewriter encodes only
+// such entry code and prepends it, without decoding the body
+// (rewrite/method_editor.h).
 #ifndef SRC_BYTECODE_CODE_H_
 #define SRC_BYTECODE_CODE_H_
 

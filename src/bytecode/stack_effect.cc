@@ -56,10 +56,14 @@ Result<StackEffect> StackEffects::VariableOf(const Instr& instr) {
   }
 }
 
-Result<uint16_t> ComputeMaxStackDepth(const std::vector<Instr>& instrs,
-                                      const ConstantPool& pool,
-                                      const std::vector<uint32_t>& handler_entries,
-                                      const std::function<Error(size_t)>& underflow) {
+namespace {
+
+// ComputeMaxStackDepth's walk. With `entry_code`, index instrs.size() is the
+// body the code is placed in front of, which must be handed an empty stack.
+Result<uint16_t> WalkMaxStackDepth(const std::vector<Instr>& instrs, const ConstantPool& pool,
+                                   const std::vector<uint32_t>& handler_entries,
+                                   const std::function<Error(size_t)>& underflow,
+                                   bool entry_code) {
   constexpr int kMaxDepth = 0xFFFF;
   if (instrs.empty()) {
     return static_cast<uint16_t>(0);
@@ -78,6 +82,10 @@ Result<uint16_t> ComputeMaxStackDepth(const std::vector<Instr>& instrs,
   // the stack would do on every trip.
   auto schedule = [&](size_t index, int depth) -> Status {
     if (index >= instrs.size()) {
+      if (entry_code && (index > instrs.size() || depth != 0)) {
+        return Error{ErrorCode::kInvalidArgument,
+                     "entry code does not hand the body an empty stack"};
+      }
       return Status::Ok();
     }
     if (depth_at[index] < 0) {
@@ -132,6 +140,20 @@ Result<uint16_t> ComputeMaxStackDepth(const std::vector<Instr>& instrs,
     }
   }
   return static_cast<uint16_t>(max_depth);
+}
+
+}  // namespace
+
+Result<uint16_t> ComputeMaxStackDepth(const std::vector<Instr>& instrs,
+                                      const ConstantPool& pool,
+                                      const std::vector<uint32_t>& handler_entries,
+                                      const std::function<Error(size_t)>& underflow) {
+  return WalkMaxStackDepth(instrs, pool, handler_entries, underflow, /*entry_code=*/false);
+}
+
+Result<uint16_t> ComputeEntryCodeDepth(const std::vector<Instr>& instrs,
+                                       const ConstantPool& pool) {
+  return WalkMaxStackDepth(instrs, pool, {}, nullptr, /*entry_code=*/true);
 }
 
 }  // namespace dvm

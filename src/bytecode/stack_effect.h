@@ -1,7 +1,8 @@
 // Operand-stack effect of a decoded instruction. For field accesses and
 // invokes the effect depends on the referenced descriptor, so the constant pool
 // is required. ComputeMaxStackDepth below is MethodBuilder's and
-// MethodEditor's max_stack computation.
+// MethodEditor's max_stack computation; ComputeEntryCodeDepth is the one for
+// code MethodEditor splices in front of a proved body.
 #ifndef SRC_BYTECODE_STACK_EFFECT_H_
 #define SRC_BYTECODE_STACK_EFFECT_H_
 
@@ -71,6 +72,14 @@ Result<uint16_t> ComputeMaxStackDepth(const std::vector<Instr>& instrs,
                                       const ConstantPool& pool,
                                       const std::vector<uint32_t>& handler_entries,
                                       const std::function<Error(size_t)>& underflow = nullptr);
+
+// The same walk over `instrs` as code placed in front of a method body,
+// which continues at index instrs.size(): every path that reaches that index,
+// by falling through or by a branch, must hand it an empty stack. Fails with
+// kInvalidArgument when one does not or a branch goes past it; otherwise as
+// ComputeMaxStackDepth with no handlers.
+Result<uint16_t> ComputeEntryCodeDepth(const std::vector<Instr>& instrs,
+                                       const ConstantPool& pool);
 
 }  // namespace dvm
 

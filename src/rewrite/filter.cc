@@ -28,6 +28,7 @@ Result<PipelineResult> FilterPipeline::Run(ClassFile cls, const ClassEnv& librar
     if (outcome.proof.has_value()) {
       result.proof = std::move(outcome.proof);
       result.code_edits.clear();
+      ctx.proof = &*result.proof;
     }
     result.code_edits.insert(result.code_edits.end(), outcome.code_edits.begin(),
                              outcome.code_edits.end());
@@ -35,6 +36,7 @@ Result<PipelineResult> FilterPipeline::Run(ClassFile cls, const ClassEnv& librar
       cls = std::move(*outcome.replacement);
       result.modified = true;
       result.proof.reset();
+      ctx.proof = nullptr;
     }
     for (auto& extra : outcome.extra_classes) {
       result.extra_classes.push_back(std::move(extra));

@@ -27,6 +27,11 @@ struct FilterContext {
   // the remote administration service (paper section 3.4). Empty when the
   // request is platform-neutral; the compilation service keys its output on it.
   std::string platform;
+  // The verification filter's proof of the class, once a filter before this
+  // one reported it (null before that, and after a filter replaced the
+  // class). A filter opens its MethodEditors with it, so that code inserted
+  // at a proved method's entry is spliced in without walking the body.
+  const ClassProof* proof = nullptr;
 };
 
 struct FilterOutcome {

@@ -1,8 +1,11 @@
 #include "src/rewrite/method_editor.h"
 
+#include <algorithm>
+
 namespace dvm {
 
-Result<MethodEditor> MethodEditor::Open(ClassFile* cls, MethodInfo* method) {
+Result<MethodEditor> MethodEditor::Open(ClassFile* cls, MethodInfo* method,
+                                        const ClassProof* proof) {
   if (!method->code.has_value()) {
     return Error{ErrorCode::kInvalidArgument,
                  "cannot edit bodyless method " + method->Id()};
@@ -15,23 +18,62 @@ Result<MethodEditor> MethodEditor::Open(ClassFile* cls, MethodInfo* method) {
     return Error{ErrorCode::kInvalidArgument, method->Id() + " is not a method of " + cls->name()};
   }
   MethodEditor editor(cls, method, static_cast<uint32_t>(position));
-  DVM_ASSIGN_OR_RETURN(DecodedCode decoded, DecodeCode(method->code->code));
-  editor.code_ = std::move(decoded.instrs);
+  if (proof != nullptr) {
+    // Proved bodies are kept in method order.
+    auto body = std::lower_bound(
+        proof->bodies.begin(), proof->bodies.end(), position,
+        [](const ClassProof::Body& b, size_t m) { return b.method < m; });
+    if (body != proof->bodies.end() && body->method == position) {
+      editor.proved_ = &*body;
+    }
+  }
+  return editor;
+}
 
+Status MethodEditor::Decode() {
+  decoded_ = true;
+  const CodeAttr& attr = *method_->code;
+  DVM_ASSIGN_OR_RETURN(DecodedCode decoded, DecodeCode(attr.code));
+  // The body goes behind the code inserted at its entry so far, so its
+  // branches and handlers move by that code's length.
+  const uint32_t entry = static_cast<uint32_t>(code_.size());
   const OffsetIndex& index_of = decoded.off_to_ix;
-  for (const auto& h : method->code->handlers) {
+  std::vector<HandlerIx> handlers;
+  handlers.reserve(attr.handlers.size());
+  for (const auto& h : attr.handlers) {
     int32_t start = index_of.At(h.start_pc);
     int32_t end = index_of.At(h.end_pc);
     int32_t handler = index_of.At(h.handler_pc);
     if (start < 0 || end < 0 || handler < 0) {
       return Error{ErrorCode::kParseError,
-                   "handler not on instruction boundary in " + method->Id()};
+                   "handler not on instruction boundary in " + method_->Id()};
     }
-    editor.handlers_.push_back(HandlerIx{static_cast<uint32_t>(start),
-                                         static_cast<uint32_t>(end),
-                                         static_cast<uint32_t>(handler), h.catch_type});
+    handlers.push_back(HandlerIx{static_cast<uint32_t>(start) + entry,
+                                 static_cast<uint32_t>(end) + entry,
+                                 static_cast<uint32_t>(handler) + entry, h.catch_type});
   }
-  return editor;
+  handlers_ = std::move(handlers);
+  std::vector<Instr>& body = decoded.instrs;
+  if (entry > 0) {
+    for (Instr& instr : body) {
+      if (IsBranch(instr.op)) {
+        instr.a += static_cast<int32_t>(entry);
+      }
+    }
+    body.insert(body.begin(), code_.begin(), code_.end());
+  }
+  code_ = std::move(body);
+  return Status::Ok();
+}
+
+const std::vector<Instr>& MethodEditor::code() {
+  if (!decoded_) {
+    decode_status_ = Decode();
+    if (!decode_status_.ok()) {
+      code_.clear();
+    }
+  }
+  return code_;
 }
 
 ConstantPool& MethodEditor::pool() { return cls_->pool(); }
@@ -65,6 +107,10 @@ Status MethodEditor::InsertBefore(size_t index, const std::vector<Instr>& instrs
 }
 
 Status MethodEditor::Insert(size_t index, const std::vector<Instr>& instrs) {
+  if (index != 0) {
+    code();
+  }
+  DVM_RETURN_IF_ERROR(decode_status_);
   if (index > code_.size()) {
     return Error{ErrorCode::kInvalidArgument, "insert position out of range"};
   }
@@ -87,6 +133,8 @@ Status MethodEditor::Insert(size_t index, const std::vector<Instr>& instrs) {
 }
 
 Status MethodEditor::Replace(size_t index, const std::vector<Instr>& instrs) {
+  code();
+  DVM_RETURN_IF_ERROR(decode_status_);
   if (index >= code_.size() || instrs.empty()) {
     return Error{ErrorCode::kInvalidArgument, "bad replace position"};
   }
@@ -98,39 +146,91 @@ Status MethodEditor::Replace(size_t index, const std::vector<Instr>& instrs) {
   return Status::Ok();
 }
 
-Status MethodEditor::Commit(std::vector<CodeEdit>* edits) {
-  if (!modified_) {
-    return Status::Ok();
+Result<bool> MethodEditor::Splice() {
+  CodeAttr& attr = *method_->code;
+  if (proved_ == nullptr || attr.max_stack < proved_->max_stack ||
+      !ProvedBodyOffset(*proved_, attr).has_value()) {
+    return false;
   }
-  std::vector<uint32_t> offsets;
-  DVM_ASSIGN_OR_RETURN(Bytes encoded, EncodeCode(code_, &offsets));
+  Result<uint16_t> depth = ComputeEntryCodeDepth(code_, cls_->pool());
+  if (!depth.ok()) {
+    return false;
+  }
+  // EncodeCode resolves a branch only to an instruction it encodes, so a
+  // one-byte nop stands in for the body's first instruction, which entry code
+  // branches to (the guard's skip), and its byte is dropped.
+  code_.push_back({Op::kNop, 0, 0});
+  Result<Bytes> encoded = EncodeCode(code_);
+  code_.pop_back();
+  if (!encoded.ok()) {
+    return encoded.error();
+  }
+  Bytes& bytes = *encoded;
+  bytes.pop_back();
 
-  std::vector<uint32_t> handler_entries;
-  std::vector<ExceptionHandler> new_handlers;
-  for (const auto& h : handlers_) {
-    // Handler pcs are u16 on the wire; code grown past 64 KiB cannot keep a
-    // handler whose range or entry moved beyond it.
-    if (offsets[h.start_ix] > 0xFFFF || offsets[h.end_ix] > 0xFFFF ||
-        offsets[h.handler_ix] > 0xFFFF) {
+  // Handler pcs are u16 on the wire; code grown past 64 KiB cannot keep a
+  // handler whose range or entry moved beyond it.
+  const uint32_t shift = static_cast<uint32_t>(bytes.size());
+  for (const auto& h : attr.handlers) {
+    if (h.start_pc + shift > 0xFFFF || h.end_pc + shift > 0xFFFF ||
+        h.handler_pc + shift > 0xFFFF) {
       return Error{ErrorCode::kCapacity,
                    "exception handler pc exceeds 65535 in " + method_->Id()};
     }
-    ExceptionHandler entry;
-    entry.start_pc = static_cast<uint16_t>(offsets[h.start_ix]);
-    entry.end_pc = static_cast<uint16_t>(offsets[h.end_ix]);
-    entry.handler_pc = static_cast<uint16_t>(offsets[h.handler_ix]);
-    entry.catch_type = h.catch_type;
-    new_handlers.push_back(entry);
-    handler_entries.push_back(h.handler_ix);
   }
+  for (auto& h : attr.handlers) {
+    h.start_pc = static_cast<uint16_t>(h.start_pc + shift);
+    h.end_pc = static_cast<uint16_t>(h.end_pc + shift);
+    h.handler_pc = static_cast<uint16_t>(h.handler_pc + shift);
+  }
+  bytes.insert(bytes.end(), attr.code.begin(), attr.code.end());
+  attr.code = std::move(bytes);
+  attr.max_stack = std::max(attr.max_stack, *depth);
+  return true;
+}
 
-  DVM_ASSIGN_OR_RETURN(uint16_t max_stack,
-                       ComputeMaxStackDepth(code_, cls_->pool(), handler_entries));
-
+Status MethodEditor::Commit(std::vector<CodeEdit>* edits) {
+  DVM_RETURN_IF_ERROR(decode_status_);
+  if (!modified_) {
+    return Status::Ok();
+  }
+  bool spliced = false;
+  if (!decoded_) {
+    DVM_ASSIGN_OR_RETURN(spliced, Splice());
+    if (!spliced) {
+      code();
+      DVM_RETURN_IF_ERROR(decode_status_);
+    }
+  }
   CodeAttr& attr = *method_->code;
-  attr.code = std::move(encoded);
-  attr.handlers = std::move(new_handlers);
-  attr.max_stack = std::max(attr.max_stack, max_stack);
+  if (!spliced) {
+    std::vector<uint32_t> offsets;
+    DVM_ASSIGN_OR_RETURN(Bytes encoded, EncodeCode(code_, &offsets));
+
+    std::vector<uint32_t> handler_entries;
+    std::vector<ExceptionHandler> new_handlers;
+    for (const auto& h : handlers_) {
+      // As on the splice path: no handler pc may move past 65535.
+      if (offsets[h.start_ix] > 0xFFFF || offsets[h.end_ix] > 0xFFFF ||
+          offsets[h.handler_ix] > 0xFFFF) {
+        return Error{ErrorCode::kCapacity,
+                     "exception handler pc exceeds 65535 in " + method_->Id()};
+      }
+      ExceptionHandler entry;
+      entry.start_pc = static_cast<uint16_t>(offsets[h.start_ix]);
+      entry.end_pc = static_cast<uint16_t>(offsets[h.end_ix]);
+      entry.handler_pc = static_cast<uint16_t>(offsets[h.handler_ix]);
+      entry.catch_type = h.catch_type;
+      new_handlers.push_back(entry);
+      handler_entries.push_back(h.handler_ix);
+    }
+
+    DVM_ASSIGN_OR_RETURN(uint16_t max_stack,
+                         ComputeMaxStackDepth(code_, cls_->pool(), handler_entries));
+    attr.code = std::move(encoded);
+    attr.handlers = std::move(new_handlers);
+    attr.max_stack = std::max(attr.max_stack, max_stack);
+  }
   attr.max_locals = std::max(attr.max_locals,
                              static_cast<uint16_t>(max_extra_local_ + 1));
   if (edits != nullptr) {

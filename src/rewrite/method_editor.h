@@ -1,13 +1,33 @@
 // In-place method body editing with branch and exception-table fixup — the
-// mechanical core of every binary-rewriting service. Open() decodes a method,
-// callers insert instructions at arbitrary positions, Commit() re-encodes,
-// remaps handler ranges and recomputes max_stack/max_locals.
+// mechanical core of every binary-rewriting service. Callers insert
+// instructions at arbitrary positions; Commit() writes the body back, with
+// handler ranges remapped and max_stack/max_locals raised to cover the
+// inserted code.
 //
 // Insertion semantics: inserting at index i places code *before* the
 // instruction currently at i; branches that target i keep targeting the
 // original instruction (they do NOT re-execute the inserted code). This is
 // what a method-entry guard wants: a back-edge to the old first instruction
 // skips the guard after the first execution.
+//
+// Decoding is lazy. Every Fig. 6 service (verification guards, <clinit>
+// checks, security hooks, audit) only inserts at index 0, and branch offsets
+// are relative, so the body's bytes stay valid behind such code: Commit
+// encodes just the inserted code, prepends it to the unchanged bytes and moves
+// every handler pc by its length. The body is decoded only when a caller needs
+// the decoded form: code(), Replace(), or an insertion anywhere but index 0.
+//
+// max_stack on the splice path needs no walk over the body when the editor
+// was opened with the verification filter's proof and the method still ends
+// in its proved body (ProvedBodyOffset). The verifier bounds every frame of
+// that body by its declared max_stack, every earlier entry insertion raised
+// max_stack to its own depth, and the new code must hand the old entry an
+// empty stack (ComputeEntryCodeDepth); so max(declared, depth of the new
+// code) is what a walk over the whole body would give. Without a proof, or
+// when the new code leaves a value on the stack, branches into the body, or
+// the body has changed since it was proved, Commit decodes and walks the whole
+// body as before: an unverified body may declare too small a max_stack, and
+// the walk is what fails closed on it (a stack-growing loop, say).
 //
 // Each insertion is recorded as a CodeEdit, which the filter reports in its
 // FilterOutcome so that the proxy can derive the artifact's certificate from
@@ -30,10 +50,16 @@ namespace dvm {
 class MethodEditor {
  public:
   // `cls` and `method` must outlive the editor; `method` must be one of
-  // cls->methods and have code.
-  static Result<MethodEditor> Open(ClassFile* cls, MethodInfo* method);
+  // cls->methods and have code. `proof`, when given, is the verification
+  // filter's proof of `cls` (FilterContext::proof) and must outlive the
+  // editor; it lets Commit splice entry code without walking the body.
+  static Result<MethodEditor> Open(ClassFile* cls, MethodInfo* method,
+                                   const ClassProof* proof = nullptr);
 
-  const std::vector<Instr>& code() const { return code_; }
+  // The body with every insertion so far, decoded on first use. A body that
+  // does not decode reads as empty, and its error is what Commit and every
+  // later edit return.
+  const std::vector<Instr>& code();
   ConstantPool& pool();
 
   // Inserts before the instruction at `index` (index == code().size() appends
@@ -46,12 +72,15 @@ class MethodEditor {
   // can be derived for the method.
   Status Replace(size_t index, const std::vector<Instr>& instrs);
 
-  // Re-encodes into the method (a no-op when nothing changed), then appends
-  // every InsertBefore, in order and in the coordinates of its call, to
-  // `edits` when given.
+  // Writes the edits into the method (a no-op when nothing changed), then
+  // appends every InsertBefore, in order and in the coordinates of its call,
+  // to `edits` when given. Called once, after the last edit.
   Status Commit(std::vector<CodeEdit>* edits = nullptr);
 
-  bool modified() const { return modified_; }
+  // Whether the body was decoded: by code(), Replace(), an insertion past
+  // index 0, or a Commit that could not splice. Only a decoded body is
+  // walked for max_stack.
+  bool decoded() const { return decoded_; }
 
  private:
   struct HandlerIx {
@@ -62,16 +91,26 @@ class MethodEditor {
   MethodEditor(ClassFile* cls, MethodInfo* method, uint32_t position)
       : cls_(cls), method_(method), position_(position) {}
 
+  Status Decode();
   void ShiftTargets(size_t at, size_t count);
   Status Insert(size_t index, const std::vector<Instr>& instrs);
+  // Commit's splice path; false (with the method untouched) when the
+  // inserted code or the body needs the decoding path.
+  Result<bool> Splice();
 
   ClassFile* cls_;
   MethodInfo* method_;
   uint32_t position_;  // of method_ in cls_->methods
+  const ClassProof::Body* proved_ = nullptr;  // method_'s body in the proof
   std::vector<CodeEdit> edits_;
+  // Until the body is decoded, code_ holds only the code inserted at its
+  // entry, in the coordinates of the final layout (index code_.size() is the
+  // body's first instruction). After, it holds the whole body.
   std::vector<Instr> code_;
   std::vector<HandlerIx> handlers_;
+  Status decode_status_;
   int max_extra_local_ = -1;
+  bool decoded_ = false;
   bool modified_ = false;
 };
 

@@ -17,15 +17,16 @@ constexpr uint64_t kProfileEventNanos = 900;
 constexpr size_t kAuditFlushBatch = 64;
 
 // Instruments one method: `enter_exit` adds an exit call before every return
-// and athrow as well. The insertions go to `edits`.
+// and athrow as well. The insertions go to `edits`. `proof` is the pipeline's
+// (FilterContext::proof, may be null).
 Status Instrument(ClassFile& cls, MethodInfo& method, const char* rt_class, bool enter_exit,
-                  std::vector<CodeEdit>* edits) {
+                  const ClassProof* proof, std::vector<CodeEdit>* edits) {
   ConstantPool& pool = cls.pool();
   std::string method_tag = cls.name() + "." + method.name;
   uint16_t tag_ref = pool.AddString(method_tag);
   uint16_t enter_ref = pool.AddMethodRef(rt_class, "enter", "(Ljava/lang/String;)V");
 
-  DVM_ASSIGN_OR_RETURN(MethodEditor editor, MethodEditor::Open(&cls, &method));
+  DVM_ASSIGN_OR_RETURN(MethodEditor editor, MethodEditor::Open(&cls, &method, proof));
   DVM_RETURN_IF_ERROR(editor.InsertBefore(0, {{Op::kLdc, tag_ref, 0},
                                               {Op::kInvokestatic, enter_ref, 0}}));
   if (enter_exit) {
@@ -177,7 +178,7 @@ Result<FilterOutcome> AuditFilter::Apply(ClassFile& cls, const FilterContext& ct
     // Entry events suffice for resource accounting and usage analysis; exits
     // would double the event rate for no additional audit value.
     DVM_RETURN_IF_ERROR(Instrument(cls, method, kRtAuditorClass, /*enter_exit=*/false,
-                                   &outcome.code_edits));
+                                   ctx.proof, &outcome.code_edits));
     outcome.checks_performed++;
     outcome.modified = true;
   }
@@ -194,7 +195,7 @@ Result<FilterOutcome> ProfileFilter::Apply(ClassFile& cls, const FilterContext& 
       continue;
     }
     DVM_RETURN_IF_ERROR(Instrument(cls, method, kRtProfilerClass, /*enter_exit=*/true,
-                                   &outcome.code_edits));
+                                   ctx.proof, &outcome.code_edits));
     outcome.checks_performed++;
     outcome.modified = true;
   }

@@ -153,7 +153,7 @@ Result<FilterOutcome> SecurityFilter::Apply(ClassFile& cls, const FilterContext&
         break;  // method reference invalidated by push_back; stop hook scan
       }
 
-      DVM_ASSIGN_OR_RETURN(MethodEditor editor, MethodEditor::Open(&cls, &method));
+      DVM_ASSIGN_OR_RETURN(MethodEditor editor, MethodEditor::Open(&cls, &method, ctx.proof));
       DVM_RETURN_IF_ERROR(editor.InsertBefore(0, preamble));
       DVM_RETURN_IF_ERROR(editor.Commit(&outcome.code_edits));
       outcome.modified = true;

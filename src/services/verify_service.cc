@@ -61,7 +61,7 @@ void EmitCheckCall(const Assumption& a, ConstantPool& pool, std::vector<Instr>* 
 //   if (!__dvmVerified$k) { RTVerifier.Check...(...); __dvmVerified$k = true; }
 Status InjectMethodGuard(ClassFile& cls, MethodInfo& method, size_t guard_index,
                          const std::vector<const Assumption*>& assumptions,
-                         std::vector<CodeEdit>* edits) {
+                         const ClassProof& proof, std::vector<CodeEdit>* edits) {
   ConstantPool& pool = cls.pool();
   std::string guard_name = kGuardFieldPrefix + std::to_string(guard_index);
   cls.fields.push_back(FieldInfo{
@@ -81,14 +81,14 @@ Status InjectMethodGuard(ClassFile& cls, MethodInfo& method, size_t guard_index,
   // preamble in the final layout.
   preamble[branch_slot].a = static_cast<int32_t>(preamble.size());
 
-  DVM_ASSIGN_OR_RETURN(MethodEditor editor, MethodEditor::Open(&cls, &method));
+  DVM_ASSIGN_OR_RETURN(MethodEditor editor, MethodEditor::Open(&cls, &method, &proof));
   DVM_RETURN_IF_ERROR(editor.InsertBefore(0, preamble));
   return editor.Commit(edits);
 }
 
 // Appends class-scoped checks to <clinit>, creating it if absent.
 Status InjectClassChecks(ClassFile& cls, const std::vector<const Assumption*>& assumptions,
-                         std::vector<CodeEdit>* edits) {
+                         const ClassProof& proof, std::vector<CodeEdit>* edits) {
   ConstantPool& pool = cls.pool();
   std::vector<Instr> calls;
   for (const Assumption* a : assumptions) {
@@ -106,7 +106,7 @@ Status InjectClassChecks(ClassFile& cls, const std::vector<const Assumption*>& a
                       static_cast<uint32_t>(calls.size())});
     return Status::Ok();
   }
-  DVM_ASSIGN_OR_RETURN(MethodEditor editor, MethodEditor::Open(&cls, clinit));
+  DVM_ASSIGN_OR_RETURN(MethodEditor editor, MethodEditor::Open(&cls, clinit, &proof));
   DVM_RETURN_IF_ERROR(editor.InsertBefore(0, calls));
   return editor.Commit(edits);
 }
@@ -166,8 +166,10 @@ Result<FilterOutcome> VerificationFilter::Apply(ClassFile& cls, const FilterCont
 
   outcome.checks_performed = verified->stats.TotalStaticChecks();
   // Kept before any guard goes in: the proof is of the class as verified,
-  // and the guards below are its first reported edits.
+  // and the guards below are its first reported edits, spliced in front of
+  // the bodies it proved.
   outcome.proof = ClassProof::Of(cls, std::move(cert));
+  const ClassProof& proof = *outcome.proof;
 
   // Partition assumptions by scope.
   std::vector<const Assumption*> class_scoped;
@@ -181,7 +183,7 @@ Result<FilterOutcome> VerificationFilter::Apply(ClassFile& cls, const FilterCont
   }
 
   if (!class_scoped.empty()) {
-    DVM_RETURN_IF_ERROR(InjectClassChecks(cls, class_scoped, &outcome.code_edits));
+    DVM_RETURN_IF_ERROR(InjectClassChecks(cls, class_scoped, proof, &outcome.code_edits));
     outcome.sites_rewritten += class_scoped.size();
     outcome.modified = true;
   }
@@ -192,7 +194,7 @@ Result<FilterOutcome> VerificationFilter::Apply(ClassFile& cls, const FilterCont
       continue;
     }
     DVM_RETURN_IF_ERROR(
-        InjectMethodGuard(cls, method, guard_index++, it->second, &outcome.code_edits));
+        InjectMethodGuard(cls, method, guard_index++, it->second, proof, &outcome.code_edits));
     outcome.sites_rewritten += it->second.size();
     outcome.modified = true;
   }

@@ -1,99 +1,162 @@
 #include "src/support/md5.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace dvm {
 namespace {
 
-constexpr uint32_t kShift[64] = {7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-                                 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
-                                 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-                                 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
+inline uint32_t RotL(uint32_t x, int c) { return (x << c) | (x >> (32 - c)); }
 
-// K[i] = floor(2^32 * abs(sin(i + 1))), from RFC 1321.
-constexpr uint32_t kSine[64] = {
-    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613,
-    0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193,
-    0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa, 0xd62f105d,
-    0x02441453, 0xd8a1e681, 0xe7d3fbc8, 0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed,
-    0xa9e3e905, 0xfcefa3f8, 0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122,
-    0xfde5380c, 0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, 0x289b7ec6, 0xeaa127fa,
-    0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665, 0xf4292244,
-    0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92, 0xffeff47d, 0x85845dd1,
-    0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb,
-    0xeb86d391};
+// The four round functions of RFC 1321 section 3.4, and one step: `m` is
+// the step's message word, `k` its sine constant, `s` its shift.
+#define DVM_MD5_F(x, y, z) (((x) & (y)) | (~(x) & (z)))
+#define DVM_MD5_G(x, y, z) (((x) & (z)) | ((y) & ~(z)))
+#define DVM_MD5_H(x, y, z) ((x) ^ (y) ^ (z))
+#define DVM_MD5_I(x, y, z) ((y) ^ ((x) | ~(z)))
+#define DVM_MD5_STEP(f, a, b, c, d, m, k, s) (a) = (b) + RotL((a) + f((b), (c), (d)) + (m) + (k), (s))
 
-uint32_t RotL(uint32_t x, uint32_t c) { return (x << c) | (x >> (32 - c)); }
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
+}
 
 }  // namespace
 
 Md5::Md5() : a_(0x67452301), b_(0xefcdab89), c_(0x98badcfe), d_(0x10325476) {}
 
+// The 64 steps written out: each names its round function, message word,
+// constant K[i] = floor(2^32 * abs(sin(i + 1))) and shift, so no step
+// branches on its round or indexes a table.
 void Md5::ProcessBlock(const uint8_t block[64]) {
   uint32_t m[16];
   for (int i = 0; i < 16; i++) {
-    m[i] = static_cast<uint32_t>(block[i * 4]) | (static_cast<uint32_t>(block[i * 4 + 1]) << 8) |
-           (static_cast<uint32_t>(block[i * 4 + 2]) << 16) |
-           (static_cast<uint32_t>(block[i * 4 + 3]) << 24);
+    m[i] = LoadLe32(block + 4 * i);
   }
   uint32_t a = a_, b = b_, c = c_, d = d_;
-  for (int i = 0; i < 64; i++) {
-    uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
-    uint32_t tmp = d;
-    d = c;
-    c = b;
-    b = b + RotL(a + f + kSine[i] + m[g], kShift[i]);
-    a = tmp;
-  }
+
+  DVM_MD5_STEP(DVM_MD5_F, a, b, c, d, m[0], 0xd76aa478, 7);
+  DVM_MD5_STEP(DVM_MD5_F, d, a, b, c, m[1], 0xe8c7b756, 12);
+  DVM_MD5_STEP(DVM_MD5_F, c, d, a, b, m[2], 0x242070db, 17);
+  DVM_MD5_STEP(DVM_MD5_F, b, c, d, a, m[3], 0xc1bdceee, 22);
+  DVM_MD5_STEP(DVM_MD5_F, a, b, c, d, m[4], 0xf57c0faf, 7);
+  DVM_MD5_STEP(DVM_MD5_F, d, a, b, c, m[5], 0x4787c62a, 12);
+  DVM_MD5_STEP(DVM_MD5_F, c, d, a, b, m[6], 0xa8304613, 17);
+  DVM_MD5_STEP(DVM_MD5_F, b, c, d, a, m[7], 0xfd469501, 22);
+  DVM_MD5_STEP(DVM_MD5_F, a, b, c, d, m[8], 0x698098d8, 7);
+  DVM_MD5_STEP(DVM_MD5_F, d, a, b, c, m[9], 0x8b44f7af, 12);
+  DVM_MD5_STEP(DVM_MD5_F, c, d, a, b, m[10], 0xffff5bb1, 17);
+  DVM_MD5_STEP(DVM_MD5_F, b, c, d, a, m[11], 0x895cd7be, 22);
+  DVM_MD5_STEP(DVM_MD5_F, a, b, c, d, m[12], 0x6b901122, 7);
+  DVM_MD5_STEP(DVM_MD5_F, d, a, b, c, m[13], 0xfd987193, 12);
+  DVM_MD5_STEP(DVM_MD5_F, c, d, a, b, m[14], 0xa679438e, 17);
+  DVM_MD5_STEP(DVM_MD5_F, b, c, d, a, m[15], 0x49b40821, 22);
+
+  DVM_MD5_STEP(DVM_MD5_G, a, b, c, d, m[1], 0xf61e2562, 5);
+  DVM_MD5_STEP(DVM_MD5_G, d, a, b, c, m[6], 0xc040b340, 9);
+  DVM_MD5_STEP(DVM_MD5_G, c, d, a, b, m[11], 0x265e5a51, 14);
+  DVM_MD5_STEP(DVM_MD5_G, b, c, d, a, m[0], 0xe9b6c7aa, 20);
+  DVM_MD5_STEP(DVM_MD5_G, a, b, c, d, m[5], 0xd62f105d, 5);
+  DVM_MD5_STEP(DVM_MD5_G, d, a, b, c, m[10], 0x02441453, 9);
+  DVM_MD5_STEP(DVM_MD5_G, c, d, a, b, m[15], 0xd8a1e681, 14);
+  DVM_MD5_STEP(DVM_MD5_G, b, c, d, a, m[4], 0xe7d3fbc8, 20);
+  DVM_MD5_STEP(DVM_MD5_G, a, b, c, d, m[9], 0x21e1cde6, 5);
+  DVM_MD5_STEP(DVM_MD5_G, d, a, b, c, m[14], 0xc33707d6, 9);
+  DVM_MD5_STEP(DVM_MD5_G, c, d, a, b, m[3], 0xf4d50d87, 14);
+  DVM_MD5_STEP(DVM_MD5_G, b, c, d, a, m[8], 0x455a14ed, 20);
+  DVM_MD5_STEP(DVM_MD5_G, a, b, c, d, m[13], 0xa9e3e905, 5);
+  DVM_MD5_STEP(DVM_MD5_G, d, a, b, c, m[2], 0xfcefa3f8, 9);
+  DVM_MD5_STEP(DVM_MD5_G, c, d, a, b, m[7], 0x676f02d9, 14);
+  DVM_MD5_STEP(DVM_MD5_G, b, c, d, a, m[12], 0x8d2a4c8a, 20);
+
+  DVM_MD5_STEP(DVM_MD5_H, a, b, c, d, m[5], 0xfffa3942, 4);
+  DVM_MD5_STEP(DVM_MD5_H, d, a, b, c, m[8], 0x8771f681, 11);
+  DVM_MD5_STEP(DVM_MD5_H, c, d, a, b, m[11], 0x6d9d6122, 16);
+  DVM_MD5_STEP(DVM_MD5_H, b, c, d, a, m[14], 0xfde5380c, 23);
+  DVM_MD5_STEP(DVM_MD5_H, a, b, c, d, m[1], 0xa4beea44, 4);
+  DVM_MD5_STEP(DVM_MD5_H, d, a, b, c, m[4], 0x4bdecfa9, 11);
+  DVM_MD5_STEP(DVM_MD5_H, c, d, a, b, m[7], 0xf6bb4b60, 16);
+  DVM_MD5_STEP(DVM_MD5_H, b, c, d, a, m[10], 0xbebfbc70, 23);
+  DVM_MD5_STEP(DVM_MD5_H, a, b, c, d, m[13], 0x289b7ec6, 4);
+  DVM_MD5_STEP(DVM_MD5_H, d, a, b, c, m[0], 0xeaa127fa, 11);
+  DVM_MD5_STEP(DVM_MD5_H, c, d, a, b, m[3], 0xd4ef3085, 16);
+  DVM_MD5_STEP(DVM_MD5_H, b, c, d, a, m[6], 0x04881d05, 23);
+  DVM_MD5_STEP(DVM_MD5_H, a, b, c, d, m[9], 0xd9d4d039, 4);
+  DVM_MD5_STEP(DVM_MD5_H, d, a, b, c, m[12], 0xe6db99e5, 11);
+  DVM_MD5_STEP(DVM_MD5_H, c, d, a, b, m[15], 0x1fa27cf8, 16);
+  DVM_MD5_STEP(DVM_MD5_H, b, c, d, a, m[2], 0xc4ac5665, 23);
+
+  DVM_MD5_STEP(DVM_MD5_I, a, b, c, d, m[0], 0xf4292244, 6);
+  DVM_MD5_STEP(DVM_MD5_I, d, a, b, c, m[7], 0x432aff97, 10);
+  DVM_MD5_STEP(DVM_MD5_I, c, d, a, b, m[14], 0xab9423a7, 15);
+  DVM_MD5_STEP(DVM_MD5_I, b, c, d, a, m[5], 0xfc93a039, 21);
+  DVM_MD5_STEP(DVM_MD5_I, a, b, c, d, m[12], 0x655b59c3, 6);
+  DVM_MD5_STEP(DVM_MD5_I, d, a, b, c, m[3], 0x8f0ccc92, 10);
+  DVM_MD5_STEP(DVM_MD5_I, c, d, a, b, m[10], 0xffeff47d, 15);
+  DVM_MD5_STEP(DVM_MD5_I, b, c, d, a, m[1], 0x85845dd1, 21);
+  DVM_MD5_STEP(DVM_MD5_I, a, b, c, d, m[8], 0x6fa87e4f, 6);
+  DVM_MD5_STEP(DVM_MD5_I, d, a, b, c, m[15], 0xfe2ce6e0, 10);
+  DVM_MD5_STEP(DVM_MD5_I, c, d, a, b, m[6], 0xa3014314, 15);
+  DVM_MD5_STEP(DVM_MD5_I, b, c, d, a, m[13], 0x4e0811a1, 21);
+  DVM_MD5_STEP(DVM_MD5_I, a, b, c, d, m[4], 0xf7537e82, 6);
+  DVM_MD5_STEP(DVM_MD5_I, d, a, b, c, m[11], 0xbd3af235, 10);
+  DVM_MD5_STEP(DVM_MD5_I, c, d, a, b, m[2], 0x2ad7d2bb, 15);
+  DVM_MD5_STEP(DVM_MD5_I, b, c, d, a, m[9], 0xeb86d391, 21);
+
   a_ += a;
   b_ += b;
   c_ += c;
   d_ += d;
 }
 
+#undef DVM_MD5_STEP
+#undef DVM_MD5_I
+#undef DVM_MD5_H
+#undef DVM_MD5_G
+#undef DVM_MD5_F
+
 void Md5::Update(const uint8_t* data, size_t len) {
   total_len_ += len;
-  while (len > 0) {
+  if (len == 0) {
+    return;
+  }
+  // Top up a partly filled buffer first; whole blocks after it are hashed
+  // where the caller holds them, and only the tail is copied.
+  if (buffer_len_ > 0) {
     size_t take = std::min(len, sizeof(buffer_) - buffer_len_);
     std::memcpy(buffer_ + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == sizeof(buffer_)) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
+    if (buffer_len_ < sizeof(buffer_)) {
+      return;
     }
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
+  }
+  for (; len >= sizeof(buffer_); data += sizeof(buffer_), len -= sizeof(buffer_)) {
+    ProcessBlock(data);
+  }
+  if (len > 0) {
+    std::memcpy(buffer_, data, len);
+    buffer_len_ = len;
   }
 }
 
 Md5Digest Md5::Finish() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
+  const uint64_t bit_len = total_len_ * 8;
+  // Update leaves a partial block, so the 0x80 marker always fits; the
+  // 8-byte length goes into this block or, past byte 56, the next one.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  uint8_t len_bytes[8];
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; i++) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (8 * i));
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (8 * i));
   }
-  // Bypass Update's total_len_ accounting for the trailer.
-  std::memcpy(buffer_ + 56, len_bytes, 8);
   ProcessBlock(buffer_);
 
   Md5Digest out;

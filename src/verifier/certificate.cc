@@ -592,6 +592,24 @@ ClassProof ClassProof::Of(const ClassFile& cls, ClassCertificate cert) {
   return proof;
 }
 
+std::optional<size_t> ProvedBodyOffset(const ClassProof::Body& body, const CodeAttr& code) {
+  if (code.code.size() < body.code.size() || code.handlers.size() != body.handlers.size() ||
+      !std::equal(body.code.begin(), body.code.end(),
+                  code.code.end() - static_cast<std::ptrdiff_t>(body.code.size()))) {
+    return std::nullopt;
+  }
+  const size_t offset = code.code.size() - body.code.size();
+  for (size_t h = 0; h < body.handlers.size(); h++) {
+    const ExceptionHandler& was = body.handlers[h];
+    const ExceptionHandler& now = code.handlers[h];
+    if (now.start_pc != was.start_pc + offset || now.end_pc != was.end_pc + offset ||
+        now.handler_pc != was.handler_pc + offset || now.catch_type != was.catch_type) {
+      return std::nullopt;
+    }
+  }
+  return offset;
+}
+
 Result<ClassCertificate> TransformCertificate(ClassProof proof, std::span<const CodeEdit> edits,
                                               const ClassFile& artifact, const ClassEnv& env,
                                               uint64_t* checks) {
@@ -684,22 +702,11 @@ Result<ClassCertificate> TransformCertificate(ClassProof proof, std::span<const 
         code.handlers.size() != body.handlers.size()) {
       return Verr(name + ": " + method.Id() + " lost locals, stack or handlers");
     }
-    // Branch offsets are relative, so code inserted in front leaves the
-    // proved bytes as they were, behind it; handlers move by its length.
-    if (code.code.size() < body.code.size() ||
-        !std::equal(body.code.begin(), body.code.end(),
-                    code.code.end() - static_cast<std::ptrdiff_t>(body.code.size()))) {
-      return Verr(name + ": " + method.Id() + " does not end in its proved body");
+    const std::optional<size_t> body_offset = ProvedBodyOffset(body, code);
+    if (!body_offset.has_value()) {
+      return Verr(name + ": " + method.Id() + " does not end in its proved body and handlers");
     }
-    const size_t prefix_bytes = code.code.size() - body.code.size();
-    for (size_t h = 0; h < body.handlers.size(); h++) {
-      const ExceptionHandler& was = body.handlers[h];
-      const ExceptionHandler& now = code.handlers[h];
-      if (now.start_pc != was.start_pc + prefix_bytes || now.end_pc != was.end_pc + prefix_bytes ||
-          now.handler_pc != was.handler_pc + prefix_bytes || now.catch_type != was.catch_type) {
-        return Verr(name + ": " + method.Id() + " has handlers the proof does not cover");
-      }
-    }
+    const size_t prefix_bytes = *body_offset;
     // Proved frames grow by the slots past the proved max_locals, holding
     // what inserted code left there (Top when nothing was inserted).
     std::vector<NamedType> padding(code.max_locals - body.max_locals, NamedType::Top());

@@ -20,7 +20,9 @@
 #ifndef SRC_VERIFIER_CERTIFICATE_H_
 #define SRC_VERIFIER_CERTIFICATE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -150,6 +152,12 @@ struct ClassProof {
   std::vector<std::string> field_names;  // every declared field
   std::vector<std::string> method_ids;   // every declared method
 };
+
+// Where `body` starts in `code` when `code` still ends in it: the proved
+// bytes unchanged at the end (branch offsets are relative, so code inserted
+// in front leaves them as they were) and every proved handler moved by the
+// length of what is in front, with nothing else changed. nullopt otherwise.
+std::optional<size_t> ProvedBodyOffset(const ClassProof::Body& body, const CodeAttr& code);
 
 // Derives the certificate of `artifact`, the proved class after `edits`, from
 // `proof` without running the fixpoint (DESIGN.md §15). It holds when every

@@ -21,6 +21,8 @@
 #include "src/services/verify_service.h"
 #include "src/verifier/class_env.h"
 #include "src/verifier/verifier.h"
+#include "src/workloads/applets.h"
+#include "src/workloads/apps.h"
 
 namespace dvm {
 namespace {
@@ -52,6 +54,34 @@ TEST(FuzzCorpus, CorpusIsClean) {
   }
   EXPECT_GE(count, 17u) << "corpus unexpectedly small — regenerate with "
                            "`dvm_fuzz gen-regressions tests/corpus`";
+}
+
+// MethodEditor splices code inserted at a proved method's entry instead of
+// decoding the body; the splice must leave every method exactly as the
+// decoding path does. Every Fig. 5 and applet class, and the corpus, through
+// the editor-paths oracle (dvm_fuzz editor-paths).
+TEST(FuzzCorpus, EditorSplicePathEqualsDecodingPath) {
+  fuzz::EditorPathsCounts counts;
+  size_t classes = 0;
+  for (const auto& bundles : {BuildFig5Apps(1), BuildAppletPopulation(100, 1999)}) {
+    for (const AppBundle& bundle : bundles) {
+      for (const ClassFile& cls : bundle.classes) {
+        classes++;
+        std::string violation = fuzz::CheckEditorPaths(MustWriteClassFile(cls), &counts);
+        EXPECT_TRUE(violation.empty()) << cls.name() << ": " << violation;
+      }
+    }
+  }
+  ASSERT_GE(classes, 500u);
+  // Audit and the security hook instrument every method, so each proved
+  // body takes at least two entry insertions, and every one is spliced.
+  EXPECT_GE(counts.commits, 2 * classes);
+  EXPECT_EQ(counts.spliced, counts.commits);
+
+  for (const auto& entry : std::filesystem::directory_iterator(DVM_CORPUS_DIR)) {
+    std::string violation = fuzz::CheckEditorPaths(ReadFileBytes(entry.path()), &counts);
+    EXPECT_TRUE(violation.empty()) << entry.path().filename() << ": " << violation;
+  }
 }
 
 // Loads a checked-in corpus input and verifies it against itself plus the

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 
 #include "src/bytecode/builder.h"
 #include "src/bytecode/serializer.h"
@@ -8,6 +9,7 @@
 #include "src/rewrite/method_editor.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/syslib.h"
+#include "src/verifier/certificate.h"
 #include "src/verifier/verifier.h"
 
 namespace dvm {
@@ -265,6 +267,245 @@ TEST(MethodEditorTest, HandlerPcPastU16IsCapacityError) {
   EXPECT_EQ(small->code->handlers[0].start_pc, 2);
   EXPECT_EQ(small->code->handlers[0].end_pc, 65534);
   EXPECT_EQ(small->code->handlers[0].handler_pc, 65534);
+}
+
+// --- entry splices ------------------------------------------------------------
+
+// The verification filter's proof of `cls`, checked against the class alone
+// and a bare java/lang/Object.
+ClassProof Prove(const ClassFile& cls) {
+  ClassBuilder obj_cb("java/lang/Object", "");
+  obj_cb.AddDefaultConstructor();
+  ClassFile object = MustBuild(obj_cb);
+  MapClassEnv env;
+  env.Add(&object);
+  env.Add(&cls);
+  ClassCertificate cert;
+  auto verified = VerifyClass(cls, env, &cert);
+  EXPECT_TRUE(verified.ok()) << (verified.ok() ? "" : verified.error().ToString());
+  return ClassProof::Of(cls, std::move(cert));
+}
+
+// What one editor session left in a method, for comparing the splice path
+// with the decoding path.
+struct EditResult {
+  Status status;
+  bool decoded = false;
+  CodeAttr code;
+  std::vector<CodeEdit> edits;
+};
+
+// Opens `name`'s body in a copy of `cls`, decoding it first when asked (the
+// decoding path), and runs `edit` on the editor before committing.
+EditResult EditCopy(const ClassFile& cls, const std::string& name, const std::string& descriptor,
+                    const ClassProof* proof, bool decode_first,
+                    const std::function<Status(MethodEditor&)>& edit) {
+  ClassFile copy = cls;
+  MethodInfo* method = copy.FindMethod(name, descriptor);
+  auto editor = MethodEditor::Open(&copy, method, proof);
+  EXPECT_TRUE(editor.ok());
+  EditResult out;
+  if (decode_first) {
+    editor->code();
+  }
+  out.status = edit(*editor);
+  if (out.status.ok()) {
+    out.status = editor->Commit(&out.edits);
+  }
+  out.decoded = editor->decoded();
+  out.code = *method->code;
+  return out;
+}
+
+void ExpectSameEdit(const EditResult& spliced, const EditResult& decoded) {
+  ASSERT_EQ(spliced.status.ok(), decoded.status.ok());
+  if (!spliced.status.ok()) {
+    EXPECT_EQ(spliced.status.error().ToString(), decoded.status.error().ToString());
+    return;
+  }
+  EXPECT_EQ(spliced.code.code, decoded.code.code);
+  ASSERT_EQ(spliced.code.handlers.size(), decoded.code.handlers.size());
+  for (size_t h = 0; h < spliced.code.handlers.size(); h++) {
+    EXPECT_EQ(spliced.code.handlers[h].start_pc, decoded.code.handlers[h].start_pc);
+    EXPECT_EQ(spliced.code.handlers[h].end_pc, decoded.code.handlers[h].end_pc);
+    EXPECT_EQ(spliced.code.handlers[h].handler_pc, decoded.code.handlers[h].handler_pc);
+    EXPECT_EQ(spliced.code.handlers[h].catch_type, decoded.code.handlers[h].catch_type);
+  }
+  EXPECT_EQ(spliced.code.max_stack, decoded.code.max_stack);
+  EXPECT_EQ(spliced.code.max_locals, decoded.code.max_locals);
+  ASSERT_EQ(spliced.edits.size(), decoded.edits.size());
+}
+
+// A verification guard's shape: a static flag read, a skip to the body's
+// first instruction, and a store, the whole of it in front of the body.
+std::vector<Instr> GuardLike(uint16_t flag) {
+  return {{Op::kGetstatic, flag, 0},
+          {Op::kIfne, 4, 0},
+          {Op::kIconst1, 0, 0},
+          {Op::kPutstatic, flag, 0}};
+}
+
+TEST(MethodEditorSpliceTest, EntryInsertOnProvedBodyNeverDecodes) {
+  ClassFile cls = BuildLoopClass();
+  cls.fields.push_back(
+      FieldInfo{static_cast<uint16_t>(AccessFlags::kStatic | AccessFlags::kPublic), "g", "I", {}});
+  const uint16_t flag = cls.pool().AddFieldRef("rw/Loop", "g", "I");
+  const ClassProof proof = Prove(cls);
+  const int before = RunF(cls, 10);
+
+  auto insert = [&](MethodEditor& editor) -> Status {
+    DVM_RETURN_IF_ERROR(editor.InsertBefore(0, GuardLike(flag)));
+    return editor.InsertBefore(0, {{Op::kBipush, 42, 0}, {Op::kIstore, 3, 0}});
+  };
+  EditResult spliced = EditCopy(cls, "f", "(I)I", &proof, false, insert);
+  EditResult decoded = EditCopy(cls, "f", "(I)I", &proof, true, insert);
+  ASSERT_TRUE(spliced.status.ok()) << spliced.status.error().ToString();
+  EXPECT_FALSE(spliced.decoded);
+  EXPECT_TRUE(decoded.decoded);
+  ExpectSameEdit(spliced, decoded);
+  EXPECT_EQ(spliced.code.max_locals, 4);
+
+  ClassFile edited = cls;
+  *edited.FindMethod("f", "(I)I")->code = spliced.code;
+  EXPECT_EQ(RunF(edited, 10), before);
+}
+
+// Each Fig. 6 filter commits its own editor; the second splice finds the
+// first one's code in front of the proved body and splices again.
+TEST(MethodEditorSpliceTest, SecondSpliceOverFirstStillSplices) {
+  ClassFile cls = BuildLoopClass();
+  const ClassProof proof = Prove(cls);
+  MethodInfo* method = cls.FindMethod("f", "(I)I");
+  for (int round = 0; round < 2; round++) {
+    auto editor = MethodEditor::Open(&cls, method, &proof);
+    ASSERT_TRUE(editor.ok());
+    ASSERT_TRUE(editor->InsertBefore(0, {{Op::kBipush, round, 0}, {Op::kPop, 0, 0}}).ok());
+    ASSERT_TRUE(editor->Commit().ok());
+    EXPECT_FALSE(editor->decoded()) << "round " << round;
+  }
+  EXPECT_EQ(RunF(cls, 10), 55);
+}
+
+TEST(MethodEditorSpliceTest, ReplaceMidBodyInsertAndUnprovedBodiesTakeTheWalk) {
+  ClassFile cls = BuildLoopClass();
+  const ClassProof proof = Prove(cls);
+  const std::vector<Instr> nop_pair = {{Op::kBipush, 7, 0}, {Op::kPop, 0, 0}};
+
+  EditResult replaced = EditCopy(cls, "f", "(I)I", &proof, false, [](MethodEditor& editor) {
+    return editor.Replace(0, {{Op::kIconst1, 0, 0}});
+  });
+  ASSERT_TRUE(replaced.status.ok());
+  EXPECT_TRUE(replaced.decoded);
+
+  EditResult mid = EditCopy(cls, "f", "(I)I", &proof, false, [&](MethodEditor& editor) {
+    return editor.InsertBefore(2, nop_pair);
+  });
+  ASSERT_TRUE(mid.status.ok());
+  EXPECT_TRUE(mid.decoded);
+
+  auto entry = [&](MethodEditor& editor) { return editor.InsertBefore(0, nop_pair); };
+  EditResult unproved = EditCopy(cls, "f", "(I)I", nullptr, false, entry);
+  ASSERT_TRUE(unproved.status.ok());
+  EXPECT_TRUE(unproved.decoded);
+
+  // A body changed since it was proved is not the proved body.
+  ClassFile changed = cls;
+  changed.FindMethod("f", "(I)I")->code->code[0] = static_cast<uint8_t>(Op::kIconst1);
+  EditResult stale = EditCopy(changed, "f", "(I)I", &proof, false, entry);
+  ASSERT_TRUE(stale.status.ok());
+  EXPECT_TRUE(stale.decoded);
+
+  // An entry insertion followed by a decode (the profiler's exits) sees the
+  // body behind the inserted code, with its branches moved.
+  auto entry_then_exit = [&](MethodEditor& editor) -> Status {
+    DVM_RETURN_IF_ERROR(editor.InsertBefore(0, nop_pair));
+    const size_t last = editor.code().size() - 1;
+    EXPECT_EQ(editor.code()[last].op, Op::kIreturn);
+    return editor.InsertBefore(last, nop_pair);
+  };
+  EditResult lazy = EditCopy(cls, "f", "(I)I", &proof, false, entry_then_exit);
+  EditResult eager = EditCopy(cls, "f", "(I)I", &proof, true, entry_then_exit);
+  EXPECT_TRUE(lazy.decoded);
+  ExpectSameEdit(lazy, eager);
+  ClassFile edited = cls;
+  *edited.FindMethod("f", "(I)I")->code = lazy.code;
+  EXPECT_EQ(RunF(edited, 10), 55);
+}
+
+TEST(MethodEditorSpliceTest, EntryCodeLeavingAValueFallsBackToTheWalk) {
+  ClassFile cls = BuildLoopClass();
+  const ClassProof proof = Prove(cls);
+  auto push = [](MethodEditor& editor) {
+    return editor.InsertBefore(0, {{Op::kBipush, 5, 0}});
+  };
+  EditResult with_proof = EditCopy(cls, "f", "(I)I", &proof, false, push);
+  EditResult walked = EditCopy(cls, "f", "(I)I", nullptr, false, push);
+  ASSERT_TRUE(with_proof.status.ok());
+  EXPECT_TRUE(with_proof.decoded);
+  ExpectSameEdit(with_proof, walked);
+
+  // Today's max_stack: the walk over the whole decoded body.
+  std::vector<Instr> whole = {{Op::kBipush, 5, 0}};
+  const std::vector<Instr> body = DecodeCode(cls.FindMethod("f", "(I)I")->code->code)->instrs;
+  for (Instr instr : body) {
+    if (IsBranch(instr.op)) {
+      instr.a += 1;
+    }
+    whole.push_back(instr);
+  }
+  auto depth = ComputeMaxStackDepth(whole, cls.pool(), {});
+  ASSERT_TRUE(depth.ok());
+  EXPECT_EQ(with_proof.code.max_stack,
+            std::max(cls.FindMethod("f", "(I)I")->code->max_stack, *depth));
+
+  // A branch from entry code into the body also needs the decoded body.
+  EditResult into_body = EditCopy(cls, "f", "(I)I", &proof, false, [](MethodEditor& editor) {
+    return editor.InsertBefore(0, {{Op::kGoto, 3, 0}});
+  });
+  ASSERT_TRUE(into_body.status.ok());
+  EXPECT_TRUE(into_body.decoded);
+}
+
+// HandlerPcPastU16IsCapacityError on the splice path: the same 65,534-byte
+// body, proved, grown in front without being decoded.
+TEST(MethodEditorSpliceTest, HandlerPcPastU16IsCapacityErrorWhenSpliced) {
+  std::vector<Instr> body(65532, Instr{Op::kNop, 0, 0});
+  body.back() = {Op::kReturn, 0, 0};
+  body.push_back({Op::kPop, 0, 0});
+  body.push_back({Op::kReturn, 0, 0});
+  ClassBuilder cb("rw/Big", "java/lang/Object");
+  cb.AddMethod(AccessFlags::kStatic | AccessFlags::kPublic, "f", "()V").Emit(Op::kReturn);
+  ClassFile cls = MustBuild(cb);
+  CodeAttr& code = *cls.FindMethod("f", "()V")->code;
+  code.code = EncodeCode(body).value();
+  code.max_stack = 1;
+  ExceptionHandler handler;
+  handler.start_pc = 0;
+  handler.end_pc = 65532;
+  handler.handler_pc = 65532;
+  code.handlers = {handler};
+  const ClassProof proof = Prove(cls);
+
+  EditResult grown = EditCopy(cls, "f", "()V", &proof, false, [](MethodEditor& editor) {
+    return editor.InsertBefore(0, {{Op::kSipush, 1, 0},
+                                   {Op::kPop, 0, 0},
+                                   {Op::kSipush, 2, 0},
+                                   {Op::kPop, 0, 0}});
+  });
+  ASSERT_FALSE(grown.status.ok());
+  EXPECT_EQ(grown.status.error().code, ErrorCode::kCapacity);
+  EXPECT_FALSE(grown.decoded);
+  EXPECT_EQ(grown.code.handlers[0].end_pc, 65532);  // the method is left as it was
+  EXPECT_EQ(grown.code.code.size(), 65534u);
+
+  EditResult fits = EditCopy(cls, "f", "()V", &proof, false, [](MethodEditor& editor) {
+    return editor.InsertBefore(0, {{Op::kIconst0, 0, 0}, {Op::kPop, 0, 0}});
+  });
+  ASSERT_TRUE(fits.status.ok());
+  EXPECT_FALSE(fits.decoded);
+  EXPECT_EQ(fits.code.handlers[0].start_pc, 2);
+  EXPECT_EQ(fits.code.handlers[0].end_pc, 65534);
+  EXPECT_EQ(fits.code.handlers[0].handler_pc, 65534);
 }
 
 // --- filter pipeline -------------------------------------------------------------

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
 #include "src/support/bytes.h"
 #include "src/support/hash.h"
 #include "src/support/md5.h"
@@ -191,6 +195,171 @@ TEST(Md5Test, IncrementalMatchesOneShot) {
   incremental.Update(data.data(), 100);
   incremental.Update(data.data() + 100, 900);
   EXPECT_EQ(Md5::ToHex(incremental.Finish()), Md5::ToHex(Md5::Hash(data)));
+}
+
+// The table-driven MD5 this repository shipped before ProcessBlock was
+// unrolled and Update stopped copying whole blocks through its buffer: one
+// loop over the 64 steps with a branch per round, every byte through the
+// buffer. Kept as the reference the straight-line code must equal.
+class ReferenceMd5 {
+ public:
+  void Update(const uint8_t* data, size_t len) {
+    total_len_ += len;
+    for (size_t i = 0; i < len; i++) {
+      buffer_[buffer_len_++] = data[i];
+      if (buffer_len_ == 64) {
+        ProcessBlock();
+        buffer_len_ = 0;
+      }
+    }
+  }
+
+  std::string FinishHex() {
+    const uint64_t bit_len = total_len_ * 8;
+    const uint8_t pad = 0x80;
+    const uint8_t zero = 0;
+    Update(&pad, 1);
+    while (buffer_len_ != 56) {
+      Update(&zero, 1);
+    }
+    for (int i = 0; i < 8; i++) {
+      buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (8 * i));
+    }
+    ProcessBlock();
+    Md5Digest out;
+    const uint32_t words[4] = {a_, b_, c_, d_};
+    for (int w = 0; w < 4; w++) {
+      for (int i = 0; i < 4; i++) {
+        out[static_cast<size_t>(w * 4 + i)] = static_cast<uint8_t>(words[w] >> (8 * i));
+      }
+    }
+    return Md5::ToHex(out);
+  }
+
+ private:
+  static constexpr uint32_t kShift[64] = {
+      7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 5, 9,  14, 20, 5, 9,
+      14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
+      4, 11, 16, 23, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
+  static constexpr uint32_t kSine[64] = {
+      0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613,
+      0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193,
+      0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa, 0xd62f105d,
+      0x02441453, 0xd8a1e681, 0xe7d3fbc8, 0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed,
+      0xa9e3e905, 0xfcefa3f8, 0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122,
+      0xfde5380c, 0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, 0x289b7ec6, 0xeaa127fa,
+      0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665, 0xf4292244,
+      0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92, 0xffeff47d, 0x85845dd1,
+      0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb,
+      0xeb86d391};
+
+  static uint32_t RotL(uint32_t x, uint32_t c) { return (x << c) | (x >> (32 - c)); }
+
+  void ProcessBlock() {
+    uint32_t m[16];
+    for (int i = 0; i < 16; i++) {
+      m[i] = static_cast<uint32_t>(buffer_[i * 4]) |
+             (static_cast<uint32_t>(buffer_[i * 4 + 1]) << 8) |
+             (static_cast<uint32_t>(buffer_[i * 4 + 2]) << 16) |
+             (static_cast<uint32_t>(buffer_[i * 4 + 3]) << 24);
+    }
+    uint32_t a = a_, b = b_, c = c_, d = d_;
+    for (int i = 0; i < 64; i++) {
+      uint32_t f;
+      int g;
+      if (i < 16) {
+        f = (b & c) | (~b & d);
+        g = i;
+      } else if (i < 32) {
+        f = (d & b) | (~d & c);
+        g = (5 * i + 1) % 16;
+      } else if (i < 48) {
+        f = b ^ c ^ d;
+        g = (3 * i + 5) % 16;
+      } else {
+        f = c ^ (b | ~d);
+        g = (7 * i) % 16;
+      }
+      const uint32_t tmp = d;
+      d = c;
+      c = b;
+      b = b + RotL(a + f + kSine[i] + m[g], kShift[i]);
+      a = tmp;
+    }
+    a_ += a;
+    b_ += b;
+    c_ += c;
+    d_ += d;
+  }
+
+  uint32_t a_ = 0x67452301, b_ = 0xefcdab89, c_ = 0x98badcfe, d_ = 0x10325476;
+  uint64_t total_len_ = 0;
+  uint8_t buffer_[64] = {};
+  size_t buffer_len_ = 0;
+};
+
+std::string ReferenceHex(const Bytes& data) {
+  ReferenceMd5 md5;
+  md5.Update(data.data(), data.size());
+  return md5.FinishHex();
+}
+
+// Hashes `data` in pieces of the odd sizes 1, 3, 5, ... (cycling after
+// `max_piece`), so pieces straddle block boundaries at every phase.
+std::string PiecewiseHex(const Bytes& data, size_t max_piece) {
+  Md5 md5;
+  size_t piece = 1;
+  for (size_t at = 0; at < data.size();) {
+    const size_t take = std::min(piece, data.size() - at);
+    md5.Update(data.data() + at, take);
+    at += take;
+    piece = piece + 2 > max_piece ? 1 : piece + 2;
+  }
+  return Md5::ToHex(md5.Finish());
+}
+
+TEST(Md5Test, Rfc1321VectorsPiecewise) {
+  const std::pair<std::string, std::string> vectors[] = {
+      {"", "d41d8cd98f00b204e9800998ecf8427e"},
+      {"abc", "900150983cd24fb0d6963f7d28e17f72"},
+      {"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+       "d174ab98d277d9f5a5611c2c9f419d9f"},
+      {"12345678901234567890123456789012345678901234567890123456789012345678901234567890",
+       "57edf4a22be3c955ac49da2e2107b67a"},
+  };
+  for (const auto& [text, digest] : vectors) {
+    const Bytes data(text.begin(), text.end());
+    EXPECT_EQ(Md5::ToHex(Md5::Hash(data)), digest) << text;
+    EXPECT_EQ(PiecewiseHex(data, 7), digest) << text;
+    EXPECT_EQ(PiecewiseHex(data, 65), digest) << text;
+    EXPECT_EQ(ReferenceHex(data), digest) << text;
+  }
+}
+
+// Every length up to 200 covers each padding case: the length in the same
+// block (< 56 bytes left over), in the next one (56..63), and whole blocks.
+TEST(Md5Test, EveryLengthTo200MatchesReferenceLoop) {
+  Bytes data;
+  for (size_t len = 0; len <= 200; len++) {
+    const std::string want = ReferenceHex(data);
+    EXPECT_EQ(Md5::ToHex(Md5::Hash(data)), want) << "length " << len;
+    EXPECT_EQ(PiecewiseHex(data, 9), want) << "length " << len;
+    EXPECT_EQ(PiecewiseHex(data, 131), want) << "length " << len;
+    data.push_back(static_cast<uint8_t>(len * 131 + 7));
+  }
+}
+
+TEST(Md5Test, RandomBuffersMatchReferenceLoop) {
+  Rng rng(20261020);
+  for (int round = 0; round < 300; round++) {
+    Bytes data(static_cast<size_t>(rng.Uniform(9000)));
+    for (uint8_t& byte : data) {
+      byte = static_cast<uint8_t>(rng.Next());
+    }
+    const std::string want = ReferenceHex(data);
+    EXPECT_EQ(Md5::ToHex(Md5::Hash(data)), want) << "round " << round;
+    EXPECT_EQ(PiecewiseHex(data, 1 + 2 * rng.Uniform(100)), want) << "round " << round;
+  }
 }
 
 TEST(HashTest, Fnv1aStable) {

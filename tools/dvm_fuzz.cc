@@ -22,6 +22,13 @@
 //                                      and compare each derived certificate
 //                                      with the fixpoint's proof of the same
 //                                      artifact; exit 1 on any difference
+//   dvm_fuzz editor-paths <input>...   run the same filters with a security
+//                                      hook on every method, replay each
+//                                      insertion at a proved method's entry
+//                                      through an editor that splices and
+//                                      one that decodes the body first, and
+//                                      compare the two; exit 1 on any
+//                                      difference
 //   dvm_fuzz min <file> <out>          greedy chunk-removal minimization that
 //                                      preserves the input's triage category
 //
@@ -666,6 +673,25 @@ int CmdDeriveCerts(const std::vector<std::filesystem::path>& inputs) {
   return differences > 0 ? 1 : 0;
 }
 
+// MethodEditor's splice path must leave every method exactly as its
+// decoding path does (fuzz::CheckEditorPaths).
+int CmdEditorPaths(const std::vector<std::filesystem::path>& inputs) {
+  size_t inputs_read = 0;
+  size_t differences = 0;
+  fuzz::EditorPathsCounts counts;
+  for (const auto& file : ExpandInputs(inputs)) {
+    inputs_read++;
+    const std::string violation = fuzz::CheckEditorPaths(ReadFileBytes(file), &counts);
+    if (!violation.empty()) {
+      differences++;
+      std::fprintf(stderr, "FAIL: %s: %s\n", file.c_str(), violation.c_str());
+    }
+  }
+  std::printf("inputs=%zu commits=%zu spliced=%zu differences=%zu\n", inputs_read,
+              counts.commits, counts.spliced, differences);
+  return differences > 0 ? 1 : 0;
+}
+
 int CmdMin(const std::filesystem::path& in, const std::filesystem::path& out) {
   Bytes data = ReadFileBytes(in);
   std::string category = TriageCategory(data);
@@ -702,6 +728,7 @@ int Usage() {
                "       dvm_fuzz mutate-certs <seed> <count> [input]...\n"
                "       dvm_fuzz order-independence <input>...\n"
                "       dvm_fuzz derive-certs <input>...\n"
+               "       dvm_fuzz editor-paths <input>...\n"
                "       dvm_fuzz min <file> <out>\n");
   return 2;
 }
@@ -744,6 +771,9 @@ int main(int argc, char** argv) {
   }
   if (cmd == "derive-certs" && !rest.empty()) {
     return dvm::CmdDeriveCerts(rest);
+  }
+  if (cmd == "editor-paths" && !rest.empty()) {
+    return dvm::CmdEditorPaths(rest);
   }
   if (cmd == "min" && rest.size() == 2) {
     return dvm::CmdMin(rest[0], rest[1]);
